@@ -13,7 +13,7 @@ The package provides:
   * a batch CLI with reproducible, machine-readable output (cli).
 """
 
-from .core import Approximation, Neighborhood, Space, Stem, approx, depth, extensions, fin_below, fin_leq, length
+from .core import Approximation, Neighborhood, Space, Stem
 from .errors import (
     CeilingExceededError,
     EmptyNeighborhoodError,

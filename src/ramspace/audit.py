@@ -357,10 +357,7 @@ def _audit_a5(space, report, tops, chains, bounds):
             if n > bounds.max_depth:
                 continue
             prefix = chains[t][n]
-            candidates = sorted(
-                space.iter_neighborhood(prefix, t),
-                key=lambda x: (-x.length, space.serialize(x)),
-            )
+            candidates = space.longest_first(space.iter_neighborhood(prefix, t))
             for b_top in space.iter_neighborhood(a, t):
                 if instances >= bounds.amalgamation_cap:
                     break
@@ -389,8 +386,7 @@ def _audit_a5(space, report, tops, chains, bounds):
 
 
 def _audit_a6(space, report, tops, bounds):
-    anchors = sorted(tops, key=lambda x: (-x.length, space.serialize(x)))
-    anchors = anchors[: bounds.a6_anchor_count]
+    anchors = space.longest_first(tops)[: bounds.a6_anchor_count]
 
     # Refuse before sweeping if the split count is out of reach.
     estimate = 0

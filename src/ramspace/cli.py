@@ -6,10 +6,15 @@ identical configuration and inputs produce byte-identical text and
 json output (timing is only emitted under --timing, and the csv
 format's seconds column is empty without it).
 
+Every space has a default ambient stem (`Space.full_stem`: the whole
+ground set, the identity matrix, the discrete partition), so `galvin`
+and `reduce` run without `--stem` on all three spaces.
+
 Exit codes: 0 success (bounded-pass / dichotomy certified / witness
 found / monochromatic reduct), 1 counterexample or lower-bound-only,
 2 usage or input errors, 3 inconclusive or exhausted bound, 4 refusal
-because a size estimate exceeds a ceiling.
+because a size estimate exceeds a ceiling, 5 internal error (a bug:
+reported as one `internal error: <type>: <message>` line, no traceback).
 """
 
 from __future__ import annotations
@@ -22,15 +27,9 @@ import time
 
 from . import __version__
 from .audit import AuditBounds, audit_axioms
-from .errors import CeilingExceededError, ParseError, RamspaceError
-from .forcing import (
-    ALT1,
-    ALT2,
-    FrontFamily,
-    GalvinParams,
-    galvin_search,
-)
 from .core import Stem
+from .errors import CeilingExceededError, ParseError, RamspaceError
+from .forcing import ALT1, ALT2, FrontFamily, GalvinParams, front_family, galvin_search
 from .ramsey import (
     EXHAUSTED,
     EXHAUSTIVE_CEILING,
@@ -43,13 +42,7 @@ from .ramsey import (
     glr_witness,
     gr_paramset_witness,
 )
-from .spaces import (
-    ell_space,
-    matrix_space,
-    parse_params_str,
-    partition_space,
-    space_from_params,
-)
+from .spaces import SPACE_TAGS, int_param, parse_params_str, space_from_params
 
 ENV_CEILING = "RAMSPACE_CEILING"
 
@@ -58,32 +51,25 @@ EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_REFUSED = 4
+EXIT_INTERNAL = 5
 
 
 def _default_ceiling() -> int:
     raw = os.environ.get(ENV_CEILING)
-    if raw:
-        try:
-            return int(raw)
-        except ValueError:
-            raise SystemExit(f"bad {ENV_CEILING} value: {raw!r}")
-    return EXHAUSTIVE_CEILING
+    if not raw:
+        return EXHAUSTIVE_CEILING
+    try:
+        ceiling = int(raw)
+    except ValueError:
+        ceiling = 0
+    if ceiling < 1:
+        raise ParseError(f"bad {ENV_CEILING} value {raw!r}: need an integer >= 1")
+    return ceiling
 
 
-def _build_space(args) -> object:
-    if args.space == "ellentuck":
-        if args.ground is None:
-            raise ParseError("--ground is required for the ellentuck space")
-        return ell_space(args.ground)
-    if args.space == "matrix":
-        if args.max_cols is None:
-            raise ParseError("--max-cols is required for the matrix space")
-        return matrix_space(args.q, args.max_cols)
-    if args.space == "partition":
-        if args.domain is None:
-            raise ParseError("--domain is required for the partition space")
-        return partition_space(args.domain)
-    raise ParseError(f"unknown space {args.space!r}")
+def _ambient(space, stem_text: str | None) -> Stem:
+    """The --stem argument, or the space's full stem when it is absent."""
+    return Stem(space, space.parse(stem_text)) if stem_text else space.full_stem()
 
 
 def _read_lines(path: str) -> list[str]:
@@ -102,10 +88,7 @@ def parse_family_file(lines: list[str]) -> FrontFamily:
     if body and body[0].startswith("length_bound="):
         bound = int(body[0].split("=", 1)[1])
         body = body[1:]
-    members = tuple(space.parse(ln) for ln in body)
-    if bound is None:
-        bound = max((m.length for m in members), default=0)
-    return FrontFamily(space, members, bound)
+    return front_family(space, (space.parse(ln) for ln in body), bound)
 
 
 def parse_coloring_file(lines: list[str]) -> Coloring:
@@ -115,7 +98,7 @@ def parse_coloring_file(lines: list[str]) -> Coloring:
         raise ParseError("coloring file needs a space header and a k/s line")
     space = space_from_params(parse_params_str(lines[0]))
     meta = parse_params_str(lines[1])
-    k, s = int(meta["k"]), int(meta["s"])
+    k, s = (int_param(meta, key, "the coloring's k/s line") for key in ("k", "s"))
     mapping = {}
     for ln in lines[2:]:
         body, sep, color = ln.rpartition(":")
@@ -158,22 +141,14 @@ class Output:
 
 def cmd_audit(args) -> int:
     out = Output(args)
-    try:
-        space = _build_space(args)
-        bounds = AuditBounds(
-            max_len=args.max_len,
-            max_depth=args.depth,
-            include_a6=args.a6,
-            a6_max_len=args.max_len,
-        )
-    except (RamspaceError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        report = audit_axioms(space, bounds)
-    except CeilingExceededError as e:
-        print(f"refused: {e}", file=sys.stderr)
-        return EXIT_REFUSED
+    space = space_from_params(vars(args))
+    bounds = AuditBounds(
+        max_len=args.max_len,
+        max_depth=args.depth,
+        include_a6=args.a6,
+        a6_max_len=args.max_len,
+    )
+    report = audit_axioms(space, bounds)
     code = EXIT_OK if report.passed else EXIT_NEGATIVE
     rows = [
         {
@@ -207,40 +182,22 @@ def cmd_audit(args) -> int:
 
 def cmd_galvin(args) -> int:
     out = Output(args)
-    try:
-        if args.family:
-            family = parse_family_file(_read_lines(args.family))
-        else:
-            space = _build_space(args)
-            members = tuple(space.parse(m) for m in args.member)
-            bound = args.length_bound
-            if bound is None:
-                bound = max((m.length for m in members), default=0)
-            family = FrontFamily(space, members, bound)
-        space = family.space
-        if args.horizon is not None and args.horizon < family.length_bound:
-            raise ParseError("--horizon below the family length bound")
-        if args.stem:
-            ambient = Stem(space, space.parse(args.stem))
-        elif hasattr(space, "full_stem"):
-            ambient = space.full_stem()
-        elif hasattr(space, "identity_stem"):
-            ambient = space.identity_stem()
-        else:
-            ambient = space.discrete_stem()
-    except (RamspaceError, ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    if args.family:
+        family = parse_family_file(_read_lines(args.family))
+    else:
+        space = space_from_params(vars(args))
+        members = (space.parse(m) for m in args.member)
+        family = front_family(space, members, args.length_bound)
+    space = family.space
+    if args.horizon is not None and args.horizon < family.length_bound:
+        raise ParseError("--horizon below the family length bound")
+    ambient = _ambient(space, args.stem)
     params = GalvinParams(
         horizon=args.horizon,
         max_reducts=args.max_reducts,
         allow_greedy=not args.no_greedy,
     )
-    try:
-        result = galvin_search(ambient, family, params)
-    except CeilingExceededError as e:
-        print(f"refused: {e}", file=sys.stderr)
-        return EXIT_REFUSED
+    result = galvin_search(ambient, family, params)
     code = EXIT_OK if result.outcome in (ALT1, ALT2) else EXIT_INCONCLUSIVE
     payload = {
         "command": "galvin",
@@ -296,14 +253,7 @@ def _run_ramsey(args):
 
 def cmd_ramsey(args) -> int:
     out = Output(args)
-    try:
-        instance, result = _run_ramsey(args)
-    except CeilingExceededError as e:
-        print(f"refused: {e}", file=sys.stderr)
-        return EXIT_REFUSED
-    except (RamspaceError, ValueError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    instance, result = _run_ramsey(args)
     code = {
         FOUND: EXIT_OK,
         LOWER_BOUND: EXIT_NEGATIVE,
@@ -332,17 +282,9 @@ def cmd_ramsey(args) -> int:
 
 def cmd_reduce(args) -> int:
     out = Output(args)
-    try:
-        coloring = parse_coloring_file(_read_lines(args.coloring))
-        space = coloring.space
-        if args.stem:
-            ambient = Stem(space, space.parse(args.stem))
-        else:
-            ambient = space.full_stem()
-        result = abs_ramsey_reduce(coloring, ambient)
-    except (RamspaceError, ValueError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
+    coloring = parse_coloring_file(_read_lines(args.coloring))
+    space = coloring.space
+    result = abs_ramsey_reduce(coloring, _ambient(space, args.stem))
     code = EXIT_OK if result.outcome == "mono" else EXIT_INCONCLUSIVE
     payload = {
         "command": "reduce",
@@ -377,11 +319,19 @@ def _add_common(p):
 
 
 def _add_space_options(p):
-    p.add_argument("--space", choices=("ellentuck", "matrix", "partition"))
+    # Destinations are the space classes' field names, so the parsed
+    # arguments are a space_from_params mapping.
+    p.add_argument("--space", choices=SPACE_TAGS)
     p.add_argument("--ground", type=int, help="ellentuck ground bound")
     p.add_argument("--q", type=int, default=2, help="matrix field order")
     p.add_argument("--max-cols", type=int, help="matrix column truncation")
-    p.add_argument("--domain", type=int, help="partition domain truncation")
+    p.add_argument(
+        "--domain",
+        dest="max_domain",
+        metavar="DOMAIN",
+        type=int,
+        help="partition domain truncation",
+    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -439,9 +389,7 @@ def build_parser() -> argparse.ArgumentParser:
         if name in ("glr", "witness"):
             v.add_argument("--q", type=int, default=2)
         if name == "witness":
-            v.add_argument(
-                "--space", choices=("ellentuck", "matrix", "partition"), required=True
-            )
+            v.add_argument("--space", choices=SPACE_TAGS, required=True)
         _add_common(v)
         v.set_defaults(fn=cmd_ramsey)
 
@@ -462,9 +410,15 @@ def main(argv=None) -> int:
         return int(e.code or 0)
     try:
         return args.fn(args)
-    except (ParseError, ValueError) as e:
+    except CeilingExceededError as e:
+        print(f"refused: {e}", file=sys.stderr)
+        return EXIT_REFUSED
+    except (RamspaceError, ValueError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as e:  # a bug: one line, not a traceback
+        print(f"internal error: {type(e).__name__}: {e}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

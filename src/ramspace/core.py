@@ -110,6 +110,10 @@ class Space(ABC):
         """Key=value description of the space and its truncation."""
 
     @abstractmethod
+    def full_stem(self) -> Stem:
+        """The canonical ambient stem: every stem top lies below its top."""
+
+    @abstractmethod
     def can_extend_in_universe(self, top: Approximation) -> bool:
         """Whether any stem of the truncated universe properly extends
         the chain of `top` (stems that cannot are flagged maximal)."""
@@ -124,6 +128,11 @@ class Space(ABC):
 
     def sort_key(self, a: Approximation):
         return (a.length, self.serialize(a))
+
+    def longest_first(self, tops) -> list[Approximation]:
+        """`tops` longest first, ties in serialization order: the scan
+        order of every candidate search whose first hit is certified."""
+        return sorted(tops, key=lambda t: (-t.length, self.serialize(t)))
 
     def open_beyond(self, e: Approximation, top: Approximation) -> bool:
         """Whether chains stuck at `e` below `top` continue past the
@@ -193,11 +202,6 @@ class Space(ABC):
             for b in self.fin_below(top):
                 seen[b] = None
         return sorted(seen, key=self.sort_key)
-
-
-def length(a: Approximation) -> int:
-    """The intrinsic length |a| of an approximation."""
-    return a.length
 
 
 @dataclass(frozen=True)
@@ -286,25 +290,3 @@ class Neighborhood:
                 f"{self.stem.serialize()}] is empty"
             )
 
-
-def approx(stem: Stem, n: int) -> Approximation:
-    """r_n of a stem (module-level alias of Stem.approx)."""
-    return stem.approx(n)
-
-
-def depth(stem: Stem, a: Approximation) -> int:
-    """depth of `a` in a stem (module-level alias of Stem.depth)."""
-    return stem.depth(a)
-
-
-def fin_leq(space: Space, a: Approximation, b: Approximation) -> bool:
-    return space.fin_leq(a, b)
-
-
-def fin_below(space: Space, a: Approximation) -> list[Approximation]:
-    return space.fin_below(a)
-
-
-def extensions(a: Approximation, stem: Stem) -> list[Approximation]:
-    """The image of [a, stem] under the next-length restriction map."""
-    return stem.extensions(a)

@@ -7,12 +7,13 @@ it for certain (it passes length L clean, or it ends inside the
 truncation at a node no family member extends), or runs out of
 truncated universe with the question open.
 
-On top of the chain walk sit the three classical forcing relations:
+On top of the chain walk sits one forcing question, `decide`, whose
+verdict is one of the classical relations or neither:
 
-  accepts  -- every chain through `a` below the stem hits the family;
-  rejects  -- the stem's own walk avoids for certain AND no stem in the
-              preserved-depth neighborhood accepts;
-  decide   -- one verdict of accepts / rejects / undecided.
+  accepts   -- every chain through `a` below the stem hits the family;
+  rejects   -- the stem's own walk avoids for certain AND no stem in the
+               preserved-depth neighborhood accepts;
+  undecided -- neither can be certified within the truncation.
 
 Verdicts are honest: `undecided` carries diagnostics naming either the
 truncation boundary or the reduct that destroys a definitive answer.
@@ -65,9 +66,6 @@ class FrontFamily:
         ordered = tuple(sorted(set(self.members), key=self.space.sort_key))
         object.__setattr__(self, "members", ordered)
 
-    def __contains__(self, a: Approximation) -> bool:
-        return a in set(self.members)
-
     def serialize_members(self) -> str:
         return "|".join(self.space.serialize(m) for m in self.members)
 
@@ -105,36 +103,30 @@ class ChainStatus(enum.Enum):
         return self if order.index(self) <= order.index(other) else other
 
 
-@dataclass(frozen=True)
-class EngineParams:
-    horizon: int | None = None
-    max_reducts: int = 1 << 16
-
-
 class ForcingEngine:
     """Memoized chain walks and forcing verdicts for one family.
 
-    A fresh engine is a pure function of (family, params); the memo
-    tables are write-once caches keyed by approximation values, so
-    sharing an engine across threads would be safe if every writer
+    A fresh engine is a pure function of (family, horizon, max_reducts);
+    the memo tables are write-once caches keyed by approximation values,
+    so sharing an engine across threads would be safe if every writer
     computes identical values.  Searches here are single-threaded.
     """
 
-    def __init__(self, family: FrontFamily, params: EngineParams | None = None):
+    def __init__(
+        self,
+        family: FrontFamily,
+        horizon: int | None = None,
+        max_reducts: int = 1 << 16,
+    ):
         self.family = family
         self.space = family.space
-        self.params = params or EngineParams()
-        self.explicit_horizon = self.params.horizon
-        self.horizon = (
-            self.params.horizon
-            if self.params.horizon is not None
-            else family.length_bound
-        )
+        self.bound = family.length_bound
+        # A horizon below the family bound is allowed: walks are then
+        # fuel-capped and clean capped chains stay undecided.
+        self.horizon = self.bound if horizon is None else horizon
         if self.horizon < 0:
             raise ValueError("horizon must be nonnegative")
-        # An explicit horizon below the family bound is allowed: walks
-        # are then fuel-capped and clean capped chains stay undecided.
-        self.bound = family.length_bound
+        self.max_reducts = max_reducts
         self._members = set(family.members)
         self._walk_memo: dict[tuple[Approximation, Approximation], ChainStatus] = {}
         self.nodes = 0
@@ -207,16 +199,16 @@ class ForcingEngine:
             out = []
             for t in self.space.iter_neighborhood(base, top):
                 out.append(t)
-                if len(out) > self.params.max_reducts:
+                if len(out) > self.max_reducts:
                     raise CeilingExceededError(
-                        "reduct sweep too large", len(out), self.params.max_reducts
+                        "reduct sweep too large", len(out), self.max_reducts
                     )
             cached = tuple(out)
             if len(ForcingEngine._nbhd_cache) < 200_000:
                 ForcingEngine._nbhd_cache[key] = cached
-        elif len(cached) > self.params.max_reducts:
+        elif len(cached) > self.max_reducts:
             raise CeilingExceededError(
-                "reduct sweep too large", len(cached), self.params.max_reducts
+                "reduct sweep too large", len(cached), self.max_reducts
             )
         return cached
 
@@ -233,9 +225,10 @@ class ForcingEngine:
         """
         if stem.space is not self.space and stem.space != self.space:
             raise MixedSpaceError("stem does not belong to the family's space")
-        if self.explicit_horizon is not None and self.explicit_horizon < a.length:
+        # Only a horizon below the family bound ever caps a walk.
+        if self.horizon < self.bound and self.horizon < a.length:
             raise ValueError(
-                f"horizon {self.explicit_horizon} below the base length {a.length}"
+                f"horizon {self.horizon} below the base length {a.length}"
             )
         top = stem.top
         if not self.space.fin_leq(a, top):
@@ -276,9 +269,6 @@ class ForcingEngine:
         notes = f"open-proxies={open_proxies}" if open_proxies else ""
         return ForcingVerdict(REJECTS, self.horizon, self.nodes, diagnostics=notes)
 
-    def rejects_strictly(self, stem: Stem, a: Approximation) -> bool:
-        return self.verdict(stem, a).kind == REJECTS
-
     def rejection_witness(self, stem: Stem, a: Approximation) -> Stem | None:
         """A preserved-depth reduct below which no one-step extension of
         `a` is accepted by `stem`.  Mirrors the pigeonhole step of the
@@ -287,11 +277,7 @@ class ForcingEngine:
         top = stem.top
         n = stem.depth(a)
         prefix = self.space.restrict(top, n)
-        cands = sorted(
-            self._neighborhood(prefix, top),
-            key=lambda t: (-t.length, self.space.serialize(t)),
-        )
-        for t in cands:
+        for t in self.space.longest_first(self._neighborhood(prefix, top)):
             if not self.space.fin_leq(a, t):
                 continue
             exts = self.space.extensions_below(a, t)
@@ -300,25 +286,11 @@ class ForcingEngine:
         return None
 
 
-def accepts(
-    B: Stem, a: Approximation, family: FrontFamily, horizon: int | None = None
-) -> ForcingVerdict:
-    """Verdict for whether B accepts a relative to the family."""
-    return ForcingEngine(family, EngineParams(horizon=horizon)).verdict(B, a)
-
-
-def rejects(
-    B: Stem, a: Approximation, family: FrontFamily, horizon: int | None = None
-) -> ForcingVerdict:
-    """Verdict for whether B rejects a relative to the family."""
-    return ForcingEngine(family, EngineParams(horizon=horizon)).verdict(B, a)
-
-
 def decide(
     B: Stem, a: Approximation, family: FrontFamily, horizon: int | None = None
 ) -> ForcingVerdict:
     """One of accepts/rejects, or undecided with diagnostics."""
-    return ForcingEngine(family, EngineParams(horizon=horizon)).verdict(B, a)
+    return ForcingEngine(family, horizon).verdict(B, a)
 
 
 def fusion(
@@ -432,16 +404,9 @@ def _certificate_alt2(
         f"stem={B.serialize()}",
         f"chains={len(frontier)}",
     ]
-    for node, idx in sorted(
-        frontier, key=lambda p: (p[0].length, space.serialize(p[0]))
-    ):
+    for node, idx in sorted(frontier, key=lambda p: space.sort_key(p[0])):
         lines.append(f"chain={space.serialize(node)};hit={idx}")
     return "\n".join(lines) + "\n"
-
-
-def _short_approxes(space: Space, top: Approximation, max_len: int):
-    """Approximations of length <= max_len below `top` (breadth-first)."""
-    return space.closure_below(top, max_length=max_len)
 
 
 def galvin_search(
@@ -462,9 +427,7 @@ def galvin_search(
         raise MixedSpaceError("stem does not belong to the family's space")
     if params.horizon is not None and params.horizon < family.length_bound:
         raise ValueError("dichotomy horizon below the family length bound")
-    engine = ForcingEngine(
-        family, EngineParams(horizon=params.horizon, max_reducts=params.max_reducts)
-    )
+    engine = ForcingEngine(family, params.horizon, params.max_reducts)
     L = family.length_bound
     stats = {"reducts_scanned": 0}
 
@@ -480,10 +443,7 @@ def galvin_search(
         # noise: the alternative-1 claim is a directly checkable
         # statement about the truncated down-set, so scan for the
         # longest reduct no family member sits below.
-        for t in sorted(
-            engine._neighborhood(space.empty(), A.top),
-            key=lambda t: (-t.length, space.serialize(t)),
-        ):
+        for t in space.longest_first(engine._neighborhood(space.empty(), A.top)):
             if not any(space.fin_leq(f, t) for f in family.members):
                 stats["direct_scan"] = 1
                 return Stem(space, t)
@@ -506,11 +466,7 @@ def galvin_search(
         if engine.chain_status(A.top, empty) is ChainStatus.ALL_HIT:
             return finish_alt2(A)
         first_accepting: Stem | None = None
-        candidates = sorted(
-            engine._neighborhood(empty, A.top),
-            key=lambda t: (-t.length, space.serialize(t)),
-        )
-        for t in candidates:
+        for t in space.longest_first(engine._neighborhood(empty, A.top)):
             stats["reducts_scanned"] += 1
             v = engine.verdict(Stem(space, t), empty)
             if v.kind == REJECTS:
@@ -562,17 +518,14 @@ def galvin_search(
         prefix = current.approx(min(level, current.length))
         cands = [current.top] + [
             t
-            for t in sorted(
-                engine._neighborhood(prefix, current.top),
-                key=lambda t: (-t.length, space.serialize(t)),
-            )
+            for t in space.longest_first(engine._neighborhood(prefix, current.top))
             if t != current.top
         ]
         for t in cands:
             stats["reducts_scanned"] += 1
             cand = Stem(space, t)
             ok = True
-            for b in _short_approxes(space, t, target_len):
+            for b in space.closure_below(t, max_length=target_len):
                 v = engine.verdict(cand, b)
                 if v.kind != REJECTS:
                     ok = False

@@ -42,12 +42,7 @@ from .forcing import (
     GalvinParams,
     galvin_search,
 )
-from .spaces import (
-    ell_space,
-    matrix_space,
-    parse_params_str,
-    partition_space,
-)
+from .spaces import ell_space, parse_params_str, space_from_params
 
 FOUND = "found"
 LOWER_BOUND = "lower_bound"
@@ -99,16 +94,13 @@ class LevelInstance:
 
 
 def _level_space(kind: str, m: int, q: int) -> tuple[Space, Stem]:
-    if kind == "ellentuck":
-        sp = ell_space(max(m, 1))
-        return sp, sp.full_stem()
-    if kind == "matrix":
-        sp = matrix_space(q, max(m, 1))
-        return sp, sp.identity_stem(m)
-    if kind == "partition":
-        sp = partition_space(max(m, 1))
-        return sp, sp.discrete_stem(m)
-    raise ValueError(f"unknown space kind {kind!r}")
+    """The space truncated at m (whatever its size field is called) and
+    its full stem; the length-0 stem at level 0."""
+    size = max(m, 1)
+    sp = space_from_params(
+        dict(space=kind, q=q, ground=size, max_cols=size, max_domain=size)
+    )
+    return sp, sp.full_stem() if m else Stem(sp, sp.empty())
 
 
 def build_level(kind: str, m: int, k: int, n: int, q: int | None = None) -> LevelInstance:
@@ -340,6 +332,10 @@ def finite_ramsey_witness(
         raise ValueError("need s >= 1")
     if mode not in ("exhaustive", "backtracking"):
         raise ValueError(f"unknown mode {mode!r}")
+    if jobs < 1:
+        raise ValueError("need jobs >= 1")
+    if node_budget is not None and node_budget < 0:
+        raise ValueError("need node_budget >= 0")
     last_bad: str | None = None
     last_bad_level: int | None = None
     stats: dict = {"levels_examined": 0}
@@ -408,9 +404,8 @@ def _classical_cert_from_inner(inner_cert: str, k: int, n: int, s: int) -> str:
     the pinned point turns a level-m statement about them into the
     classical statement about k-subsets of {0..m-2}.
     """
-    lines = inner_cert.splitlines()
     out = []
-    for ln in lines:
+    for ln in inner_cert.splitlines():
         if ln.startswith("instance="):
             out.append(f"instance=classical;k={k};n={n}")
         elif ln.startswith("level="):
@@ -423,11 +418,9 @@ def _classical_cert_from_inner(inner_cert: str, k: int, n: int, s: int) -> str:
             out.append(
                 "item={" + ",".join(str(x) for x in kept) + "};color=" + color
             )
-        elif ln.startswith("domain=") or ln.startswith("witnesses="):
-            out.append(ln)
         else:
             out.append(ln)
-    return "\n".join(out) + ("\n" if not out[-1].endswith("\n") else "")
+    return "\n".join(out) + "\n"
 
 
 def classical_ramsey_number(

@@ -1,5 +1,9 @@
 """Concrete space instances implementing the abstract contract."""
 
+from dataclasses import fields
+
+from ..core import Space
+from ..errors import ParseError
 from .ellentuck import EllentuckSpace, ell_space
 from .matrix import (
     MatrixSpace,
@@ -20,19 +24,28 @@ from .partition import (
     stirling2,
 )
 
-SPACE_TAGS = ("ellentuck", "matrix", "partition")
+SPACES = {cls.tag: cls for cls in (EllentuckSpace, MatrixSpace, PartitionSpace)}
+SPACE_TAGS = tuple(SPACES)
 
 
-def space_from_params(params: dict) -> "EllentuckSpace | MatrixSpace | PartitionSpace":
-    """Rebuild a space instance from a params_str-style mapping."""
+def int_param(params: dict, key: str, owner: str) -> int:
+    """`params[key]` as an int; a missing or non-integer value raises a
+    ParseError naming the key and its owner."""
+    try:
+        return int(params[key])
+    except (KeyError, TypeError, ValueError):
+        raise ParseError(f"{owner} needs an integer {key!r}") from None
+
+
+def space_from_params(params: dict) -> Space:
+    """Build a space from a params_str-style mapping: the `space` tag
+    plus one entry per field of its class (other keys are ignored)."""
     tag = params.get("space")
-    if tag == "ellentuck":
-        return EllentuckSpace(int(params["ground"]))
-    if tag == "matrix":
-        return MatrixSpace(int(params["q"]), int(params["max_cols"]))
-    if tag == "partition":
-        return PartitionSpace(int(params["max_domain"]))
-    raise ValueError(f"unknown space tag {tag!r}")
+    if tag not in SPACES:
+        raise ParseError(f"unknown space tag {tag!r}")
+    cls = SPACES[tag]
+    owner = f"the {tag} space"
+    return cls(**{f.name: int_param(params, f.name, owner) for f in fields(cls)})
 
 
 def parse_params_str(text: str) -> dict:
@@ -41,7 +54,7 @@ def parse_params_str(text: str) -> dict:
         if not part:
             continue
         if "=" not in part:
-            raise ValueError(f"bad params entry {part!r}")
+            raise ParseError(f"bad params entry {part!r}")
         k, v = part.split("=", 1)
         out[k] = v
     return out
@@ -53,10 +66,12 @@ __all__ = [
     "PartitionSpace",
     "SegmentVerdict",
     "SubspaceApprox",
+    "SPACES",
     "SPACE_TAGS",
     "coarsenings",
     "ell_space",
     "enumerate_partitions",
+    "int_param",
     "mat_pn",
     "mat_rn",
     "matrix_space",

@@ -111,7 +111,6 @@ class EllentuckSpace(Space):
         """The stem on the whole ground set."""
         return Stem(self, self.make(range(self.ground)))
 
-
     def can_extend_in_universe(self, top: Approximation) -> bool:
         last = top.payload[-1] if top.payload else -1
         return last < self.ground - 1

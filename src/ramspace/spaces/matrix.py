@@ -196,6 +196,8 @@ class MatrixSpace(Space):
     def params_str(self) -> str:
         return f"space={TAG};q={self.q};max_cols={self.max_cols}"
 
+    def full_stem(self) -> Stem:
+        return self.identity_stem()
 
     def can_extend_in_universe(self, top: Approximation) -> bool:
         return top.payload.cols < self.max_cols

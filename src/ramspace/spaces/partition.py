@@ -111,7 +111,7 @@ class PartitionSpace(Space):
         out = []
         for u in range(t + 1):
             base = self._restriction(a.payload, u)
-            for grouping in _index_partitions(len(base)):
+            for grouping in _set_partitions(len(base)):
                 merged = _merge_blocks(base, grouping)
                 out.append(Approximation(TAG, merged, len(merged)))
         return sorted(set(out), key=self.sort_key)
@@ -213,6 +213,8 @@ class PartitionSpace(Space):
     def params_str(self) -> str:
         return f"space={TAG};max_domain={self.max_domain}"
 
+    def full_stem(self) -> Stem:
+        return self.discrete_stem()
 
     def can_extend_in_universe(self, top: Approximation) -> bool:
         return _domain(top.payload) < self.max_domain
@@ -294,11 +296,6 @@ def _blocks_from_rgs(rgs: tuple[int, ...]) -> Blocks:
 def _set_partitions(n: int, k: int | None = None):
     for rgs in _rgs_iter(n, k):
         yield _blocks_from_rgs(rgs)
-
-
-def _index_partitions(n: int):
-    """All set partitions of {0..n-1} as groupings of indices."""
-    yield from _set_partitions(n)
 
 
 def _merge_blocks(base: Blocks, grouping: Blocks) -> Blocks:

@@ -3,7 +3,7 @@ import json
 import jsonschema
 import pytest
 
-from ramspace import cli
+from ramspace import cli, matrix_space, partition_space
 from ramspace.audit import AxiomCheck, AxiomReport, AuditBounds
 
 
@@ -326,3 +326,85 @@ def test_json_seconds_null_without_timing(capsys, schema):
         "--s", "2", "--bound", "4",
     )
     assert payload["seconds"] is None
+
+
+# ----- error mapping -----
+
+def run_err(capsys, *argv):
+    code = cli.main(list(argv))
+    return code, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, text, key",
+    [
+        ("galvin", "space=matrix;q=2\nq=2;1\n", "max_cols"),
+        ("reduce", "space=partition\nk=1;s=2\n({0}):0\n", "max_domain"),
+        ("reduce", "space=ellentuck;ground=3\ns=2\n{0}:0\n", "k"),
+        ("reduce", "space=ellentuck;ground=3\nk=1\n{0}:0\n", "s"),
+    ],
+)
+def test_header_and_meta_errors_exit_2(tmp_path, capsys, command, text, key):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    flag = "--family" if command == "galvin" else "--coloring"
+    code, err = run_err(capsys, command, flag, str(path))
+    assert code == 2
+    assert repr(key) in err
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_bad_ceiling_exits_2(capsys, monkeypatch, value):
+    monkeypatch.setenv(cli.ENV_CEILING, value)
+    code, err = run_err(
+        capsys, "ramsey", "classical", "--k", "2", "--n", "3", "--s", "2",
+        "--bound", "8",
+    )
+    assert code == 2
+    assert cli.ENV_CEILING in err
+
+
+@pytest.mark.parametrize(
+    "flags", [("--jobs", "0"), ("--mode", "backtracking", "--node-budget", "-1")]
+)
+def test_bad_search_numbers_exit_2(capsys, flags):
+    code, err = run_err(
+        capsys, "ramsey", "classical", "--k", "2", "--n", "3", "--s", "2",
+        "--bound", "8", *flags,
+    )
+    assert code == 2
+    assert err.startswith("error: need ")
+
+
+def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
+    def broken(space, bounds):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "audit_axioms", broken)
+    code, err = run_err(capsys, "audit", "--space", "ellentuck", "--ground", "4")
+    assert code == cli.EXIT_INTERNAL
+    assert err == "internal error: KeyError: 'boom'\n"
+
+
+# ----- default ambient stems -----
+
+@pytest.mark.parametrize(
+    "space, stem, k",
+    [
+        (matrix_space(2, 3), matrix_space(2, 3).identity_stem(), 1),
+        (partition_space(4), partition_space(4).discrete_stem(), 2),
+    ],
+    ids=["matrix", "partition"],
+)
+def test_reduce_defaults_to_the_full_stem(tmp_path, capsys, space, stem, k):
+    path = tmp_path / "coloring.txt"
+    items = [a for a in space.fin_below(stem.top) if a.length == k]
+    lines = [space.params_str(), f"k={k};s=2"]
+    lines += [f"{space.serialize(a)}:{i % 2}" for i, a in enumerate(items)]
+    path.write_text("\n".join(lines) + "\n")
+    argv = ["reduce", "--coloring", str(path), "--format", "json"]
+    code, default = run(capsys, *argv)
+    assert code == 0
+    _, explicit = run(capsys, *argv, "--stem", stem.serialize())
+    assert default == explicit

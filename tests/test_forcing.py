@@ -15,16 +15,13 @@ from ramspace.forcing import (
     INCONCLUSIVE,
     REJECTS,
     UNDECIDED,
-    EngineParams,
     ForcingEngine,
     FrontFamily,
     GalvinParams,
-    accepts,
     decide,
     front_family,
     fusion,
     galvin_search,
-    rejects,
     verify_dichotomy,
 )
 
@@ -48,7 +45,7 @@ def test_family_sorts_and_validates(e8):
 def test_accepts_when_base_is_a_member(e12):
     A = e12.full_stem()
     fam = front_family(e12, [e12.make((x,)) for x in range(12)])
-    v = accepts(A, e12.make((3,)), fam)
+    v = decide(A, e12.make((3,)), fam)
     assert v.kind == ACCEPTS
 
 
@@ -62,22 +59,22 @@ def test_empty_family_is_rejected_everywhere(e12):
 def test_rejects_odd_base_against_even_pairs(even_pairs_family):
     e, fam = even_pairs_family
     A = e.full_stem()
-    v = rejects(A, e.make((1,)), fam)
+    v = decide(A, e.make((1,)), fam)
     assert v.kind == REJECTS
-    # the same verdict comes out of the accepts entry point: not accepts
-    assert accepts(A, e.make((1,)), fam).kind == REJECTS
+    # a second engine gives the same verdict: not accepts
+    assert decide(A, e.make((1,)), fam).kind == REJECTS
 
 
 def test_odds_stem_does_not_accept_odd_base(even_pairs_family):
     e, fam = even_pairs_family
     odds = Stem(e, e.make(tuple(range(1, 12, 2))))
-    assert accepts(odds, e.make((1,)), fam).kind != ACCEPTS
+    assert decide(odds, e.make((1,)), fam).kind != ACCEPTS
 
 
 def test_member_is_never_rejected(e12):
     A = e12.full_stem()
     fam = front_family(e12, [e12.make((2, 5))])
-    assert rejects(A, e12.make((2, 5)), fam).kind == ACCEPTS
+    assert decide(A, e12.make((2, 5)), fam).kind == ACCEPTS
 
 
 def test_decide_empty_base(e12):
@@ -121,7 +118,7 @@ def test_undecided_carries_boundary_diagnostics():
 
 def test_horizon_below_base_length_is_an_error(e8):
     fam = front_family(e8, [e8.make((1, 2))])
-    eng = ForcingEngine(fam, EngineParams(horizon=1))
+    eng = ForcingEngine(fam, horizon=1)
     with pytest.raises(ValueError):
         eng.verdict(e8.full_stem(), e8.make((1, 2)))
 

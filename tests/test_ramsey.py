@@ -222,6 +222,27 @@ def test_verify_rejects_wrong_level_claim():
     assert not verify_witness(tampered)
 
 
+@pytest.mark.parametrize("kind", ["ellentuck", "matrix", "partition"])
+def test_level_zero_has_an_empty_domain(kind):
+    inst = build_level(kind, 0, 1, 1)
+    assert inst.items == [] and inst.witnesses == []
+
+
+def test_verify_rejects_level_zero_witness_claim():
+    cert = (
+        "ramsey-certificate v1\n"
+        "instance=ellentuck;k=1;n=1\n"
+        "s=1\n"
+        "claim=witness\n"
+        "level=0\n"
+        "domain=1\n"
+        "witnesses=1\n"
+        "mode=exhaustive\n"
+        "colorings_checked=1\n"
+    )
+    assert not verify_witness(cert)
+
+
 def test_verify_rejects_partial_coloring():
     res = glr_witness(2, 1, 2, 2, bound=4)
     lines = [

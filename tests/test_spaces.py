@@ -19,6 +19,7 @@ from ramspace import (
     stirling2,
     subspace_initial_segment,
 )
+from ramspace.spaces import parse_params_str, space_from_params
 from ramspace.errors import (
     CeilingExceededError,
     InvalidApproximationError,
@@ -356,6 +357,26 @@ def test_serialization_examples(e8, m24, p6):
     assert m24.serialize(m24.empty()) == "q=2"
     assert p6.serialize(p6.make([(0, 3), (1, 4), (2, 5)])) == "({0,3},{1,4},{2,5})"
     assert p6.serialize(p6.empty()) == "()"
+
+
+@pytest.mark.parametrize(
+    "space",
+    [ell_space(5), matrix_space(2, 3), matrix_space(3, 2), partition_space(4)],
+    ids=repr,
+)
+def test_params_round_trip_and_full_stem_is_ambient(space):
+    assert space_from_params(parse_params_str(space.params_str())) == space
+    full = space.full_stem().top
+    assert all(space.fin_leq(t, full) for t in space.stems())
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [("space=matrix;q=2", "max_cols"), ("space=ellentuck;ground=x", "ground")],
+)
+def test_space_from_params_names_the_bad_key(text, key):
+    with pytest.raises(ParseError, match=repr(key)):
+        space_from_params(parse_params_str(text))
 
 
 def test_parse_rejects_garbage(e8, m24, p6):
