@@ -419,11 +419,8 @@ def _audit_a6(space, report, tops, bounds):
             if space.fin_leq(a, b_top):
                 cache.append(frozenset(space.extensions_below(a, b_top)))
         cache.sort(key=len, reverse=True)
-        ext_sorted = sorted(ext, key=space.sort_key)
-        for bits in range(1 << len(ext_sorted)):
-            side = frozenset(
-                e for i, e in enumerate(ext_sorted) if bits >> i & 1
-            )
+        for bits in range(1 << len(ext)):
+            side = frozenset(e for i, e in enumerate(ext) if bits >> i & 1)
             instances += 1
             hit = None
             for es in cache:

@@ -82,7 +82,8 @@ class Space(ABC):
     def extensions_below(
         self, a: Approximation, top: Approximation
     ) -> list[Approximation]:
-        """All length-(|a|+1) approximations extending `a` below `top`.
+        """All length-(|a|+1) approximations extending `a` below `top`,
+        in `sort_key` order: the canonical child order of every sweep.
 
         Raises EmptyNeighborhoodError when `a` is not below `top` at all;
         returns [] when the neighborhood is nonempty but the truncation
@@ -160,7 +161,8 @@ class Space(ABC):
     def closure_below(
         self, a: Approximation, max_length: int | None = None
     ) -> list[Approximation]:
-        """Extension-closure of the empty approximation below `a`."""
+        """Extension-closure of the empty approximation below `a`, in
+        canonical order: sorted levels of increasing length."""
         out = []
         frontier = [self.empty()]
         while frontier:
@@ -171,7 +173,7 @@ class Space(ABC):
             for c in frontier:
                 nxt.extend(self.extensions_below(c, a))
             frontier = sorted(nxt, key=self.sort_key)
-        return sorted(out, key=self.sort_key)
+        return out
 
     def iter_neighborhood(
         self, a: Approximation, top: Approximation
@@ -190,10 +192,7 @@ class Space(ABC):
         while stack:
             cur = stack.pop()
             yield cur
-            children = sorted(
-                self.extensions_below(cur, top), key=self.sort_key, reverse=True
-            )
-            stack.extend(children)
+            stack.extend(reversed(self.extensions_below(cur, top)))
 
     def approximations(self) -> list[Approximation]:
         """Every approximation of the truncated universe, canonical order."""

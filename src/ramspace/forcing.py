@@ -107,9 +107,11 @@ class ForcingEngine:
     """Memoized chain walks and forcing verdicts for one family.
 
     A fresh engine is a pure function of (family, horizon, max_reducts);
-    the memo tables are write-once caches keyed by approximation values,
+    its memo table is a write-once cache keyed by approximation values,
     so sharing an engine across threads would be safe if every writer
     computes identical values.  Searches here are single-threaded.
+    Engines share no state: neighborhoods are swept afresh on each
+    request, so memory is released with the engine.
     """
 
     def __init__(
@@ -172,7 +174,7 @@ class ForcingEngine:
                 )
             else:
                 status = ChainStatus.ALL_HIT
-                for d in sorted(children, key=self.space.sort_key):
+                for d in children:
                     if d in self._members:
                         continue
                     status = status.worse(self.walk(d, top))
@@ -188,29 +190,15 @@ class ForcingEngine:
 
     # ----- neighborhood sweep -----
 
-    _nbhd_cache: dict = {}
-
     def _neighborhood(self, base: Approximation, top: Approximation):
-        # Neighborhoods are family-independent, so the cache is shared
-        # across engines (write-once: every writer computes the same list).
-        key = (self.space, base, top)
-        cached = ForcingEngine._nbhd_cache.get(key)
-        if cached is None:
-            out = []
-            for t in self.space.iter_neighborhood(base, top):
-                out.append(t)
-                if len(out) > self.max_reducts:
-                    raise CeilingExceededError(
-                        "reduct sweep too large", len(out), self.max_reducts
-                    )
-            cached = tuple(out)
-            if len(ForcingEngine._nbhd_cache) < 200_000:
-                ForcingEngine._nbhd_cache[key] = cached
-        elif len(cached) > self.max_reducts:
-            raise CeilingExceededError(
-                "reduct sweep too large", len(cached), self.max_reducts
-            )
-        return cached
+        """Tops of [base, stem(top)] in canonical order, read lazily;
+        refused once the sweep passes `max_reducts`."""
+        for count, t in enumerate(self.space.iter_neighborhood(base, top), 1):
+            if count > self.max_reducts:
+                raise CeilingExceededError(
+                    "reduct sweep too large", count, self.max_reducts
+                )
+            yield t
 
     def verdict(self, stem: Stem, a: Approximation) -> ForcingVerdict:
         """The accepts/rejects/undecided verdict for (stem, a).
@@ -222,6 +210,11 @@ class ForcingEngine:
         the truncated universe, and reduct proxies whose own chains end
         at the truncation carry no evidence either way (they are noted
         but do not block a rejection).
+
+        The preserved-depth neighborhood is read lazily and the sweep
+        stops at the first accepting reduct.  Raises CeilingExceededError
+        when it passes `max_reducts` reducts before that reduct, so a
+        rejection is only ever certified over a fully swept neighborhood.
         """
         if stem.space is not self.space and stem.space != self.space:
             raise MixedSpaceError("stem does not belong to the family's space")
@@ -369,7 +362,7 @@ def _frontier(engine: ForcingEngine, top: Approximation) -> list[tuple[Approxima
             return
         children = space.extensions_below(c, top)
         assert children, "acceptance certificate with an exhausted chain"
-        for d in sorted(children, key=space.sort_key):
+        for d in children:
             rec(d)
 
     rec(space.empty())
@@ -438,12 +431,12 @@ def galvin_search(
         stats["walk_nodes"] = engine.nodes
         return DichotomyResult(ALT1, B, cert, stats=stats)
 
-    def direct_alt1_scan() -> Stem | None:
+    def direct_alt1_scan(reducts: list[Approximation]) -> Stem | None:
         # Fallback when the rejecting sequence strands on boundary
         # noise: the alternative-1 claim is a directly checkable
         # statement about the truncated down-set, so scan for the
         # longest reduct no family member sits below.
-        for t in space.longest_first(engine._neighborhood(space.empty(), A.top)):
+        for t in reducts:
             if not any(space.fin_leq(f, t) for f in family.members):
                 stats["direct_scan"] = 1
                 return Stem(space, t)
@@ -459,14 +452,17 @@ def galvin_search(
     # the ambient stem accepts it, every maximal chain below A already
     # meets the family.  Otherwise look for a rejecting stem to seed the
     # rejecting sequence (the main line of the argument); only when no
-    # reduct rejects fall back to a smaller accepting reduct.
+    # reduct rejects fall back to a smaller accepting reduct.  The
+    # reducts of A are swept once, here: every later sweep lies inside
+    # them, so only this one can pass the ceiling.
     empty = space.empty()
     seed: Stem | None = None
     try:
         if engine.chain_status(A.top, empty) is ChainStatus.ALL_HIT:
             return finish_alt2(A)
+        reducts = space.longest_first(engine._neighborhood(empty, A.top))
         first_accepting: Stem | None = None
-        for t in space.longest_first(engine._neighborhood(empty, A.top)):
+        for t in reducts:
             stats["reducts_scanned"] += 1
             v = engine.verdict(Stem(space, t), empty)
             if v.kind == REJECTS:
@@ -477,7 +473,7 @@ def galvin_search(
         if seed is None:
             if first_accepting is not None:
                 return finish_alt2(first_accepting)
-            direct = direct_alt1_scan()
+            direct = direct_alt1_scan(reducts)
             if direct is not None:
                 return finish_alt1(direct)
             return DichotomyResult(
@@ -535,7 +531,7 @@ def galvin_search(
                 chosen = cand
                 break
         if chosen is None:
-            direct = direct_alt1_scan()
+            direct = direct_alt1_scan(reducts)
             if direct is not None:
                 return finish_alt1(direct)
             t, b, v = blocker
@@ -631,7 +627,7 @@ def verify_dichotomy(certificate: str) -> bool:
         def walk(c) -> bool:
             if c in frontier:
                 i = frontier[c]
-                if i > c.length or space.restrict(c, i) not in member_set:
+                if not 0 <= i <= c.length or space.restrict(c, i) not in member_set:
                     return False
                 seen.add(c)
                 return True

@@ -610,7 +610,7 @@ def verify_witness(certificate: str, exhaustive_ceiling: int = EXHAUSTIVE_CEILIN
 
     if claim == "witness":
         keys = [space.serialize(a) for a in inst.items]
-        if s ** len(keys) > exhaustive_ceiling:
+        if s < 1 or s ** len(keys) > exhaustive_ceiling:
             return False
         for assignment in itertools.product(range(s), repeat=len(keys)):
             if not monochromatic(dict(zip(keys, assignment))):

@@ -70,11 +70,12 @@ class EllentuckSpace(Space):
                 f"[{self.serialize(a)}, {self.serialize(top)}] is empty"
             )
         last = a.payload[-1] if a.payload else -1
-        return [
+        out = [
             Approximation(TAG, a.payload + (x,), a.length + 1)
             for x in top.payload
             if x > last
         ]
+        return sorted(out, key=self.sort_key)
 
     def stems(self) -> list[Approximation]:
         out = []

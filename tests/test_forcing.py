@@ -1,4 +1,6 @@
+import gc
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -114,6 +116,23 @@ def test_undecided_carries_boundary_diagnostics():
     v = decide(Stem(e, e.make((1,))), e.make((1,)), fam)
     assert v.kind == UNDECIDED
     assert "boundary" in v.diagnostics or "question open" in v.diagnostics
+
+
+def test_rejecting_verdict_past_the_ceiling_refuses(e12):
+    # A rejection needs the whole neighborhood: 4,096 reducts here.
+    engine = ForcingEngine(front_family(e12, [], length_bound=0), max_reducts=64)
+    with pytest.raises(CeilingExceededError) as exc:
+        engine.verdict(e12.full_stem(), e12.empty())
+    assert (exc.value.estimate, exc.value.ceiling) == (65, 64)
+
+
+def test_accepting_reduct_before_the_ceiling_is_undecided(e12):
+    # {0} accepts the empty approximation and is the second reduct swept,
+    # so the verdict is settled long before the ceiling is reached.
+    fam = front_family(e12, [e12.make((x,)) for x in range(0, 12, 2)])
+    v = ForcingEngine(fam, max_reducts=64).verdict(e12.full_stem(), e12.empty())
+    assert v.kind == UNDECIDED
+    assert v.diagnostics == "not decided at this stem: {0} accepts {}"
 
 
 def test_horizon_below_base_length_is_an_error(e8):
@@ -245,6 +264,22 @@ def test_galvin_even_singletons_large_ground_greedy_path():
     assert res.outcome == ALT1
     assert res.stem.top.payload == tuple(range(1, 20, 2))
     assert verify_dichotomy(res.certificate)
+
+
+def test_galvin_search_keeps_nothing_after_returning():
+    e = ell_space(10)
+    fam = front_family(e, [e.make((x,)) for x in range(0, 10, 2)])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        res = galvin_search(e.full_stem(), fam)
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert res.outcome == ALT1
+    assert kept < 1 << 20
 
 
 def test_galvin_certificates_are_deterministic(e12):

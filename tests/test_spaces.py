@@ -336,6 +336,20 @@ def test_extensions_characterization_all_spaces():
                 )
 
 
+@pytest.mark.parametrize(
+    "space",
+    [ell_space(12), matrix_space(2, 3), matrix_space(3, 2), partition_space(5)],
+    ids=repr,
+)
+def test_extensions_come_in_sort_key_order(space):
+    # At ground 12 numeric order ({0,2} before {0,10}) and serialization
+    # order ({0,10} before {0,2}) differ; the contract is the latter.
+    top = space.full_stem().top
+    for a in space.fin_below(top):
+        exts = space.extensions_below(a, top)
+        assert exts == sorted(exts, key=space.sort_key), space.serialize(a)
+
+
 def test_gf3_matrix_space_operations():
     m = matrix_space(3, 3)
     stem = Stem(m, m.make_rows([(1, 2, 0), (0, 0, 1)], 3))
