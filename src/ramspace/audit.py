@@ -25,13 +25,27 @@ The six laws, stated for the truncated universe:
 The sweep also records every (stem, approximation) depth computation
 so callers can assert that length never exceeds depth and that depth
 is minimal.
+
+The laws read the primitives' answers from an indexed universe
+(core.Universe), built per call and dropped on return.  The A4(ii)
+sweep is the one primitive `fin_leq` sweep: it asks every ordered pair
+of approximations once, and each down-set it yields is checked against
+`fin_below`.  The other laws read the bitsets built from it: A4(i)
+tests a chain mask against the union of the chain's down-sets,
+transitivity tests down-set inclusion, depth is the first chain member
+whose down-set holds the approximation, and A5/A6 test neighborhood
+bitmasks (walked through `iter_neighborhood` and kept for the audit)
+against up-sets and down-sets.  Instances are counted, and failures
+searched for, in the order the laws have always used, so counts and
+first counterexamples are those of a sweep that asks the primitives
+directly.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .core import Approximation, Space, Stem
+from .core import Space, Universe, iter_bits
 from .errors import CeilingExceededError
 
 BOUNDED_PASS = "bounded-pass"
@@ -127,50 +141,55 @@ def audit_axioms(space: Space, bounds: AuditBounds | None = None) -> AxiomReport
             bounds.stem_ceiling,
         )
     report = AxiomReport(space.params_str(), bounds)
-    tops = space.stems()
-    chains = {t: space.chain(t) for t in tops}
-    empty = space.empty()
+    uni = Universe(space)
 
-    _audit_a1(space, report, tops, chains, empty)
-    _audit_a2(space, report, tops, chains)
-    _audit_a3(space, report, tops, chains)
-    below = _audit_a4(space, report, tops, chains, bounds)
-    _audit_depth(space, report, tops, chains, below)
-    _audit_a5(space, report, tops, chains, bounds)
+    _audit_a1(uni, report)
+    _audit_a2(uni, report)
+    _audit_a3(uni, report)
+    if _audit_a4(uni, report, bounds):
+        _audit_depth(uni, report)
+    _audit_a5(uni, report, bounds)
     if bounds.include_a6:
-        _audit_a6(space, report, tops, bounds)
+        _audit_a6(uni, report, bounds)
     return report
 
 
-def _audit_a1(space, report, tops, chains, empty):
+def _audit_a1(uni, report):
+    space, tops = uni.space, uni.tops
+    empty = space.empty()
     if empty.length != 0:
         _fail(report, "A1", "empty-base", 1, space.serialize(empty))
         return
     for t in tops:
-        if chains[t][0] != empty:
+        r0 = uni.items[uni.chains[t][0]]
+        if r0 != empty:
             _fail(
                 report, "A1", "empty-base", len(tops),
-                f"stem {space.serialize(t)} has r_0 = {space.serialize(chains[t][0])}",
+                f"stem {space.serialize(uni.items[t])} has r_0 = "
+                f"{space.serialize(r0)}",
             )
             return
     _ok(report, "A1", "empty-base", len(tops))
 
 
-def _audit_a2(space, report, tops, chains):
+def _audit_a2(uni, report):
+    tops, chains = uni.tops, uni.chains
     pairs = 0
     prefix_pairs = 0
     for i, a in enumerate(tops):
+        ca = chains[a]
         for b in tops[i + 1 :]:
             pairs += 1
-            ca, cb = chains[a], chains[b]
+            cb = chains[b]
             common = min(len(ca), len(cb))
-            if any(ca[n] != cb[n] for n in range(common)):
+            if ca[:common] != cb[:common]:
                 continue
             if len(ca) == len(cb):
                 _fail(
                     report, "A2", "separation", pairs,
                     f"distinct stems with identical chains: "
-                    f"{space.serialize(a)} vs {space.serialize(b)}",
+                    f"{uni.space.serialize(uni.items[a])} vs "
+                    f"{uni.space.serialize(uni.items[b])}",
                 )
                 return
             # One chain strictly extends the other: indistinguishable
@@ -179,20 +198,22 @@ def _audit_a2(space, report, tops, chains):
     _ok(report, "A2", "separation", pairs, notes=f"prefix-pairs={prefix_pairs}")
 
 
-def _audit_a3(space, report, tops, chains):
+def _audit_a3(uni, report):
+    space, items = uni.space, uni.items
     instances = 0
-    seen: dict[Approximation, int] = {}
-    for t in tops:
-        chain = chains[t]
-        for n, a in enumerate(chain):
+    seen: dict[int, int] = {}
+    for t in uni.tops:
+        chain = uni.chains[t]
+        for n, i in enumerate(chain):
+            a = items[i]
             instances += 1
             if a.length != n:
                 _fail(
                     report, "A3", "length-coherence", instances,
-                    f"r_{n} of {space.serialize(t)} has length {a.length}",
+                    f"r_{n} of {space.serialize(items[t])} has length {a.length}",
                 )
                 return
-            prev = seen.setdefault(a, n)
+            prev = seen.setdefault(i, n)
             if prev != n:
                 _fail(
                     report, "A3", "length-coherence", instances,
@@ -200,119 +221,136 @@ def _audit_a3(space, report, tops, chains):
                 )
                 return
             # Restriction must factor through intermediate approximations.
-            for i in range(n):
-                if space.restrict(a, i) != chain[i]:
+            for k in range(n):
+                if space.restrict(a, k) != items[chain[k]]:
                     _fail(
                         report, "A3", "length-coherence", instances,
-                        f"restrict({space.serialize(a)}, {i}) != r_{i} of "
-                        f"{space.serialize(t)}",
+                        f"restrict({space.serialize(a)}, {k}) != r_{k} of "
+                        f"{space.serialize(items[t])}",
                     )
                     return
     _ok(report, "A3", "length-coherence", instances)
 
 
-def _audit_a4(space, report, tops, chains, bounds):
-    # (i) stem order == chainwise domination.
+def _audit_a4(uni, report, bounds) -> bool:
+    """A4 (i), (ii) and the quasi-order laws; returns whether (i) and
+    (ii) passed, which the depth law needs."""
+    space, items, down = uni.space, uni.items, uni.down
+
+    def ser(i):
+        return space.serialize(items[i])
+
+    # (i) stem order == chainwise domination: every member of a's chain
+    # lies in the union of the down-sets of b's chain.
+    chain_mask = {}
+    dominated = {}
+    for t in uni.tops:
+        chain_mask[t] = dominated[t] = 0
+        for c in uni.chains[t]:
+            chain_mask[t] |= 1 << c
+            dominated[t] |= down[c]
     instances = 0
-    for a in tops:
-        ca = chains[a]
-        for b in tops:
+    for a in uni.tops:
+        ca = chain_mask[a]
+        for b in uni.tops:
             instances += 1
-            lhs = space.fin_leq(a, b)
-            cb = chains[b]
-            rhs = True
-            for ra in reversed(ca):
-                if not any(space.fin_leq(ra, rb) for rb in reversed(cb)):
-                    rhs = False
-                    break
+            lhs = bool(down[b] >> a & 1)
+            rhs = not ca & ~dominated[b]
             if lhs != rhs:
                 _fail(
                     report, "A4", "finitization-link", instances,
-                    f"{space.serialize(a)} vs {space.serialize(b)}: "
-                    f"order={lhs} chainwise={rhs}",
+                    f"{ser(a)} vs {ser(b)}: order={lhs} chainwise={rhs}",
                 )
-                return None
+                return False
     _ok(report, "A4", "finitization-link", instances)
 
     # (ii) down-sets are finite and match a direct filter of the universe.
-    universe = space.approximations()
-    below: dict[Approximation, list[Approximation]] = {}
+    universe = (1 << uni.size) - 1
+    empty = uni.index.get(space.empty())
     instances = 0
-    for a in universe:
+    for a in range(uni.size):
         instances += 1
-        enumerated = space.fin_below(a)
-        below[a] = enumerated
-        filtered = [b for b in universe if space.fin_leq(b, a)]
-        if sorted(enumerated, key=space.sort_key) != filtered:
-            got = {space.serialize(x) for x in enumerated}
-            want = {space.serialize(x) for x in filtered}
+        enumerated = uni.below(a)
+        filtered = down[a] & universe
+        got = 0
+        for i in enumerated:
+            got |= 1 << i
+        if got != filtered or len(enumerated) != filtered.bit_count():
+            got_s = {ser(i) for i in enumerated}
+            want_s = {ser(i) for i in iter_bits(filtered)}
             _fail(
                 report, "A4", "down-set", instances,
-                f"fin_below({space.serialize(a)}) mismatch: "
-                f"extra={sorted(got - want)} missing={sorted(want - got)}",
+                f"fin_below({ser(a)}) mismatch: "
+                f"extra={sorted(got_s - want_s)} missing={sorted(want_s - got_s)}",
             )
-            return None
-        if a not in enumerated or space.empty() not in enumerated:
+            return False
+        if not filtered >> a & 1 or empty is None or not filtered >> empty & 1:
             _fail(
                 report, "A4", "down-set", instances,
-                f"fin_below({space.serialize(a)}) misses a or the empty approximation",
+                f"fin_below({ser(a)}) misses a or the empty approximation",
             )
-            return None
+            return False
     _ok(report, "A4", "down-set", instances)
 
-    # Quasi-order laws on the universe (transitivity capped).
-    instances = 0
-    for a in universe:
-        if not space.fin_leq(a, a):
-            _fail(report, "A4", "quasi-order", instances, space.serialize(a))
-            return below
+    # Quasi-order laws on the universe.  Reflexivity is checked above:
+    # each a lies in fin_below(a), which equals its fin_leq filter.
+    checked, witness = _transitivity(uni, bounds.transitivity_cap)
+    if witness:
+        _fail(report, "A4", "quasi-order", checked, witness)
+    else:
+        _ok(
+            report, "A4", "quasi-order", checked,
+            notes=f"cap={bounds.transitivity_cap}",
+        )
+    return True
+
+
+def _transitivity(uni, cap):
+    """Check triples a <= b <= c, with a over fin_below(b), until `cap`
+    are counted; returns the count and the first failure's text."""
+    down, universe = uni.down, (1 << uni.size) - 1
     checked = 0
-    done = False
-    for b in universe:
-        if done:
-            break
-        lefts = below[b]
-        for c in universe:
-            if space.fin_leq(b, c):
-                for a in lefts:
-                    checked += 1
-                    if not space.fin_leq(a, c):
-                        _fail(
-                            report, "A4", "quasi-order", checked,
-                            f"transitivity fails: {space.serialize(a)} <= "
-                            f"{space.serialize(b)} <= {space.serialize(c)}",
+    for b in range(uni.size):
+        lefts = uni.below(b)
+        for c in iter_bits(uni.up[b] & universe):
+            # Each triple is checked before it is counted against the
+            # cap, so even a cap of 0 checks one.
+            take = min(len(lefts), max(cap - checked, 1))
+            if down[b] & universe & ~down[c]:
+                for k, a in enumerate(lefts[:take]):
+                    if not down[c] >> a & 1:
+                        ser = uni.space.serialize
+                        items = uni.items
+                        return checked + k + 1, (
+                            f"transitivity fails: {ser(items[a])} <= "
+                            f"{ser(items[b])} <= {ser(items[c])}"
                         )
-                        return below
-                    if checked >= bounds.transitivity_cap:
-                        done = True
-                        break
-                if done:
-                    break
-    _ok(report, "A4", "quasi-order", checked, notes=f"cap={bounds.transitivity_cap}")
-    return below
+            checked += take
+            if take and checked >= cap:
+                return checked, None
+    return checked, None
 
 
-def _audit_depth(space, report, tops, chains, below):
-    """Depth exists for everything in AR(A), is minimal, dominates length."""
-    if below is None:
-        return
+def _audit_depth(uni, report):
+    """Depth exists for everything in AR(A), is minimal, dominates length.
+
+    The index depth is the first chain member whose down-set holds the
+    approximation, so it exists and is minimal by construction; what is
+    left to check is that it dominates the length.
+    """
+    space, items = uni.space, uni.items
     checked = 0
     violations = 0
     witness = None
-    for t in tops:
-        stem = Stem(space, t)
-        for a in below[t]:
+    for t in uni.tops:
+        for a in uni.below(t):
             checked += 1
-            d = stem.depth(a)
-            ok = (
-                a.length <= d
-                and space.fin_leq(a, chains[t][d])
-                and (d == 0 or not space.fin_leq(a, chains[t][d - 1]))
-            )
-            if not ok:
+            d = uni.depth(a, t)
+            if items[a].length > d:
                 violations += 1
                 witness = witness or (
-                    f"stem {space.serialize(t)}, a={space.serialize(a)}, depth={d}"
+                    f"stem {space.serialize(items[t])}, "
+                    f"a={space.serialize(items[a])}, depth={d}"
                 )
     report.depth_pairs_checked = checked
     report.depth_violations = violations
@@ -322,81 +360,84 @@ def _audit_depth(space, report, tops, chains, below):
         _ok(report, "L1", "length-below-depth", checked)
 
 
-def _audit_a5(space, report, tops, chains, bounds):
+def _audit_a5(uni, report, bounds):
+    space, items, down, up = uni.space, uni.items, uni.down, uni.up
+
+    def witness(t, a, b_top):
+        return (
+            f"stem {space.serialize(items[t])}, a={space.serialize(items[a])}, "
+            f"B={space.serialize(items[b_top])}"
+        )
+
     # (i) preserved-prefix stems keep the base reachable.
     instances = 0
-    for t in tops:
-        stem = Stem(space, t)
-        for a in space.fin_below(t):
-            if a.length > bounds.max_len:
+    for t in uni.tops:
+        for a in uni.below(t):
+            if items[a].length > bounds.max_len:
                 continue
-            n = stem.depth(a)
+            n = uni.depth(a, t)
             if n > bounds.max_depth:
                 continue
-            for b_top in space.iter_neighborhood(chains[t][n], t):
-                instances += 1
-                if not space.fin_leq(a, b_top):
-                    _fail(
-                        report, "A5", "amalgamation-i", instances,
-                        f"stem {space.serialize(t)}, a={space.serialize(a)}, "
-                        f"B={space.serialize(b_top)}",
-                    )
-                    return
+            prefix = uni.chains[t][n]
+            reach, walked = uni.neighborhood(prefix, t)
+            if reach & ~up[a]:
+                for k, b_top in enumerate(uni.walk(prefix, t)):
+                    if not up[a] >> b_top & 1:
+                        _fail(
+                            report, "A5", "amalgamation-i", instances + k + 1,
+                            witness(t, a, b_top),
+                        )
+                        return
+            instances += walked
     _ok(report, "A5", "amalgamation-i", instances)
 
-    # (ii) capped canonical sweep, candidates tried longest-first.
+    # (ii) capped canonical sweep: some candidate B' through the prefix
+    # has [a, B'] inside the down-set of each B in [a, t].  Candidates
+    # are tried longest first.
+    cap = bounds.amalgamation_cap
     instances = 0
-    for t in tops:
-        if instances >= bounds.amalgamation_cap:
+    for t in uni.tops:
+        if instances >= cap:
             break
-        stem = Stem(space, t)
-        for a in space.fin_below(t):
-            if a.length > bounds.max_len or instances >= bounds.amalgamation_cap:
+        for a in uni.below(t):
+            if items[a].length > bounds.max_len or instances >= cap:
                 break
-            n = stem.depth(a)
+            n = uni.depth(a, t)
             if n > bounds.max_depth:
                 continue
-            prefix = chains[t][n]
-            candidates = space.longest_first(space.iter_neighborhood(prefix, t))
-            for b_top in space.iter_neighborhood(a, t):
-                if instances >= bounds.amalgamation_cap:
+            reach, _ = uni.neighborhood(uni.chains[t][n], t)
+            candidates = sorted(
+                iter_bits(reach & up[a]), key=lambda c: -items[c].length
+            )
+            for b_top in uni.walk(a, t):
+                if instances >= cap:
                     break
                 instances += 1
-                found = False
-                for cand in candidates:
-                    if not space.fin_leq(a, cand):
-                        continue
-                    if all(
-                        space.fin_leq(c, b_top)
-                        for c in space.iter_neighborhood(a, cand)
-                    ):
-                        found = True
-                        break
-                if not found:
+                if not any(
+                    not uni.neighborhood(a, c)[0] & ~down[b_top] for c in candidates
+                ):
                     _fail(
                         report, "A5", "amalgamation-ii", instances,
-                        f"stem {space.serialize(t)}, a={space.serialize(a)}, "
-                        f"B={space.serialize(b_top)}",
+                        witness(t, a, b_top),
                     )
                     return
-    _ok(
-        report, "A5", "amalgamation-ii", instances,
-        notes=f"cap={bounds.amalgamation_cap}",
+    _ok(report, "A5", "amalgamation-ii", instances, notes=f"cap={cap}")
+
+
+def _audit_a6(uni, report, bounds):
+    space, items = uni.space, uni.items
+    anchors = uni.ids(
+        space.longest_first(items[t] for t in uni.tops)[: bounds.a6_anchor_count]
     )
-
-
-def _audit_a6(space, report, tops, bounds):
-    anchors = space.longest_first(tops)[: bounds.a6_anchor_count]
 
     # Refuse before sweeping if the split count is out of reach.
     estimate = 0
     work = []
     for t in anchors:
-        stem = Stem(space, t)
-        for a in space.fin_below(t):
-            if a.length > bounds.a6_max_len:
+        for a in uni.below(t):
+            if items[a].length > bounds.a6_max_len:
                 continue
-            ext = stem.extensions(a)
+            ext = space.extensions_below(items[a], items[t])
             estimate += 1 << len(ext)
             work.append((t, a, ext))
     if estimate > bounds.a6_instance_ceiling:
@@ -409,34 +450,49 @@ def _audit_a6(space, report, tops, bounds):
     instances = 0
     vacuous = 0
     for t, a, ext in work:
-        stem = Stem(space, t)
-        n = stem.depth(a)
-        prefix = space.restrict(t, n)
-        # Extension sets of every preserved-prefix reduct, longest first
-        # so witnesses with nonempty extension sets are preferred.
-        cache = []
-        for b_top in space.iter_neighborhood(prefix, t):
-            if space.fin_leq(a, b_top):
-                cache.append(frozenset(space.extensions_below(a, b_top)))
-        cache.sort(key=len, reverse=True)
-        for bits in range(1 << len(ext)):
-            side = frozenset(e for i, e in enumerate(ext) if bits >> i & 1)
-            instances += 1
-            hit = None
-            for es in cache:
-                if es <= side or es.isdisjoint(side):
-                    hit = es
-                    break
-            if hit is None:
-                _fail(
-                    report, "A6", "pigeonhole", instances,
-                    f"stem {space.serialize(t)}, a={space.serialize(a)}, "
-                    f"side={sorted(space.serialize(x) for x in side)}",
-                )
-                return
-            if not hit:
-                vacuous += 1
+        reach, _ = uni.neighborhood(uni.chains[t][uni.depth(a, t)], t)
+        # A split of ext is a bitmask over its positions, and a set of
+        # splits is a bitmask over split numbers.  A reduct decides the
+        # splits its extension set lies inside or misses; an empty
+        # extension set decides every split vacuously.
+        position = {e: 1 << i for i, e in enumerate(ext)}
+        full = (1 << len(ext)) - 1
+        decided = 0
+        has_empty = False
+        for b_top in iter_bits(reach & uni.up[a]):
+            es = set(space.extensions_below(items[a], items[b_top]))
+            if not es:
+                has_empty = True
+                continue
+            held = 0
+            for e in es:
+                held |= position.get(e, 0)
+            decided |= _splits_between(0, full & ~held)
+            if es <= position.keys():
+                decided |= _splits_between(held, full)
+        undecided = ((1 << (full + 1)) - 1) & ~decided
+        if undecided and not has_empty:
+            side = (undecided & -undecided).bit_length() - 1
+            chosen = {e for i, e in enumerate(ext) if side >> i & 1}
+            _fail(
+                report, "A6", "pigeonhole", instances + side + 1,
+                f"stem {space.serialize(items[t])}, "
+                f"a={space.serialize(items[a])}, "
+                f"side={sorted(space.serialize(x) for x in chosen)}",
+            )
+            return
+        instances += full + 1
+        vacuous += undecided.bit_count()
     _ok(
         report, "A6", "pigeonhole", instances,
         notes=f"anchors={len(anchors)} vacuous-witnesses={vacuous}",
     )
+
+
+def _splits_between(low: int, high: int) -> int:
+    """The splits s with low <= s <= high (as sets), as a bitmask over
+    split numbers."""
+    out = 1 << low
+    for i in iter_bits(high & ~low):
+        out |= out << (1 << i)
+    return out

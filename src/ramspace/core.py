@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from .errors import (
     EmptyNeighborhoodError,
@@ -289,3 +289,113 @@ class Neighborhood:
                 f"{self.stem.serialize()}] is empty"
             )
 
+
+def iter_bits(mask: int) -> Iterator[int]:
+    """Positions of the set bits of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+class Universe:
+    """Integer ids for one truncated universe, its order held as bitsets.
+
+    Id i is the i-th member of `space.approximations()`, so ids follow
+    `sort_key` order.  Construction asks `fin_leq` of every ordered pair
+    of the universe once: bit i of `down[j]` is set iff
+    fin_leq(items[i], items[j]), and `up` is the transpose.  `tops`
+    holds the ids of `space.stems()` and `chains` maps each of them to
+    the ids of its chain.
+
+    A value outside the universe (only a space that breaks its own
+    contract produces one) gets the next free id when first indexed,
+    with its order bits asked of `fin_leq` against every indexed value,
+    so each bit is always a primitive answer.  `below` keeps each
+    `fin_below` answer and `neighborhood` each [base, top] walk, as
+    asked, for the life of the index.  The sweep that builds an index
+    owns it; nothing is shared between sweeps.
+    """
+
+    def __init__(self, space: Space):
+        self.space = space
+        self.items = space.approximations()
+        self.size = len(self.items)
+        self.index = {a: i for i, a in enumerate(self.items)}
+        leq = space.fin_leq
+        self.down: list[int] = []
+        self.up = [0] * self.size
+        for j, b in enumerate(self.items):
+            bit = 1 << j
+            mask = 0
+            for i, a in enumerate(self.items):
+                if leq(a, b):
+                    mask |= 1 << i
+                    self.up[i] |= bit
+            self.down.append(mask)
+        self.tops = self.ids(space.stems())
+        self.chains = {t: self.ids(space.chain(self.items[t])) for t in self.tops}
+        self._below: dict[int, list[int]] = {}
+        self._nbhd: dict[tuple[int, int], tuple[int, int]] = {}
+
+    def id(self, a: Approximation) -> int:
+        i = self.index.get(a)
+        return self._add(a) if i is None else i
+
+    def ids(self, values: Iterable[Approximation]) -> list[int]:
+        return [self.id(a) for a in values]
+
+    def _add(self, a: Approximation) -> int:
+        leq = self.space.fin_leq
+        i = len(self.items)
+        bit = 1 << i
+        self.items.append(a)
+        self.index[a] = i
+        self.down.append(0)
+        self.up.append(0)
+        for j, b in enumerate(self.items):
+            if leq(b, a):
+                self.down[i] |= 1 << j
+                self.up[j] |= bit
+            if j != i and leq(a, b):
+                self.up[i] |= 1 << j
+                self.down[j] |= bit
+        return i
+
+    def below(self, a: int) -> list[int]:
+        """Ids of `space.fin_below(items[a])`, in the order it gives them."""
+        out = self._below.get(a)
+        if out is None:
+            out = self._below[a] = self.ids(self.space.fin_below(self.items[a]))
+        return out
+
+    def depth(self, a: int, top: int) -> int:
+        """Least n with `a` below the length-n member of the chain of `top`."""
+        for n, c in enumerate(self.chains[top]):
+            if self.down[c] >> a & 1:
+                return n
+        raise NotInSpaceError(
+            f"{self.space.serialize(self.items[a])} is not below any "
+            f"approximation of the stem"
+        )
+
+    def walk(self, base: int, top: int) -> list[int]:
+        """Ids of [base, top] in `iter_neighborhood` order; keeps its mask."""
+        order = self.ids(
+            self.space.iter_neighborhood(self.items[base], self.items[top])
+        )
+        if (base, top) not in self._nbhd:
+            mask = 0
+            for i in order:
+                mask |= 1 << i
+            self._nbhd[base, top] = (mask, len(order))
+        return order
+
+    def neighborhood(self, base: int, top: int) -> tuple[int, int]:
+        """[base, top] as an id bitmask, with the number of values its
+        walk yields; a pair already walked is not walked again."""
+        got = self._nbhd.get((base, top))
+        if got is None:
+            self.walk(base, top)
+            got = self._nbhd[base, top]
+        return got

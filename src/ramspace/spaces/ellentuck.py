@@ -70,12 +70,11 @@ class EllentuckSpace(Space):
                 f"[{self.serialize(a)}, {self.serialize(top)}] is empty"
             )
         last = a.payload[-1] if a.payload else -1
-        out = [
-            Approximation(TAG, a.payload + (x,), a.length + 1)
-            for x in top.payload
-            if x > last
-        ]
-        return sorted(out, key=self.sort_key)
+        # Siblings share their serialized prefix, so `sort_key` order is
+        # the order of the text "x}" that ends each child (numeric order
+        # differs from ground 11 on: "10}" < "1}" < "2}").
+        kids = sorted((x for x in top.payload if x > last), key=lambda x: f"{x}}}")
+        return [Approximation(TAG, a.payload + (x,), a.length + 1) for x in kids]
 
     def stems(self) -> list[Approximation]:
         out = []

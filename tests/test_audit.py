@@ -1,4 +1,6 @@
+import json
 from dataclasses import dataclass
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +13,7 @@ from ramspace.audit import (
     audit_axioms,
 )
 from ramspace.errors import CeilingExceededError
+from ramspace.spaces import parse_params_str, space_from_params
 from ramspace.spaces.ellentuck import TAG, EllentuckSpace
 
 FAST = AuditBounds(max_len=2, max_depth=3, transitivity_cap=20_000, amalgamation_cap=200)
@@ -155,3 +158,198 @@ def test_summary_lines_shape():
     assert lines[0].startswith("audit space=ellentuck")
     assert any("A4" in ln for ln in lines)
     assert lines[-1].startswith("  length<=depth")
+
+
+# ----- whole reports pinned against the primitive-only audit -----
+#
+# data/audit_reports.json holds full reports (every check's axiom, name,
+# status, instances, notes and witness, plus the depth counters) made by
+# the audit before it read the indexed universe, when every law asked
+# the primitives directly.  The grid covers each audit class of the
+# benchmark; the controls below are broken spaces, one per law, so the
+# indexed sweeps must also find the same first failure.
+
+REPORTS = json.loads((Path(__file__).parent / "data" / "audit_reports.json").read_text())
+
+A6_FAST = AuditBounds(
+    max_len=2, max_depth=3, include_a6=True,
+    transitivity_cap=20_000, amalgamation_cap=200,
+)
+
+
+@dataclass(frozen=True)
+class BrokenSeparationSpace(EllentuckSpace):
+    """A2: the stems {0,1} and {0,2} share the chain {}, {0}, X, where X
+    holds {0,1,2} at length 2."""
+
+    def restrict(self, a, n):
+        if a.payload in ((0, 1), (0, 2)) and n == 2:
+            return Approximation(TAG, (0, 1, 2), 2)
+        return super().restrict(a, n)
+
+
+@dataclass(frozen=True)
+class BrokenLinkSpace(EllentuckSpace):
+    """A4(i): {1} is not below {1,2}, though it is below a member of
+    the chain of {1,2}."""
+
+    def fin_leq(self, a, b):
+        if a.payload == (1,) and b.payload == (1, 2):
+            return False
+        return super().fin_leq(a, b)
+
+    def extensions_below(self, a, top):
+        return EllentuckSpace(self.ground).extensions_below(a, top)
+
+
+@dataclass(frozen=True)
+class BrokenTransitivitySpace(EllentuckSpace):
+    """Quasi-order: {2} <= {0,2} <= {0,1,2} but not {2} <= {0,1,2}.
+    The down-set of {0,1,2} and the children agree with the broken
+    order, so A4(i) and A4(ii) still pass."""
+
+    def _dropped(self, a, b):
+        return a.payload == (2,) and b.payload == (0, 1, 2)
+
+    def fin_leq(self, a, b):
+        return not self._dropped(a, b) and super().fin_leq(a, b)
+
+    def fin_below(self, a):
+        return [b for b in super().fin_below(a) if not self._dropped(b, a)]
+
+    def extensions_below(self, a, top):
+        return EllentuckSpace(self.ground).extensions_below(a, top)
+
+
+@dataclass(frozen=True)
+class BrokenReachSpace(EllentuckSpace):
+    """A5(i): the children of {0} lose the 0, so walks below a stem
+    through {0} leave the base {0} behind."""
+
+    def extensions_below(self, a, top):
+        kids = super().extensions_below(a, top)
+        if a.payload == (0,):
+            return [self.make(k.payload[1:]) for k in kids]
+        return kids
+
+
+@dataclass(frozen=True)
+class LeakyExtensionSpace(EllentuckSpace):
+    """A5(ii): every nonempty base also gets a child outside the ground
+    set, so no candidate neighborhood fits below the base itself."""
+
+    def extensions_below(self, a, top):
+        if self.ground in a.payload:
+            return []
+        kids = super().extensions_below(a, top)
+        if a.payload:
+            kids.append(Approximation(TAG, a.payload + (self.ground,), a.length + 1))
+        return kids
+
+
+@dataclass(frozen=True)
+class BrokenPigeonholeSpace(EllentuckSpace):
+    """A6: the one-step extensions of the empty base always hold {0}
+    and {1}, so the split {{0}} is decided by no reduct; neighborhoods
+    are still walked with the intact children."""
+
+    def extensions_below(self, a, top):
+        kids = super().extensions_below(a, top)
+        if a.payload:
+            return kids
+        return sorted(set(kids) | {self.make((0,)), self.make((1,))}, key=self.sort_key)
+
+    def iter_neighborhood(self, a, top):
+        return EllentuckSpace(self.ground).iter_neighborhood(a, top)
+
+
+@dataclass(frozen=True)
+class IrreflexiveSpace(EllentuckSpace):
+    """Reflexivity: {1} is not below itself.  Its down-set then misses
+    it, which A4(ii) reports with the number of elements checked: 3,
+    as {1} comes third in canonical order ({}, {0}, {1})."""
+
+    def fin_leq(self, a, b):
+        if a.payload == b.payload == (1,):
+            return False
+        return super().fin_leq(a, b)
+
+    def fin_below(self, a):
+        return [b for b in super().fin_below(a) if self.fin_leq(b, a)]
+
+    def extensions_below(self, a, top):
+        return EllentuckSpace(self.ground).extensions_below(a, top)
+
+
+CONTROLS = [
+    ("empty-base", BrokenEmptySpace(4), FAST),
+    ("down-set", BrokenDownSetSpace(4), FAST),
+    ("restriction", BrokenRestrictionSpace(4), FAST),
+    ("separation", BrokenSeparationSpace(4), FAST),
+    ("link", BrokenLinkSpace(4), FAST),
+    ("transitivity", BrokenTransitivitySpace(4), FAST),
+    ("reach", BrokenReachSpace(4), FAST),
+    ("leaky", LeakyExtensionSpace(4), FAST),
+    ("pigeonhole", BrokenPigeonholeSpace(4), A6_FAST),
+    ("irreflexive", IrreflexiveSpace(4), FAST),
+]
+
+
+def _as_rows(report: AxiomReport) -> dict:
+    return {
+        "checks": [
+            [c.axiom, c.name, c.status, c.instances, c.notes, c.witness]
+            for c in report.checks
+        ],
+        "depth_pairs_checked": report.depth_pairs_checked,
+        "depth_violations": report.depth_violations,
+    }
+
+
+@pytest.mark.parametrize(
+    "name, space, bounds, law",
+    [
+        ("empty-base", BrokenEmptySpace(4), FAST, ("A1", "empty-base")),
+        ("down-set", BrokenDownSetSpace(4), FAST, ("A4", "down-set")),
+        ("restriction", BrokenRestrictionSpace(4), FAST, ("A5", "amalgamation-ii")),
+        ("separation", BrokenSeparationSpace(4), FAST, ("A2", "separation")),
+        ("link", BrokenLinkSpace(4), FAST, ("A4", "finitization-link")),
+        ("transitivity", BrokenTransitivitySpace(4), FAST, ("A4", "quasi-order")),
+        ("reach", BrokenReachSpace(4), FAST, ("A5", "amalgamation-i")),
+        ("leaky", LeakyExtensionSpace(4), FAST, ("A5", "amalgamation-ii")),
+        ("pigeonhole", BrokenPigeonholeSpace(4), A6_FAST, ("A6", "pigeonhole")),
+        ("irreflexive", IrreflexiveSpace(4), FAST, ("A4", "down-set")),
+    ],
+    ids=lambda v: v if isinstance(v, str) else "",
+)
+def test_negative_control_report(name, space, bounds, law):
+    report = audit_axioms(space, bounds)
+    assert not report.passed
+    assert any(
+        (c.axiom, c.name) == law and c.status == COUNTEREXAMPLE for c in report.checks
+    )
+    assert _as_rows(report) == REPORTS["controls"][name]
+
+
+@pytest.mark.parametrize("cap, status", [(100, BOUNDED_PASS), (101, COUNTEREXAMPLE)])
+def test_transitivity_cap_edge(cap, status):
+    # The failing triple is the 101st checked: a cap of 100 stops short
+    # of it, a cap of 101 reaches it.
+    bounds = AuditBounds(max_len=2, max_depth=3, transitivity_cap=cap, amalgamation_cap=200)
+    report = audit_axioms(BrokenTransitivitySpace(4), bounds)
+    assert report.checks[5].name == "quasi-order"
+    assert report.checks[5].status == status
+    assert _as_rows(report) == REPORTS["controls"][f"transitivity-cap{cap}"]
+
+
+def test_reports_match_the_primitive_audit_on_the_benchmark_grid():
+    # Every audit class of the benchmark at depth 2-4, length cap 1-3,
+    # with and without A6 (CLI bounds), plus cases at small sweep caps.
+    mismatched = []
+    for case in REPORTS["grid"]:
+        space = space_from_params(parse_params_str(case["space"]))
+        report = audit_axioms(space, AuditBounds(**case["bounds"]))
+        if _as_rows(report) != case["report"]:
+            mismatched.append((case["space"], case["bounds"]))
+    assert len(REPORTS["grid"]) == 209
+    assert not mismatched

@@ -2,7 +2,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramspace import Neighborhood, Stem, ell_space, matrix_space, partition_space
+from ramspace import (
+    Approximation,
+    Neighborhood,
+    Stem,
+    ell_space,
+    matrix_space,
+    partition_space,
+)
+from ramspace.core import Universe, iter_bits
 from ramspace.errors import (
     EmptyNeighborhoodError,
     MixedSpaceError,
@@ -194,3 +202,49 @@ def test_reducts_are_exactly_fin_below(e8):
     stem = Stem(e8, e8.make((1, 4, 6)))
     reduct_tops = {s.top for s in stem.reducts()}
     assert reduct_tops == set(e8.fin_below(stem.top))
+
+
+def test_universe_matches_the_primitives(spaces):
+    # Differential test of the audit's index against the primitives it
+    # is built from: order bits, fin_below lists, depth and neighborhoods.
+    for sp in spaces:
+        uni = Universe(sp)
+        items = uni.items
+        assert items == sp.approximations()
+        for i, a in enumerate(items):
+            assert set(iter_bits(uni.down[i])) == {
+                j for j, b in enumerate(items) if sp.fin_leq(b, a)
+            }
+            assert set(iter_bits(uni.up[i])) == {
+                j for j, b in enumerate(items) if sp.fin_leq(a, b)
+            }
+        for t in uni.tops[:: max(1, len(uni.tops) // 12)]:
+            stem = Stem(sp, items[t])
+            assert [items[c] for c in uni.chains[t]] == stem.chain
+            assert [items[a] for a in uni.below(t)] == sp.fin_below(items[t])
+            for a in uni.below(t):
+                assert uni.depth(a, t) == stem.depth(items[a])
+                order = list(sp.iter_neighborhood(items[a], items[t]))
+                assert [items[i] for i in uni.walk(a, t)] == order
+                mask, walked = uni.neighborhood(a, t)
+                assert {items[i] for i in iter_bits(mask)} == set(order)
+                assert walked == len(order)
+
+
+def test_universe_indexes_values_outside_it():
+    # A value no stem reaches gets the next id, with its order bits
+    # asked of fin_leq against every indexed value.
+    sp = ell_space(4)
+    uni = Universe(sp)
+    stray = Approximation(sp.tag, (0, 5), 2)
+    i = uni.id(stray)
+    assert i == uni.size and uni.items[i] == stray and uni.id(stray) == i
+    assert set(iter_bits(uni.down[i])) == {
+        j for j, b in enumerate(uni.items) if sp.fin_leq(b, stray)
+    }
+    assert set(iter_bits(uni.up[i])) == {
+        j for j, b in enumerate(uni.items) if sp.fin_leq(stray, b)
+    }
+    zero = uni.id(sp.make((0,)))
+    assert uni.down[i] >> zero & 1 and not uni.up[i] >> zero & 1
+    assert uni.up[zero] >> i & 1

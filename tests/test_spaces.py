@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -348,6 +350,21 @@ def test_extensions_come_in_sort_key_order(space):
     for a in space.fin_below(top):
         exts = space.extensions_below(a, top)
         assert exts == sorted(exts, key=space.sort_key), space.serialize(a)
+
+
+@pytest.mark.parametrize("ground", [6, 11, 13])
+def test_ellentuck_children_match_a_sort_by_sort_key(ground):
+    # Differential test of the per-element child key against a full
+    # `sort_key` sort, on random (a, top) pairs with a inside top.
+    rng = random.Random(ground)
+    space = ell_space(ground)
+    for _ in range(200):
+        top = space.make(sorted(rng.sample(range(ground), rng.randint(0, ground))))
+        a = space.make(sorted(rng.sample(top.payload, rng.randint(0, top.length))))
+        children = space.extensions_below(a, top)
+        last = a.payload[-1] if a.payload else -1
+        want = [space.make(a.payload + (x,)) for x in top.payload if x > last]
+        assert children == sorted(want, key=space.sort_key)
 
 
 def test_gf3_matrix_space_operations():
