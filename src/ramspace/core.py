@@ -194,14 +194,6 @@ class Space(ABC):
             yield cur
             stack.extend(reversed(self.extensions_below(cur, top)))
 
-    def approximations(self) -> list[Approximation]:
-        """Every approximation of the truncated universe, canonical order."""
-        seen = {}
-        for top in self.stems():
-            for b in self.fin_below(top):
-                seen[b] = None
-        return sorted(seen, key=self.sort_key)
-
 
 @dataclass(frozen=True)
 class Stem:
@@ -301,12 +293,13 @@ def iter_bits(mask: int) -> Iterator[int]:
 class Universe:
     """Integer ids for one truncated universe, its order held as bitsets.
 
-    Id i is the i-th member of `space.approximations()`, so ids follow
-    `sort_key` order.  Construction asks `fin_leq` of every ordered pair
-    of the universe once: bit i of `down[j]` is set iff
-    fin_leq(items[i], items[j]), and `up` is the transpose.  `tops`
-    holds the ids of `space.stems()` and `chains` maps each of them to
-    the ids of its chain.
+    The universe is the union of `fin_below` over `space.stems()`; id i
+    is its i-th member in `sort_key` order.  Each stem top's `fin_below`
+    answer is asked once and kept as its `below` answer.  Construction
+    asks `fin_leq` of every ordered pair of the universe once: bit i of
+    `down[j]` is set iff fin_leq(items[i], items[j]), and `up` is the
+    transpose.  `tops` holds the ids of `space.stems()` and `chains`
+    maps each of them to the ids of its chain.
 
     A value outside the universe (only a space that breaks its own
     contract produces one) gets the next free id when first indexed,
@@ -319,7 +312,12 @@ class Universe:
 
     def __init__(self, space: Space):
         self.space = space
-        self.items = space.approximations()
+        stems = space.stems()
+        # Held answers share one object per value until they get ids,
+        # so keeping every answer costs a reference per entry.
+        seen: dict[Approximation, Approximation] = {}
+        answers = [[seen.setdefault(b, b) for b in space.fin_below(t)] for t in stems]
+        self.items = sorted(seen, key=space.sort_key)
         self.size = len(self.items)
         self.index = {a: i for i, a in enumerate(self.items)}
         leq = space.fin_leq
@@ -333,9 +331,9 @@ class Universe:
                     mask |= 1 << i
                     self.up[i] |= bit
             self.down.append(mask)
-        self.tops = self.ids(space.stems())
+        self.tops = self.ids(stems)
         self.chains = {t: self.ids(space.chain(self.items[t])) for t in self.tops}
-        self._below: dict[int, list[int]] = {}
+        self._below = {t: self.ids(below) for t, below in zip(self.tops, answers)}
         self._nbhd: dict[tuple[int, int], tuple[int, int]] = {}
 
     def id(self, a: Approximation) -> int:

@@ -26,6 +26,12 @@ values are certified by either a full scan of all s^N colorings or an
 exhausted backtracking search over color-canonical assignments.  Every
 certificate replays through verify_witness, an independent checker
 that re-derives the instance and never reuses the searcher's tables.
+
+Both searchers work on int masks over the level's items: each
+configuration is one mask, each color keeps the mask of the items it
+has colored, and a configuration is monochromatic iff it lies inside
+one color's mask.  An empty configuration is never monochromatic, in
+the searchers as in verify_witness.
 """
 
 from __future__ import annotations
@@ -137,16 +143,6 @@ class WitnessResult:
         return f"{instance},{self.outcome},{value},{checked},{seconds}"
 
 
-def _mono_witness_exists(coloring, configs) -> bool:
-    for cfg in configs:
-        if not cfg:
-            continue
-        first = coloring[cfg[0]]
-        if all(coloring[i] == first for i in cfg[1:]):
-            return True
-    return False
-
-
 def _coloring_from_index(idx: int, s: int, size: int) -> list[int]:
     out = [0] * size
     for j in range(size - 1, -1, -1):
@@ -155,19 +151,48 @@ def _coloring_from_index(idx: int, s: int, size: int) -> list[int]:
     return out
 
 
-def _scan_range(configs, s, size, lo, hi):
-    """First bad coloring index in [lo, hi), or -1 (worker for --jobs)."""
-    coloring = _coloring_from_index(lo, s, size)
+def _scan_range(configs: list[int], s: int, size: int, lo: int, hi: int) -> int:
+    """First bad coloring index in [lo, hi), or -1.
+
+    `configs` are the nonempty configuration masks, item j at bit
+    size-1-j, so the last item is the least significant digit of the
+    coloring index.  With two colors the index is itself the mask of
+    the items colored 1, and a configuration is monochromatic iff it
+    meets that mask in nothing or in everything.  Otherwise each color
+    keeps the mask of its items, updated as the index counts up, and a
+    configuration is monochromatic iff it lies inside the mask of the
+    color of its lowest bit.
+    """
+    if s == 2:
+        for idx in range(lo, hi):
+            for cfg in configs:
+                hit = idx & cfg
+                if hit == cfg or not hit:
+                    break
+            else:
+                return idx
+        return -1
+    leads = [((cfg & -cfg).bit_length() - 1, cfg) for cfg in configs]
+    digits = _coloring_from_index(lo, s, size)[::-1]  # digit p: the item at bit p
+    colmask = [0] * s
+    for p, c in enumerate(digits):
+        colmask[c] |= 1 << p
     for idx in range(lo, hi):
         if idx > lo:
-            j = size - 1
+            p = 0
             while True:
-                coloring[j] += 1
-                if coloring[j] < s:
+                c, bit = digits[p], 1 << p
+                colmask[c] ^= bit
+                c = (c + 1) % s
+                digits[p] = c
+                colmask[c] |= bit
+                if c:
                     break
-                coloring[j] = 0
-                j -= 1
-        if not _mono_witness_exists(coloring, configs):
+                p += 1
+        for p, cfg in leads:
+            if cfg & colmask[digits[p]] == cfg:
+                break
+        else:
             return idx
     return -1
 
@@ -175,9 +200,12 @@ def _scan_range(configs, s, size, lo, hi):
 def _level_exhaustive(inst: LevelInstance, s: int, ceiling: int, jobs: int = 1):
     """(is_witness, first bad coloring or None, colorings checked).
 
-    With jobs > 1 the coloring range is split across processes; the
-    reported bad coloring is the index-minimal one either way, so the
-    result does not depend on scheduling.
+    Colorings are scanned in index order (item 0 the most significant
+    base-s digit) with configurations as item masks; an empty
+    configuration is never monochromatic, as in verify_witness.  With
+    jobs > 1 the index range is split across processes; the reported
+    bad coloring is the index-minimal one either way, so the result
+    does not depend on scheduling.
     """
     size = len(inst.items)
     total = s**size
@@ -187,27 +215,26 @@ def _level_exhaustive(inst: LevelInstance, s: int, ceiling: int, jobs: int = 1):
             total,
             ceiling,
         )
+    configs = [sum(1 << (size - 1 - j) for j in cfg) for cfg in inst.configs if cfg]
     if jobs > 1 and total >= 4 * jobs:
         import multiprocessing
 
         bounds = [total * i // (jobs * 4) for i in range(jobs * 4)] + [total]
         spans = [
-            (inst.configs, s, size, lo, hi)
+            (configs, s, size, lo, hi)
             for lo, hi in zip(bounds, bounds[1:])
             if lo < hi
         ]
         with multiprocessing.Pool(jobs) as pool:
-            hits = [idx for idx in pool.starmap(_scan_range, spans) if idx >= 0]
-        if hits:
-            first = min(hits)
-            return False, _coloring_from_index(first, s, size), first + 1
+            first = min(
+                (idx for idx in pool.starmap(_scan_range, spans) if idx >= 0),
+                default=-1,
+            )
+    else:
+        first = _scan_range(configs, s, size, 0, total)
+    if first < 0:
         return True, None, total
-    checked = 0
-    for coloring in itertools.product(range(s), repeat=size):
-        checked += 1
-        if not _mono_witness_exists(coloring, inst.configs):
-            return False, list(coloring), checked
-    return True, None, checked
+    return False, _coloring_from_index(first, s, size), first + 1
 
 
 def _level_backtracking(inst: LevelInstance, s: int, node_budget: int | None):
@@ -216,48 +243,45 @@ def _level_backtracking(inst: LevelInstance, s: int, node_budget: int | None):
     Colors are assigned in canonical item order under the
     restricted-growth rule (a new color may only follow all smaller
     ones), which enumerates exactly one representative per color
-    permutation class; a configuration that becomes fully colored and
-    monochromatic prunes the branch.  Exhausting the tree therefore
+    permutation class.  Each color keeps the mask of the items it has
+    colored, item i at bit i.  A configuration is fully colored once
+    its last item is, so item i keeps the masks of the configurations
+    it closes, less its own bit: giving i color c prunes the branch iff
+    one of them lies inside c's mask.  An empty configuration is never
+    monochromatic, as in verify_witness.  Exhausting the tree therefore
     proves the level is a witness.  Returns (is_witness | None,
     bad_coloring | None, nodes); None means the budget ran out.
     """
     size = len(inst.items)
-    configs = inst.configs
-    per_item = [[] for _ in range(size)]
-    for gi, cfg in enumerate(configs):
-        for i in cfg:
-            per_item[i].append(gi)
-    if any(not cfg for cfg in configs):
-        # An empty configuration is monochromatic under every coloring.
-        return True, None, 0
-
-    colors = [-1] * size
+    closes: list[list[int]] = [[] for _ in range(size)]
+    for cfg in inst.configs:
+        if cfg:
+            last = max(cfg)
+            closes[last].append(sum(1 << j for j in cfg if j != last))
+    colmask = [0] * s
     nodes = 0
-
-    def prunes(i: int) -> bool:
-        for gi in per_item[i]:
-            cfg = configs[gi]
-            c0 = colors[cfg[0]]
-            if c0 < 0:
-                continue
-            if all(colors[j] == c0 for j in cfg):
-                return True
-        return False
 
     def rec(i: int, used: int):
         nonlocal nodes
         if i == size:
-            return list(colors)
+            return [
+                next(c for c in range(s) if colmask[c] >> j & 1) for j in range(size)
+            ]
+        bit = 1 << i
         for c in range(min(used + 1, s)):
             nodes += 1
             if node_budget is not None and nodes > node_budget:
                 raise _BudgetExhausted()
-            colors[i] = c
-            if not prunes(i):
+            mask = colmask[c]
+            for rest in closes[i]:
+                if rest & mask == rest:
+                    break
+            else:
+                colmask[c] = mask | bit
                 hit = rec(i + 1, max(used, c + 1))
                 if hit is not None:
                     return hit
-            colors[i] = -1
+                colmask[c] = mask
         return None
 
     try:

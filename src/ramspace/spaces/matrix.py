@@ -28,7 +28,6 @@ from ..gflinalg import (
     EchelonMatrix,
     enumerate_rre,
     in_span,
-    rref_of_rows,
     span_vectors,
 )
 
@@ -86,7 +85,14 @@ class MatrixSpace(Space):
         return Approximation(TAG, EchelonMatrix(self.q, cut, rows), n)
 
     def _cut_basis(self, m: EchelonMatrix, cols: int) -> EchelonMatrix:
-        return rref_of_rows((r[:cols] for r in m.rows), cols, self.q)
+        """The row space of `m` cut to its first `cols` columns, in RREF.
+
+        Cutting an RREF matrix leaves the rows pivoting before `cols` in
+        RREF and turns the others into zero rows, so it needs no
+        elimination.
+        """
+        rows = tuple(r[:cols] for r, p in zip(m.rows, m.pivots) if p < cols)
+        return EchelonMatrix(self.q, cols, rows)
 
     def fin_leq(self, a: Approximation, b: Approximation) -> bool:
         self.check_tag(a)

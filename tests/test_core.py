@@ -10,7 +10,9 @@ from ramspace import (
     matrix_space,
     partition_space,
 )
+from ramspace.audit import AuditBounds, audit_axioms
 from ramspace.core import Universe, iter_bits
+from ramspace.spaces import EllentuckSpace, MatrixSpace, PartitionSpace
 from ramspace.errors import (
     EmptyNeighborhoodError,
     MixedSpaceError,
@@ -210,7 +212,9 @@ def test_universe_matches_the_primitives(spaces):
     for sp in spaces:
         uni = Universe(sp)
         items = uni.items
-        assert items == sp.approximations()
+        assert items == sorted(
+            {b for t in sp.stems() for b in sp.fin_below(t)}, key=sp.sort_key
+        )
         for i, a in enumerate(items):
             assert set(iter_bits(uni.down[i])) == {
                 j for j, b in enumerate(items) if sp.fin_leq(b, a)
@@ -248,3 +252,24 @@ def test_universe_indexes_values_outside_it():
     zero = uni.id(sp.make((0,)))
     assert uni.down[i] >> zero & 1 and not uni.up[i] >> zero & 1
     assert uni.up[zero] >> i & 1
+
+
+
+@pytest.mark.parametrize(
+    "cls, args",
+    [(EllentuckSpace, (5,)), (MatrixSpace, (2, 3)), (PartitionSpace, (4,))],
+)
+def test_an_audit_asks_fin_below_once_per_stem_top(cls, args):
+    # The universe keeps the stems' fin_below answers it is built from,
+    # and A4(ii) reads them back instead of asking again.
+    calls = []
+
+    class Counting(cls):
+        def fin_below(self, a):
+            calls.append(a)
+            return super().fin_below(a)
+
+    sp = Counting(*args)
+    report = audit_axioms(sp, AuditBounds(max_len=2, max_depth=3, include_a6=True))
+    assert report.passed
+    assert sorted(calls, key=sp.sort_key) == sp.stems()

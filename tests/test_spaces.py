@@ -21,6 +21,7 @@ from ramspace import (
     stirling2,
     subspace_initial_segment,
 )
+from ramspace.gflinalg import rref_of_rows
 from ramspace.spaces import parse_params_str, space_from_params
 from ramspace.errors import (
     CeilingExceededError,
@@ -376,6 +377,18 @@ def test_gf3_matrix_space_operations():
     assert m.fin_leq(doubled, stem.approx(1))
     assert m.serialize(stem.top) == "q=3;120;001"
     assert m.parse("q=3;120;001") == stem.top
+
+
+@pytest.mark.parametrize("q, max_cols", [(2, 5), (3, 4), (5, 3), (7, 3)])
+def test_cut_basis_matches_row_reduction(q, max_cols):
+    # Slicing an RREF basis to its first columns gives the matrix that
+    # row-reducing the cut rows gives, for every stem and every cut.
+    space = matrix_space(q, max_cols)
+    for top in space.stems():
+        m = top.payload
+        for cols in range(m.cols + 1):
+            cut = (r[:cols] for r in m.rows)
+            assert space._cut_basis(m, cols) == rref_of_rows(cut, cols, q)
 
 
 # ----- serialization -----

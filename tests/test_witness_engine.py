@@ -1,0 +1,196 @@
+"""The mask witness engine against list-based references and the pinned grid.
+
+`_reference_exhaustive` and `_reference_backtracking` are the searchers
+as they were written over lists of item indices, kept here as oracles.
+The backtracking oracle skips an empty configuration, as the exhaustive
+scan and verify_witness do.
+"""
+
+import contextlib
+import io
+import itertools
+import json
+import pathlib
+import random
+
+import pytest
+
+from ramspace import cli
+from ramspace.ramsey import (
+    LevelInstance,
+    _bad_certificate,
+    _level_backtracking,
+    _level_exhaustive,
+    build_level,
+    verify_witness,
+)
+
+DATA = pathlib.Path(__file__).parent / "data" / "witness_results.json"
+
+
+# ----- reference searchers over lists of item indices -----
+
+
+def _mono_witness_exists(coloring, configs) -> bool:
+    for cfg in configs:
+        if not cfg:
+            continue
+        first = coloring[cfg[0]]
+        if all(coloring[i] == first for i in cfg[1:]):
+            return True
+    return False
+
+
+def _reference_exhaustive(inst, s):
+    checked = 0
+    for coloring in itertools.product(range(s), repeat=len(inst.items)):
+        checked += 1
+        if not _mono_witness_exists(coloring, inst.configs):
+            return False, list(coloring), checked
+    return True, None, checked
+
+
+class _Budget(Exception):
+    pass
+
+
+def _reference_backtracking(inst, s, node_budget):
+    size = len(inst.items)
+    configs = [cfg for cfg in inst.configs if cfg]
+    per_item = [[] for _ in range(size)]
+    for gi, cfg in enumerate(configs):
+        for i in cfg:
+            per_item[i].append(gi)
+    colors = [-1] * size
+    nodes = 0
+
+    def prunes(i):
+        for gi in per_item[i]:
+            cfg = configs[gi]
+            c0 = colors[cfg[0]]
+            if c0 < 0:
+                continue
+            if all(colors[j] == c0 for j in cfg):
+                return True
+        return False
+
+    def rec(i, used):
+        nonlocal nodes
+        if i == size:
+            return list(colors)
+        for c in range(min(used + 1, s)):
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                raise _Budget()
+            colors[i] = c
+            if not prunes(i):
+                hit = rec(i + 1, max(used, c + 1))
+                if hit is not None:
+                    return hit
+            colors[i] = -1
+        return None
+
+    try:
+        bad = rec(0, 0)
+    except _Budget:
+        return None, None, nodes
+    return (True, None, nodes) if bad is None else (False, bad, nodes)
+
+
+# ----- instances -----
+
+
+def _instance(size, configs):
+    return LevelInstance("ellentuck", 0, 1, 1, None, None, [None] * size, [], configs)
+
+
+def _random_instances(rng, count):
+    """Random configuration families over 0-7 items, empty ones included."""
+    for _ in range(count):
+        size = rng.randint(0, 7)
+        configs = []
+        for _ in range(rng.randint(0, 9)):
+            width = rng.randint(0, min(size, 4))
+            configs.append(sorted(rng.sample(range(size), width)))
+        yield _instance(size, configs)
+
+
+LEVELS = [
+    ("ellentuck", 6, 3, 4, None),
+    ("ellentuck", 5, 2, 4, None),
+    ("matrix", 3, 1, 2, 2),
+    ("partition", 4, 2, 3, None),
+    ("partition", 4, 1, 2, None),
+]
+
+
+def _level_subsets(rng, per_level):
+    """Random subsets of the configurations of real levels, the empty
+    subset and an added empty configuration included."""
+    for kind, m, k, n, q in LEVELS:
+        inst = build_level(kind, m, k, n, q)
+        yield _instance(len(inst.items), [])
+        yield _instance(len(inst.items), inst.configs + [[]])
+        for _ in range(per_level):
+            picked = [cfg for cfg in inst.configs if rng.random() < 0.5]
+            yield _instance(len(inst.items), picked)
+
+
+def _cases():
+    rng = random.Random(20261018)
+    return list(_random_instances(rng, 120)) + list(_level_subsets(rng, 6))
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+def test_exhaustive_scan_matches_the_list_reference(s):
+    for inst in _cases():
+        if s ** len(inst.items) > 1 << 12:
+            continue
+        assert _level_exhaustive(inst, s, 1 << 12) == _reference_exhaustive(inst, s)
+
+
+@pytest.mark.parametrize("s", [1, 2, 3])
+@pytest.mark.parametrize("budget", [None, 0, 1, 4, 25])
+def test_backtracking_matches_the_list_reference(s, budget):
+    for inst in _cases():
+        got = _level_backtracking(inst, s, budget)
+        assert got == _reference_backtracking(inst, s, budget)
+
+
+def test_empty_configuration_is_never_monochromatic():
+    # Both searchers and the verifier skip an empty configuration, so
+    # the level keeps its bad coloring and the certificate replays.
+    inst = build_level("ellentuck", 3, 2, 3)
+    inst.configs.append([])
+    ex = _level_exhaustive(inst, 2, 1 << 10)
+    bt = _level_backtracking(inst, 2, None)
+    assert ex == (False, [0, 1], 2)
+    assert bt[:2] == (False, [0, 1])
+    assert verify_witness(_bad_certificate(inst, 2, bt[1]))
+
+
+@pytest.mark.parametrize(
+    "level, s, is_witness",
+    [
+        (("ellentuck", 7, 3, 4), 2, True),   # R(3,3) = 6, shifted up by one
+        (("ellentuck", 6, 3, 4), 2, False),
+        (("ellentuck", 8, 2, 4), 3, True),   # pigeonhole 3 * 2 + 1 = 7, shifted
+        (("ellentuck", 7, 2, 4), 3, False),
+    ],
+)
+def test_two_jobs_match_one(level, s, is_witness):
+    inst = build_level(*level)
+    one = _level_exhaustive(inst, s, 1 << 16, jobs=1)
+    assert one[0] is is_witness
+    assert _level_exhaustive(inst, s, 1 << 16, jobs=2) == one
+
+
+def test_witness_grid_matches_the_pinned_results():
+    for job in json.loads(DATA.read_text())["jobs"]:
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            code = cli.main(job["argv"] + ["--format", "json"])
+        got = json.loads(out.getvalue())
+        assert code == job["exit"], job["argv"]
+        for key in ("outcome", "value", "stats", "certificates"):
+            assert got[key] == job[key], (job["argv"], key)
