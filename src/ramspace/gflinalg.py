@@ -11,7 +11,7 @@ Only prime moduli are supported; extension fields are out of scope.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import CeilingExceededError
@@ -129,34 +129,33 @@ class EchelonMatrix:
     q: int
     cols: int
     rows: tuple[tuple[int, ...], ...]
+    # The pivot column of each row, found while the invariants are checked.
+    pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_prime(self.q)
         norm = tuple(_as_int_vector(r, self.q) for r in self.rows)
         object.__setattr__(self, "rows", norm)
-        last = -1
+        pivots: list[int] = []
         for i, row in enumerate(norm):
             if len(row) != self.cols:
                 raise ValueError("row width does not match cols")
             p = _pivot(row)
             if p < 0:
                 raise ValueError("zero row in echelon matrix")
-            if p <= last:
+            if pivots and p <= pivots[-1]:
                 raise ValueError("pivots not strictly increasing")
             if row[p] != 1:
                 raise ValueError("pivot entry is not 1")
             for k, other in enumerate(norm):
                 if k != i and other[p] != 0:
                     raise ValueError("pivot column is not clean")
-            last = p
+            pivots.append(p)
+        object.__setattr__(self, "pivots", tuple(pivots))
 
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-    @property
-    def pivots(self) -> tuple[int, ...]:
-        return tuple(_pivot(r) for r in self.rows)
 
 
 def rref(m: FqMatrix) -> EchelonMatrix:

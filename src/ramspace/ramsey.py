@@ -22,10 +22,13 @@ Concrete instances:
     coarsenings of an m-block witness.
 
 Lower bounds are explicit bad colorings, exhaustively verified; found
-values are certified by either a full scan of all s^N colorings or an
+values come from either a full scan of all s^N colorings or an
 exhausted backtracking search over color-canonical assignments.  Every
 certificate replays through verify_witness, an independent checker
-that re-derives the instance and never reuses the searcher's tables.
+that re-derives the instance and never reuses the searcher's tables; a
+witness claim replays in a node-bounded depth-first search over one
+coloring per color permutation class, whose cost is the backtracking
+searcher's node count rather than s^N.
 
 Both searchers work on int masks over the level's items: each
 configuration is one mask, each color keeps the mask of the items it
@@ -565,8 +568,16 @@ def _rebuild_level_from_fields(fields: dict) -> LevelInstance:
 
 
 def _classical_level(M: int, k: int, n: int) -> LevelInstance:
+    """The classical instance, its items in the order of their pinned
+    (k+1)-subsets: the order the shifted search colors them in, so a
+    replay visits as many nodes as that search."""
     space = ell_space(max(M, 1))
-    items = [space.make(c) for c in itertools.combinations(range(M), k)]
+    pinned = ell_space(M + 1)
+    combos = sorted(
+        itertools.combinations(range(M), k),
+        key=lambda c: pinned.sort_key(pinned.make(c + (M,))),
+    )
+    items = [space.make(c) for c in combos]
     witnesses = [space.make(c) for c in itertools.combinations(range(M), n)]
     index = {a.payload: i for i, a in enumerate(items)}
     configs = [
@@ -575,15 +586,81 @@ def _classical_level(M: int, k: int, n: int) -> LevelInstance:
     return LevelInstance("classical", M, k, n, None, space, items, witnesses, configs)
 
 
+# The certificate line that states each mode's work.
+_WORK_COUNTER = {"backtracking": "nodes", "exhaustive": "colorings_checked"}
+
+
+def _replay_witness_claim(keys: list[str], witness_sets: list[set], s: int, ceiling: int):
+    """The node count of the replay verify_witness describes; None when
+    it reaches a coloring with no monochromatic witness set, or passes
+    `ceiling` nodes."""
+    place = {key: i for i, key in enumerate(keys)}
+    closing: list[list[set]] = [[] for _ in keys]
+    for ws in witness_sets:
+        if ws:
+            last = max(ws, key=place.__getitem__)
+            closing[place[last]].append(ws - {last})
+    # keys holding each color; a replay never uses more colors than keys
+    holders: list[set] = [set() for _ in range(min(s, len(keys)))]
+    path: list[int] = []  # the colors of keys[:len(path)]
+    used = nodes = color = 0
+    while True:
+        i = len(path)
+        if i == len(keys):
+            return None  # a full coloring with no monochromatic witness set
+        if color <= used and color < s:
+            nodes += 1
+            if nodes > ceiling:
+                return None
+            held = holders[color]
+            for rest in closing[i]:
+                if rest <= held:
+                    color += 1
+                    break
+            else:
+                held.add(keys[i])
+                path.append(color)
+                used = max(used, color + 1)
+                color = 0
+            continue
+        if not path:
+            return nodes
+        color = path.pop()
+        holders[color].discard(keys[len(path)])
+        if not holders[color]:
+            used = color
+        color += 1
+
+
 def verify_witness(certificate: str, exhaustive_ceiling: int = EXHAUSTIVE_CEILING) -> bool:
     """Replay a search certificate without the search engine.
 
-    The instance is rebuilt from the certificate header alone.  A
-    witness claim is re-established by scanning every coloring with an
-    independent monochromaticity check (dictionary-based, no index
-    tables shared with the searcher); a bad-coloring claim is checked
-    by confirming totality and that every witness configuration is
-    non-monochromatic.  Malformed or tampered certificates are rejected.
+    The instance is rebuilt from the certificate header alone, and
+    every check works on serialized item keys in dictionaries and sets,
+    sharing no index table, mask or helper with the searchers.
+
+    A witness claim is re-established by a restricted-growth depth-first
+    replay over the rebuilt items in order: an item may take a color
+    already used or the least unused one, and a branch is cut at the
+    item that closes a witness configuration (its last item) when that
+    configuration is monochromatic.  The replay is complete for two
+    reasons.  Permuting the colors maps monochromatic configurations to
+    monochromatic ones, and every coloring is such a permutation of
+    exactly one restricted-growth coloring, so checking those checks
+    all s^N.  A closed configuration that is monochromatic stays so
+    under every extension of the branch, so each cut branch holds no
+    coloring without a monochromatic configuration.  The claim holds iff
+    the replay reaches no full coloring.  `exhaustive_ceiling` bounds
+    the replay's nodes (one node per item and color tried); a larger
+    replay is refused.  For s >= 2 the node count is below s^N, so every
+    claim the exhaustive scan can make under the same ceiling replays.
+    The certificate's work counter is checked too: a backtracking claim
+    must state the replay's node count as `nodes`, an exhaustive one s^N
+    as `colorings_checked`.
+
+    A bad-coloring claim is checked by confirming totality and that
+    every witness configuration is non-monochromatic.  Malformed,
+    tampered or refused certificates give False.
     """
     try:
         lines = [ln for ln in certificate.splitlines() if ln.strip()]
@@ -605,6 +682,9 @@ def verify_witness(certificate: str, exhaustive_ceiling: int = EXHAUSTIVE_CEILIN
         if int(fields["witnesses"]) != len(inst.witnesses):
             return False
         claim = fields["claim"]
+        if claim == "witness":
+            mode = fields["mode"]
+            counter = int(fields[_WORK_COUNTER[mode]])
     except Exception:
         return False
 
@@ -612,15 +692,6 @@ def verify_witness(certificate: str, exhaustive_ceiling: int = EXHAUSTIVE_CEILIN
     witness_sets = [
         {space.serialize(inst.items[i]) for i in cfg} for cfg in inst.configs
     ]
-
-    def monochromatic(colors: dict) -> bool:
-        for ws in witness_sets:
-            if not ws:
-                continue
-            seen = {colors[key] for key in ws}
-            if len(seen) == 1:
-                return True
-        return False
 
     if claim == "bad-coloring":
         colors = dict(items_colors)
@@ -630,15 +701,15 @@ def verify_witness(certificate: str, exhaustive_ceiling: int = EXHAUSTIVE_CEILIN
             return False
         if any(not 0 <= c < s for c in colors.values()):
             return False
-        return not monochromatic(colors)
+        return not any(
+            len({colors[key] for key in ws}) == 1 for ws in witness_sets if ws
+        )
 
     if claim == "witness":
         keys = [space.serialize(a) for a in inst.items]
-        if s < 1 or s ** len(keys) > exhaustive_ceiling:
+        if s < 1 or (mode == "exhaustive" and counter != s ** len(keys)):
             return False
-        for assignment in itertools.product(range(s), repeat=len(keys)):
-            if not monochromatic(dict(zip(keys, assignment))):
-                return False
-        return True
+        nodes = _replay_witness_claim(keys, witness_sets, s, exhaustive_ceiling)
+        return nodes is not None and (mode == "exhaustive" or counter == nodes)
 
     return False

@@ -103,8 +103,20 @@ class MatrixSpace(Space):
             return False
         if ma.nrows == 0:
             return True
-        basis = self._cut_basis(mb, ma.cols)
-        return all(in_span(r, basis) for r in ma.rows)
+        # b's rows pivoting before a's columns, cut there, are the RREF
+        # basis of b's cut row space (see _cut_basis); zip cuts them.
+        # Clearing a row at each basis pivot leaves zero iff it is in
+        # the span, as in gflinalg.in_span.
+        q, cols = self.q, ma.cols
+        basis = [(r, p) for r, p in zip(mb.rows, mb.pivots) if p < cols]
+        for w in ma.rows:
+            for r, p in basis:
+                f = w[p]
+                if f:
+                    w = [(x - f * y) % q for x, y in zip(w, r)]
+            if any(w):
+                return False
+        return True
 
     def fin_below(self, a: Approximation) -> list[Approximation]:
         self.check_tag(a)

@@ -113,7 +113,7 @@ def test_criterion_3_classical_ramsey_six():
     result, inner = _run_criterion_3()
     ok = result.outcome == "found" and result.value == 6
     ok = ok and "level=5" in (result.lower_bound_certificate or "")
-    # independent replays: the found claim re-checks all 2^15 colorings
+    # independent replays: the found claim and the bad coloring at 5
     ok = ok and verify_witness(result.found_certificate)
     ok = ok and verify_witness(result.lower_bound_certificate)
     # the pentagon coloring certifies the same lower bound

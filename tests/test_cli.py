@@ -5,6 +5,7 @@ import pytest
 
 from ramspace import cli, matrix_space, partition_space
 from ramspace.audit import AxiomCheck, AxiomReport, AuditBounds
+from ramspace.ramsey import verify_witness
 
 
 @pytest.fixture(scope="module")
@@ -159,6 +160,20 @@ def test_ramsey_glr_found(capsys, schema):
         "--q", "2", "--k", "1", "--n", "2", "--s", "2", "--bound", "4",
     )
     assert code == 0 and payload["value"] == 3
+
+
+def test_ramsey_glr_three_colors_replays(capsys, schema):
+    # GLR_2(1,2;3) = 5: its found claim is 3^31 colorings, far above the
+    # ceiling, but the replay visits only the search's 545,795 nodes.
+    code, payload = run_json(
+        capsys, schema, "ramsey", "glr", "--q", "2", "--k", "1", "--n", "2",
+        "--s", "3", "--bound", "5", "--mode", "backtracking",
+    )
+    assert code == 0 and payload["value"] == 5
+    certs = payload["certificates"]
+    assert "nodes=545795" in certs["found"].splitlines()
+    assert set(certs) == {"found", "lower_bound"}
+    assert all(verify_witness(c) for c in certs.values())
 
 
 def test_ramsey_exhausted(capsys, schema):

@@ -18,6 +18,7 @@ from ramspace.ramsey import (
     glr_witness,
     gr_paramset_witness,
     verify_witness,
+    _classical_level,
     _level_backtracking,
     _level_exhaustive,
 )
@@ -250,6 +251,37 @@ def test_verify_rejects_partial_coloring():
         if not ln.startswith("item=q=2;01")
     ]
     assert not verify_witness("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize(
+    "search",
+    [
+        lambda: classical_ramsey_number(2, 3, 2, 8, mode="backtracking"),
+        lambda: classical_ramsey_number(1, 6, 2, 12, mode="backtracking"),
+        lambda: finite_ramsey_witness("ellentuck", 3, 4, 2, 8, mode="backtracking"),
+        lambda: glr_witness(2, 1, 2, 2, 4, mode="backtracking"),
+        lambda: gr_paramset_witness(1, 3, 3, 4, mode="backtracking"),
+        lambda: finite_ramsey_witness("partition", 2, 3, 2, 7, mode="backtracking"),
+    ],
+)
+def test_replay_visits_the_search_nodes(search):
+    res = search()
+    assert res.outcome == FOUND
+    assert f"nodes={res.stats['nodes']}" in res.found_certificate.splitlines()
+    certificates = (res.found_certificate, res.lower_bound_certificate)
+    assert all(verify_witness(c) for c in certificates if c)
+
+
+def test_classical_items_follow_the_shifted_search():
+    # From 11 points on, a numeric order of the k-subsets is not the
+    # serialization order of their pinned (k+1)-subsets; the replay's
+    # node count depends on the order, so it takes the search's.
+    for M, k in [(6, 2), (12, 2), (12, 3)]:
+        inner = build_level("ellentuck", M + 1, k + 1, k + 2)
+        classical = _classical_level(M, k, k + 1)
+        assert [a.payload for a in classical.items] == [
+            a.payload[:-1] for a in inner.items
+        ]
 
 
 def test_found_certificates_deterministic():

@@ -21,7 +21,7 @@ from ramspace import (
     stirling2,
     subspace_initial_segment,
 )
-from ramspace.gflinalg import rref_of_rows
+from ramspace.gflinalg import in_span, rref_of_rows
 from ramspace.spaces import parse_params_str, space_from_params
 from ramspace.errors import (
     CeilingExceededError,
@@ -389,6 +389,21 @@ def test_cut_basis_matches_row_reduction(q, max_cols):
         for cols in range(m.cols + 1):
             cut = (r[:cols] for r in m.rows)
             assert space._cut_basis(m, cols) == rref_of_rows(cut, cols, q)
+
+
+@pytest.mark.parametrize("q, max_cols", [(2, 4), (3, 3), (5, 3), (7, 3)])
+def test_matrix_fin_leq_matches_in_span_over_the_cut_basis(q, max_cols):
+    space = matrix_space(q, max_cols)
+    stems = space.stems()
+    for a in stems:
+        leads = tuple(r.index(next(filter(None, r))) for r in a.payload.rows)
+        assert a.payload.pivots == leads
+        for b in stems:
+            ma, mb = a.payload, b.payload
+            want = ma.cols <= mb.cols and all(
+                in_span(r, space._cut_basis(mb, ma.cols)) for r in ma.rows
+            )
+            assert space.fin_leq(a, b) == want
 
 
 # ----- serialization -----

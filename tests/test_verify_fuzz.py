@@ -1,7 +1,16 @@
 """Fuzzing the certificate verifiers: genuine certificates mutated by
 small edits get a bool back, never an exception, and a fixed list of
-tamperings is rejected."""
+tamperings is rejected.
 
+`_product_oracle` is verify_witness as it was written before the
+restricted-growth replay: a witness claim is replayed over all s^N
+colorings.  It is kept here as the reference every certificate under
+its ceiling is compared against.
+"""
+
+import itertools
+import json
+import pathlib
 import re
 
 import pytest
@@ -11,11 +20,99 @@ from hypothesis import strategies as st
 from ramspace import ell_space, matrix_space, partition_space
 from ramspace.forcing import front_family, galvin_search, verify_dichotomy
 from ramspace.ramsey import (
+    _level_backtracking,
+    _rebuild_level_from_fields,
     classical_ramsey_number,
     finite_ramsey_witness,
     glr_witness,
     verify_witness,
 )
+
+DATA = pathlib.Path(__file__).parent / "data" / "witness_results.json"
+ORACLE_CEILING = 1 << 16
+
+
+def _product_oracle(certificate: str):
+    """The s^N replay: True or False, or None when s^N is above
+    ORACLE_CEILING.  A witness claim must also state its work: s^N
+    colorings in exhaustive mode, and in backtracking mode the nodes the
+    backtracking searcher takes on the rebuilt level."""
+    try:
+        lines = [ln for ln in certificate.splitlines() if ln.strip()]
+        if lines[0] != "ramsey-certificate v1":
+            return False
+        fields = {"instance_line": lines[1]}
+        items_colors = []
+        for ln in lines[2:]:
+            if ln.startswith("item="):
+                body, _, color = ln[5:].partition(";color=")
+                items_colors.append((body, int(color)))
+            else:
+                key, _, value = ln.partition("=")
+                fields[key] = value
+        s = int(fields["s"])
+        inst = _rebuild_level_from_fields(fields)
+        if int(fields["domain"]) != len(inst.items):
+            return False
+        if int(fields["witnesses"]) != len(inst.witnesses):
+            return False
+        claim = fields["claim"]
+    except Exception:
+        return False
+
+    space = inst.space
+    witness_sets = [
+        {space.serialize(inst.items[i]) for i in cfg} for cfg in inst.configs
+    ]
+
+    def monochromatic(colors):
+        for ws in witness_sets:
+            if not ws:
+                continue
+            seen = {colors[key] for key in ws}
+            if len(seen) == 1:
+                return True
+        return False
+
+    if claim == "bad-coloring":
+        colors = dict(items_colors)
+        if len(colors) != len(inst.items):
+            return False
+        if {space.serialize(a) for a in inst.items} != set(colors):
+            return False
+        if any(not 0 <= c < s for c in colors.values()):
+            return False
+        return not monochromatic(colors)
+
+    if claim == "witness":
+        keys = [space.serialize(a) for a in inst.items]
+        if s < 1:
+            return False
+        if s ** len(keys) > ORACLE_CEILING:
+            return None
+        for assignment in itertools.product(range(s), repeat=len(keys)):
+            if not monochromatic(dict(zip(keys, assignment))):
+                return False
+        mode = fields.get("mode")
+        if mode == "exhaustive":
+            return _stated(fields, "colorings_checked") == s ** len(keys)
+        if mode == "backtracking":
+            return _stated(fields, "nodes") == _level_backtracking(inst, s, None)[2]
+        return False
+
+    return False
+
+
+def _stated(fields: dict, key: str):
+    try:
+        return int(fields[key])
+    except (KeyError, ValueError):
+        return None
+
+
+def _agrees_with_the_oracle(certificate: str) -> bool:
+    expected = _product_oracle(certificate)
+    return expected is None or verify_witness(certificate) is expected
 
 
 def _galvin(space, members):
@@ -39,17 +136,23 @@ DICHOTOMY = [
 ]
 
 R33 = classical_ramsey_number(2, 3, 2, bound=8)
+R33_BT = classical_ramsey_number(2, 3, 2, bound=8, mode="backtracking")
 PIGEONHOLE = classical_ramsey_number(1, 2, 2, bound=5)
 FANO = glr_witness(2, 1, 2, 2, bound=4)
-# R(3,3)'s witness claim is left out of the fuzzing: an `s` edited to 3
-# would replay up to 3^15 colorings.
+FANO_BT = glr_witness(2, 1, 2, 2, bound=4, mode="backtracking")
 WITNESS = [
     PIGEONHOLE.found_certificate,
     PIGEONHOLE.lower_bound_certificate,
     FANO.found_certificate,
     FANO.lower_bound_certificate,
+    FANO_BT.found_certificate,
     R33.lower_bound_certificate,
+    R33.found_certificate,
+    R33_BT.found_certificate,
     finite_ramsey_witness("partition", 1, 2, 2, bound=5).found_certificate,
+    finite_ramsey_witness(
+        "ellentuck", 2, 4, 2, bound=7, mode="backtracking"
+    ).found_certificate,
 ]
 
 INTEGER = re.compile(r"-?\d+")
@@ -90,6 +193,30 @@ def test_genuine_certificates_verify():
     assert all(verify_dichotomy(c) for c in DICHOTOMY)
     assert all(verify_witness(c) for c in WITNESS)
     assert verify_witness(R33.found_certificate)
+    assert verify_witness(R33_BT.found_certificate)
+
+
+def test_pinned_grid_certificates_agree_with_the_oracle():
+    for job in json.loads(DATA.read_text())["jobs"]:
+        for name, certificate in job["certificates"].items():
+            assert verify_witness(certificate), (job["argv"], name)
+            assert _agrees_with_the_oracle(certificate), (job["argv"], name)
+
+
+def test_r33_certificates_agree_with_the_oracle():
+    for result in (R33, R33_BT):
+        assert _product_oracle(result.found_certificate) is True
+        assert _agrees_with_the_oracle(result.found_certificate)
+        assert _agrees_with_the_oracle(result.lower_bound_certificate)
+
+
+def test_replay_above_the_node_ceiling_is_refused():
+    # The R(3,3) replay takes 987 nodes, the searcher's count.
+    found = R33_BT.found_certificate
+    assert "nodes=987" in found.splitlines()
+    assert verify_witness(found, exhaustive_ceiling=987)
+    assert verify_witness(found, exhaustive_ceiling=986) is False
+    assert verify_witness(found, exhaustive_ceiling=100) is False
 
 
 @settings(max_examples=40, deadline=None)
@@ -102,6 +229,7 @@ def test_fuzz_verify_dichotomy(text):
 @given(text=mutated(WITNESS))
 def test_fuzz_verify_witness(text):
     assert isinstance(verify_witness(text), bool)
+    assert _agrees_with_the_oracle(text)
 
 
 def _edit(certificate: str, old: str, new: str) -> str:
@@ -119,6 +247,16 @@ DICHOTOMY_TAMPERINGS = {
 }
 
 FOUND, BAD = R33.found_certificate, R33.lower_bound_certificate
+FOUND_BT = R33_BT.found_certificate
+
+
+def _drop(certificate: str, line: str) -> str:
+    assert line in certificate.splitlines()
+    return "".join(
+        ln + "\n" for ln in certificate.splitlines() if ln != line
+    )
+
+
 WITNESS_TAMPERINGS = {
     "witness-flipped": _edit(FOUND, "claim=witness", "claim=bad-coloring"),
     "bad-coloring-flipped": _edit(BAD, "claim=bad-coloring", "claim=witness"),
@@ -131,6 +269,32 @@ WITNESS_TAMPERINGS = {
     "bad-coloring-level": _edit(BAD, "level=5", "level=4"),
     "bad-coloring-domain": _edit(BAD, "domain=10", "domain=11"),
     "bad-coloring-witnesses": _edit(BAD, "witnesses=10", "witnesses=9"),
+    "witness-s=3": _edit(FOUND, "s=2", "s=3"),
+    "witness-s=1": _edit(FOUND, "s=2", "s=1"),
+    "witness-colorings_checked+1": _edit(
+        FOUND, "colorings_checked=32768", "colorings_checked=32769"
+    ),
+    "witness-colorings_checked-1": _edit(
+        FOUND, "colorings_checked=32768", "colorings_checked=32767"
+    ),
+    "witness-colorings_checked-missing": _drop(FOUND, "colorings_checked=32768"),
+    "witness-mode-missing": _drop(FOUND, "mode=exhaustive"),
+    "witness-mode-unknown": _edit(FOUND, "mode=exhaustive", "mode=guess"),
+    "witness-mode-flipped": _edit(FOUND, "mode=exhaustive", "mode=backtracking"),
+    "backtracking-nodes+1": _edit(FOUND_BT, "nodes=987", "nodes=988"),
+    "backtracking-nodes-1": _edit(FOUND_BT, "nodes=987", "nodes=986"),
+    "backtracking-nodes=0": _edit(FOUND_BT, "nodes=987", "nodes=0"),
+    "backtracking-nodes-missing": _drop(FOUND_BT, "nodes=987"),
+    "backtracking-nodes-as-colorings": _edit(
+        FOUND_BT, "nodes=987", "colorings_checked=987"
+    ),
+    "backtracking-mode-flipped": _edit(
+        FOUND_BT, "mode=backtracking", "mode=exhaustive"
+    ),
+    "backtracking-level+1": _edit(FOUND_BT, "level=6", "level=7"),
+    "backtracking-level-1": _edit(FOUND_BT, "level=6", "level=5"),
+    "backtracking-s=3": _edit(FOUND_BT, "s=2", "s=3"),
+    "backtracking-s=1": _edit(FOUND_BT, "s=2", "s=1"),
 }
 
 
@@ -142,3 +306,4 @@ def test_verify_dichotomy_rejects_tampering(name):
 @pytest.mark.parametrize("name", sorted(WITNESS_TAMPERINGS))
 def test_verify_witness_rejects_tampering(name):
     assert verify_witness(WITNESS_TAMPERINGS[name]) is False
+    assert _agrees_with_the_oracle(WITNESS_TAMPERINGS[name])
