@@ -369,6 +369,10 @@ def _audit_a5(uni, report, bounds):
             f"B={space.serialize(items[b_top])}"
         )
 
+    # (ii) reads its pairs in walk order; walking them first keeps the
+    # order only for those pairs, and (i) reads their masks.
+    pairs = _amalgamation_pairs(uni, bounds)
+
     # (i) preserved-prefix stems keep the base reachable.
     instances = 0
     for t in uni.tops:
@@ -396,32 +400,42 @@ def _audit_a5(uni, report, bounds):
     # are tried longest first.
     cap = bounds.amalgamation_cap
     instances = 0
+    for t, a, n in pairs:
+        reach, _ = uni.neighborhood(uni.chains[t][n], t)
+        candidates = sorted(iter_bits(reach & up[a]), key=lambda c: -items[c].length)
+        for b_top in uni.walk(a, t):
+            if instances >= cap:
+                break
+            instances += 1
+            if not any(
+                not uni.neighborhood(a, c)[0] & ~down[b_top] for c in candidates
+            ):
+                _fail(
+                    report, "A5", "amalgamation-ii", instances,
+                    witness(t, a, b_top),
+                )
+                return
+    _ok(report, "A5", "amalgamation-ii", instances, notes=f"cap={cap}")
+
+
+def _amalgamation_pairs(uni, bounds):
+    """The (t, a, depth) pairs A5(ii) sweeps, in its order, each walked
+    here: [a, t] for a of length <= max_len and depth <= max_depth below
+    each stem top, until the walks hold `amalgamation_cap` instances."""
+    pairs = []
+    walked = 0
     for t in uni.tops:
-        if instances >= cap:
+        if walked >= bounds.amalgamation_cap:
             break
         for a in uni.below(t):
-            if items[a].length > bounds.max_len or instances >= cap:
+            if uni.lengths[a] > bounds.max_len or walked >= bounds.amalgamation_cap:
                 break
             n = uni.depth(a, t)
             if n > bounds.max_depth:
                 continue
-            reach, _ = uni.neighborhood(uni.chains[t][n], t)
-            candidates = sorted(
-                iter_bits(reach & up[a]), key=lambda c: -items[c].length
-            )
-            for b_top in uni.walk(a, t):
-                if instances >= cap:
-                    break
-                instances += 1
-                if not any(
-                    not uni.neighborhood(a, c)[0] & ~down[b_top] for c in candidates
-                ):
-                    _fail(
-                        report, "A5", "amalgamation-ii", instances,
-                        witness(t, a, b_top),
-                    )
-                    return
-    _ok(report, "A5", "amalgamation-ii", instances, notes=f"cap={cap}")
+            walked += len(uni.walk(a, t))
+            pairs.append((t, a, n))
+    return pairs
 
 
 def _audit_a6(uni, report, bounds):

@@ -297,7 +297,7 @@ def cmd_reduce(args) -> int:
             f"stage{i}": c for i, c in enumerate(result.certificates) if c
         },
         "diagnostics": result.diagnostics or None,
-        "stats": {},
+        "stats": result.stats,
     }
     text = [f"outcome: {result.outcome}"]
     if result.stem:
@@ -334,16 +334,7 @@ def _add_space_options(p):
     )
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="ramspace",
-        description="Audits, dichotomy searches, and Ramsey witnesses "
-        "on truncated approximation spaces.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("audit", help="check the structural laws of a space")
+def _audit_options(p, named):
     _add_space_options(p)
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--max-len", type=int, default=2)
@@ -351,7 +342,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_audit)
 
-    p = sub.add_parser("galvin", help="run the dichotomy search for a front family")
+
+def _galvin_options(p, named):
     _add_space_options(p)
     p.add_argument("--family", help="family file (header + one member per line)")
     p.add_argument(
@@ -372,10 +364,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_common(p)
     p.set_defaults(fn=cmd_galvin)
 
-    p = sub.add_parser("ramsey", help="compute a finite Ramsey-type witness")
+
+def _ramsey_options(p, named):
     variant = p.add_subparsers(dest="variant", required=True)
     for name in ("classical", "glr", "paramset", "witness"):
         v = variant.add_parser(name)
+        if named is not None and named[1:] != [name]:
+            continue
         v.add_argument("--k", type=int, required=True)
         if name == "paramset":
             v.add_argument("--m", type=int, required=True)
@@ -393,16 +388,50 @@ def build_parser() -> argparse.ArgumentParser:
         _add_common(v)
         v.set_defaults(fn=cmd_ramsey)
 
-    p = sub.add_parser("reduce", help="find a reduct on which a coloring is constant")
+
+def _reduce_options(p, named):
     p.add_argument("--coloring", required=True, help="coloring file")
     p.add_argument("--stem", help="ambient stem serialization (default: full stem)")
     _add_common(p)
     p.set_defaults(fn=cmd_reduce)
+
+
+# name, help, option builder
+COMMANDS = (
+    ("audit", "check the structural laws of a space", _audit_options),
+    ("galvin", "run the dichotomy search for a front family", _galvin_options),
+    ("ramsey", "compute a finite Ramsey-type witness", _ramsey_options),
+    ("reduce", "find a reduct on which a coloring is constant", _reduce_options),
+)
+
+
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The argument parser for `argv`, or for every command without it.
+
+    Every command and `ramsey` variant is registered, but only the ones
+    `argv` names get their options: building the options of all of them
+    would cost most of a short job.  The top-level parser and `ramsey`
+    take no option with a value, so the names are the first two
+    arguments that are not options; argparse reads no other subparser.
+    """
+    named = None if argv is None else [a for a in argv if not a.startswith("-")][:2]
+    parser = argparse.ArgumentParser(
+        prog="ramspace",
+        description="Audits, dichotomy searches, and Ramsey witnesses "
+        "on truncated approximation spaces.",
+    )
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, help_text, add_options in COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        if named is None or named[:1] == [name]:
+            add_options(p, named)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    parser = build_parser(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:

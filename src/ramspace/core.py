@@ -15,6 +15,13 @@ assumes, see audit.py):
 
 All values are immutable; every operation is a pure function, so
 instances can be shared freely across threads.
+
+Two integer-id views sit on top of the contract.  `Index` gives ids
+lazily, on first sight, and holds the values, their ids and lengths: a
+forcing engine owns one and walks on its ids.  `Universe` is an `Index`
+of a whole truncated universe with its order held as bitsets, built by
+one eager `fin_leq` sweep: the audit's.  Each belongs to the engine or
+sweep that builds it.
 """
 
 from __future__ import annotations
@@ -290,8 +297,40 @@ def iter_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-class Universe:
-    """Integer ids for one truncated universe, its order held as bitsets.
+class Index:
+    """Lazy integer ids for the approximations of one space.
+
+    A value gets the next free id the first time it is indexed:
+    `items[i]` is the value with id i, `index` maps each value to its
+    id and `lengths[i]` is its length.  Nothing is swept up front, so an
+    index costs only the values its owner meets.  The engine or sweep
+    that builds an index owns it; nothing is shared between them.
+    """
+
+    def __init__(self, space: Space):
+        self.space = space
+        self.items: list[Approximation] = []
+        self.index: dict[Approximation, int] = {}
+        self.lengths: list[int] = []
+
+    def id(self, a: Approximation) -> int:
+        i = self.index.get(a)
+        return self._add(a) if i is None else i
+
+    def ids(self, values: Iterable[Approximation]) -> list[int]:
+        return [self.id(a) for a in values]
+
+    def _add(self, a: Approximation) -> int:
+        i = len(self.items)
+        self.items.append(a)
+        self.index[a] = i
+        self.lengths.append(a.length)
+        return i
+
+
+class Universe(Index):
+    """An `Index` of one whole truncated universe, its order held as
+    bitsets.
 
     The universe is the union of `fin_below` over `space.stems()`; id i
     is its i-th member in `sort_key` order.  Each stem top's `fin_below`
@@ -305,21 +344,21 @@ class Universe:
     contract produces one) gets the next free id when first indexed,
     with its order bits asked of `fin_leq` against every indexed value,
     so each bit is always a primitive answer.  `below` keeps each
-    `fin_below` answer and `neighborhood` each [base, top] walk, as
-    asked, for the life of the index.  The sweep that builds an index
-    owns it; nothing is shared between sweeps.
+    `fin_below` answer and `neighborhood` each [base, top] mask, as
+    asked, for the life of the index; `walk` keeps the order of the
+    pairs it is asked for.
     """
 
     def __init__(self, space: Space):
-        self.space = space
+        super().__init__(space)
         stems = space.stems()
         # Held answers share one object per value until they get ids,
         # so keeping every answer costs a reference per entry.
         seen: dict[Approximation, Approximation] = {}
         answers = [[seen.setdefault(b, b) for b in space.fin_below(t)] for t in stems]
-        self.items = sorted(seen, key=space.sort_key)
+        for a in sorted(seen, key=space.sort_key):
+            super()._add(a)
         self.size = len(self.items)
-        self.index = {a: i for i, a in enumerate(self.items)}
         leq = space.fin_leq
         self.down: list[int] = []
         self.up = [0] * self.size
@@ -335,20 +374,12 @@ class Universe:
         self.chains = {t: self.ids(space.chain(self.items[t])) for t in self.tops}
         self._below = {t: self.ids(below) for t, below in zip(self.tops, answers)}
         self._nbhd: dict[tuple[int, int], tuple[int, int]] = {}
-
-    def id(self, a: Approximation) -> int:
-        i = self.index.get(a)
-        return self._add(a) if i is None else i
-
-    def ids(self, values: Iterable[Approximation]) -> list[int]:
-        return [self.id(a) for a in values]
+        self._order: dict[tuple[int, int], list[int]] = {}
 
     def _add(self, a: Approximation) -> int:
         leq = self.space.fin_leq
-        i = len(self.items)
+        i = super()._add(a)
         bit = 1 << i
-        self.items.append(a)
-        self.index[a] = i
         self.down.append(0)
         self.up.append(0)
         for j, b in enumerate(self.items):
@@ -378,7 +409,23 @@ class Universe:
         )
 
     def walk(self, base: int, top: int) -> list[int]:
-        """Ids of [base, top] in `iter_neighborhood` order; keeps its mask."""
+        """Ids of [base, top] in `iter_neighborhood` order.  The order is
+        kept with the pair's mask, so the pair is not walked again."""
+        order = self._order.get((base, top))
+        if order is None:
+            order = self._order[base, top] = self._sweep(base, top)
+        return order
+
+    def neighborhood(self, base: int, top: int) -> tuple[int, int]:
+        """[base, top] as an id bitmask, with the number of values its
+        walk yields; a pair already walked is not walked again."""
+        got = self._nbhd.get((base, top))
+        if got is None:
+            self._sweep(base, top)
+            got = self._nbhd[base, top]
+        return got
+
+    def _sweep(self, base: int, top: int) -> list[int]:
         order = self.ids(
             self.space.iter_neighborhood(self.items[base], self.items[top])
         )
@@ -388,12 +435,3 @@ class Universe:
                 mask |= 1 << i
             self._nbhd[base, top] = (mask, len(order))
         return order
-
-    def neighborhood(self, base: int, top: int) -> tuple[int, int]:
-        """[base, top] as an id bitmask, with the number of values its
-        walk yields; a pair already walked is not walked again."""
-        got = self._nbhd.get((base, top))
-        if got is None:
-            self.walk(base, top)
-            got = self._nbhd[base, top]
-        return got

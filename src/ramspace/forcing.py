@@ -33,7 +33,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
-from .core import Approximation, Space, Stem
+from .core import Approximation, Index, Space, Stem
 from .errors import (
     CeilingExceededError,
     EmptyNeighborhoodError,
@@ -104,14 +104,21 @@ class ChainStatus(enum.Enum):
 
 
 class ForcingEngine:
-    """Memoized chain walks and forcing verdicts for one family.
+    """Memoized chain walks and forcing verdicts for one family, on ids.
 
-    A fresh engine is a pure function of (family, horizon, max_reducts);
-    its memo table is a write-once cache keyed by approximation values,
-    so sharing an engine across threads would be safe if every writer
-    computes identical values.  Searches here are single-threaded.
-    Engines share no state: neighborhoods are swept afresh on each
-    request, so memory is released with the engine.
+    The engine owns one lazy `core.Index` of the approximations it
+    meets: the family's members, the stems and bases it is asked about,
+    the reducts its sweeps yield and the children its walks visit.
+    Walks run on these ids, with a memo keyed by one int per
+    (node, top) pair and the members held as a set of ids.  The index
+    gives ids only to values the engine meets, so it sweeps nothing up
+    front, and it holds no child lists: a walk asks the space's
+    `extensions_below` once per node it visits.
+
+    A fresh engine is a pure function of (family, horizon, max_reducts),
+    single-threaded.  Engines share no state: neighborhoods are swept
+    afresh through the space's `iter_neighborhood` on each request, so
+    memory is released with the engine.
     """
 
     def __init__(
@@ -129,16 +136,18 @@ class ForcingEngine:
         if self.horizon < 0:
             raise ValueError("horizon must be nonnegative")
         self.max_reducts = max_reducts
-        self._members = set(family.members)
-        self._walk_memo: dict[tuple[Approximation, Approximation], ChainStatus] = {}
+        self.index = Index(self.space)
+        self._members = frozenset(self.index.ids(family.members))
+        self._walk_memo: dict[int, ChainStatus] = {}
         self.nodes = 0
 
     # ----- chain walk -----
 
     def hit_index(self, a: Approximation) -> int | None:
         """First i <= |a| with the length-i restriction in the family."""
+        ids = self.index.index
         for i in range(a.length + 1):
-            if self.space.restrict(a, i) in self._members:
+            if ids.get(self.space.restrict(a, i)) in self._members:
                 return i
         return None
 
@@ -153,28 +162,31 @@ class ForcingEngine:
                 return True
         return False
 
-    def walk(self, c: Approximation, top: Approximation) -> ChainStatus:
-        """Status of the chains through the clean node `c` below `top`."""
-        key = (c, top)
+    def walk(self, c: int, top: int) -> ChainStatus:
+        """Status of the chains through the clean node with id `c` below
+        the stem top with id `top`."""
+        key = c << 32 | top  # ids stay far below 2**32
         cached = self._walk_memo.get(key)
         if cached is not None:
             return cached
         self.nodes += 1
-        if c.length >= self.bound:
+        length = self.index.lengths[c]
+        if length >= self.bound:
             status = ChainStatus.AVOID
-        elif c.length >= self.horizon:
+        elif length >= self.horizon:
             status = ChainStatus.HORIZON
         else:
-            children = self.space.extensions_below(c, top)
+            items = self.index.items
+            children = self.space.extensions_below(items[c], items[top])
             if not children:
                 status = (
                     ChainStatus.EXHAUSTED
-                    if self._can_still_hit(c, top)
+                    if self._can_still_hit(items[c], items[top])
                     else ChainStatus.AVOID
                 )
             else:
                 status = ChainStatus.ALL_HIT
-                for d in children:
+                for d in map(self.index.id, children):
                     if d in self._members:
                         continue
                     status = status.worse(self.walk(d, top))
@@ -186,7 +198,7 @@ class ForcingEngine:
     def chain_status(self, top: Approximation, a: Approximation) -> ChainStatus:
         if self.hit_index(a) is not None:
             return ChainStatus.ALL_HIT
-        return self.walk(a, top)
+        return self.walk(self.index.id(a), self.index.id(top))
 
     # ----- neighborhood sweep -----
 
@@ -211,7 +223,9 @@ class ForcingEngine:
         at the truncation carry no evidence either way (they are noted
         but do not block a rejection).
 
-        The preserved-depth neighborhood is read lazily and the sweep
+        The hit test of `a` runs once, for the stem's own status; the
+        sweep then walks `a` below the id of each reduct it yields.  The
+        preserved-depth neighborhood is read lazily and the sweep
         stops at the first accepting reduct.  Raises CeilingExceededError
         when it passes `max_reducts` reducts before that reduct, so a
         rejection is only ever certified over a fully swept neighborhood.
@@ -243,9 +257,11 @@ class ForcingEngine:
             )
         n = stem.depth(a)
         prefix = self.space.restrict(top, n)
+        # `a` is clean, so below each reduct its status is its walk.
+        base = self.index.id(a)
         open_proxies = 0
         for t in self._neighborhood(prefix, top):
-            st = self.chain_status(t, a)
+            st = self.walk(base, self.index.id(t))
             if st is ChainStatus.ALL_HIT:
                 return ForcingVerdict(
                     UNDECIDED,

@@ -492,6 +492,7 @@ class ReduceResult:
     color: int | None
     certificates: list[str]
     diagnostics: str = ""
+    stats: dict = field(default_factory=dict)
 
 
 def abs_ramsey_reduce(
@@ -499,12 +500,14 @@ def abs_ramsey_reduce(
 ) -> ReduceResult:
     """A reduct on which the coloring of length-k approximations is
     constant, obtained by peeling color classes off with the dichotomy
-    search (color 0 against the rest, recursing into the rest)."""
+    search (color 0 against the rest, recursing into the rest).  Its
+    stats sum the work counters of those searches."""
     space = coloring.space
     k, s = coloring.k, coloring.s
     if s < 1 or k < 1:
         raise ValueError("need s >= 1 and k >= 1")
     certificates: list[str] = []
+    stats = {"walk_nodes": 0, "reducts_scanned": 0}
     current = A
     for color in range(s - 1):
         members = [
@@ -515,17 +518,20 @@ def abs_ramsey_reduce(
         family = FrontFamily(space, tuple(members), k)
         res = galvin_search(current, family, params)
         certificates.append(res.certificate)
+        for key in stats:
+            stats[key] += res.stats.get(key, 0)
         if res.outcome == ALT2:
             _assert_monochromatic(space, res.stem, k, coloring, color)
-            return ReduceResult("mono", res.stem, color, certificates)
+            return ReduceResult("mono", res.stem, color, certificates, stats=stats)
         if res.outcome == ALT1:
             current = res.stem
             continue
         return ReduceResult(
-            "inconclusive", None, None, certificates, diagnostics=res.diagnostics
+            "inconclusive", None, None, certificates,
+            diagnostics=res.diagnostics, stats=stats,
         )
     _assert_monochromatic(space, current, k, coloring, s - 1)
-    return ReduceResult("mono", current, s - 1, certificates)
+    return ReduceResult("mono", current, s - 1, certificates, stats=stats)
 
 
 def _assert_monochromatic(space, stem, k, coloring, color):

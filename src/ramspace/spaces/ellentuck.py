@@ -20,6 +20,11 @@ from ..errors import (
 TAG = "ellentuck"
 
 
+def _closing_text(x: int) -> str:
+    """The text "x}" that ends the serialization of a child adding x."""
+    return f"{x}}}"
+
+
 @dataclass(frozen=True)
 class EllentuckSpace(Space):
     ground: int
@@ -63,18 +68,26 @@ class EllentuckSpace(Space):
         return sorted(out, key=self.sort_key)
 
     def extensions_below(self, a, top) -> list[Approximation]:
-        self.check_tag(a)
-        self.check_tag(top)
-        if not self.fin_leq(a, top):
+        if a.space_tag != self.tag or top.space_tag != self.tag:
+            self.check_tag(a)
+            self.check_tag(top)
+        payload = a.payload
+        if payload and not set(payload).issubset(top.payload):
             raise EmptyNeighborhoodError(
                 f"[{self.serialize(a)}, {self.serialize(top)}] is empty"
             )
-        last = a.payload[-1] if a.payload else -1
+        last = payload[-1] if payload else -1
+        kids = [x for x in top.payload if x > last]
         # Siblings share their serialized prefix, so `sort_key` order is
-        # the order of the text "x}" that ends each child (numeric order
-        # differs from ground 11 on: "10}" < "1}" < "2}").
-        kids = sorted((x for x in top.payload if x > last), key=lambda x: f"{x}}}")
-        return [Approximation(TAG, a.payload + (x,), a.length + 1) for x in kids]
+        # the order of the text "x}" that ends each child.  That is
+        # numeric order only while every child is a digit: "10}" < "1}"
+        # < "2}", and "-12}" < "-1}" < "0}".
+        if kids and (min(kids) < 0 or max(kids) > 9):
+            kids.sort(key=_closing_text)
+        else:
+            kids.sort()
+        n = a.length + 1
+        return [Approximation(TAG, payload + (x,), n) for x in kids]
 
     def stems(self) -> list[Approximation]:
         out = []
