@@ -334,42 +334,64 @@ def _add_space_options(p):
     )
 
 
-def _audit_options(p, named):
-    _add_space_options(p)
-    p.add_argument("--depth", type=int, default=4)
-    p.add_argument("--max-len", type=int, default=2)
-    p.add_argument("--a6", action="store_true", help="include the pigeonhole audit")
-    _add_common(p)
-    p.set_defaults(fn=cmd_audit)
+def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
+    """The argument parser for `argv`, or for every command without it.
 
+    Every command and `ramsey` variant is registered, but only the ones
+    `argv` names get their options: building the options of all of them
+    would cost most of a short job.  The top-level parser and `ramsey`
+    take no option with a value, so the names are the first two
+    arguments that are not options; argparse reads no other subparser.
+    """
+    named = None if argv is None else [a for a in argv if not a.startswith("-")][:2]
 
-def _galvin_options(p, named):
-    _add_space_options(p)
-    p.add_argument("--family", help="family file (header + one member per line)")
-    p.add_argument(
-        "--member",
-        action="append",
-        default=[],
-        help="inline family member (repeatable; requires --space options)",
+    def wanted(*names):
+        return named is None or named[: len(names)] == list(names)
+
+    parser = argparse.ArgumentParser(
+        prog="ramspace",
+        description="Audits, dichotomy searches, and Ramsey witnesses "
+        "on truncated approximation spaces.",
     )
-    p.add_argument("--length-bound", type=int)
-    p.add_argument("--stem", help="ambient stem serialization (default: full stem)")
-    p.add_argument("--horizon", type=int)
-    p.add_argument("--max-reducts", type=int, default=1 << 16)
-    p.add_argument(
-        "--no-greedy",
-        action="store_true",
-        help="refuse oversized universes instead of excluding greedily",
-    )
-    _add_common(p)
-    p.set_defaults(fn=cmd_galvin)
+    parser.add_argument("--version", action="version", version=__version__)
+    sub = parser.add_subparsers(dest="command", required=True)
 
+    p = sub.add_parser("audit", help="check the structural laws of a space")
+    if wanted("audit"):
+        _add_space_options(p)
+        p.add_argument("--depth", type=int, default=4)
+        p.add_argument("--max-len", type=int, default=2)
+        p.add_argument("--a6", action="store_true", help="include the pigeonhole audit")
+        _add_common(p)
+        p.set_defaults(fn=cmd_audit)
 
-def _ramsey_options(p, named):
+    p = sub.add_parser("galvin", help="run the dichotomy search for a front family")
+    if wanted("galvin"):
+        _add_space_options(p)
+        p.add_argument("--family", help="family file (header + one member per line)")
+        p.add_argument(
+            "--member",
+            action="append",
+            default=[],
+            help="inline family member (repeatable; requires --space options)",
+        )
+        p.add_argument("--length-bound", type=int)
+        p.add_argument("--stem", help="ambient stem serialization (default: full stem)")
+        p.add_argument("--horizon", type=int)
+        p.add_argument("--max-reducts", type=int, default=1 << 16)
+        p.add_argument(
+            "--no-greedy",
+            action="store_true",
+            help="refuse oversized universes instead of excluding greedily",
+        )
+        _add_common(p)
+        p.set_defaults(fn=cmd_galvin)
+
+    p = sub.add_parser("ramsey", help="compute a finite Ramsey-type witness")
     variant = p.add_subparsers(dest="variant", required=True)
     for name in ("classical", "glr", "paramset", "witness"):
         v = variant.add_parser(name)
-        if named is not None and named[1:] != [name]:
+        if not wanted("ramsey", name):
             continue
         v.add_argument("--k", type=int, required=True)
         if name == "paramset":
@@ -388,44 +410,12 @@ def _ramsey_options(p, named):
         _add_common(v)
         v.set_defaults(fn=cmd_ramsey)
 
-
-def _reduce_options(p, named):
-    p.add_argument("--coloring", required=True, help="coloring file")
-    p.add_argument("--stem", help="ambient stem serialization (default: full stem)")
-    _add_common(p)
-    p.set_defaults(fn=cmd_reduce)
-
-
-# name, help, option builder
-COMMANDS = (
-    ("audit", "check the structural laws of a space", _audit_options),
-    ("galvin", "run the dichotomy search for a front family", _galvin_options),
-    ("ramsey", "compute a finite Ramsey-type witness", _ramsey_options),
-    ("reduce", "find a reduct on which a coloring is constant", _reduce_options),
-)
-
-
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The argument parser for `argv`, or for every command without it.
-
-    Every command and `ramsey` variant is registered, but only the ones
-    `argv` names get their options: building the options of all of them
-    would cost most of a short job.  The top-level parser and `ramsey`
-    take no option with a value, so the names are the first two
-    arguments that are not options; argparse reads no other subparser.
-    """
-    named = None if argv is None else [a for a in argv if not a.startswith("-")][:2]
-    parser = argparse.ArgumentParser(
-        prog="ramspace",
-        description="Audits, dichotomy searches, and Ramsey witnesses "
-        "on truncated approximation spaces.",
-    )
-    parser.add_argument("--version", action="version", version=__version__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text, add_options in COMMANDS:
-        p = sub.add_parser(name, help=help_text)
-        if named is None or named[:1] == [name]:
-            add_options(p, named)
+    p = sub.add_parser("reduce", help="find a reduct on which a coloring is constant")
+    if wanted("reduce"):
+        p.add_argument("--coloring", required=True, help="coloring file")
+        p.add_argument("--stem", help="ambient stem serialization (default: full stem)")
+        _add_common(p)
+        p.set_defaults(fn=cmd_reduce)
     return parser
 
 

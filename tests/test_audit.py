@@ -353,3 +353,28 @@ def test_reports_match_the_primitive_audit_on_the_benchmark_grid():
             mismatched.append((case["space"], case["bounds"]))
     assert len(REPORTS["grid"]) == 209
     assert not mismatched
+
+
+@pytest.mark.parametrize(
+    "space, bounds",
+    [
+        (partition_space(6), AuditBounds(max_depth=3)),
+        (ell_space(8), AuditBounds(max_depth=4, include_a6=True)),
+        (matrix_space(2, 4), AuditBounds(max_depth=3)),
+    ],
+    ids=["partition-6", "ellentuck-8-a6", "matrix-2-4"],
+)
+def test_an_audit_walks_each_neighborhood_once(space, bounds, monkeypatch):
+    # The README audits: A5(ii) reads its pairs in walk order, A5(i)
+    # and A6 read masks, and no pair is walked twice.
+    walks = []
+    sweep = type(space).iter_neighborhood
+
+    def counting(self, a, top):
+        walks.append((a, top))
+        return sweep(self, a, top)
+
+    monkeypatch.setattr(type(space), "iter_neighborhood", counting)
+    report = audit_axioms(space, bounds)
+    assert report.passed
+    assert len(walks) == len(set(walks)) > 500

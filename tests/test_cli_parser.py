@@ -51,15 +51,33 @@ def test_parsed_namespaces_match_the_pinned_ones(case):
     assert _namespace(cli.build_parser(), argv) == case["namespace"]
 
 
-def test_only_the_named_command_gets_options():
-    def options(parser):
-        sub = parser._subparsers._group_actions[0].choices
-        return {name: len(p._actions) for name, p in sub.items()}
+def _options(parser):
+    """Action counts of each subparser, `ramsey` variants as ramsey/<name>."""
+    out = {}
+    for name, p in parser._subparsers._group_actions[0].choices.items():
+        out[name] = len(p._actions)
+        if name == "ramsey":
+            for v, q in p._subparsers._group_actions[0].choices.items():
+                out[f"ramsey/{v}"] = len(q._actions)
+    return out
 
-    full = options(cli.build_parser())
-    named = options(cli.build_parser(["galvin", "--family", "f.txt"]))
-    assert set(named) == set(full) == {"audit", "galvin", "ramsey", "reduce"}
-    assert named["galvin"] == full["galvin"]
-    # only the help option elsewhere
-    assert all(named[n] == 1 for n in ("audit", "ramsey", "reduce"))
-    assert all(full[n] > 1 for n in full)
+
+@pytest.mark.parametrize(
+    "argv, given",
+    [
+        (["galvin", "--family", "f.txt"], {"galvin"}),
+        (["--version", "audit", "--space", "ellentuck"], {"audit"}),
+        (["ramsey", "glr", "--k", "1"], {"ramsey", "ramsey/glr"}),
+        (["ramsey", "--help"], {"ramsey"}),
+        (["reduce", "ramsey"], {"reduce"}),
+        ([], set()),
+    ],
+)
+def test_only_the_named_command_gets_options(argv, given):
+    full = _options(cli.build_parser())
+    named = _options(cli.build_parser(argv))
+    assert set(named) == set(full) and len(full) == 8
+    # a command without options keeps its help option (and ramsey its
+    # variant list)
+    bare = {name: 2 if name == "ramsey" else 1 for name in full}
+    assert named == {name: full[name] if name in given else bare[name] for name in full}
