@@ -145,9 +145,9 @@ class ForcingEngine:
 
     def hit_index(self, a: Approximation) -> int | None:
         """First i <= |a| with the length-i restriction in the family."""
-        ids = self.index.index
+        id_of = self.index.index
         for i in range(a.length + 1):
-            if ids.get(self.space.restrict(a, i)) in self._members:
+            if id_of.get(self.space.restrict(a, i)) in self._members:
                 return i
         return None
 

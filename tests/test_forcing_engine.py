@@ -19,7 +19,11 @@ import pytest
 
 from ramspace import Stem, cli, ell_space, matrix_space, partition_space, ramsey
 from ramspace.core import Approximation
-from ramspace.errors import CeilingExceededError, EmptyNeighborhoodError, MixedSpaceError
+from ramspace.errors import (
+    CeilingExceededError,
+    EmptyNeighborhoodError,
+    MixedSpaceError,
+)
 from ramspace.forcing import (
     ACCEPTS,
     REJECTS,
@@ -234,10 +238,10 @@ CASES = [
 ]
 
 
-def _ask(engine, call, *args):
+def _ask(call, *args):
     """A call's answer, or the class and text of the error it raised."""
     try:
-        return call(engine)(*args)
+        return call(*args)
     except (CeilingExceededError, EmptyNeighborhoodError, ValueError) as e:
         return type(e).__name__, str(e)
 
@@ -256,8 +260,8 @@ def test_every_verdict_matches_the_primitive_engine(space, pool):
                 for a in space.fin_below(B.top):
                     if a.length > 2:
                         continue
-                    got = _ask(new, lambda e: e.verdict, B, a)
-                    assert got == _ask(old, lambda e: e.verdict, B, a), (fam, B, a)
+                    got = _ask(new.verdict, B, a)
+                    assert got == _ask(old.verdict, B, a), (fam, B, a)
                     compared += 1
                     if horizon is None and got.kind == REJECTS:
                         w_new = new.rejection_witness(B, a)
@@ -279,10 +283,8 @@ def test_the_ceiling_estimate_matches_the_primitive_engine(space, pool, max_redu
     for fam in families:
         family = front_family(space, fam, length_bound=2)
         base = space.empty()
-        got = _ask(ForcingEngine(family, None, max_reducts), lambda e: e.verdict, A, base)
-        want = _ask(
-            _PrimitiveEngine(family, None, max_reducts), lambda e: e.verdict, A, base
-        )
+        got = _ask(ForcingEngine(family, None, max_reducts).verdict, A, base)
+        want = _ask(_PrimitiveEngine(family, None, max_reducts).verdict, A, base)
         assert got == want, fam
         if isinstance(got, tuple):
             refused += 1
@@ -307,7 +309,8 @@ def test_walks_run_on_engine_owned_ids():
     e = ell_space(6)
     family = front_family(e, [e.make((0, 1)), e.make((2,))])
     engine = ForcingEngine(family)
-    assert [engine.index.items[i] for i in sorted(engine._members)] == list(family.members)
+    members = [engine.index.items[i] for i in sorted(engine._members)]
+    assert members == list(family.members)
     v = engine.verdict(e.full_stem(), e.make((1,)))
     assert v == _PrimitiveEngine(family).verdict(e.full_stem(), e.make((1,)))
     # Every walked pair is keyed by one int, and each id names one value.
