@@ -27,12 +27,10 @@ from .errors import (
 )
 from .gflinalg import (
     EchelonMatrix,
-    FieldElement,
-    FqMatrix,
     enumerate_rre,
     gaussian_binomial,
     in_span,
-    rref,
+    rref_of_rows,
     subspace_leq,
 )
 from .spaces import (
@@ -45,10 +43,8 @@ from .spaces import (
     ell_space,
     enumerate_partitions,
     mat_pn,
-    mat_rn,
     matrix_space,
     part_coarser,
-    part_rn,
     partition_space,
     stirling2,
     subspace_initial_segment,

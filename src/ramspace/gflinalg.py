@@ -1,9 +1,15 @@
 """Exact linear algebra over prime fields GF(q).
 
-Matrices are immutable tuples of int rows with entries reduced mod q.
-The canonical representative of a row space is its reduced row-echelon
-form with zero rows removed; subspaces of F_q^m are identified with
-their unique such representative throughout the package.
+Vectors and matrix rows are tuples of ints whose entries are already in
+0..q-1; nothing here reduces an entry mod q.  `EchelonMatrix` is the one
+matrix type, and its constructor is the one that checks a matrix: a
+prime q, row widths, int entries in range (an entry outside 0..q-1 is
+rejected, not reduced) and the echelon invariants.  Raw rows reach it
+through `rref_of_rows`, which runs the same row check before it
+eliminates.  The canonical representative of a row space is its reduced
+row-echelon form with zero rows removed; subspaces of F_q^m are
+identified with their unique such representative throughout the
+package.
 
 Only prime moduli are supported; extension fields are out of scope.
 """
@@ -33,82 +39,18 @@ def _check_prime(q: int) -> None:
         raise ValueError(f"modulus must be prime, got {q}")
 
 
-@dataclass(frozen=True)
-class FieldElement:
-    """A residue mod a prime q, with exact field arithmetic."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        _check_prime(self.modulus)
-        object.__setattr__(self, "value", self.value % self.modulus)
-
-    def _coerce(self, other) -> "FieldElement":
-        if isinstance(other, FieldElement):
-            if other.modulus != self.modulus:
-                raise ValueError("mixed moduli")
-            return other
-        return FieldElement(int(other), self.modulus)
-
-    def __add__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.value + o.value, self.modulus)
-
-    def __sub__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.value - o.value, self.modulus)
-
-    def __mul__(self, other):
-        o = self._coerce(other)
-        return FieldElement(self.value * o.value, self.modulus)
-
-    def inverse(self) -> "FieldElement":
-        if self.value == 0:
-            raise ZeroDivisionError("0 has no inverse")
-        return FieldElement(pow(self.value, -1, self.modulus), self.modulus)
-
-    def __int__(self) -> int:
-        return self.value
+def _check_rows(rows: Sequence[Sequence[int]], cols: int, q: int) -> None:
+    """Raise ValueError unless every row holds `cols` ints in 0..q-1."""
+    digits = range(q)
+    for row in rows:
+        if len(row) != cols:
+            raise ValueError(f"row width {len(row)} does not match cols {cols}")
+        for x in row:
+            if type(x) is not int or x not in digits:
+                raise ValueError(f"entry {x!r} is not an int in 0..{q - 1}")
 
 
-def _as_int_vector(v: Sequence, q: int) -> tuple[int, ...]:
-    out = []
-    for x in v:
-        if isinstance(x, FieldElement):
-            if x.modulus != q:
-                raise ValueError("mixed moduli")
-            out.append(x.value)
-        else:
-            out.append(int(x) % q)
-    return tuple(out)
-
-
-@dataclass(frozen=True)
-class FqMatrix:
-    """A raw (not necessarily echelon) matrix over GF(q)."""
-
-    q: int
-    rows: tuple[tuple[int, ...], ...]
-
-    def __post_init__(self):
-        _check_prime(self.q)
-        norm = tuple(_as_int_vector(r, self.q) for r in self.rows)
-        widths = {len(r) for r in norm}
-        if len(widths) > 1:
-            raise ValueError("ragged rows")
-        object.__setattr__(self, "rows", norm)
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
-
-    @property
-    def cols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
-
-
-def _pivot(row: Sequence[int]) -> int:
+def pivot(row: Sequence[int]) -> int:
     """Index of the first nonzero entry, or -1 for a zero row."""
     for j, x in enumerate(row):
         if x:
@@ -120,10 +62,10 @@ def _pivot(row: Sequence[int]) -> int:
 class EchelonMatrix:
     """A reduced row-echelon matrix over GF(q) with no zero rows.
 
-    Invariants: each row leads with a 1, pivot columns are strictly
-    increasing and contain zeros in every other row, so the row count
-    equals the rank and the matrix canonically names its row space
-    inside F_q^cols.
+    Invariants: entries are ints in 0..q-1, each row leads with a 1,
+    pivot columns are strictly increasing and contain zeros in every
+    other row, so the row count equals the rank and the matrix
+    canonically names its row space inside F_q^cols.
     """
 
     q: int
@@ -134,20 +76,19 @@ class EchelonMatrix:
 
     def __post_init__(self):
         _check_prime(self.q)
-        norm = tuple(_as_int_vector(r, self.q) for r in self.rows)
-        object.__setattr__(self, "rows", norm)
+        rows = tuple(map(tuple, self.rows))
+        object.__setattr__(self, "rows", rows)
+        _check_rows(rows, self.cols, self.q)
         pivots: list[int] = []
-        for i, row in enumerate(norm):
-            if len(row) != self.cols:
-                raise ValueError("row width does not match cols")
-            p = _pivot(row)
+        for i, row in enumerate(rows):
+            p = pivot(row)
             if p < 0:
                 raise ValueError("zero row in echelon matrix")
             if pivots and p <= pivots[-1]:
                 raise ValueError("pivots not strictly increasing")
             if row[p] != 1:
                 raise ValueError("pivot entry is not 1")
-            for k, other in enumerate(norm):
+            for k, other in enumerate(rows):
                 if k != i and other[p] != 0:
                     raise ValueError("pivot column is not clean")
             pivots.append(p)
@@ -158,21 +99,20 @@ class EchelonMatrix:
         return len(self.rows)
 
 
-def rref(m: FqMatrix) -> EchelonMatrix:
-    """Reduced row-echelon form of `m`, zero rows deleted.
+def rref_of_rows(rows: Iterable[Sequence[int]], cols: int, q: int) -> EchelonMatrix:
+    """Reduced row-echelon form of raw int rows, zero rows deleted.
 
-    The result is the unique canonical matrix with the same row space.
+    Each row must have width `cols` and entries in 0..q-1.  The result is
+    the unique canonical matrix with the same row space.
     """
-    q = m.q
-    rows = [list(r) for r in m.rows]
-    nr, nc = len(rows), m.cols
+    rows = [list(r) for r in rows]
+    _check_rows(rows, cols, q)
+    nr = len(rows)
     r = 0
-    for c in range(nc):
-        pivot_row = None
-        for i in range(r, nr):
-            if rows[i][c]:
-                pivot_row = i
-                break
+    for c in range(cols):
+        if r == nr:
+            break
+        pivot_row = next((i for i in range(r, nr) if rows[i][c]), None)
         if pivot_row is None:
             continue
         rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
@@ -183,33 +123,35 @@ def rref(m: FqMatrix) -> EchelonMatrix:
                 f = rows[i][c]
                 rows[i] = [(a - f * b) % q for a, b in zip(rows[i], rows[r])]
         r += 1
-        if r == nr:
-            break
-    kept = tuple(tuple(row) for row in rows[:r])
-    return EchelonMatrix(q, nc, kept)
+    return EchelonMatrix(q, cols, rows[:r])
 
 
-def rref_of_rows(rows: Iterable[Sequence[int]], cols: int, q: int) -> EchelonMatrix:
-    """RREF of raw integer rows (each of width `cols`)."""
-    rows = tuple(tuple(int(x) % q for x in r) for r in rows)
-    for r in rows:
-        if len(r) != cols:
-            raise ValueError("row width mismatch")
-    if not rows:
-        return EchelonMatrix(q, cols, ())
-    return rref(FqMatrix(q, rows))
+def spans(
+    basis: Sequence[tuple[Sequence[int], int]], vectors: Iterable[Sequence[int]], q: int
+) -> bool:
+    """True iff every vector is a linear combination of the basis rows.
 
-
-def in_span(v: Sequence, m: EchelonMatrix) -> bool:
-    """True iff vector `v` is a linear combination of the rows of `m`."""
-    w = list(_as_int_vector(v, m.q))
-    if len(w) != m.cols:
-        raise ValueError(f"dimension mismatch: vector {len(w)} vs cols {m.cols}")
-    for row, p in zip(m.rows, m.pivots):
-        if w[p]:
+    `basis` holds the (row, pivot) pairs of rows of an RREF matrix that
+    pivot before the vectors' width.  A row may be longer than the
+    vectors: cut to their width, such rows are the RREF basis of the cut
+    row space, and zip does the cut.  Clearing a vector at each basis
+    pivot leaves zero iff it lies in the span.
+    """
+    for w in vectors:
+        for r, p in basis:
             f = w[p]
-            w = [(a - f * b) % m.q for a, b in zip(w, row)]
-    return not any(w)
+            if f:
+                w = [(x - f * y) % q for x, y in zip(w, r)]
+        if any(w):
+            return False
+    return True
+
+
+def in_span(v: Sequence[int], m: EchelonMatrix) -> bool:
+    """True iff vector `v` is a linear combination of the rows of `m`."""
+    if len(v) != m.cols:
+        raise ValueError(f"dimension mismatch: vector {len(v)} vs cols {m.cols}")
+    return spans(tuple(zip(m.rows, m.pivots)), (v,), m.q)
 
 
 def subspace_leq(a: EchelonMatrix, b: EchelonMatrix) -> bool:
@@ -218,7 +160,7 @@ def subspace_leq(a: EchelonMatrix, b: EchelonMatrix) -> bool:
         raise ValueError("mixed moduli")
     if a.cols != b.cols:
         raise ValueError(f"column mismatch: {a.cols} vs {b.cols}")
-    return all(in_span(r, b) for r in a.rows)
+    return spans(tuple(zip(b.rows, b.pivots)), a.rows, b.q)
 
 
 def gaussian_binomial(m: int, k: int, q: int) -> int:
@@ -270,7 +212,7 @@ def enumerate_rre(
                 rows[i][pivots[i]] = 1
             for (i, j), val in zip(free, assignment):
                 rows[i][j] = val
-            out.append(EchelonMatrix(q, m, tuple(tuple(r) for r in rows)))
+            out.append(EchelonMatrix(q, m, rows))
     assert len(out) == total
     return out
 

@@ -10,7 +10,6 @@ from .matrix import (
     SegmentVerdict,
     SubspaceApprox,
     mat_pn,
-    mat_rn,
     matrix_space,
     subspace_initial_segment,
 )
@@ -19,7 +18,6 @@ from .partition import (
     coarsenings,
     enumerate_partitions,
     part_coarser,
-    part_rn,
     partition_space,
     stirling2,
 )
@@ -73,11 +71,9 @@ __all__ = [
     "enumerate_partitions",
     "int_param",
     "mat_pn",
-    "mat_rn",
     "matrix_space",
     "parse_params_str",
     "part_coarser",
-    "part_rn",
     "partition_space",
     "space_from_params",
     "stirling2",

@@ -27,8 +27,10 @@ from ..errors import (
 from ..gflinalg import (
     EchelonMatrix,
     enumerate_rre,
-    in_span,
+    gaussian_binomial,
+    pivot,
     span_vectors,
+    spans,
 )
 
 TAG = "matrix"
@@ -69,7 +71,7 @@ class MatrixSpace(Space):
         return Approximation(TAG, payload, payload.nrows)
 
     def make_rows(self, rows, cols: int) -> Approximation:
-        return self.make(EchelonMatrix(self.q, cols, tuple(tuple(r) for r in rows)))
+        return self.make(EchelonMatrix(self.q, cols, rows))
 
     def restrict(self, a: Approximation, n: int) -> Approximation:
         self.check_tag(a)
@@ -85,13 +87,8 @@ class MatrixSpace(Space):
         return Approximation(TAG, EchelonMatrix(self.q, cut, rows), n)
 
     def _cut_basis(self, m: EchelonMatrix, cols: int) -> EchelonMatrix:
-        """The row space of `m` cut to its first `cols` columns, in RREF.
-
-        Cutting an RREF matrix leaves the rows pivoting before `cols` in
-        RREF and turns the others into zero rows, so it needs no
-        elimination.
-        """
-        rows = tuple(r[:cols] for r, p in zip(m.rows, m.pivots) if p < cols)
+        """The row space of `m` cut to its first `cols` columns, in RREF."""
+        rows = tuple(r[:cols] for r, _ in _pivoting_before(m, cols))
         return EchelonMatrix(self.q, cols, rows)
 
     def fin_leq(self, a: Approximation, b: Approximation) -> bool:
@@ -101,32 +98,17 @@ class MatrixSpace(Space):
         mb: EchelonMatrix = b.payload
         if ma.cols > mb.cols:
             return False
-        if ma.nrows == 0:
-            return True
-        # b's rows pivoting before a's columns, cut there, are the RREF
-        # basis of b's cut row space (see _cut_basis); zip cuts them.
-        # Clearing a row at each basis pivot leaves zero iff it is in
-        # the span, as in gflinalg.in_span.
-        q, cols = self.q, ma.cols
-        basis = [(r, p) for r, p in zip(mb.rows, mb.pivots) if p < cols]
-        for w in ma.rows:
-            for r, p in basis:
-                f = w[p]
-                if f:
-                    w = [(x - f * y) % q for x, y in zip(w, r)]
-            if any(w):
-                return False
-        return True
+        return spans(_pivoting_before(mb, ma.cols), ma.rows, self.q)
 
     def fin_below(self, a: Approximation) -> list[Approximation]:
         self.check_tag(a)
         m: EchelonMatrix = a.payload
         out = [self.empty()]
         for cols in range(1, m.cols + 1):
-            basis = self._cut_basis(m, cols)
-            for k in range(1, min(basis.nrows, cols) + 1):
+            basis = _pivoting_before(m, cols)
+            for k in range(1, len(basis) + 1):
                 for cand in enumerate_rre(k, cols, self.q):
-                    if all(in_span(r, basis) for r in cand.rows):
+                    if spans(basis, cand.rows, self.q):
                         out.append(Approximation(TAG, cand, k))
         return sorted(out, key=self.sort_key)
 
@@ -145,12 +127,12 @@ class MatrixSpace(Space):
             span = span_vectors(basis)
             if ma.nrows == 0:
                 # First row of a reduct: any leading-1 vector in the span.
-                new_rows = [v for v in span if any(v) and v[_lead(v)] == 1]
+                new_rows = [v for v in span if any(v) and v[pivot(v)] == 1]
                 old_choices: list[list[tuple[int, ...]]] = []
             else:
                 # Next pivot sits exactly at a's column count.
                 p = ma.cols
-                new_rows = [v for v in span if _lead(v) == p and v[p] == 1]
+                new_rows = [v for v in span if pivot(v) == p and v[p] == 1]
                 old_choices = [
                     [u for u in span if u[: ma.cols] == r and u[ma.cols] == 0]
                     for r in ma.rows
@@ -173,8 +155,6 @@ class MatrixSpace(Space):
         return sorted(out, key=self.sort_key)
 
     def stem_count(self) -> int:
-        from ..gflinalg import gaussian_binomial
-
         total = 1
         for cols in range(1, self.max_cols + 1):
             for k in range(1, cols + 1):
@@ -234,11 +214,14 @@ class MatrixSpace(Space):
         return Stem(self, self.make(EchelonMatrix(self.q, n, rows)))
 
 
-def _lead(v) -> int:
-    for j, x in enumerate(v):
-        if x:
-            return j
-    return -1
+def _pivoting_before(m: EchelonMatrix, cols: int) -> list[tuple[tuple[int, ...], int]]:
+    """The (row, pivot) pairs of `m` whose pivot lies before `cols`.
+
+    Cutting an RREF matrix to its first `cols` columns leaves these rows
+    in RREF and turns the others into zero rows, so, cut there, they are
+    the RREF basis of the cut row space without any elimination.
+    """
+    return [(r, p) for r, p in zip(m.rows, m.pivots) if p < cols]
 
 
 def matrix_space(q: int, max_cols: int) -> MatrixSpace:
@@ -251,12 +234,6 @@ def mat_pn(stem: Stem, n: int) -> int:
     if n < 0 or n >= m.nrows:
         raise OutOfRangeError(f"row {n} not materialized (have {m.nrows} rows)")
     return m.pivots[n]
-
-
-def mat_rn(stem: Stem, n: int) -> Approximation:
-    """Length-n approximation of a matrix stem: the first n rows cut at
-    the pivot position of row n (the declared column count at the top)."""
-    return stem.approx(n)
 
 
 @dataclass(frozen=True)

@@ -234,13 +234,6 @@ def partition_space(max_domain: int) -> PartitionSpace:
     return PartitionSpace(max_domain)
 
 
-def part_rn(stem: Stem, n: int) -> Approximation:
-    """Length-n approximation: the first n blocks cut at min of block n."""
-    if not isinstance(stem.space, PartitionSpace):
-        raise TypeError("stem must belong to a partition space")
-    return stem.approx(n)
-
-
 def part_coarser(x, y) -> bool:
     """Whether x is coarser than y.
 

@@ -369,6 +369,17 @@ def test_header_and_meta_errors_exit_2(tmp_path, capsys, command, text, key):
     assert "Traceback" not in err
 
 
+def test_matrix_digit_not_below_q_exits_2(capsys):
+    # 4 is not a GF(3) digit; the literal must not be read as q=3;110.
+    code, err = run_err(
+        capsys, "galvin", "--space", "matrix", "--q", "3", "--max-cols", "3",
+        "--member", "q=3;140", "--length-bound", "1",
+    )
+    assert code == 2
+    assert "q=3;140" in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("value", ["abc", "0"])
 def test_bad_ceiling_exits_2(capsys, monkeypatch, value):
     monkeypatch.setenv(cli.ENV_CEILING, value)

@@ -7,58 +7,52 @@ from hypothesis import strategies as st
 from ramspace.errors import CeilingExceededError
 from ramspace.gflinalg import (
     EchelonMatrix,
-    FieldElement,
-    FqMatrix,
     enumerate_rre,
     gaussian_binomial,
     in_span,
-    rref,
+    rref_of_rows,
     span_vectors,
     subspace_leq,
 )
 
 
-def test_field_element_arithmetic():
-    a = FieldElement(2, 3)
-    b = FieldElement(2, 3)
-    assert int(a + b) == 1
-    assert int(a * b) == 1
-    assert int(a - b) == 0
-    assert int(a.inverse()) == 2  # 2*2 = 4 = 1 mod 3
-    assert int(FieldElement(7, 5)) == 2  # normalized on construction
-
-
-def test_field_element_rejects_composite_modulus():
+def test_composite_modulus_is_rejected():
     with pytest.raises(ValueError):
-        FieldElement(1, 4)
-
-
-def test_field_element_mixed_moduli():
+        EchelonMatrix(4, 1, ((1,),))
     with pytest.raises(ValueError):
-        FieldElement(1, 3) + FieldElement(1, 5)
+        rref_of_rows([(1,)], 1, 4)
 
 
 def test_rref_invertible_2x2_gf2():
-    m = rref(FqMatrix(2, ((1, 1), (0, 1))))
+    m = rref_of_rows(((1, 1), (0, 1)), 2, 2)
     assert m.rows == ((1, 0), (0, 1))
 
 
 def test_rref_zero_matrix_is_empty():
-    m = rref(FqMatrix(2, ((0, 0), (0, 0))))
+    m = rref_of_rows(((0, 0), (0, 0)), 2, 2)
     assert m.nrows == 0 and m.cols == 2
 
 
 def test_rref_gf3_rank_one():
     # det(2,1;1,2) = 3 = 0 mod 3, so rank 1; canonical basis row is (1,2).
-    m = rref(FqMatrix(3, ((2, 1), (1, 2))))
+    m = rref_of_rows(((2, 1), (1, 2)), 2, 3)
     assert m.rows == ((1, 2),)
 
 
 def test_rref_idempotent_exhaustive_gf2():
     for rows in itertools.product(itertools.product(range(2), repeat=3), repeat=2):
-        first = rref(FqMatrix(2, rows))
-        again = rref(FqMatrix(2, first.rows)) if first.rows else first
+        first = rref_of_rows(rows, 3, 2)
+        again = rref_of_rows(first.rows, 3, 2) if first.rows else first
         assert first == again
+
+
+@pytest.mark.parametrize(
+    "rows, cols, q",
+    [(((3, 0),), 2, 3), (((1, -1),), 2, 2), (((1, 0),), 3, 2), (((1.0, 0),), 2, 2)],
+)
+def test_rref_of_rows_rejects_bad_raw_rows(rows, cols, q):
+    with pytest.raises(ValueError):
+        rref_of_rows(rows, cols, q)
 
 
 def _span_by_brute_force(rows, q, cols):
@@ -83,7 +77,7 @@ def _span_by_brute_force(rows, q, cols):
 def test_rref_preserves_row_space(qi, raw_rows):
     q = (2, 3, 5)[qi - 1]
     rows = tuple(tuple(x % q for x in r) for r in raw_rows)
-    m = rref(FqMatrix(q, rows))
+    m = rref_of_rows(rows, 3, q)
     brute = _span_by_brute_force(rows, q, 3)
     for v in itertools.product(range(q), repeat=3):
         assert in_span(v, m) == (v in brute)
@@ -100,11 +94,6 @@ def test_in_span_dimension_mismatch():
     m = EchelonMatrix(2, 3, ((1, 0, 1),))
     with pytest.raises(ValueError):
         in_span((1, 0), m)
-
-
-def test_in_span_accepts_field_elements():
-    m = EchelonMatrix(2, 2, ((1, 0), (0, 1)))
-    assert in_span((FieldElement(1, 2), FieldElement(1, 2)), m)
 
 
 def test_gaussian_binomial_values():
@@ -154,6 +143,11 @@ def test_subspace_leq_column_mismatch():
         subspace_leq(a, b)
 
 
+def test_subspace_leq_mixed_moduli():
+    with pytest.raises(ValueError):
+        subspace_leq(EchelonMatrix(3, 1, ((1,),)), EchelonMatrix(5, 1, ((1,),)))
+
+
 def test_subspace_leq_antisymmetry_on_canonical_forms():
     mats = enumerate_rre(1, 3, 2) + enumerate_rre(2, 3, 2)
     for a in mats:
@@ -171,6 +165,16 @@ def test_echelon_validation():
         EchelonMatrix(3, 2, ((2, 0),))  # pivot entry not 1
     with pytest.raises(ValueError):
         EchelonMatrix(2, 3, ((1, 1, 0), (0, 1, 0)))  # dirty pivot column
+    with pytest.raises(ValueError):
+        EchelonMatrix(3, 2, ((4, 0),))  # entry out of range, not reduced mod q
+    with pytest.raises(ValueError):
+        EchelonMatrix(3, 2, ((1, 3),))  # free entry out of range
+    with pytest.raises(ValueError):
+        EchelonMatrix(2, 2, ((1, -1),))  # negative entry
+    with pytest.raises(ValueError):
+        EchelonMatrix(2, 2, ((True, 0),))  # not an int
+    with pytest.raises(ValueError):
+        EchelonMatrix(2, 3, ((1, 0),))  # row narrower than cols
 
 
 def test_span_vectors_counts():

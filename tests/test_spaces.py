@@ -13,15 +13,13 @@ from ramspace import (
     ell_space,
     enumerate_partitions,
     mat_pn,
-    mat_rn,
     matrix_space,
     part_coarser,
-    part_rn,
     partition_space,
     stirling2,
     subspace_initial_segment,
 )
-from ramspace.gflinalg import in_span, rref_of_rows
+from ramspace.gflinalg import enumerate_rre, in_span, rref_of_rows, span_vectors
 from ramspace.spaces import parse_params_str, space_from_params
 from ramspace.errors import (
     CeilingExceededError,
@@ -94,14 +92,14 @@ def test_mat_pn_out_of_range(m24):
         mat_pn(m24.identity_stem(2), 2)
 
 
-def test_mat_rn_identity(m24):
+def test_matrix_stem_approx_identity(m24):
     ident = m24.identity_stem()
-    r2 = mat_rn(ident, 2)
+    r2 = ident.approx(2)
     assert r2.payload.rows == ((1, 0), (0, 1))
-    assert mat_rn(ident, 0) == m24.empty()
+    assert ident.approx(0) == m24.empty()
 
 
-def test_mat_rn_cut_before_next_pivot():
+def test_matrix_stem_approx_cuts_before_next_pivot():
     # Rows (1,1,0) and (0,0,1): the second pivot sits at column 2, so the
     # length-1 approximation keeps row 0 on two columns.
     m = matrix_space(2, 3)
@@ -111,7 +109,7 @@ def test_mat_rn_cut_before_next_pivot():
     assert r1.length == 1
 
 
-def test_mat_rn_lengths(m24):
+def test_matrix_stem_approx_lengths(m24):
     for top in m24.stems():
         stem = Stem(m24, top)
         for n in range(top.length + 1):
@@ -183,8 +181,6 @@ def test_subspace_initial_segment_matches_reduct_search():
 
 
 def _all_echelon(q, cols):
-    from ramspace.gflinalg import enumerate_rre
-
     out = [EchelonMatrix(q, cols, ())] if cols == 0 else []
     for k in range(1, cols + 1):
         out.extend(enumerate_rre(k, cols, q))
@@ -194,22 +190,22 @@ def _all_echelon(q, cols):
 # ----- the partition space -----
 
 
-def test_part_rn_singleton_stem():
+def test_partition_stem_approx_singleton_stem():
     p = partition_space(6)
     stem = p.discrete_stem()
-    assert part_rn(stem, 2).payload == ((0,), (1,))
-    assert part_rn(stem, 0) == p.empty()
+    assert stem.approx(2).payload == ((0,), (1,))
+    assert stem.approx(0) == p.empty()
 
 
-def test_part_rn_cut_at_next_block_minimum():
+def test_partition_stem_approx_cuts_at_next_block_minimum():
     p = partition_space(8)
     stem = Stem(p, p.make([(0, 3), (1, 4), (2, 5), (6,), (7,)]))
-    r3 = part_rn(stem, 3)
+    r3 = stem.approx(3)
     assert r3.payload == ((0, 3), (1, 4), (2, 5))
     assert r3.length == 3
 
 
-def test_part_rn_block_count_and_domain():
+def test_partition_stem_approx_block_count_and_domain():
     p = partition_space(6)
     for top in p.stems():
         stem = Stem(p, top)
@@ -404,6 +400,11 @@ def test_matrix_fin_leq_matches_in_span_over_the_cut_basis(q, max_cols):
                 in_span(r, space._cut_basis(mb, ma.cols)) for r in ma.rows
             )
             assert space.fin_leq(a, b) == want
+            # in_span and fin_leq share gflinalg.spans; enumerating the
+            # cut span does not.
+            if ma.cols <= mb.cols:
+                span = set(span_vectors(space._cut_basis(mb, ma.cols)))
+                assert want == all(r in span for r in ma.rows)
 
 
 # ----- serialization -----
@@ -445,6 +446,9 @@ def test_parse_rejects_garbage(e8, m24, p6):
         (m24, "10;01"),
         (m24, "q=3;10"),
         (m24, "q=2;00"),
+        (m24, "q=2;12"),
+        (matrix_space(3, 3), "q=3;140"),
+        (matrix_space(5, 2), "q=5;17"),
         (p6, "{0},{1}"),
         (p6, "({1},{0})"),
     ]:
