@@ -37,10 +37,7 @@ from .ramsey import (
     LOWER_BOUND,
     Coloring,
     abs_ramsey_reduce,
-    classical_ramsey_number,
     finite_ramsey_witness,
-    glr_witness,
-    gr_paramset_witness,
 )
 from .spaces import SPACE_TAGS, int_param, parse_params_str, space_from_params
 
@@ -230,24 +227,21 @@ def cmd_galvin(args) -> int:
 
 
 def _run_ramsey(args):
-    kw = dict(
-        mode=args.mode,
-        exhaustive_ceiling=_default_ceiling(),
-        node_budget=args.node_budget,
-        jobs=args.jobs,
-    )
+    """The variant's instance string and its finite_ramsey_witness result."""
+    n = args.m if args.variant == "paramset" else args.n
+    q = getattr(args, "q", None)  # glr and witness only
     if args.variant == "classical":
-        instance = f"classical;k={args.k};n={args.n};s={args.s}"
-        return instance, classical_ramsey_number(args.k, args.n, args.s, args.bound, **kw)
-    if args.variant == "glr":
-        instance = f"glr;q={args.q};k={args.k};n={args.n};s={args.s}"
-        return instance, glr_witness(args.q, args.k, args.n, args.s, args.bound, **kw)
-    if args.variant == "paramset":
-        instance = f"paramset;k={args.k};m={args.m};s={args.s}"
-        return instance, gr_paramset_witness(args.k, args.m, args.s, args.bound, **kw)
-    instance = f"witness;space={args.space};k={args.k};n={args.n};s={args.s}"
+        kind, instance = "classical", f"classical;k={args.k};n={n};s={args.s}"
+    elif args.variant == "glr":
+        kind, instance = "matrix", f"glr;q={q};k={args.k};n={n};s={args.s}"
+    elif args.variant == "paramset":
+        kind, instance = "partition", f"paramset;k={args.k};m={n};s={args.s}"
+    else:
+        kind = args.space
+        instance = f"witness;space={kind};k={args.k};n={n};s={args.s}"
     return instance, finite_ramsey_witness(
-        args.space, args.k, args.n, args.s, args.bound, q=args.q, **kw
+        kind, args.k, n, args.s, args.bound, mode=args.mode, q=q,
+        exhaustive_ceiling=_default_ceiling(), node_budget=args.node_budget,
     )
 
 
@@ -276,7 +270,7 @@ def cmd_ramsey(args) -> int:
     text = [f"outcome: {result.outcome}", f"value: {result.value}"]
     for name in sorted(certs):
         text.append(certs[name].rstrip("\n"))
-    out.emit(payload, text, [result.csv_row(instance) ])
+    out.emit(payload, text, [result.csv_row(instance)])
     return code
 
 
@@ -402,7 +396,6 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
         v.add_argument("--bound", type=int, required=True)
         v.add_argument("--mode", choices=("exhaustive", "backtracking"), default="exhaustive")
         v.add_argument("--node-budget", type=int)
-        v.add_argument("--jobs", type=int, default=1)
         if name in ("glr", "witness"):
             v.add_argument("--q", type=int, default=2)
         if name == "witness":

@@ -35,6 +35,7 @@ from .errors import (
     MixedSpaceError,
     NotInSpaceError,
     OutOfRangeError,
+    ParseError,
 )
 
 
@@ -109,9 +110,19 @@ class Space(ABC):
     def serialize(self, a: Approximation) -> str:
         """Canonical, whitespace-free text form; round-trips via parse."""
 
-    @abstractmethod
     def parse(self, text: str) -> Approximation:
-        """Inverse of serialize."""
+        """Inverse of serialize.  Only canonical text parses (surrounding
+        whitespace aside), so every literal round-trips bit for bit."""
+        t = text.strip()
+        a = self._parse(t)
+        canonical = self.serialize(a)
+        if canonical != t:
+            raise ParseError(f"non-canonical literal {text!r}; write {canonical!r}")
+        return a
+
+    @abstractmethod
+    def _parse(self, text: str) -> Approximation:
+        """The approximation a stripped literal names; ParseError if none."""
 
     @abstractmethod
     def params_str(self) -> str:

@@ -11,9 +11,8 @@ possible value and certify the first witness level found.
 
 Concrete instances:
 
-  * classical finite Ramsey numbers, through the one-point shift that
-    identifies k-subsets of an initial segment with (k+1)-subsets
-    pinned at the segment's top element;
+  * classical finite Ramsey numbers: level M colors the k-subsets of
+    {0..M-1}, and its witnesses are the n-subsets;
   * finite vector Ramsey numbers over GF(q) (Graham-Leeb-Rothschild):
     domains are the rank-k echelon matrices with m columns, witnesses
     the rank-n ones, configurations the subspace order;
@@ -21,20 +20,22 @@ Concrete instances:
     domains are the k-block partitions of the level, configurations the
     coarsenings of an m-block witness.
 
-Lower bounds are explicit bad colorings, exhaustively verified; found
-values come from either a full scan of all s^N colorings or an
-exhausted backtracking search over color-canonical assignments.  Every
-certificate replays through verify_witness, an independent checker
-that re-derives the instance and never reuses the searcher's tables; a
-witness claim replays in a node-bounded depth-first search over one
-coloring per color permutation class, whose cost is the backtracking
-searcher's node count rather than s^N.
-
-Both searchers work on int masks over the level's items: each
+One searcher decides a level: a backtracking search over one coloring
+per color permutation class, on int masks over the level's items (each
 configuration is one mask, each color keeps the mask of the items it
 has colored, and a configuration is monochromatic iff it lies inside
-one color's mask.  An empty configuration is never monochromatic, in
-the searchers as in verify_witness.
+one color's mask; an empty configuration is never monochromatic, in the
+searcher as in verify_witness).  Exhaustive mode refuses a level whose
+s^N colorings exceed its ceiling and otherwise reports what a scan of
+all s^N colorings would: the search's first bad coloring is the least
+one in the scan's order.  Backtracking mode reports the search's nodes
+and may stop at a node budget.
+
+Lower bounds are explicit bad colorings.  Every certificate replays
+through verify_witness, an independent checker that re-derives the
+instance and never reuses the searcher's tables; a witness claim
+replays in a node-bounded depth-first search whose cost is the
+searcher's node count rather than s^N.
 """
 
 from __future__ import annotations
@@ -112,8 +113,33 @@ def _level_space(kind: str, m: int, q: int) -> tuple[Space, Stem]:
     return sp, sp.full_stem() if m else Stem(sp, sp.empty())
 
 
+def _classical_level(M: int, k: int, n: int) -> LevelInstance:
+    """The classical instance: the k-subsets of {0..M-1} as items and
+    the n-subsets as witnesses.  Items come in the order of their pinned
+    (k+1)-subsets (the subset plus M): the order of the depth-(M+1)
+    ellentuck level, so a search visits as many nodes here as on that
+    level one dimension up."""
+    space = ell_space(max(M, 1))
+    pinned = ell_space(M + 1)
+    combos = sorted(
+        itertools.combinations(range(M), k),
+        key=lambda c: pinned.sort_key(pinned.make(c + (M,))),
+    )
+    items = [space.make(c) for c in combos]
+    witnesses = [space.make(c) for c in itertools.combinations(range(M), n)]
+    index = {a.payload: i for i, a in enumerate(items)}
+    configs = [
+        [index[c] for c in itertools.combinations(b.payload, k)] for b in witnesses
+    ]
+    return LevelInstance("classical", M, k, n, None, space, items, witnesses, configs)
+
+
 def build_level(kind: str, m: int, k: int, n: int, q: int | None = None) -> LevelInstance:
-    """The depth-m instance: domain, witnesses, and configurations."""
+    """The depth-m instance: domain, witnesses, and configurations.
+
+    `kind` is a space tag, or `classical` for `_classical_level`."""
+    if kind == "classical":
+        return _classical_level(m, k, n)
     space, stem = _level_space(kind, m, q or 2)
     top = stem.top
     prev = space.restrict(top, m - 1) if m >= 1 else None
@@ -140,75 +166,24 @@ class WitnessResult:
     lower_bound_certificate: str | None = None
     stats: dict = field(default_factory=dict)
 
-    def csv_row(self, instance: str, seconds: str = "") -> str:
+    def csv_row(self, instance: str) -> str:
+        """The csv row up to its seconds column, which the CLI appends."""
         value = "" if self.value is None else str(self.value)
         checked = self.stats.get("colorings_checked", self.stats.get("nodes", 0))
-        return f"{instance},{self.outcome},{value},{checked},{seconds}"
+        return f"{instance},{self.outcome},{value},{checked},"
 
 
-def _coloring_from_index(idx: int, s: int, size: int) -> list[int]:
-    out = [0] * size
-    for j in range(size - 1, -1, -1):
-        out[j] = idx % s
-        idx //= s
-    return out
-
-
-def _scan_range(configs: list[int], s: int, size: int, lo: int, hi: int) -> int:
-    """First bad coloring index in [lo, hi), or -1.
-
-    `configs` are the nonempty configuration masks, item j at bit
-    size-1-j, so the last item is the least significant digit of the
-    coloring index.  With two colors the index is itself the mask of
-    the items colored 1, and a configuration is monochromatic iff it
-    meets that mask in nothing or in everything.  Otherwise each color
-    keeps the mask of its items, updated as the index counts up, and a
-    configuration is monochromatic iff it lies inside the mask of the
-    color of its lowest bit.
-    """
-    if s == 2:
-        for idx in range(lo, hi):
-            for cfg in configs:
-                hit = idx & cfg
-                if hit == cfg or not hit:
-                    break
-            else:
-                return idx
-        return -1
-    leads = [((cfg & -cfg).bit_length() - 1, cfg) for cfg in configs]
-    digits = _coloring_from_index(lo, s, size)[::-1]  # digit p: the item at bit p
-    colmask = [0] * s
-    for p, c in enumerate(digits):
-        colmask[c] |= 1 << p
-    for idx in range(lo, hi):
-        if idx > lo:
-            p = 0
-            while True:
-                c, bit = digits[p], 1 << p
-                colmask[c] ^= bit
-                c = (c + 1) % s
-                digits[p] = c
-                colmask[c] |= bit
-                if c:
-                    break
-                p += 1
-        for p, cfg in leads:
-            if cfg & colmask[digits[p]] == cfg:
-                break
-        else:
-            return idx
-    return -1
-
-
-def _level_exhaustive(inst: LevelInstance, s: int, ceiling: int, jobs: int = 1):
+def _level_exhaustive(inst: LevelInstance, s: int, ceiling: int):
     """(is_witness, first bad coloring or None, colorings checked).
 
-    Colorings are scanned in index order (item 0 the most significant
-    base-s digit) with configurations as item masks; an empty
-    configuration is never monochromatic, as in verify_witness.  With
-    jobs > 1 the index range is split across processes; the reported
-    bad coloring is the index-minimal one either way, so the result
-    does not depend on scheduling.
+    Refuses a level whose s^N colorings exceed `ceiling` before any
+    search, then answers as a scan of all s^N colorings in index order
+    (item 0 the most significant base-s digit) would.  The
+    restricted-growth search gives that answer: relabelling a
+    coloring's colors in order of first use never raises its index, so
+    the least bad coloring is restricted-growth, and the search meets
+    those in index order.  The scan would have checked every coloring
+    up to the bad one, or all s^N on a witness level.
     """
     size = len(inst.items)
     total = s**size
@@ -218,26 +193,13 @@ def _level_exhaustive(inst: LevelInstance, s: int, ceiling: int, jobs: int = 1):
             total,
             ceiling,
         )
-    configs = [sum(1 << (size - 1 - j) for j in cfg) for cfg in inst.configs if cfg]
-    if jobs > 1 and total >= 4 * jobs:
-        import multiprocessing
-
-        bounds = [total * i // (jobs * 4) for i in range(jobs * 4)] + [total]
-        spans = [
-            (configs, s, size, lo, hi)
-            for lo, hi in zip(bounds, bounds[1:])
-            if lo < hi
-        ]
-        with multiprocessing.Pool(jobs) as pool:
-            first = min(
-                (idx for idx in pool.starmap(_scan_range, spans) if idx >= 0),
-                default=-1,
-            )
-    else:
-        first = _scan_range(configs, s, size, 0, total)
-    if first < 0:
+    is_witness, bad, _ = _level_backtracking(inst, s, None)
+    if is_witness:
         return True, None, total
-    return False, _coloring_from_index(first, s, size), first + 1
+    index = 0
+    for c in bad:
+        index = index * s + c
+    return False, bad, index + 1
 
 
 def _level_backtracking(inst: LevelInstance, s: int, node_budget: int | None):
@@ -341,26 +303,31 @@ def finite_ramsey_witness(
     q: int | None = None,
     exhaustive_ceiling: int = EXHAUSTIVE_CEILING,
     node_budget: int | None = None,
-    jobs: int = 1,
 ) -> WitnessResult:
     """Least level m <= bound at which every s-coloring of the depth-m
     domain admits a witness with a monochromatic configuration.
 
+    `kind` is `classical` (k-subsets of {0..m-1}, k >= 0), `matrix`
+    (GF(q) vector Ramsey numbers), `partition` (parameter sets, n the
+    witness's block count) or `ellentuck`.  Both modes run the same
+    restricted-growth search; exhaustive mode refuses a level whose s^N
+    colorings exceed `exhaustive_ceiling` (CeilingExceededError) and
+    reports `colorings_checked`, backtracking mode reports `nodes`.
+
     Found results carry a witness-level certificate and, when a lower
     level was examined, the bad coloring refuting it; when every level
     up to the bound is refuted the outcome is `exhausted` with the last
-    refutation.  A level the chosen mode cannot decide (ceiling or
-    budget) stops the search with outcome `lower_bound`: only the
-    refuted levels below it are then known.
+    refutation.  A level the node budget cannot decide stops the search
+    with outcome `lower_bound` and `undecided_level` in the stats: only
+    the refuted levels below it are then known.
     """
-    if not 1 <= k <= n:
-        raise ValueError("need 1 <= k <= n")
+    least_k = 0 if kind == "classical" else 1
+    if not least_k <= k <= n:
+        raise ValueError(f"need {least_k} <= k <= n")
     if s < 1:
         raise ValueError("need s >= 1")
     if mode not in ("exhaustive", "backtracking"):
         raise ValueError(f"unknown mode {mode!r}")
-    if jobs < 1:
-        raise ValueError("need jobs >= 1")
     if node_budget is not None and node_budget < 0:
         raise ValueError("need node_budget >= 0")
     last_bad: str | None = None
@@ -370,9 +337,7 @@ def finite_ramsey_witness(
         inst = build_level(kind, m, k, n, q)
         stats["levels_examined"] += 1
         if mode == "exhaustive":
-            is_witness, bad, checked = _level_exhaustive(
-                inst, s, exhaustive_ceiling, jobs=jobs
-            )
+            is_witness, bad, checked = _level_exhaustive(inst, s, exhaustive_ceiling)
             stats["colorings_checked"] = checked
             level_stats = {"colorings_checked": checked}
         else:
@@ -398,87 +363,6 @@ def finite_ramsey_witness(
         last_bad_level = m
     return WitnessResult(
         EXHAUSTED, None, lower_bound_certificate=last_bad, stats=stats
-    )
-
-
-def glr_witness(
-    q: int, k: int, n: int, s: int, bound: int, mode: str = "exhaustive", **kw
-) -> WitnessResult:
-    """Least m such that s-colorings of the k-dimensional subspaces of
-    F_q^m always leave the k-subspaces of some n-dimensional subspace
-    monochromatic."""
-    return finite_ramsey_witness(
-        "matrix", k, n, s, bound, mode=mode, q=q, **kw
-    )
-
-
-def gr_paramset_witness(
-    k: int, m: int, s: int, bound: int, mode: str = "exhaustive", **kw
-) -> WitnessResult:
-    """Least n such that s-colorings of the k-block partitions of n
-    always leave the k-block coarsenings of some m-block partition
-    monochromatic."""
-    return finite_ramsey_witness("partition", k, m, s, bound, mode=mode, **kw)
-
-
-# ----- classical numbers through the shift -----
-
-
-def _classical_cert_from_inner(inner_cert: str, k: int, n: int, s: int) -> str:
-    """Translate an inner pinned-subset certificate into classical terms.
-
-    Inner items are (k+1)-subsets of {0..m-1} containing m-1; dropping
-    the pinned point turns a level-m statement about them into the
-    classical statement about k-subsets of {0..m-2}.
-    """
-    out = []
-    for ln in inner_cert.splitlines():
-        if ln.startswith("instance="):
-            out.append(f"instance=classical;k={k};n={n}")
-        elif ln.startswith("level="):
-            m = int(ln.split("=")[1])
-            out.append(f"level={m - 1}")
-        elif ln.startswith("item="):
-            body, _, color = ln[5:].partition(";color=")
-            elems = [int(x) for x in body.strip("{}").split(",")]
-            kept = sorted(elems)[:-1]
-            out.append(
-                "item={" + ",".join(str(x) for x in kept) + "};color=" + color
-            )
-        else:
-            out.append(ln)
-    return "\n".join(out) + "\n"
-
-
-def classical_ramsey_number(
-    k: int, n: int, s: int, bound: int, mode: str = "exhaustive", **kw
-) -> WitnessResult:
-    """Least M such that every s-coloring of the k-subsets of {0..M-1}
-    has a monochromatic n-subset.
-
-    Runs the pinned-subset search one dimension up (k+1, n+1) and
-    shifts the level down by one; the certificates are expressed in
-    classical terms and verified directly against the classical
-    statement by verify_witness.
-    """
-    inner = finite_ramsey_witness("ellentuck", k + 1, n + 1, s, bound + 1, mode=mode, **kw)
-    value = None if inner.value is None else inner.value - 1
-    found = (
-        _classical_cert_from_inner(inner.found_certificate, k, n, s)
-        if inner.found_certificate
-        else None
-    )
-    lower = (
-        _classical_cert_from_inner(inner.lower_bound_certificate, k, n, s)
-        if inner.lower_bound_certificate
-        else None
-    )
-    return WitnessResult(
-        inner.outcome,
-        value,
-        found_certificate=found,
-        lower_bound_certificate=lower,
-        stats=inner.stats,
     )
 
 
@@ -567,29 +451,7 @@ def _rebuild_level_from_fields(fields: dict) -> LevelInstance:
     kind = inst["instance"]
     k, n = int(inst["k"]), int(inst["n"])
     q = int(inst["q"]) if "q" in inst else None
-    m = int(fields["level"])
-    if kind == "classical":
-        return _classical_level(m, k, n)
-    return build_level(kind, m, k, n, q)
-
-
-def _classical_level(M: int, k: int, n: int) -> LevelInstance:
-    """The classical instance, its items in the order of their pinned
-    (k+1)-subsets: the order the shifted search colors them in, so a
-    replay visits as many nodes as that search."""
-    space = ell_space(max(M, 1))
-    pinned = ell_space(M + 1)
-    combos = sorted(
-        itertools.combinations(range(M), k),
-        key=lambda c: pinned.sort_key(pinned.make(c + (M,))),
-    )
-    items = [space.make(c) for c in combos]
-    witnesses = [space.make(c) for c in itertools.combinations(range(M), n)]
-    index = {a.payload: i for i, a in enumerate(items)}
-    configs = [
-        [index[c] for c in itertools.combinations(b.payload, k)] for b in witnesses
-    ]
-    return LevelInstance("classical", M, k, n, None, space, items, witnesses, configs)
+    return build_level(kind, int(fields["level"]), k, n, q)
 
 
 # The certificate line that states each mode's work.
@@ -641,9 +503,10 @@ def _replay_witness_claim(keys: list[str], witness_sets: list[set], s: int, ceil
 def verify_witness(certificate: str, exhaustive_ceiling: int = EXHAUSTIVE_CEILING) -> bool:
     """Replay a search certificate without the search engine.
 
-    The instance is rebuilt from the certificate header alone, and
-    every check works on serialized item keys in dictionaries and sets,
-    sharing no index table, mask or helper with the searchers.
+    The instance is rebuilt from the certificate header alone by
+    `build_level`, classical levels included, and every check works on
+    serialized item keys in dictionaries and sets, sharing no index
+    table, mask or search helper with the searcher.
 
     A witness claim is re-established by a restricted-growth depth-first
     replay over the rebuilt items in order: an item may take a color
@@ -659,7 +522,7 @@ def verify_witness(certificate: str, exhaustive_ceiling: int = EXHAUSTIVE_CEILIN
     the replay reaches no full coloring.  `exhaustive_ceiling` bounds
     the replay's nodes (one node per item and color tried); a larger
     replay is refused.  For s >= 2 the node count is below s^N, so every
-    claim the exhaustive scan can make under the same ceiling replays.
+    claim exhaustive mode can make under the same ceiling replays.
     The certificate's work counter is checked too: a backtracking claim
     must state the replay's node count as `nodes`, an exhaustive one s^N
     as `colorings_checked`.

@@ -104,11 +104,10 @@ class EllentuckSpace(Space):
         self.check_tag(a)
         return "{" + ",".join(str(x) for x in a.payload) + "}"
 
-    def parse(self, text: str) -> Approximation:
-        t = text.strip()
-        if not (t.startswith("{") and t.endswith("}")):
+    def _parse(self, text: str) -> Approximation:
+        if not (text.startswith("{") and text.endswith("}")):
             raise ParseError(f"bad set literal: {text!r}")
-        body = t[1:-1]
+        body = text[1:-1]
         if not body:
             return self.empty()
         try:

@@ -168,8 +168,8 @@ class MatrixSpace(Space):
         parts.extend("".join(str(x) for x in row) for row in m.rows)
         return ";".join(parts)
 
-    def parse(self, text: str) -> Approximation:
-        parts = text.strip().split(";")
+    def _parse(self, text: str) -> Approximation:
+        parts = text.split(";")
         if not parts or not parts[0].startswith("q="):
             raise ParseError(f"bad matrix literal: {text!r}")
         try:

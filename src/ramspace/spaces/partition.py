@@ -179,11 +179,10 @@ class PartitionSpace(Space):
         )
         return f"({inner})"
 
-    def parse(self, text: str) -> Approximation:
-        t = text.strip()
-        if not (t.startswith("(") and t.endswith(")")):
+    def _parse(self, text: str) -> Approximation:
+        if not (text.startswith("(") and text.endswith(")")):
             raise ParseError(f"bad partition literal: {text!r}")
-        body = t[1:-1]
+        body = text[1:-1]
         if not body:
             return self.empty()
         blocks = []

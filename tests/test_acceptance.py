@@ -23,10 +23,8 @@ from ramspace.forcing import (
 )
 from ramspace.gflinalg import enumerate_rre, gaussian_binomial
 from ramspace.ramsey import (
-    classical_ramsey_number,
     dual_to_classical_encoding,
     finite_ramsey_witness,
-    glr_witness,
     verify_witness,
 )
 from ramspace.spaces.partition import enumerate_partitions
@@ -103,7 +101,7 @@ def _pentagon_certificate() -> str:
 
 
 def _run_criterion_3():
-    result = classical_ramsey_number(2, 3, 2, bound=8)
+    result = finite_ramsey_witness("classical", 2, 3, 2, bound=8)
     inner = finite_ramsey_witness("ellentuck", 3, 4, 2, bound=9)
     return result, inner
 
@@ -133,7 +131,7 @@ def test_criterion_3_classical_ramsey_six():
 
 
 def _run_criterion_4():
-    return glr_witness(2, 1, 2, 2, bound=4)
+    return finite_ramsey_witness("matrix", 1, 2, 2, bound=4, q=2)
 
 
 def test_criterion_4_glr_three():

@@ -221,16 +221,6 @@ def test_ramsey_generic_witness(capsys, schema):
     assert code == 0 and payload["value"] == 4
 
 
-def test_ramsey_jobs_flag_matches_sequential(capsys, schema):
-    argv = (
-        "ramsey", "glr", "--q", "2", "--k", "1", "--n", "2", "--s", "2",
-        "--bound", "4",
-    )
-    _, seq = run_json(capsys, schema, *argv)
-    _, par = run_json(capsys, schema, *argv, "--jobs", "2")
-    assert seq == par
-
-
 def test_ramsey_csv_format(capsys):
     code, out = run(
         capsys, "ramsey", "classical", "--k", "2", "--n", "3", "--s", "2",
@@ -380,6 +370,16 @@ def test_matrix_digit_not_below_q_exits_2(capsys):
     assert "Traceback" not in err
 
 
+def test_non_canonical_member_exits_2(capsys):
+    # {0, 2} names {0,2} but is not its canonical text.
+    code, err = run_err(
+        capsys, "galvin", "--space", "ellentuck", "--ground", "8",
+        "--member", "{0, 2}", "--length-bound", "2",
+    )
+    assert code == 2
+    assert err == "error: non-canonical literal '{0, 2}'; write '{0,2}'\n"
+
+
 @pytest.mark.parametrize("value", ["abc", "0"])
 def test_bad_ceiling_exits_2(capsys, monkeypatch, value):
     monkeypatch.setenv(cli.ENV_CEILING, value)
@@ -392,7 +392,7 @@ def test_bad_ceiling_exits_2(capsys, monkeypatch, value):
 
 
 @pytest.mark.parametrize(
-    "flags", [("--jobs", "0"), ("--mode", "backtracking", "--node-budget", "-1")]
+    "flags", [("--s", "0"), ("--mode", "backtracking", "--node-budget", "-1")]
 )
 def test_bad_search_numbers_exit_2(capsys, flags):
     code, err = run_err(

@@ -12,13 +12,9 @@ from ramspace.ramsey import (
     Coloring,
     abs_ramsey_reduce,
     build_level,
-    classical_ramsey_number,
     dual_to_classical_encoding,
     finite_ramsey_witness,
-    glr_witness,
-    gr_paramset_witness,
     verify_witness,
-    _classical_level,
     _level_backtracking,
     _level_exhaustive,
 )
@@ -53,7 +49,7 @@ def test_partition_level_counts():
 
 
 def test_classical_2_3_2_is_six():
-    res = classical_ramsey_number(2, 3, 2, bound=8)
+    res = finite_ramsey_witness("classical", 2, 3, 2, bound=8)
     assert res.outcome == FOUND
     assert res.value == 6
     assert verify_witness(res.found_certificate)
@@ -62,24 +58,24 @@ def test_classical_2_3_2_is_six():
 
 
 def test_classical_1_3_2_is_five():
-    res = classical_ramsey_number(1, 3, 2, bound=8)
+    res = finite_ramsey_witness("classical", 1, 3, 2, bound=8)
     assert res.value == 5  # pigeonhole: 2*(3-1)+1
 
 
 def test_classical_k_equals_n():
-    assert classical_ramsey_number(2, 2, 2, bound=5).value == 2
-    assert classical_ramsey_number(3, 3, 4, bound=5).value == 3
+    assert finite_ramsey_witness("classical", 2, 2, 2, bound=5).value == 2
+    assert finite_ramsey_witness("classical", 3, 3, 4, bound=5).value == 3
 
 
 def test_classical_exhausted_below_true_value():
-    res = classical_ramsey_number(2, 3, 2, bound=4)
+    res = finite_ramsey_witness("classical", 2, 3, 2, bound=4)
     assert res.outcome == EXHAUSTED
     assert res.value is None
     assert verify_witness(res.lower_bound_certificate)
 
 
 def test_glr_2_1_2_2_is_three():
-    res = glr_witness(2, 1, 2, 2, bound=4)
+    res = finite_ramsey_witness("matrix", 1, 2, 2, bound=4, q=2)
     assert res.outcome == FOUND
     assert res.value == 3
     assert verify_witness(res.found_certificate)
@@ -87,28 +83,29 @@ def test_glr_2_1_2_2_is_three():
 
 
 def test_glr_trivial_cases():
-    assert glr_witness(2, 1, 2, 1, bound=3).value == 2  # one color
-    assert glr_witness(2, 2, 2, 2, bound=3).value == 2  # k = n
-    assert glr_witness(3, 1, 1, 3, bound=3).value == 1
+    # one color
+    assert finite_ramsey_witness("matrix", 1, 2, 1, bound=3, q=2).value == 2
+    assert finite_ramsey_witness("matrix", 2, 2, 2, bound=3, q=2).value == 2  # k = n
+    assert finite_ramsey_witness("matrix", 1, 1, 3, bound=3, q=3).value == 1
 
 
 def test_glr_gf3_lines_exceed_three():
     # The 13 lines of F_3^3 admit a two-coloring with no monochromatic
     # plane (both classes can be made blocking sets containing no full
     # plane pencil), so the GF(3) witness exceeds 3.
-    res = glr_witness(3, 1, 2, 2, bound=3)
+    res = finite_ramsey_witness("matrix", 1, 2, 2, bound=3, q=3)
     assert res.outcome == EXHAUSTED
     assert "level=3" in res.lower_bound_certificate
     assert verify_witness(res.lower_bound_certificate)
 
 
 def test_paramset_trivial_cases():
-    assert gr_paramset_witness(1, 3, 2, bound=5).value == 3
-    assert gr_paramset_witness(2, 2, 3, bound=4).value == 2
+    assert finite_ramsey_witness("partition", 1, 3, 2, bound=5).value == 3
+    assert finite_ramsey_witness("partition", 2, 2, 3, bound=4).value == 2
 
 
 def test_paramset_2_3_2_exceeds_four():
-    res = gr_paramset_witness(2, 3, 2, bound=4)
+    res = finite_ramsey_witness("partition", 2, 3, 2, bound=4)
     assert res.outcome == EXHAUSTED
     assert verify_witness(res.lower_bound_certificate)
 
@@ -134,10 +131,10 @@ def test_abstract_witness_values():
 
 
 def test_shift_consistency():
-    classical = classical_ramsey_number(2, 3, 2, bound=8)
+    classical = finite_ramsey_witness("classical", 2, 3, 2, bound=8)
     inner = finite_ramsey_witness("ellentuck", 3, 4, 2, bound=9)
     assert classical.value == inner.value - 1
-    classical = classical_ramsey_number(1, 2, 2, bound=6)
+    classical = finite_ramsey_witness("classical", 1, 2, 2, bound=6)
     inner = finite_ramsey_witness("ellentuck", 2, 3, 2, bound=7)
     assert classical.value == inner.value - 1
 
@@ -157,40 +154,37 @@ def test_witness_levels_are_monotone():
 
 
 def test_backtracking_agrees_with_exhaustive():
-    ex = classical_ramsey_number(2, 3, 2, bound=8)
-    bt = classical_ramsey_number(2, 3, 2, bound=8, mode="backtracking")
+    ex = finite_ramsey_witness("classical", 2, 3, 2, bound=8)
+    bt = finite_ramsey_witness("classical", 2, 3, 2, bound=8, mode="backtracking")
     assert (ex.outcome, ex.value) == (bt.outcome, bt.value)
-    exg = glr_witness(2, 1, 2, 2, bound=4)
-    btg = glr_witness(2, 1, 2, 2, bound=4, mode="backtracking")
+    exg = finite_ramsey_witness("matrix", 1, 2, 2, bound=4, q=2)
+    btg = finite_ramsey_witness("matrix", 1, 2, 2, bound=4, mode="backtracking", q=2)
     assert (exg.outcome, exg.value) == (btg.outcome, btg.value)
 
 
 def test_backtracking_bad_coloring_verifies():
-    res = glr_witness(2, 1, 2, 2, bound=4, mode="backtracking")
+    res = finite_ramsey_witness("matrix", 1, 2, 2, bound=4, mode="backtracking", q=2)
     assert verify_witness(res.lower_bound_certificate)
 
 
 def test_backtracking_budget_gives_lower_bound_only():
-    res = classical_ramsey_number(2, 3, 2, bound=8, mode="backtracking", node_budget=5)
+    res = finite_ramsey_witness(
+        "classical", 2, 3, 2, bound=8, mode="backtracking", node_budget=5
+    )
     assert res.outcome == LOWER_BOUND
 
 
 def test_exhaustive_ceiling_refusal():
     with pytest.raises(CeilingExceededError) as exc:
-        classical_ramsey_number(2, 3, 2, bound=8, exhaustive_ceiling=16)
+        finite_ramsey_witness("classical", 2, 3, 2, bound=8, exhaustive_ceiling=16)
     assert "backtracking" in str(exc.value)
-
-
-def test_parallel_scan_matches_sequential():
-    inst = build_level("ellentuck", 6, 3, 4)
-    seq = _level_exhaustive(inst, 2, ceiling=1 << 20, jobs=1)
-    par = _level_exhaustive(inst, 2, ceiling=1 << 20, jobs=2)
-    assert seq == par
 
 
 def test_invalid_parameters():
     with pytest.raises(ValueError):
         finite_ramsey_witness("ellentuck", 0, 2, 2, bound=4)
+    with pytest.raises(ValueError):
+        finite_ramsey_witness("classical", -1, 2, 2, bound=4)
     with pytest.raises(ValueError):
         finite_ramsey_witness("ellentuck", 3, 2, 2, bound=4)
     with pytest.raises(ValueError):
@@ -208,7 +202,7 @@ def test_verify_rejects_malformed_certificates():
 
 
 def test_verify_rejects_monochromatic_tamper():
-    res = glr_witness(2, 1, 2, 2, bound=4)
+    res = finite_ramsey_witness("matrix", 1, 2, 2, bound=4, q=2)
     cert = res.lower_bound_certificate
     mono = "\n".join(
         ln.rsplit(";color=", 1)[0] + ";color=0" if ln.startswith("item=") else ln
@@ -218,7 +212,7 @@ def test_verify_rejects_monochromatic_tamper():
 
 
 def test_verify_rejects_wrong_level_claim():
-    res = classical_ramsey_number(2, 3, 2, bound=8)
+    res = finite_ramsey_witness("classical", 2, 3, 2, bound=8)
     tampered = res.found_certificate.replace("level=6", "level=5")
     assert not verify_witness(tampered)
 
@@ -245,7 +239,7 @@ def test_verify_rejects_level_zero_witness_claim():
 
 
 def test_verify_rejects_partial_coloring():
-    res = glr_witness(2, 1, 2, 2, bound=4)
+    res = finite_ramsey_witness("matrix", 1, 2, 2, bound=4, q=2)
     lines = [
         ln for ln in res.lower_bound_certificate.splitlines()
         if not ln.startswith("item=q=2;01")
@@ -256,11 +250,11 @@ def test_verify_rejects_partial_coloring():
 @pytest.mark.parametrize(
     "search",
     [
-        lambda: classical_ramsey_number(2, 3, 2, 8, mode="backtracking"),
-        lambda: classical_ramsey_number(1, 6, 2, 12, mode="backtracking"),
+        lambda: finite_ramsey_witness("classical", 2, 3, 2, 8, mode="backtracking"),
+        lambda: finite_ramsey_witness("classical", 1, 6, 2, 12, mode="backtracking"),
         lambda: finite_ramsey_witness("ellentuck", 3, 4, 2, 8, mode="backtracking"),
-        lambda: glr_witness(2, 1, 2, 2, 4, mode="backtracking"),
-        lambda: gr_paramset_witness(1, 3, 3, 4, mode="backtracking"),
+        lambda: finite_ramsey_witness("matrix", 1, 2, 2, 4, mode="backtracking", q=2),
+        lambda: finite_ramsey_witness("partition", 1, 3, 3, 4, mode="backtracking"),
         lambda: finite_ramsey_witness("partition", 2, 3, 2, 7, mode="backtracking"),
     ],
 )
@@ -272,27 +266,46 @@ def test_replay_visits_the_search_nodes(search):
     assert all(verify_witness(c) for c in certificates if c)
 
 
+def _configurations(inst, drop_pin):
+    """witness payload -> item payloads of its configuration, the pinned
+    top element dropped from the shifted level's payloads."""
+    cut = slice(None, -1) if drop_pin else slice(None)
+    out = {
+        w.payload[cut]: sorted(inst.items[i].payload[cut] for i in cfg)
+        for w, cfg in zip(inst.witnesses, inst.configs)
+    }
+    assert len(out) == len(inst.witnesses)
+    return out
+
+
 def test_classical_items_follow_the_shifted_search():
-    # From 11 points on, a numeric order of the k-subsets is not the
-    # serialization order of their pinned (k+1)-subsets; the replay's
-    # node count depends on the order, so it takes the search's.
-    for M, k in [(6, 2), (12, 2), (12, 3)]:
-        inner = build_level("ellentuck", M + 1, k + 1, k + 2)
-        classical = _classical_level(M, k, k + 1)
-        assert [a.payload for a in classical.items] == [
-            a.payload[:-1] for a in inner.items
-        ]
+    # The classical level M is the ellentuck level M + 1 one dimension
+    # up, with the pinned point M dropped.  From 11 points on, a numeric
+    # order of the k-subsets is not the serialization order of their
+    # pinned (k+1)-subsets; node counts and the first bad coloring
+    # depend on the order, so the classical level takes the shifted one.
+    for k in range(4):
+        for M, n in [(k, k), (6, k + 1), (12, k + 1), (7, k + 2)]:
+            inner = build_level("ellentuck", M + 1, k + 1, n + 1)
+            classical = build_level("classical", M, k, n)
+            assert [a.payload for a in classical.items] == [
+                a.payload[:-1] for a in inner.items
+            ]
+            assert sorted(a.payload for a in classical.witnesses) == sorted(
+                a.payload[:-1] for a in inner.witnesses
+            )
+            assert _configurations(classical, False) == _configurations(inner, True)
 
 
 def test_found_certificates_deterministic():
-    a = classical_ramsey_number(2, 3, 2, bound=8)
-    b = classical_ramsey_number(2, 3, 2, bound=8)
+    a = finite_ramsey_witness("classical", 2, 3, 2, bound=8)
+    b = finite_ramsey_witness("classical", 2, 3, 2, bound=8)
     assert a.found_certificate == b.found_certificate
     assert a.lower_bound_certificate == b.lower_bound_certificate
 
 
 def test_csv_row_shape():
-    res = glr_witness(2, 1, 2, 2, bound=4)
+    res = finite_ramsey_witness("matrix", 1, 2, 2, bound=4, q=2)
     row = res.csv_row("glr;q=2;k=1;n=2;s=2")
     assert row.startswith("glr;q=2;k=1;n=2;s=2,found,3,")
 

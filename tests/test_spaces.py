@@ -451,6 +451,16 @@ def test_parse_rejects_garbage(e8, m24, p6):
         (matrix_space(5, 2), "q=5;17"),
         (p6, "{0},{1}"),
         (p6, "({1},{0})"),
+        # non-canonical text of a valid approximation
+        (m24, "q=2;;10"),
+        (m24, "q=2;10;"),
+        (m24, "q=02;10"),
+        (m24, "q=+2;10"),
+        (e8, "{01}"),
+        (e8, "{+1}"),
+        (e8, "{0, 2}"),
+        (p6, "({0}, {1})"),
+        (p6, "({00},{1})"),
     ]:
         with pytest.raises(ParseError):
             sp.parse(bad)

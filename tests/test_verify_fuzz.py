@@ -22,9 +22,7 @@ from ramspace.forcing import front_family, galvin_search, verify_dichotomy
 from ramspace.ramsey import (
     _level_backtracking,
     _rebuild_level_from_fields,
-    classical_ramsey_number,
     finite_ramsey_witness,
-    glr_witness,
     verify_witness,
 )
 
@@ -135,11 +133,11 @@ DICHOTOMY = [
     _galvin(P4, [P4.make([(0,), (1,)])]),
 ]
 
-R33 = classical_ramsey_number(2, 3, 2, bound=8)
-R33_BT = classical_ramsey_number(2, 3, 2, bound=8, mode="backtracking")
-PIGEONHOLE = classical_ramsey_number(1, 2, 2, bound=5)
-FANO = glr_witness(2, 1, 2, 2, bound=4)
-FANO_BT = glr_witness(2, 1, 2, 2, bound=4, mode="backtracking")
+R33 = finite_ramsey_witness("classical", 2, 3, 2, bound=8)
+R33_BT = finite_ramsey_witness("classical", 2, 3, 2, bound=8, mode="backtracking")
+PIGEONHOLE = finite_ramsey_witness("classical", 1, 2, 2, bound=5)
+FANO = finite_ramsey_witness("matrix", 1, 2, 2, bound=4, q=2)
+FANO_BT = finite_ramsey_witness("matrix", 1, 2, 2, bound=4, mode="backtracking", q=2)
 WITNESS = [
     PIGEONHOLE.found_certificate,
     PIGEONHOLE.lower_bound_certificate,
