@@ -13,7 +13,7 @@ The package provides:
   * a batch CLI with reproducible, machine-readable output (cli).
 """
 
-from .core import Approximation, Neighborhood, Space, Stem
+from .core import Approximation, Space, Stem
 from .errors import (
     CeilingExceededError,
     EmptyNeighborhoodError,

@@ -29,7 +29,7 @@ from . import __version__
 from .audit import AuditBounds, audit_axioms
 from .core import Stem
 from .errors import CeilingExceededError, ParseError, RamspaceError
-from .forcing import ALT1, ALT2, FrontFamily, GalvinParams, front_family, galvin_search
+from .forcing import ALT1, ALT2, MAX_REDUCTS, FrontFamily, front_family, galvin_search
 from .ramsey import (
     EXHAUSTED,
     EXHAUSTIVE_CEILING,
@@ -186,15 +186,8 @@ def cmd_galvin(args) -> int:
         members = (space.parse(m) for m in args.member)
         family = front_family(space, members, args.length_bound)
     space = family.space
-    if args.horizon is not None and args.horizon < family.length_bound:
-        raise ParseError("--horizon below the family length bound")
     ambient = _ambient(space, args.stem)
-    params = GalvinParams(
-        horizon=args.horizon,
-        max_reducts=args.max_reducts,
-        allow_greedy=not args.no_greedy,
-    )
-    result = galvin_search(ambient, family, params)
+    result = galvin_search(ambient, family, args.max_reducts)
     code = EXIT_OK if result.outcome in (ALT1, ALT2) else EXIT_INCONCLUSIVE
     payload = {
         "command": "galvin",
@@ -371,13 +364,7 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
         )
         p.add_argument("--length-bound", type=int)
         p.add_argument("--stem", help="ambient stem serialization (default: full stem)")
-        p.add_argument("--horizon", type=int)
-        p.add_argument("--max-reducts", type=int, default=1 << 16)
-        p.add_argument(
-            "--no-greedy",
-            action="store_true",
-            help="refuse oversized universes instead of excluding greedily",
-        )
+        p.add_argument("--max-reducts", type=int, default=MAX_REDUCTS)
         _add_common(p)
         p.set_defaults(fn=cmd_galvin)
 

@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator
 
 from .errors import (
-    EmptyNeighborhoodError,
     MixedSpaceError,
     NotInSpaceError,
     OutOfRangeError,
@@ -85,6 +84,14 @@ class Space(ABC):
     @abstractmethod
     def fin_leq(self, a: Approximation, b: Approximation) -> bool:
         """The finitization quasi-order on approximations."""
+
+    @abstractmethod
+    def fin_below(self, a: Approximation) -> list[Approximation]:
+        """The finite set {b : fin_leq(b, a)}, canonically ordered.
+
+        Each space enumerates it directly; the audit's A4(ii) checks it
+        against the `fin_leq` filter of the universe.
+        """
 
     @abstractmethod
     def extensions_below(
@@ -167,15 +174,6 @@ class Space(ABC):
     def chain(self, top: Approximation) -> list[Approximation]:
         return [self.restrict(top, i) for i in range(top.length + 1)]
 
-    def fin_below(self, a: Approximation) -> list[Approximation]:
-        """The finite set {b : fin_leq(b, a)}, canonically ordered.
-
-        Default implementation walks the extension tree below `a`
-        starting from the empty approximation; spaces override this
-        with direct enumerations, and the audit cross-checks the two.
-        """
-        return self.closure_below(a)
-
     def closure_below(
         self, a: Approximation, max_length: int | None = None
     ) -> list[Approximation]:
@@ -254,50 +252,15 @@ class Stem:
             f"{self.space.serialize(a)} is not below any approximation of the stem"
         )
 
-    def extensions(self, a: Approximation) -> list[Approximation]:
-        return self.space.extensions_below(a, self.top)
-
     @property
     def is_maximal(self) -> bool:
         return not self.space.can_extend_in_universe(self.top)
-
-    def reducts(self) -> Iterator["Stem"]:
-        """All stems below this one (the neighborhood [0, self])."""
-        for t in self.space.iter_neighborhood(self.space.empty(), self.top):
-            yield Stem(self.space, t)
 
     def serialize(self) -> str:
         return self.space.serialize(self.top)
 
     def __repr__(self):
         return f"Stem({self.space.params_str()}, {self.serialize()})"
-
-
-@dataclass(frozen=True)
-class Neighborhood:
-    """The set [a, A] of stems below A whose chain passes through a."""
-
-    stem: Stem
-    base: Approximation
-
-    def __post_init__(self):
-        self.stem.space.check_tag(self.base)
-
-    @property
-    def is_empty(self) -> bool:
-        return not self.stem.space.fin_leq(self.base, self.stem.top)
-
-    def stems(self) -> Iterator[Stem]:
-        space = self.stem.space
-        for t in space.iter_neighborhood(self.base, self.stem.top):
-            yield Stem(space, t)
-
-    def require_nonempty(self) -> None:
-        if self.is_empty:
-            raise EmptyNeighborhoodError(
-                f"[{self.stem.space.serialize(self.base)}, "
-                f"{self.stem.serialize()}] is empty"
-            )
 
 
 def iter_bits(mask: int) -> Iterator[int]:

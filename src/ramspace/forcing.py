@@ -79,28 +79,25 @@ def front_family(
     return FrontFamily(space, members, length_bound)
 
 
+# The one setting of the forcing layer: the most reducts a sweep reads
+# before it refuses with an estimate.
+MAX_REDUCTS = 1 << 16
+
+
 @dataclass(frozen=True)
 class ForcingVerdict:
     kind: str  # accepts | rejects | undecided
-    horizon: int
     nodes: int
     diagnostics: str = ""
 
 
-class ChainStatus(enum.Enum):
-    ALL_HIT = 0     # every maximal chain hits the family
-    AVOID = 1       # some chain certifiably avoids it
-    EXHAUSTED = 2   # some chain ends at the truncation with the question open
-    HORIZON = 3     # the walk was capped below the family bound
+class ChainStatus(enum.IntEnum):
+    """Worst first, so the status of a node is the `min` over its
+    children."""
 
-    def worse(self, other: "ChainStatus") -> "ChainStatus":
-        order = [
-            ChainStatus.AVOID,
-            ChainStatus.HORIZON,
-            ChainStatus.EXHAUSTED,
-            ChainStatus.ALL_HIT,
-        ]
-        return self if order.index(self) <= order.index(other) else other
+    AVOID = 0       # some chain certifiably avoids the family
+    EXHAUSTED = 1   # some chain ends at the truncation with the question open
+    ALL_HIT = 2     # every maximal chain hits the family
 
 
 class ForcingEngine:
@@ -115,26 +112,16 @@ class ForcingEngine:
     front, and it holds no child lists: a walk asks the space's
     `extensions_below` once per node it visits.
 
-    A fresh engine is a pure function of (family, horizon, max_reducts),
+    A fresh engine is a pure function of (family, max_reducts),
     single-threaded.  Engines share no state: neighborhoods are swept
     afresh through the space's `iter_neighborhood` on each request, so
     memory is released with the engine.
     """
 
-    def __init__(
-        self,
-        family: FrontFamily,
-        horizon: int | None = None,
-        max_reducts: int = 1 << 16,
-    ):
+    def __init__(self, family: FrontFamily, max_reducts: int = MAX_REDUCTS):
         self.family = family
         self.space = family.space
         self.bound = family.length_bound
-        # A horizon below the family bound is allowed: walks are then
-        # fuel-capped and clean capped chains stay undecided.
-        self.horizon = self.bound if horizon is None else horizon
-        if self.horizon < 0:
-            raise ValueError("horizon must be nonnegative")
         self.max_reducts = max_reducts
         self.index = Index(self.space)
         self._members = frozenset(self.index.ids(family.members))
@@ -170,11 +157,8 @@ class ForcingEngine:
         if cached is not None:
             return cached
         self.nodes += 1
-        length = self.index.lengths[c]
-        if length >= self.bound:
+        if self.index.lengths[c] >= self.bound:
             status = ChainStatus.AVOID
-        elif length >= self.horizon:
-            status = ChainStatus.HORIZON
         else:
             items = self.index.items
             children = self.space.extensions_below(items[c], items[top])
@@ -189,7 +173,7 @@ class ForcingEngine:
                 for d in map(self.index.id, children):
                     if d in self._members:
                         continue
-                    status = status.worse(self.walk(d, top))
+                    status = min(status, self.walk(d, top))
                     if status is ChainStatus.AVOID:
                         break
         self._walk_memo[key] = status
@@ -232,11 +216,6 @@ class ForcingEngine:
         """
         if stem.space is not self.space and stem.space != self.space:
             raise MixedSpaceError("stem does not belong to the family's space")
-        # Only a horizon below the family bound ever caps a walk.
-        if self.horizon < self.bound and self.horizon < a.length:
-            raise ValueError(
-                f"horizon {self.horizon} below the base length {a.length}"
-            )
         top = stem.top
         if not self.space.fin_leq(a, top):
             raise EmptyNeighborhoodError(
@@ -244,11 +223,10 @@ class ForcingEngine:
             )
         own = self.chain_status(top, a)
         if own is ChainStatus.ALL_HIT:
-            return ForcingVerdict(ACCEPTS, self.horizon, self.nodes)
-        if own in (ChainStatus.EXHAUSTED, ChainStatus.HORIZON):
+            return ForcingVerdict(ACCEPTS, self.nodes)
+        if own is ChainStatus.EXHAUSTED:
             return ForcingVerdict(
                 UNDECIDED,
-                self.horizon,
                 self.nodes,
                 diagnostics=(
                     "truncation boundary: a chain below "
@@ -265,7 +243,6 @@ class ForcingEngine:
             if st is ChainStatus.ALL_HIT:
                 return ForcingVerdict(
                     UNDECIDED,
-                    self.horizon,
                     self.nodes,
                     diagnostics=(
                         "not decided at this stem: "
@@ -273,10 +250,10 @@ class ForcingEngine:
                         f"{self.space.serialize(a)}"
                     ),
                 )
-            if st in (ChainStatus.EXHAUSTED, ChainStatus.HORIZON):
+            if st is ChainStatus.EXHAUSTED:
                 open_proxies += 1
         notes = f"open-proxies={open_proxies}" if open_proxies else ""
-        return ForcingVerdict(REJECTS, self.horizon, self.nodes, diagnostics=notes)
+        return ForcingVerdict(REJECTS, self.nodes, diagnostics=notes)
 
     def rejection_witness(self, stem: Stem, a: Approximation) -> Stem | None:
         """A preserved-depth reduct below which no one-step extension of
@@ -295,11 +272,9 @@ class ForcingEngine:
         return None
 
 
-def decide(
-    B: Stem, a: Approximation, family: FrontFamily, horizon: int | None = None
-) -> ForcingVerdict:
+def decide(B: Stem, a: Approximation, family: FrontFamily) -> ForcingVerdict:
     """One of accepts/rejects, or undecided with diagnostics."""
-    return ForcingEngine(family, horizon).verdict(B, a)
+    return ForcingEngine(family).verdict(B, a)
 
 
 def fusion(
@@ -347,13 +322,6 @@ def fusion(
 ALT1 = "alt1"
 ALT2 = "alt2"
 INCONCLUSIVE = "inconclusive"
-
-
-@dataclass(frozen=True)
-class GalvinParams:
-    horizon: int | None = None
-    max_reducts: int = 1 << 16
-    allow_greedy: bool = True
 
 
 @dataclass
@@ -419,7 +387,7 @@ def _certificate_alt2(
 
 
 def galvin_search(
-    A: Stem, family: FrontFamily, params: GalvinParams | None = None
+    A: Stem, family: FrontFamily, max_reducts: int = MAX_REDUCTS
 ) -> DichotomyResult:
     """Search for a dichotomy witness below A.
 
@@ -429,14 +397,15 @@ def galvin_search(
     maximal chain below it meets the family).  Inconclusive outcomes
     name the blocking approximation.  Searches are deterministic:
     candidates are scanned longest-first in serialization order.
+
+    When the reducts of A pass `max_reducts`, a space with
+    `exclude_member` (ellentuck) shrinks A greedily instead; any other
+    space refuses with the CeilingExceededError and its estimate.
     """
-    params = params or GalvinParams()
     space = family.space
     if A.space != space:
         raise MixedSpaceError("stem does not belong to the family's space")
-    if params.horizon is not None and params.horizon < family.length_bound:
-        raise ValueError("dichotomy horizon below the family length bound")
-    engine = ForcingEngine(family, params.horizon, params.max_reducts)
+    engine = ForcingEngine(family, max_reducts)
     L = family.length_bound
     stats = {"reducts_scanned": 0}
 
@@ -501,20 +470,12 @@ def galvin_search(
                 stats=stats,
             )
     except CeilingExceededError:
-        if not params.allow_greedy:
-            raise
-        # Universe too large to sweep: fall back to greedy exclusion of
-        # family members; the final claim is verified directly.
+        # Universe too large to sweep: where the space excludes single
+        # members, fall back to greedy exclusion (the final claim is
+        # verified directly); elsewhere refuse with the estimate.
         greedy = _greedy_avoiding_stem(space, A, family)
         if greedy is None:
-            return DichotomyResult(
-                INCONCLUSIVE,
-                None,
-                "",
-                diagnostics="reduct universe over ceiling and greedy "
-                "exclusion unsupported for this space",
-                stats=stats,
-            )
+            raise
         return finish_alt1(greedy)
 
     # Stage 2: grow the rejecting sequence level by level.  After level

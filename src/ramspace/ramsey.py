@@ -45,13 +45,7 @@ from dataclasses import dataclass, field
 
 from .core import Approximation, Space, Stem
 from .errors import CeilingExceededError
-from .forcing import (
-    ALT1,
-    ALT2,
-    FrontFamily,
-    GalvinParams,
-    galvin_search,
-)
+from .forcing import ALT1, ALT2, MAX_REDUCTS, FrontFamily, galvin_search
 from .spaces import ell_space, parse_params_str, space_from_params
 
 FOUND = "found"
@@ -312,7 +306,8 @@ def finite_ramsey_witness(
     witness's block count) or `ellentuck`.  Both modes run the same
     restricted-growth search; exhaustive mode refuses a level whose s^N
     colorings exceed `exhaustive_ceiling` (CeilingExceededError) and
-    reports `colorings_checked`, backtracking mode reports `nodes`.
+    reports `colorings_checked`, backtracking mode reports `nodes` and
+    alone takes a `node_budget`.
 
     Found results carry a witness-level certificate and, when a lower
     level was examined, the bad coloring refuting it; when every level
@@ -330,6 +325,8 @@ def finite_ramsey_witness(
         raise ValueError(f"unknown mode {mode!r}")
     if node_budget is not None and node_budget < 0:
         raise ValueError("need node_budget >= 0")
+    if node_budget is not None and mode == "exhaustive":
+        raise ValueError("a node budget needs backtracking mode")
     last_bad: str | None = None
     last_bad_level: int | None = None
     stats: dict = {"levels_examined": 0}
@@ -380,12 +377,13 @@ class ReduceResult:
 
 
 def abs_ramsey_reduce(
-    coloring: Coloring, A: Stem, params: GalvinParams | None = None
+    coloring: Coloring, A: Stem, max_reducts: int = MAX_REDUCTS
 ) -> ReduceResult:
     """A reduct on which the coloring of length-k approximations is
     constant, obtained by peeling color classes off with the dichotomy
     search (color 0 against the rest, recursing into the rest).  Its
-    stats sum the work counters of those searches."""
+    stats sum the work counters of those searches; a search whose
+    reducts pass `max_reducts` refuses as `galvin_search` does."""
     space = coloring.space
     k, s = coloring.k, coloring.s
     if s < 1 or k < 1:
@@ -400,7 +398,7 @@ def abs_ramsey_reduce(
             if a.length == k and coloring.of(a) == color
         ]
         family = FrontFamily(space, tuple(members), k)
-        res = galvin_search(current, family, params)
+        res = galvin_search(current, family, max_reducts)
         certificates.append(res.certificate)
         for key in stats:
             stats[key] += res.stats.get(key, 0)

@@ -224,7 +224,7 @@ def test_criterion_6_forcing_properties():
                         if e.fin_leq(a, t) and verdicts[(t, a)] == REJECTS:
                             violations["down"] += 1
                     # and to every one-step extension below the stem
-                    for b in B.extensions(a):
+                    for b in e.extensions_below(a, B.top):
                         if b.length <= 2 and verdicts[(B.top, b)] != "accepts":
                             violations["extend"] += 1
                 elif kind == REJECTS:

@@ -126,7 +126,7 @@ def test_pigeonhole_audit_against_independent_sweep():
     for a in e.fin_below(full):
         if a.length > 2:
             continue
-        ext = stem.extensions(a)
+        ext = e.extensions_below(a, full)
         n = stem.depth(a)
         prefix = e.restrict(full, n)
         reducts = [

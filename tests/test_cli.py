@@ -3,7 +3,7 @@ import json
 import jsonschema
 import pytest
 
-from ramspace import cli, matrix_space, partition_space
+from ramspace import cli, forcing, matrix_space, partition_space, ramsey
 from ramspace.audit import AxiomCheck, AxiomReport, AuditBounds
 from ramspace.ramsey import verify_witness
 
@@ -116,29 +116,44 @@ def test_galvin_malformed_family(tmp_path, capsys):
     assert code == 2
 
 
-def test_galvin_horizon_below_bound(capsys):
-    code, _ = run(
-        capsys, "galvin", "--space", "ellentuck", "--ground", "5",
-        "--member", "{0,1}", "--horizon", "1",
+def test_galvin_removed_options_are_unknown_arguments(capsys):
+    for extra in (["--horizon", "1"], ["--no-greedy"]):
+        code = cli.main([
+            "galvin", "--space", "ellentuck", "--ground", "5",
+            "--member", "{0,1}", *extra,
+        ])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert f"unrecognized arguments: {' '.join(extra)}" in err
+
+
+def _inconclusive_search(*args, **kwargs):
+    return forcing.DichotomyResult(
+        forcing.INCONCLUSIVE, None, "", diagnostics="stuck", stats={}
     )
-    assert code == 2
 
 
-def test_galvin_inconclusive_exit(capsys, schema):
+def test_galvin_inconclusive_exit(capsys, schema, monkeypatch):
+    monkeypatch.setattr(cli, "galvin_search", _inconclusive_search)
     code, payload = run_json(
-        capsys, schema, "galvin", "--space", "partition", "--domain", "6",
-        "--member", "({0},{1})", "--max-reducts", "3",
+        capsys, schema, "galvin", "--space", "ellentuck", "--ground", "5",
+        "--member", "{0,1}",
     )
     assert code == 3
     assert payload["outcome"] == "inconclusive"
+    assert payload["diagnostics"] == "stuck"
 
 
 def test_galvin_refusal_without_greedy(capsys):
-    code, _ = run(
-        capsys, "galvin", "--space", "partition", "--domain", "6",
-        "--member", "({0},{1})", "--max-reducts", "3", "--no-greedy",
-    )
-    assert code == 4
+    # Partitions have no greedy exclusion, so an over-ceiling search
+    # refuses with its estimate.
+    code = cli.main([
+        "galvin", "--space", "partition", "--domain", "6",
+        "--member", "({0},{1})", "--max-reducts", "3",
+    ])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == ""
+    assert err == "refused: reduct sweep too large (estimated 4 > ceiling 3)\n"
 
 
 # ----- ramsey -----
@@ -196,6 +211,16 @@ def test_ramsey_lower_bound_exit(capsys, schema):
     assert payload["outcome"] == "lower_bound"
 
 
+def test_ramsey_node_budget_needs_backtracking(capsys):
+    code = cli.main([
+        "ramsey", "classical", "--k", "2", "--n", "3", "--s", "2",
+        "--bound", "8", "--node-budget", "1",
+    ])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: a node budget needs backtracking mode\n"
+
+
 def test_ramsey_ceiling_refusal(capsys, monkeypatch):
     monkeypatch.setenv(cli.ENV_CEILING, "4")
     code, _ = run(
@@ -250,6 +275,15 @@ def test_reduce_parity(tmp_path, capsys, schema):
     assert payload["outcome"] == "mono"
     assert payload["stem"] == "{1,3,5,7,9}"
     assert payload["color"] == 1
+
+
+def test_reduce_inconclusive_exit(tmp_path, capsys, schema, monkeypatch):
+    monkeypatch.setattr(ramsey, "galvin_search", _inconclusive_search)
+    path = _write_parity_coloring(tmp_path)
+    code, payload = run_json(capsys, schema, "reduce", "--coloring", str(path))
+    assert code == 3
+    assert payload["outcome"] == "inconclusive"
+    assert payload["diagnostics"] == "stuck"
 
 
 def test_reduce_bad_file(tmp_path, capsys):

@@ -4,7 +4,6 @@ from hypothesis import strategies as st
 
 from ramspace import (
     Approximation,
-    Neighborhood,
     Stem,
     ell_space,
     matrix_space,
@@ -127,27 +126,26 @@ def test_depth_minimality(spaces):
 def test_extensions_examples():
     e = ell_space(6)
     full = e.full_stem()
-    got = {b.payload for b in full.extensions(e.make((1,)))}
+    got = {b.payload for b in e.extensions_below(e.make((1,)), full.top)}
     assert got == {(1, 2), (1, 3), (1, 4), (1, 5)}
 
     e10 = ell_space(10)
     evens = Stem(e10, e10.make((0, 2, 4, 6, 8)))
-    got = {b.payload for b in evens.extensions(e10.empty())}
+    got = {b.payload for b in e10.extensions_below(e10.empty(), evens.top)}
     assert got == {(0,), (2,), (4,), (6,), (8,)}
 
 
 def test_extensions_empty_neighborhood_error(e8):
     stem = Stem(e8, e8.make((0, 2)))
     with pytest.raises(EmptyNeighborhoodError):
-        stem.extensions(e8.make((1,)))
+        e8.extensions_below(e8.make((1,)), stem.top)
 
 
 def test_extension_members_extend_base(spaces):
     for sp in spaces:
         for top in sp.stems()[:50]:
-            stem = Stem(sp, top)
             for a in sp.fin_below(top):
-                for b in stem.extensions(a):
+                for b in sp.extensions_below(a, top):
                     assert b.length == a.length + 1
                     assert sp.restrict(b, a.length) == a
                     assert sp.fin_leq(b, top)
@@ -157,19 +155,18 @@ def test_neighborhood_nonempty_iff_fin_leq(spaces):
     for sp in spaces:
         tops = sp.stems()
         for top in tops[:30]:
-            stem = Stem(sp, top)
             for a in tops[:30]:
-                nbhd = Neighborhood(stem, a)
-                assert nbhd.is_empty == (not sp.fin_leq(a, top))
-                if nbhd.is_empty:
+                is_empty = next(sp.iter_neighborhood(a, top), None) is None
+                assert is_empty == (not sp.fin_leq(a, top))
+                if is_empty:
                     with pytest.raises(EmptyNeighborhoodError):
-                        nbhd.require_nonempty()
+                        sp.extensions_below(a, top)
 
 
 def test_neighborhood_stems_pass_through_base(e8):
     full = e8.full_stem()
     a = e8.make((0, 1))
-    members = list(Neighborhood(full, a).stems())
+    members = [Stem(e8, t) for t in e8.iter_neighborhood(a, full.top)]
     assert all(s.approx(2) == a for s in members)
     # every subset of {2..7} can extend the base
     assert len(members) == 2**6
@@ -202,7 +199,7 @@ def test_is_maximal(e8):
 
 def test_reducts_are_exactly_fin_below(e8):
     stem = Stem(e8, e8.make((1, 4, 6)))
-    reduct_tops = {s.top for s in stem.reducts()}
+    reduct_tops = set(e8.iter_neighborhood(e8.empty(), stem.top))
     assert reduct_tops == set(e8.fin_below(stem.top))
 
 

@@ -14,12 +14,10 @@ from ramspace.forcing import (
     ACCEPTS,
     ALT1,
     ALT2,
-    INCONCLUSIVE,
     REJECTS,
     UNDECIDED,
     ForcingEngine,
     FrontFamily,
-    GalvinParams,
     decide,
     front_family,
     fusion,
@@ -135,27 +133,10 @@ def test_accepting_reduct_before_the_ceiling_is_undecided(e12):
     assert v.diagnostics == "not decided at this stem: {0} accepts {}"
 
 
-def test_horizon_below_base_length_is_an_error(e8):
+def test_walk_to_the_family_bound_rejects_a_clean_base(e8):
+    # Every chain through {3} passes length 2 clean, so it avoids {1,2}.
     fam = front_family(e8, [e8.make((1, 2))])
-    eng = ForcingEngine(fam, horizon=1)
-    with pytest.raises(ValueError):
-        eng.verdict(e8.full_stem(), e8.make((1, 2)))
-
-
-def test_fuel_capped_walk_is_undecided(e8):
-    # With fuel below the family bound, clean chains cannot certify
-    # avoidance, so the verdict stays undecided.
-    fam = front_family(e8, [e8.make((1, 2))])
-    v = decide(e8.full_stem(), e8.make((3,)), fam, horizon=1)
-    assert v.kind == UNDECIDED
-    # with full fuel the same base is definitively rejecting
     assert decide(e8.full_stem(), e8.make((3,)), fam).kind == REJECTS
-
-
-def test_galvin_horizon_validation(e8):
-    fam = front_family(e8, [e8.make((1, 2))])
-    with pytest.raises(ValueError):
-        galvin_search(e8.full_stem(), fam, GalvinParams(horizon=1))
 
 
 def test_rejection_witness_exists_when_rejecting(even_pairs_family):
@@ -346,23 +327,26 @@ def test_galvin_boundary_lurking_family_falls_back_to_direct_scan():
     assert verify_dichotomy(res.certificate)
 
 
-def test_galvin_refuses_when_greedy_disabled():
-    e = ell_space(20)
-    fam = front_family(e, [e.make((0,))])
-    with pytest.raises(CeilingExceededError):
-        galvin_search(
-            e.full_stem(), fam, GalvinParams(max_reducts=64, allow_greedy=False)
-        )
-
-
-def test_galvin_inconclusive_on_unsupported_greedy():
+def test_galvin_over_the_ceiling_refuses_without_greedy_exclusion():
+    # Matrix and partition have no greedy exclusion: the search refuses
+    # with the estimate the reduct sweep reached.
     p = partition_space(5)
     fam = front_family(p, [p.make([(0,), (1,)])])
-    res = galvin_search(
-        p.discrete_stem(), fam, GalvinParams(max_reducts=3, allow_greedy=True)
-    )
-    assert res.outcome == INCONCLUSIVE
-    assert res.diagnostics
+    with pytest.raises(CeilingExceededError) as exc:
+        galvin_search(p.discrete_stem(), fam, max_reducts=3)
+    assert (exc.value.estimate, exc.value.ceiling) == (4, 3)
+    m = matrix_space(2, 3)
+    fam = front_family(m, [m.make_rows([(1, 0)], 2)])
+    with pytest.raises(CeilingExceededError) as exc:
+        galvin_search(m.full_stem(), fam, max_reducts=2)
+    assert (exc.value.estimate, exc.value.ceiling) == (3, 2)
+    # Ellentuck excludes members greedily at any ceiling.
+    e = ell_space(20)
+    fam = front_family(e, [e.make((0,))])
+    res = galvin_search(e.full_stem(), fam, max_reducts=64)
+    assert res.outcome == ALT1
+    assert res.stem.top.payload == tuple(range(1, 20))
+    assert verify_dichotomy(res.certificate)
 
 
 def test_verify_dichotomy_rejects_malformed():

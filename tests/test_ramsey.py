@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from ramspace import ell_space, partition_space
+from ramspace import ell_space, forcing, partition_space, ramsey
 from ramspace.errors import CeilingExceededError
 from ramspace.ramsey import (
     EXHAUSTED,
@@ -172,6 +172,11 @@ def test_backtracking_budget_gives_lower_bound_only():
         "classical", 2, 3, 2, bound=8, mode="backtracking", node_budget=5
     )
     assert res.outcome == LOWER_BOUND
+
+
+def test_node_budget_needs_backtracking_mode():
+    with pytest.raises(ValueError, match="backtracking"):
+        finite_ramsey_witness("classical", 2, 3, 2, bound=8, node_budget=1)
 
 
 def test_exhaustive_ceiling_refusal():
@@ -399,16 +404,34 @@ def test_reduce_requires_total_coloring():
         abs_ramsey_reduce(col, A)
 
 
-def test_reduce_propagates_inconclusive():
-    from ramspace.forcing import GalvinParams
-
+def test_reduce_refuses_over_the_ceiling():
     p = partition_space(4)
     A = p.discrete_stem()
     dom = [a for a in p.fin_below(A.top) if a.length == 1]
     col = Coloring.from_function(p, 1, 2, dom, lambda a: len(a.payload[0]) % 2)
-    res = abs_ramsey_reduce(col, A, GalvinParams(max_reducts=2, allow_greedy=True))
+    with pytest.raises(CeilingExceededError) as exc:
+        abs_ramsey_reduce(col, A, max_reducts=2)
+    assert (exc.value.estimate, exc.value.ceiling) == (3, 2)
+
+
+def test_reduce_propagates_inconclusive(monkeypatch):
+    # No small family is known to leave galvin_search inconclusive, so
+    # a substitute search stands in for one.
+    def inconclusive(A, family, max_reducts):
+        return forcing.DichotomyResult(
+            forcing.INCONCLUSIVE, None, "", diagnostics="stuck",
+            stats={"walk_nodes": 3, "reducts_scanned": 1},
+        )
+
+    monkeypatch.setattr(ramsey, "galvin_search", inconclusive)
+    e = ell_space(6)
+    dom = [e.make((x,)) for x in range(6)]
+    col = Coloring.from_function(e, 1, 2, dom, lambda a: a.payload[0] % 2)
+    res = abs_ramsey_reduce(col, e.full_stem())
     assert res.outcome == "inconclusive"
-    assert res.diagnostics
+    assert (res.stem, res.color, res.certificates) == (None, None, [""])
+    assert res.diagnostics == "stuck"
+    assert res.stats == {"walk_nodes": 3, "reducts_scanned": 1}
 
 
 def test_reduce_pair_coloring_monochromatic():

@@ -168,8 +168,8 @@ def test_subspace_initial_segment_matches_reduct_search():
     for top in m.stems():
         stem = Stem(m, top)
         approxes = set()
-        for reduct in stem.reducts():
-            approxes.update(reduct.chain)
+        for reduct in m.iter_neighborhood(m.empty(), top):
+            approxes.update(m.chain(reduct))
         for cols in range(4):
             for cand in _all_echelon(2, cols):
                 verdict = subspace_initial_segment(SubspaceApprox(cand), stem)
