@@ -327,7 +327,7 @@ def test_galvin_boundary_lurking_family_falls_back_to_direct_scan():
     assert verify_dichotomy(res.certificate)
 
 
-def test_galvin_over_the_ceiling_refuses_without_greedy_exclusion():
+def test_galvin_refuses_when_greedy_disabled():
     # Matrix and partition have no greedy exclusion: the search refuses
     # with the estimate the reduct sweep reached.
     p = partition_space(5)
@@ -340,7 +340,9 @@ def test_galvin_over_the_ceiling_refuses_without_greedy_exclusion():
     with pytest.raises(CeilingExceededError) as exc:
         galvin_search(m.full_stem(), fam, max_reducts=2)
     assert (exc.value.estimate, exc.value.ceiling) == (3, 2)
-    # Ellentuck excludes members greedily at any ceiling.
+
+
+def test_galvin_ellentuck_excludes_greedily_over_the_ceiling():
     e = ell_space(20)
     fam = front_family(e, [e.make((0,))])
     res = galvin_search(e.full_stem(), fam, max_reducts=64)
