@@ -139,11 +139,6 @@ class Space(ABC):
     def full_stem(self) -> Stem:
         """The canonical ambient stem: every stem top lies below its top."""
 
-    @abstractmethod
-    def can_extend_in_universe(self, top: Approximation) -> bool:
-        """Whether any stem of the truncated universe properly extends
-        the chain of `top` (stems that cannot are flagged maximal)."""
-
     # ----- derived operations -----
 
     def check_tag(self, a: Approximation) -> None:
@@ -216,8 +211,7 @@ class Stem:
     """A truncated space element: the coherent chain r_0, ..., r_N.
 
     The chain is determined by its top approximation; the truncation
-    parameters live on the space instance.  A stem whose top admits no
-    extension within the truncation is *maximal*.
+    parameters live on the space instance.
     """
 
     space: Space
@@ -251,10 +245,6 @@ class Stem:
         raise NotInSpaceError(
             f"{self.space.serialize(a)} is not below any approximation of the stem"
         )
-
-    @property
-    def is_maximal(self) -> bool:
-        return not self.space.can_extend_in_universe(self.top)
 
     def serialize(self) -> str:
         return self.space.serialize(self.top)

@@ -125,6 +125,9 @@ class ForcingEngine:
         self.max_reducts = max_reducts
         self.index = Index(self.space)
         self._members = frozenset(self.index.ids(family.members))
+        self._prefixes = frozenset(
+            self.space.restrict(f, i) for f in family.members for i in range(f.length)
+        )
         self._walk_memo: dict[int, ChainStatus] = {}
         self.nodes = 0
 
@@ -142,12 +145,7 @@ class ForcingEngine:
         """Whether an exhausted chain at `c` below `top` could still meet
         the family: some member must extend `c`, and `c` must sit at the
         stem's materialization frontier, where continuations are free."""
-        if not self.space.open_beyond(c, top):
-            return False
-        for f in self.family.members:
-            if f.length > c.length and self.space.restrict(f, c.length) == c:
-                return True
-        return False
+        return self.space.open_beyond(c, top) and c in self._prefixes
 
     def walk(self, c: int, top: int) -> ChainStatus:
         """Status of the chains through the clean node with id `c` below
@@ -398,6 +396,15 @@ def galvin_search(
     name the blocking approximation.  Searches are deterministic:
     candidates are scanned longest-first in serialization order.
 
+    At level n a candidate is asked about its approximations of the new
+    length n+1 first, then about the shorter ones, each group in
+    canonical order.  The current stem is not asked the shorter ones
+    again: stage 1 or the previous level saw each of them rejected.  A
+    verdict's kind does not depend on the engine's memo, and no stage-2
+    sweep can pass the ceiling, so the stem chosen, the certificate and
+    `reducts_scanned` do not depend on that order; only `walk_nodes`
+    does.
+
     When the reducts of A pass `max_reducts`, a space with
     `exclude_member` (ellentuck) shrinks A greedily instead; any other
     space refuses with the CeilingExceededError and its estimate.
@@ -480,7 +487,9 @@ def galvin_search(
 
     # Stage 2: grow the rejecting sequence level by level.  After level
     # L every member of the family would be trivially accepted, so a
-    # stem rejecting all lengths <= L has a family-free down-set.
+    # stem rejecting all lengths <= L has a family-free down-set.  A
+    # new-length approximation is what usually blocks a candidate, so
+    # it is asked first (see the docstring for why the order is free).
     current = seed
     for level in range(L):
         target_len = level + 1
@@ -497,8 +506,13 @@ def galvin_search(
         for t in cands:
             stats["reducts_scanned"] += 1
             cand = Stem(space, t)
+            below = space.closure_below(t, max_length=target_len)
+            settled = sum(b.length < target_len for b in below)
+            asks = below[settled:]
+            if t != current.top:
+                asks += below[:settled]
             ok = True
-            for b in space.closure_below(t, max_length=target_len):
+            for b in asks:
                 v = engine.verdict(cand, b)
                 if v.kind != REJECTS:
                     ok = False

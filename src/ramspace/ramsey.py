@@ -73,10 +73,6 @@ class Coloring:
             raise ValueError(f"color {c} out of range for s={self.s}")
         return c
 
-    @classmethod
-    def from_function(cls, space: Space, k: int, s: int, domain, fn) -> "Coloring":
-        return cls(space, k, s, {space.serialize(a): fn(a) for a in domain})
-
 
 @dataclass
 class LevelInstance:

@@ -123,10 +123,6 @@ class EllentuckSpace(Space):
         """The stem on the whole ground set."""
         return Stem(self, self.make(range(self.ground)))
 
-    def can_extend_in_universe(self, top: Approximation) -> bool:
-        last = top.payload[-1] if top.payload else -1
-        return last < self.ground - 1
-
     def open_beyond(self, e: Approximation, top: Approximation) -> bool:
         if not top.payload:
             return True

@@ -197,9 +197,6 @@ class MatrixSpace(Space):
     def full_stem(self) -> Stem:
         return self.identity_stem()
 
-    def can_extend_in_universe(self, top: Approximation) -> bool:
-        return top.payload.cols < self.max_cols
-
     def open_beyond(self, e: Approximation, top: Approximation) -> bool:
         return e.payload.cols == top.payload.cols
 

@@ -215,9 +215,6 @@ class PartitionSpace(Space):
     def full_stem(self) -> Stem:
         return self.discrete_stem()
 
-    def can_extend_in_universe(self, top: Approximation) -> bool:
-        return _domain(top.payload) < self.max_domain
-
     def open_beyond(self, e: Approximation, top: Approximation) -> bool:
         return _domain(e.payload) == _domain(top.payload)
 

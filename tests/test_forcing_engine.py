@@ -1,9 +1,13 @@
 """The id-indexed forcing engine against the primitive-driven engine,
-and the forcing workload's pinned outputs.
+the dichotomy search against its canonical-order stage 2, and the
+forcing workload's pinned outputs.
 
 `_PrimitiveEngine` is `ForcingEngine` as it was written over
 approximation values, before it moved onto an engine-owned index of
 ids; it is kept here as the oracle every verdict is compared with.
+`_canonical_galvin_search` is `galvin_search` as it was before stage 2
+asked each candidate its new-length approximations first; it is kept
+as the oracle for every search's stem and certificate.
 """
 
 from __future__ import annotations
@@ -26,13 +30,23 @@ from ramspace.errors import (
 )
 from ramspace.forcing import (
     ACCEPTS,
+    ALT1,
+    ALT2,
+    INCONCLUSIVE,
+    MAX_REDUCTS,
     REJECTS,
     UNDECIDED,
     ChainStatus,
+    DichotomyResult,
     ForcingEngine,
     ForcingVerdict,
     FrontFamily,
+    _certificate_alt1,
+    _certificate_alt2,
+    _frontier,
+    _greedy_avoiding_stem,
     front_family,
+    galvin_search,
 )
 from ramspace.spaces.ellentuck import TAG
 
@@ -337,14 +351,232 @@ def test_ellentuck_children_follow_the_text_order():
         e.extensions_below(e.empty(), Approximation("matrix", (), 0))
 
 
+# ----- stage 2's check order against the canonical order -----
+
+
+def _canonical_galvin_search(A, family, max_reducts=MAX_REDUCTS):
+    """`galvin_search` with stage 2 asking each candidate at level n
+    every approximation of length <= n+1 below it, in canonical order,
+    the current stem included."""
+    space = family.space
+    engine = ForcingEngine(family, max_reducts)
+    L = family.length_bound
+    stats = {"reducts_scanned": 0}
+
+    def finish_alt1(B):
+        cert = _certificate_alt1(family, A, B, checked=len(family.members))
+        stats["walk_nodes"] = engine.nodes
+        return DichotomyResult(ALT1, B, cert, stats=stats)
+
+    def finish_alt2(B):
+        cert = _certificate_alt2(family, A, B, _frontier(engine, B.top))
+        stats["walk_nodes"] = engine.nodes
+        return DichotomyResult(ALT2, B, cert, stats=stats)
+
+    def direct_alt1_scan(reducts):
+        for t in reducts:
+            if not any(space.fin_leq(f, t) for f in family.members):
+                stats["direct_scan"] = 1
+                return Stem(space, t)
+        return None
+
+    empty = space.empty()
+    seed = None
+    try:
+        if engine.chain_status(A.top, empty) is ChainStatus.ALL_HIT:
+            return finish_alt2(A)
+        reducts = space.longest_first(engine._neighborhood(empty, A.top))
+        first_accepting = None
+        for t in reducts:
+            stats["reducts_scanned"] += 1
+            v = engine.verdict(Stem(space, t), empty)
+            if v.kind == REJECTS:
+                seed = Stem(space, t)
+                break
+            if v.kind == ACCEPTS and first_accepting is None:
+                first_accepting = Stem(space, t)
+        if seed is None:
+            if first_accepting is not None:
+                return finish_alt2(first_accepting)
+            direct = direct_alt1_scan(reducts)
+            if direct is not None:
+                return finish_alt1(direct)
+            return DichotomyResult(INCONCLUSIVE, None, "", stats=stats)
+    except CeilingExceededError:
+        greedy = _greedy_avoiding_stem(space, A, family)
+        if greedy is None:
+            raise
+        return finish_alt1(greedy)
+
+    current = seed
+    for level in range(L):
+        target_len = level + 1
+        chosen = None
+        prefix = current.approx(min(level, current.length))
+        cands = [current.top] + [
+            t
+            for t in space.longest_first(engine._neighborhood(prefix, current.top))
+            if t != current.top
+        ]
+        for t in cands:
+            stats["reducts_scanned"] += 1
+            cand = Stem(space, t)
+            if all(
+                engine.verdict(cand, b).kind == REJECTS
+                for b in space.closure_below(t, max_length=target_len)
+            ):
+                chosen = cand
+                break
+        if chosen is None:
+            direct = direct_alt1_scan(reducts)
+            if direct is not None:
+                return finish_alt1(direct)
+            return DichotomyResult(INCONCLUSIVE, None, "", stats=stats)
+        current = chosen
+    return finish_alt1(current)
+
+
+def _comparable(res):
+    """Everything a search reports but its walk_nodes count (and the
+    text naming an inconclusive search's blocker)."""
+    stats = {key: v for key, v in res.stats.items() if key != "walk_nodes"}
+    return res.outcome, res.stem, res.certificate, stats
+
+
+def _same_search(A, family, max_reducts=MAX_REDUCTS):
+    """The search's result, asserted equal to the oracle's but for
+    walk_nodes; a refusal must be the oracle's too."""
+    try:
+        want = _canonical_galvin_search(A, family, max_reducts)
+    except CeilingExceededError as e:
+        with pytest.raises(CeilingExceededError) as exc:
+            galvin_search(A, family, max_reducts)
+        assert str(exc.value) == str(e)
+        raise
+    got = galvin_search(A, family, max_reducts)
+    assert _comparable(got) == _comparable(want), (family, A)
+    return got
+
+
+def test_stage_2_order_keeps_the_dichotomy_fixtures():
+    from test_acceptance import _fixture_families
+
+    outcomes = []
+    for space, members, bound in _fixture_families():
+        family = front_family(space, members, length_bound=bound)
+        outcomes.append(_same_search(space.full_stem(), family).outcome)
+    assert len(outcomes) == 100 and set(outcomes) == {ALT1, ALT2}
+
+
+@pytest.mark.parametrize(
+    "space",
+    [ell_space(7), matrix_space(2, 3), matrix_space(3, 2), partition_space(5)],
+    ids=lambda sp: sp.params_str(),
+)
+def test_stage_2_order_keeps_seeded_random_searches(space, monkeypatch):
+    # Seeded color classes, as `reduce` searches them: a random half of
+    # the length-k approximations, below the full stem or a random stem
+    # of length >= 3.  Both orders choose the same stems; the new one
+    # asks fewer verdicts.
+    asked = [0]
+    verdict = ForcingEngine.verdict
+
+    def counting(self, stem, a):
+        asked[0] += 1
+        return verdict(self, stem, a)
+
+    monkeypatch.setattr(ForcingEngine, "verdict", counting)
+    rng = random.Random(20261018)
+    below = space.fin_below(space.full_stem().top)
+    ambients = [space.full_stem()] + [
+        Stem(space, t) for t in space.stems() if t.length >= 3
+    ]
+    outcomes = {ALT1: 0, ALT2: 0, INCONCLUSIVE: 0}
+    verdicts = {"canonical": 0, "new-length first": 0}
+    for _ in range(40):
+        k = rng.choice((1, 2))
+        members = [a for a in below if a.length == k and rng.random() < 0.5]
+        family = front_family(space, members, length_bound=k)
+        A = rng.choice(ambients)
+        start = asked[0]
+        want = _canonical_galvin_search(A, family)
+        verdicts["canonical"] += asked[0] - start
+        start = asked[0]
+        got = galvin_search(A, family)
+        verdicts["new-length first"] += asked[0] - start
+        assert _comparable(got) == _comparable(want), (members, A)
+        outcomes[got.outcome] += 1
+    assert outcomes[ALT1] and outcomes[ALT2], outcomes
+    assert verdicts["new-length first"] < verdicts["canonical"], verdicts
+
+
+@pytest.mark.parametrize("space, pool", CASES)
+def test_verdicts_do_not_depend_on_the_memo(space, pool):
+    # Stage 2 may ask a candidate's approximations in any order because
+    # a verdict's kind and diagnostics are the same on a fresh engine
+    # and on one warmed by any other verdicts.
+    rng = random.Random(318)
+    questions = [
+        (Stem(space, t), a)
+        for t in space.stems()
+        for a in space.fin_below(t)
+        if a.length <= 2
+    ]
+    families = [fam for r in (1, 2) for fam in itertools.combinations(pool, r)]
+    kinds = set()
+    for fam in rng.sample(families, 6):
+        family = front_family(space, fam, length_bound=2)
+        warm = ForcingEngine(family)
+        for B, a in rng.sample(questions, len(questions)):
+            got = warm.verdict(B, a)
+            if rng.random() < 0.2:
+                fresh = ForcingEngine(family).verdict(B, a)
+                assert (got.kind, got.diagnostics) == (fresh.kind, fresh.diagnostics)
+                kinds.add(got.kind)
+    assert {ACCEPTS, REJECTS} <= kinds
+
+
+@pytest.mark.parametrize("space, pool", CASES)
+def test_can_still_hit_matches_the_member_loop(space, pool):
+    # The engine's set of proper member prefixes against the oracle's
+    # scan of the members, on every approximation below every stem.
+    rng = random.Random(7)
+    below = space.fin_below(space.full_stem().top)
+    seen = set()
+    for _ in range(8):
+        members = rng.sample(below, 3)
+        family = front_family(space, members)
+        new, old = ForcingEngine(family), _PrimitiveEngine(family)
+        for t in space.stems():
+            for c in space.fin_below(t):
+                got = new._can_still_hit(c, t)
+                assert got == old._can_still_hit(c, t), (members, t, c)
+                seen.add(got)
+    assert seen == {True, False}
+
+
 # ----- the pinned forcing grid -----
+
+
+def _run_grid_job(tmp_path, i, job):
+    """The job's argv, exit code and stdout, run through the CLI."""
+    path = tmp_path / f"input-{i:03d}.txt"
+    path.write_text("\n".join(job["file"]) + "\n")
+    flag = "--family" if job["command"] == "galvin" else "--coloring"
+    argv = [job["command"], flag, str(path), *job["argv"], "--format", "json"]
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv)
+    return argv, code, out.getvalue()
 
 
 def test_forcing_grid_matches_the_pinned_results(tmp_path, monkeypatch):
     # One pass of the benchmark's forcing workload, taken with the
     # primitive-driven engine: galvin output is byte-identical, reduce
     # output is identical apart from the stats it now reports, and
-    # those are the sums of its galvin_search stages' stats.
+    # those are the sums of its galvin_search stages' stats.  The
+    # walk_nodes counts were re-pinned when stage 2 began asking
+    # new-length approximations first.
     stages = []
     search = ramsey.galvin_search
 
@@ -356,20 +588,14 @@ def test_forcing_grid_matches_the_pinned_results(tmp_path, monkeypatch):
     monkeypatch.setattr(ramsey, "galvin_search", recording)
     jobs = json.loads(DATA.read_text())["jobs"]
     for i, job in enumerate(jobs):
-        path = tmp_path / f"input-{i:03d}.txt"
-        path.write_text("\n".join(job["file"]) + "\n")
-        flag = "--family" if job["command"] == "galvin" else "--coloring"
-        argv = [job["command"], flag, str(path), *job["argv"], "--format", "json"]
         stages.clear()
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.main(argv)
+        argv, code, stdout = _run_grid_job(tmp_path, i, job)
         assert code == job["exit"], argv
         want = dict(job["output"])
         if job["command"] == "galvin":
-            assert out.getvalue() == json.dumps(want, indent=2, sort_keys=True) + "\n"
+            assert stdout == json.dumps(want, indent=2, sort_keys=True) + "\n"
             continue
-        got = json.loads(out.getvalue())
+        got = json.loads(stdout)
         stats = got.pop("stats")
         assert want.pop("stats") == {}
         assert got == want, argv
@@ -380,3 +606,22 @@ def test_forcing_grid_matches_the_pinned_results(tmp_path, monkeypatch):
         }
     assert len(jobs) == 100
     assert sum(job["command"] == "reduce" for job in jobs) == 61
+
+
+def test_stage_2_order_keeps_the_forcing_grid(tmp_path, monkeypatch):
+    # Every search of the pinned grid, galvin and reduce stages alike,
+    # against the oracle.
+    outcomes = []
+
+    def checked(A, family, max_reducts=MAX_REDUCTS):
+        res = _same_search(A, family, max_reducts)
+        outcomes.append(res.outcome)
+        return res
+
+    monkeypatch.setattr(cli, "galvin_search", checked)
+    monkeypatch.setattr(ramsey, "galvin_search", checked)
+    jobs = json.loads(DATA.read_text())["jobs"]
+    for i, job in enumerate(jobs):
+        argv, code, _ = _run_grid_job(tmp_path, i, job)
+        assert code == job["exit"], argv
+    assert len(outcomes) > len(jobs)

@@ -357,7 +357,7 @@ def test_reduce_parity_coloring():
     e = ell_space(12)
     A = e.full_stem()
     dom = [a for a in e.fin_below(A.top) if a.length == 1]
-    col = Coloring.from_function(e, 1, 2, dom, lambda a: a.payload[0] % 2)
+    col = Coloring(e, 1, 2, {e.serialize(a): a.payload[0] % 2 for a in dom})
     res = abs_ramsey_reduce(col, A)
     assert res.outcome == "mono"
     assert res.stem.top.payload == tuple(range(1, 12, 2))
@@ -368,7 +368,7 @@ def test_reduce_three_colors():
     e = ell_space(9)
     A = e.full_stem()
     dom = [a for a in e.fin_below(A.top) if a.length == 1]
-    col = Coloring.from_function(e, 1, 3, dom, lambda a: a.payload[0] % 3)
+    col = Coloring(e, 1, 3, {e.serialize(a): a.payload[0] % 3 for a in dom})
     res = abs_ramsey_reduce(col, A)
     assert res.outcome == "mono"
     assert res.color == 2
@@ -380,7 +380,7 @@ def test_reduce_constant_coloring_keeps_ambient():
     e = ell_space(6)
     A = e.full_stem()
     dom = [a for a in e.fin_below(A.top) if a.length == 1]
-    col = Coloring.from_function(e, 1, 2, dom, lambda a: 1)
+    col = Coloring(e, 1, 2, {e.serialize(a): 1 for a in dom})
     res = abs_ramsey_reduce(col, A)
     assert res.outcome == "mono"
     assert res.stem.top == A.top
@@ -391,7 +391,7 @@ def test_reduce_single_color():
     e = ell_space(5)
     A = e.full_stem()
     dom = [a for a in e.fin_below(A.top) if a.length == 1]
-    col = Coloring.from_function(e, 1, 1, dom, lambda a: 0)
+    col = Coloring(e, 1, 1, {e.serialize(a): 0 for a in dom})
     res = abs_ramsey_reduce(col, A)
     assert res.stem.top == A.top and res.color == 0
 
@@ -408,7 +408,7 @@ def test_reduce_refuses_over_the_ceiling():
     p = partition_space(4)
     A = p.discrete_stem()
     dom = [a for a in p.fin_below(A.top) if a.length == 1]
-    col = Coloring.from_function(p, 1, 2, dom, lambda a: len(a.payload[0]) % 2)
+    col = Coloring(p, 1, 2, {p.serialize(a): len(a.payload[0]) % 2 for a in dom})
     with pytest.raises(CeilingExceededError) as exc:
         abs_ramsey_reduce(col, A, max_reducts=2)
     assert (exc.value.estimate, exc.value.ceiling) == (3, 2)
@@ -426,7 +426,7 @@ def test_reduce_propagates_inconclusive(monkeypatch):
     monkeypatch.setattr(ramsey, "galvin_search", inconclusive)
     e = ell_space(6)
     dom = [e.make((x,)) for x in range(6)]
-    col = Coloring.from_function(e, 1, 2, dom, lambda a: a.payload[0] % 2)
+    col = Coloring(e, 1, 2, {e.serialize(a): a.payload[0] % 2 for a in dom})
     res = abs_ramsey_reduce(col, e.full_stem())
     assert res.outcome == "inconclusive"
     assert (res.stem, res.color, res.certificates) == (None, None, [""])
@@ -438,8 +438,8 @@ def test_reduce_pair_coloring_monochromatic():
     e = ell_space(8)
     A = e.full_stem()
     dom = [a for a in e.fin_below(A.top) if a.length == 2]
-    col = Coloring.from_function(
-        e, 2, 2, dom, lambda a: (a.payload[0] + a.payload[1]) % 2
+    col = Coloring(
+        e, 2, 2, {e.serialize(a): (a.payload[0] + a.payload[1]) % 2 for a in dom}
     )
     res = abs_ramsey_reduce(col, A)
     assert res.outcome == "mono"
