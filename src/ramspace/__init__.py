@@ -25,29 +25,16 @@ from .errors import (
     ParseError,
     RamspaceError,
 )
-from .gflinalg import (
-    EchelonMatrix,
-    enumerate_rre,
-    gaussian_binomial,
-    in_span,
-    rref_of_rows,
-    subspace_leq,
-)
+from .gflinalg import EchelonMatrix, enumerate_rre, gaussian_binomial, rref_of_rows
 from .spaces import (
     EllentuckSpace,
     MatrixSpace,
     PartitionSpace,
-    SegmentVerdict,
-    SubspaceApprox,
-    coarsenings,
     ell_space,
     enumerate_partitions,
-    mat_pn,
     matrix_space,
-    part_coarser,
     partition_space,
     stirling2,
-    subspace_initial_segment,
 )
 
 __version__ = "0.1.0"

@@ -66,6 +66,11 @@ class AuditBounds:
     transitivity_cap: int = 100_000
     amalgamation_cap: int = 800
 
+    def __post_init__(self):
+        for key in ("max_len", "max_depth", "a6_max_len"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"need {key} >= 0, got {getattr(self, key)}")
+
 
 @dataclass
 class AxiomCheck:

@@ -3,8 +3,7 @@
 Subcommands drive the library's audits, dichotomy searches, witness
 computations, and coloring reductions with reproducible output:
 identical configuration and inputs produce byte-identical text and
-json output (timing is only emitted under --timing, and the csv
-format's seconds column is empty without it).
+json output (timing is only emitted under --timing).
 
 Every space has a default ambient stem (`Space.full_stem`: the whole
 ground set, the identity matrix, the discrete partition), so `galvin`
@@ -31,7 +30,6 @@ from .core import Stem
 from .errors import CeilingExceededError, ParseError, RamspaceError
 from .forcing import ALT1, ALT2, MAX_REDUCTS, FrontFamily, front_family, galvin_search
 from .ramsey import (
-    EXHAUSTED,
     EXHAUSTIVE_CEILING,
     FOUND,
     LOWER_BOUND,
@@ -116,14 +114,10 @@ class Output:
     def seconds(self):
         return round(time.perf_counter() - self.started, 3) if self.timing else None
 
-    def emit(self, payload: dict, text_lines: list[str], csv_rows: list[str]):
+    def emit(self, payload: dict, text_lines: list[str]):
         if self.format == "json":
             payload = dict(payload, seconds=self.seconds())
             content = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        elif self.format == "csv":
-            secs = "" if self.seconds() is None else f"{self.seconds()}"
-            header = "instance,outcome,value,count_checked,seconds"
-            content = "\n".join([header] + [r + secs for r in csv_rows]) + "\n"
         else:
             lines = list(text_lines)
             if self.timing:
@@ -169,17 +163,32 @@ def cmd_audit(args) -> int:
             "depth_violations": report.depth_violations,
         },
     }
-    csv_rows = [
-        f"audit:{space.params_str()},{payload['outcome']},,"
-        f"{sum(c.instances for c in report.checks)},"
-    ]
-    out.emit(payload, report.summary_lines(), csv_rows)
+    out.emit(payload, report.summary_lines())
     return code
+
+
+# The galvin options that name a family inline, by argparse dest.
+_INLINE_FAMILY = {
+    "member": "--member",
+    "length_bound": "--length-bound",
+    "space": "--space",
+    "ground": "--ground",
+    "max_cols": "--max-cols",
+    "max_domain": "--domain",
+}
 
 
 def cmd_galvin(args) -> int:
     out = Output(args)
     if args.family:
+        # The file holds the space, the length bound and the members.
+        given = [
+            flag
+            for dest, flag in _INLINE_FAMILY.items()
+            if getattr(args, dest) not in (None, [])
+        ]
+        if given:
+            raise ParseError(f"--family takes no {', '.join(given)}")
         family = parse_family_file(_read_lines(args.family))
     else:
         space = space_from_params(vars(args))
@@ -211,11 +220,7 @@ def cmd_galvin(args) -> int:
         text.append(f"diagnostics: {result.diagnostics}")
     if result.certificate:
         text.append(result.certificate.rstrip("\n"))
-    csv_rows = [
-        f"galvin:{space.params_str()},{result.outcome},,"
-        f"{result.stats.get('reducts_scanned', 0)},"
-    ]
-    out.emit(payload, text, csv_rows)
+    out.emit(payload, text)
     return code
 
 
@@ -241,11 +246,10 @@ def _run_ramsey(args):
 def cmd_ramsey(args) -> int:
     out = Output(args)
     instance, result = _run_ramsey(args)
-    code = {
-        FOUND: EXIT_OK,
-        LOWER_BOUND: EXIT_NEGATIVE,
-        EXHAUSTED: EXIT_INCONCLUSIVE,
-    }[result.outcome]
+    # exhausted (every level refuted) and inconclusive (none decided)
+    code = {FOUND: EXIT_OK, LOWER_BOUND: EXIT_NEGATIVE}.get(
+        result.outcome, EXIT_INCONCLUSIVE
+    )
     certs = {}
     if result.found_certificate:
         certs["found"] = result.found_certificate
@@ -263,7 +267,7 @@ def cmd_ramsey(args) -> int:
     text = [f"outcome: {result.outcome}", f"value: {result.value}"]
     for name in sorted(certs):
         text.append(certs[name].rstrip("\n"))
-    out.emit(payload, text, [result.csv_row(instance)])
+    out.emit(payload, text)
     return code
 
 
@@ -290,13 +294,12 @@ def cmd_reduce(args) -> int:
     if result.stem:
         text.append(f"stem: {result.stem.serialize()}")
         text.append(f"color: {result.color}")
-    csv_rows = [f"reduce:{space.params_str()},{result.outcome},{result.color if result.color is not None else ''},,"]
-    out.emit(payload, text, csv_rows)
+    out.emit(payload, text)
     return code
 
 
 def _add_common(p):
-    p.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    p.add_argument("--format", choices=("text", "json"), default="text")
     p.add_argument("--output", help="write output to this path instead of stdout")
     p.add_argument(
         "--timing",

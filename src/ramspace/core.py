@@ -224,10 +224,6 @@ class Stem:
     def length(self) -> int:
         return self.top.length
 
-    @property
-    def chain(self) -> list[Approximation]:
-        return self.space.chain(self.top)
-
     def approx(self, n: int) -> Approximation:
         """The length-n approximation r_n of this stem."""
         if n < 0 or n > self.length:

@@ -119,6 +119,8 @@ class ForcingEngine:
     """
 
     def __init__(self, family: FrontFamily, max_reducts: int = MAX_REDUCTS):
+        if max_reducts < 1:
+            raise ValueError(f"need max_reducts >= 1, got {max_reducts}")
         self.family = family
         self.space = family.space
         self.bound = family.length_bound

@@ -147,22 +147,6 @@ def spans(
     return True
 
 
-def in_span(v: Sequence[int], m: EchelonMatrix) -> bool:
-    """True iff vector `v` is a linear combination of the rows of `m`."""
-    if len(v) != m.cols:
-        raise ValueError(f"dimension mismatch: vector {len(v)} vs cols {m.cols}")
-    return spans(tuple(zip(m.rows, m.pivots)), (v,), m.q)
-
-
-def subspace_leq(a: EchelonMatrix, b: EchelonMatrix) -> bool:
-    """True iff the row space of `a` is contained in the row space of `b`."""
-    if a.q != b.q:
-        raise ValueError("mixed moduli")
-    if a.cols != b.cols:
-        raise ValueError(f"column mismatch: {a.cols} vs {b.cols}")
-    return spans(tuple(zip(b.rows, b.pivots)), a.rows, b.q)
-
-
 def gaussian_binomial(m: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of F_q^m.
 

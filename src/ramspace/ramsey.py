@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 
 from .core import Approximation, Space, Stem
 from .errors import CeilingExceededError
-from .forcing import ALT1, ALT2, MAX_REDUCTS, FrontFamily, galvin_search
+from .forcing import ALT1, ALT2, INCONCLUSIVE, MAX_REDUCTS, FrontFamily, galvin_search
 from .spaces import ell_space, parse_params_str, space_from_params
 
 FOUND = "found"
@@ -150,17 +150,11 @@ def build_level(kind: str, m: int, k: int, n: int, q: int | None = None) -> Leve
 
 @dataclass
 class WitnessResult:
-    outcome: str  # found | lower_bound | exhausted
+    outcome: str  # found | lower_bound | exhausted | inconclusive
     value: int | None
     found_certificate: str | None = None
     lower_bound_certificate: str | None = None
     stats: dict = field(default_factory=dict)
-
-    def csv_row(self, instance: str) -> str:
-        """The csv row up to its seconds column, which the CLI appends."""
-        value = "" if self.value is None else str(self.value)
-        checked = self.stats.get("colorings_checked", self.stats.get("nodes", 0))
-        return f"{instance},{self.outcome},{value},{checked},"
 
 
 def _level_exhaustive(inst: LevelInstance, s: int, ceiling: int):
@@ -309,8 +303,10 @@ def finite_ramsey_witness(
     level was examined, the bad coloring refuting it; when every level
     up to the bound is refuted the outcome is `exhausted` with the last
     refutation.  A level the node budget cannot decide stops the search
-    with outcome `lower_bound` and `undecided_level` in the stats: only
-    the refuted levels below it are then known.
+    with `undecided_level` in the stats and outcome `lower_bound`: only
+    the refuted levels below it are then known.  When no level below it
+    was refuted there is no bound to report, and the outcome is
+    `inconclusive`.
     """
     least_k = 0 if kind == "classical" else 1
     if not least_k <= k <= n:
@@ -339,7 +335,7 @@ def finite_ramsey_witness(
             level_stats = {"nodes": nodes}
             if is_witness is None:
                 return WitnessResult(
-                    LOWER_BOUND,
+                    INCONCLUSIVE if last_bad is None else LOWER_BOUND,
                     last_bad_level,
                     lower_bound_certificate=last_bad,
                     stats=dict(stats, undecided_level=m),

@@ -5,22 +5,8 @@ from dataclasses import fields
 from ..core import Space
 from ..errors import ParseError
 from .ellentuck import EllentuckSpace, ell_space
-from .matrix import (
-    MatrixSpace,
-    SegmentVerdict,
-    SubspaceApprox,
-    mat_pn,
-    matrix_space,
-    subspace_initial_segment,
-)
-from .partition import (
-    PartitionSpace,
-    coarsenings,
-    enumerate_partitions,
-    part_coarser,
-    partition_space,
-    stirling2,
-)
+from .matrix import MatrixSpace, matrix_space
+from .partition import PartitionSpace, enumerate_partitions, partition_space, stirling2
 
 SPACES = {cls.tag: cls for cls in (EllentuckSpace, MatrixSpace, PartitionSpace)}
 SPACE_TAGS = tuple(SPACES)
@@ -62,20 +48,14 @@ __all__ = [
     "EllentuckSpace",
     "MatrixSpace",
     "PartitionSpace",
-    "SegmentVerdict",
-    "SubspaceApprox",
     "SPACES",
     "SPACE_TAGS",
-    "coarsenings",
     "ell_space",
     "enumerate_partitions",
     "int_param",
-    "mat_pn",
     "matrix_space",
     "parse_params_str",
-    "part_coarser",
     "partition_space",
     "space_from_params",
     "stirling2",
-    "subspace_initial_segment",
 ]

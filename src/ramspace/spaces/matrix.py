@@ -13,17 +13,11 @@ The span order between stems coincides with the finitization on tops.
 
 from __future__ import annotations
 
-import enum
 import itertools
 from dataclasses import dataclass
 
 from ..core import Approximation, Space, Stem
-from ..errors import (
-    EmptyNeighborhoodError,
-    InvalidApproximationError,
-    OutOfRangeError,
-    ParseError,
-)
+from ..errors import EmptyNeighborhoodError, InvalidApproximationError, ParseError
 from ..gflinalg import (
     EchelonMatrix,
     enumerate_rre,
@@ -224,48 +218,3 @@ def _pivoting_before(m: EchelonMatrix, cols: int) -> list[tuple[tuple[int, ...],
 def matrix_space(q: int, max_cols: int) -> MatrixSpace:
     return MatrixSpace(q, max_cols)
 
-
-def mat_pn(stem: Stem, n: int) -> int:
-    """Pivot column of row n of the stem's materialized matrix."""
-    m: EchelonMatrix = stem.top.payload
-    if n < 0 or n >= m.nrows:
-        raise OutOfRangeError(f"row {n} not materialized (have {m.nrows} rows)")
-    return m.pivots[n]
-
-
-@dataclass(frozen=True)
-class SubspaceApprox:
-    """A finite-dimensional subspace of F_q^cols named by a basis matrix."""
-
-    basis: EchelonMatrix
-
-
-class SegmentVerdict(enum.Enum):
-    """Three-valued answer for truncation-limited membership questions."""
-
-    YES = "yes"
-    NO = "no"
-    INCONCLUSIVE = "inconclusive"
-
-
-def subspace_initial_segment(w: SubspaceApprox, v_stem: Stem) -> SegmentVerdict:
-    """Whether the subspace `w` occurs as an approximation of a reduct
-    of `v_stem`.
-
-    Inconclusive when `w` lives in more columns than the stem
-    materializes; otherwise decided exactly: the canonical basis of `w`,
-    taken with its ambient column count, is such an approximation iff it
-    sits below the stem's top in the finitization order.
-    """
-    space = v_stem.space
-    if not isinstance(space, MatrixSpace):
-        raise TypeError("stem must belong to a matrix space")
-    if w.basis.q != space.q:
-        raise ValueError("field mismatch")
-    top: EchelonMatrix = v_stem.top.payload
-    if w.basis.cols > top.cols:
-        return SegmentVerdict.INCONCLUSIVE
-    cand = Approximation(TAG, w.basis, w.basis.nrows)
-    if space.fin_leq(cand, v_stem.top):
-        return SegmentVerdict.YES
-    return SegmentVerdict.NO

@@ -230,22 +230,6 @@ def partition_space(max_domain: int) -> PartitionSpace:
     return PartitionSpace(max_domain)
 
 
-def part_coarser(x, y) -> bool:
-    """Whether x is coarser than y.
-
-    For two approximations the domains must agree and every block of y
-    must sit inside a block of x; for two stems this is the reduct
-    order (smaller-or-equal domain, coarser on the restriction).
-    """
-    if isinstance(x, Stem) and isinstance(y, Stem):
-        return x.space.fin_leq(x.top, y.top)
-    if isinstance(x, Approximation) and isinstance(y, Approximation):
-        if _domain(x.payload) != _domain(y.payload):
-            raise ValueError("domain mismatch between partition approximations")
-        return PartitionSpace._coarser(x.payload, y.payload)
-    raise TypeError("arguments must be two approximations or two stems")
-
-
 def _rgs_iter(n: int, k: int | None = None):
     """Restricted-growth strings of length n (exactly k classes if given)."""
     if n == 0:
@@ -320,9 +304,7 @@ def stirling2(n: int, k: int) -> int:
     return table[n][k]
 
 
-def enumerate_partitions(
-    n: int, k: int, ceiling: int = 1 << 22, space: PartitionSpace | None = None
-) -> list[Approximation]:
+def enumerate_partitions(n: int, k: int, ceiling: int = 1 << 22) -> list[Approximation]:
     """All k-block partitions of {0..n-1}, ordered by block minima.
 
     Count equals the Stirling number S(n, k).
@@ -334,23 +316,9 @@ def enumerate_partitions(
         raise CeilingExceededError(
             f"enumerate_partitions({n},{k}) too large", total, ceiling
         )
-    space = space or PartitionSpace(max(n, 1))
     out = [
         Approximation(TAG, blocks, len(blocks)) for blocks in _set_partitions(n, k)
     ]
     assert len(out) == total
-    return sorted(out, key=space.sort_key)
+    return sorted(out, key=PartitionSpace(max(n, 1)).sort_key)
 
-
-def coarsenings(t: Approximation, k: int) -> list[Approximation]:
-    """All k-block partitions coarser than `t` (unions of t's blocks)."""
-    if t.space_tag != TAG:
-        raise TypeError("expected a partition approximation")
-    if k < 0 or k > t.length:
-        raise ValueError("need 0 <= k <= block count")
-    space = PartitionSpace(max(_domain(t.payload), 1))
-    out = []
-    for grouping in _set_partitions(t.length, k):
-        merged = _merge_blocks(t.payload, grouping)
-        out.append(Approximation(TAG, merged, k))
-    return sorted(out, key=space.sort_key)

@@ -202,43 +202,47 @@ def test_criterion_6_forcing_properties():
     )
     assert len(families) == 232
 
+    # Everything but the verdicts is the same for every family, so it
+    # is computed once: each stem's approximations of length <= 2, with
+    # the reducts of the stem that still see each one and its one-step
+    # extensions of length <= 2 below the stem.
+    pairs = []
+    for B in stems:
+        reduct_tops = e.fin_below(B.top)
+        for a in reduct_tops:
+            if a.length <= 2:
+                seers = [t for t in reduct_tops if e.fin_leq(a, t)]
+                exts = [b for b in e.extensions_below(a, B.top) if b.length <= 2]
+                pairs.append((B, a, seers, exts))
+
     violations = {"down": 0, "down-reject": 0, "extend": 0, "witness": 0}
     checked = 0
     for fam in families:
         family = front_family(e, fam, length_bound=2)
         engine = ForcingEngine(family)
-        verdicts = {}
-        for B in stems:
-            for a in e.fin_below(B.top):
-                if a.length <= 2:
-                    verdicts[(B.top, a)] = engine.verdict(B, a).kind
-                    checked += 1
-        for B in stems:
-            below = [a for a in e.fin_below(B.top) if a.length <= 2]
-            reduct_tops = e.fin_below(B.top)
-            for a in below:
-                kind = verdicts[(B.top, a)]
-                if kind == "accepts":
-                    # acceptance passes to every reduct that still sees a
-                    for t in reduct_tops:
-                        if e.fin_leq(a, t) and verdicts[(t, a)] == REJECTS:
-                            violations["down"] += 1
-                    # and to every one-step extension below the stem
-                    for b in e.extensions_below(a, B.top):
-                        if b.length <= 2 and verdicts[(B.top, b)] != "accepts":
-                            violations["extend"] += 1
-                elif kind == REJECTS:
-                    for t in reduct_tops:
-                        if e.fin_leq(a, t) and verdicts[(t, a)] == "accepts":
-                            violations["down-reject"] += 1
-                    # a rejecting pair admits a pigeonhole-style witness
-                    w = engine.rejection_witness(B, a)
-                    if w is None:
-                        violations["witness"] += 1
-                    else:
-                        for b in w.space.extensions_below(a, w.top):
-                            if verdicts.get((B.top, b)) == "accepts":
-                                violations["witness"] += 1
+        verdicts = {(B.top, a): engine.verdict(B, a).kind for B, a, _, _ in pairs}
+        checked += len(verdicts)
+        for B, a, seers, exts in pairs:
+            kind = verdicts[(B.top, a)]
+            if kind == "accepts":
+                # acceptance passes to every reduct that still sees a
+                violations["down"] += sum(verdicts[(t, a)] == REJECTS for t in seers)
+                # and to every one-step extension below the stem
+                violations["extend"] += sum(
+                    verdicts[(B.top, b)] != "accepts" for b in exts
+                )
+            elif kind == REJECTS:
+                violations["down-reject"] += sum(
+                    verdicts[(t, a)] == "accepts" for t in seers
+                )
+                # a rejecting pair admits a pigeonhole-style witness
+                w = engine.rejection_witness(B, a)
+                if w is None:
+                    violations["witness"] += 1
+                else:
+                    for b in w.space.extensions_below(a, w.top):
+                        if verdicts.get((B.top, b)) == "accepts":
+                            violations["witness"] += 1
     total = sum(violations.values())
     _report(
         6,

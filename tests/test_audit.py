@@ -378,3 +378,13 @@ def test_an_audit_walks_each_neighborhood_once(space, bounds, monkeypatch):
     report = audit_axioms(space, bounds)
     assert report.passed
     assert len(walks) == len(set(walks)) > 500
+
+
+@pytest.mark.parametrize("key", ["max_len", "max_depth", "a6_max_len"])
+def test_negative_length_and_depth_bounds_are_input_errors(key):
+    with pytest.raises(ValueError, match=f"need {key} >= 0, got -1"):
+        AuditBounds(**{key: -1})
+    # zero is a bound (length-0 approximations only, or depth 0), and
+    # the caps are not checked: transitivity_cap=0 is a tested edge case
+    report = audit_axioms(ell_space(3), AuditBounds(**{key: 0}, transitivity_cap=0))
+    assert report.passed

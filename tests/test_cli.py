@@ -156,6 +156,43 @@ def test_galvin_refusal_without_greedy(capsys):
     assert err == "refused: reduct sweep too large (estimated 4 > ceiling 3)\n"
 
 
+def test_galvin_family_file_takes_no_inline_family(tmp_path, capsys):
+    path = tmp_path / "family.txt"
+    path.write_text("space=ellentuck;ground=8\n{0}\n")
+    for extra, named in (
+        (["--length-bound", "5"], "--length-bound"),
+        (["--member", "{1}"], "--member"),
+        (["--space", "ellentuck"], "--space"),
+        (["--space", "partition", "--domain", "4"], "--space, --domain"),
+    ):
+        code = cli.main(["galvin", "--family", str(path), *extra])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "", extra
+        assert err == f"error: --family takes no {named}\n"
+
+
+@pytest.mark.parametrize("space", [
+    ["--space", "ellentuck", "--ground", "8", "--member", "{0}"],
+    ["--space", "matrix", "--max-cols", "3", "--member", "q=2;1"],
+])
+@pytest.mark.parametrize("value", ["0", "-1"])
+def test_galvin_max_reducts_below_one_exits_2(capsys, space, value):
+    # A usage error on every space, before any sweep: neither the
+    # ellentuck greedy fallback nor the matrix refusal is reached.
+    code = cli.main(["galvin", *space, "--max-reducts", value])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: need max_reducts >= 1, got {value}\n"
+
+
+@pytest.mark.parametrize("flag, key", [("--depth", "max_depth"), ("--max-len", "max_len")])
+def test_audit_negative_bound_exits_2(capsys, flag, key):
+    code = cli.main(["audit", "--space", "ellentuck", "--ground", "4", flag, "-1"])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: need {key} >= 0, got -1\n"
+
+
 # ----- ramsey -----
 
 def test_ramsey_classical_found(capsys, schema):
@@ -175,6 +212,12 @@ def test_ramsey_glr_found(capsys, schema):
         "--q", "2", "--k", "1", "--n", "2", "--s", "2", "--bound", "4",
     )
     assert code == 0 and payload["value"] == 3
+    # every field of the removed csv row: instance, outcome, value,
+    # count_checked and seconds (empty without --timing)
+    assert payload["parameters"]["instance"] == "glr;q=2;k=1;n=2;s=2"
+    assert payload["outcome"] == "found"
+    assert payload["stats"]["colorings_checked"] == 2**7
+    assert payload["seconds"] is None
 
 
 def test_ramsey_glr_three_colors_replays(capsys, schema):
@@ -247,15 +290,33 @@ def test_ramsey_generic_witness(capsys, schema):
 
 
 def test_ramsey_csv_format(capsys):
-    code, out = run(
-        capsys, "ramsey", "classical", "--k", "2", "--n", "3", "--s", "2",
-        "--bound", "8", "--format", "csv",
+    # JSON is the one machine format, on every command.
+    for argv in (
+        ["audit", "--space", "ellentuck", "--ground", "3"],
+        ["galvin", "--space", "ellentuck", "--ground", "3", "--member", "{0}"],
+        ["ramsey", "classical", "--k", "2", "--n", "3", "--s", "2", "--bound", "8"],
+        ["reduce", "--coloring", "coloring.txt"],
+    ):
+        code = cli.main(argv + ["--format", "csv"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.endswith(
+            "error: argument --format: invalid choice: 'csv' "
+            "(choose from 'text', 'json')\n"
+        ), argv
+
+
+def test_ramsey_budget_before_any_bound_is_inconclusive(capsys, schema):
+    # The budget runs out on the first level, so no level is refuted and
+    # there is no lower bound to report: exit 3, not 1.
+    code, payload = run_json(
+        capsys, schema, "ramsey", "glr", "--q", "2", "--k", "1", "--n", "2",
+        "--s", "3", "--bound", "5", "--mode", "backtracking", "--node-budget", "3",
     )
-    lines = out.strip().splitlines()
-    assert lines[0] == "instance,outcome,value,count_checked,seconds"
-    fields = lines[1].split(",")
-    assert fields[1] == "found" and fields[2] == "6"
-    assert fields[-1] == ""  # no timing by default
+    assert code == 3 and payload["exit_code"] == 3
+    assert payload["outcome"] == "inconclusive"
+    assert payload["value"] is None and payload["certificates"] == {}
+    assert payload["stats"]["undecided_level"] == 2
 
 
 # ----- reduce -----

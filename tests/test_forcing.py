@@ -351,6 +351,19 @@ def test_galvin_ellentuck_excludes_greedily_over_the_ceiling():
     assert verify_dichotomy(res.certificate)
 
 
+@pytest.mark.parametrize("max_reducts", [0, -1])
+def test_max_reducts_below_one_is_an_input_error(max_reducts):
+    # Checked once, by the engine every search and verdict builds, so
+    # neither the ellentuck greedy fallback nor the matrix refusal with
+    # an estimate is reached.
+    for space in (ell_space(20), matrix_space(2, 3)):
+        fam = front_family(space, [space.full_stem().approx(1)])
+        with pytest.raises(ValueError, match="max_reducts >= 1"):
+            galvin_search(space.full_stem(), fam, max_reducts)
+        with pytest.raises(ValueError, match="max_reducts >= 1"):
+            ForcingEngine(fam, max_reducts)
+
+
 def test_verify_dichotomy_rejects_malformed():
     assert not verify_dichotomy("")
     assert not verify_dichotomy("galvin-certificate v1\nnonsense")

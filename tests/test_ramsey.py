@@ -174,6 +174,18 @@ def test_backtracking_budget_gives_lower_bound_only():
     assert res.outcome == LOWER_BOUND
 
 
+def test_budget_before_any_refuted_level_is_inconclusive():
+    # GLR_2(1,2;3): the budget runs out on level 2, the first one, so
+    # there is no bound to report.
+    res = finite_ramsey_witness(
+        "matrix", 1, 2, 3, bound=5, mode="backtracking", q=2, node_budget=3
+    )
+    assert res.outcome == forcing.INCONCLUSIVE
+    assert res.value is None
+    assert res.found_certificate is None and res.lower_bound_certificate is None
+    assert res.stats == {"levels_examined": 1, "nodes": 4, "undecided_level": 2}
+
+
 def test_node_budget_needs_backtracking_mode():
     with pytest.raises(ValueError, match="backtracking"):
         finite_ramsey_witness("classical", 2, 3, 2, bound=8, node_budget=1)
@@ -307,12 +319,6 @@ def test_found_certificates_deterministic():
     b = finite_ramsey_witness("classical", 2, 3, 2, bound=8)
     assert a.found_certificate == b.found_certificate
     assert a.lower_bound_certificate == b.lower_bound_certificate
-
-
-def test_csv_row_shape():
-    res = finite_ramsey_witness("matrix", 1, 2, 2, bound=4, q=2)
-    row = res.csv_row("glr;q=2;k=1;n=2;s=2")
-    assert row.startswith("glr;q=2;k=1;n=2;s=2,found,3,")
 
 
 # ----- dual-to-classical encoding -----

@@ -5,21 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramspace import (
+    Approximation,
     EchelonMatrix,
-    SegmentVerdict,
     Stem,
-    SubspaceApprox,
-    coarsenings,
     ell_space,
     enumerate_partitions,
-    mat_pn,
     matrix_space,
-    part_coarser,
     partition_space,
     stirling2,
-    subspace_initial_segment,
 )
-from ramspace.gflinalg import enumerate_rre, in_span, rref_of_rows, span_vectors
+from ramspace.gflinalg import enumerate_rre, rref_of_rows, span_vectors, spans
 from ramspace.spaces import parse_params_str, space_from_params
 from ramspace.errors import (
     CeilingExceededError,
@@ -67,11 +62,12 @@ def test_ell_depth_level_sets():
 
 
 # ----- the matrix space -----
+# The pivot column p_n of row n of a stem is `stem.top.payload.pivots[n]`.
 
 
 def test_mat_pn_identity(m24):
     ident = m24.identity_stem()
-    assert mat_pn(ident, 3) == 3
+    assert ident.top.payload.pivots[3] == 3
 
 
 def test_mat_pn_spread_pivots():
@@ -82,14 +78,18 @@ def test_mat_pn_spread_pivots():
         (0, 0, 0, 0, 1),
     ]
     stem = Stem(m, m.make_rows(rows, 5))
-    assert mat_pn(stem, 1) == 2
-    pivots = [mat_pn(stem, i) for i in range(3)]
+    assert stem.top.payload.pivots[1] == 2
+    pivots = list(stem.top.payload.pivots)
     assert pivots == sorted(pivots) and len(set(pivots)) == 3
 
 
 def test_mat_pn_out_of_range(m24):
+    # A stem materializes one pivot per row and no approximation past
+    # its last row.
+    stem = m24.identity_stem(2)
+    assert len(stem.top.payload.pivots) == 2
     with pytest.raises(OutOfRangeError):
-        mat_pn(m24.identity_stem(2), 2)
+        stem.approx(3)
 
 
 def test_matrix_stem_approx_identity(m24):
@@ -144,40 +144,40 @@ def test_matrix_space_rejects_bad_payloads():
         matrix_space(11, 3)  # beyond digit serialization
 
 
+def _subspace(basis: EchelonMatrix) -> Approximation:
+    """The subspace a basis names, as an approximation with the basis's
+    column count (built directly, so it may be wider than a space)."""
+    return Approximation("matrix", basis, basis.nrows)
+
+
 def test_subspace_initial_segment_three_values():
+    # A subspace is an approximation of a reduct of a stem iff its basis
+    # sits below the stem's top: `fin_leq`.
     m = matrix_space(2, 3)
     b = Stem(m, m.make_rows([(1, 1, 0), (0, 0, 1)], 3))
     # the length-1 approximation itself names an initial-segment subspace
-    seg = SubspaceApprox(EchelonMatrix(2, 2, ((1, 1),)))
-    assert subspace_initial_segment(seg, b) is SegmentVerdict.YES
+    assert m.fin_leq(_subspace(EchelonMatrix(2, 2, ((1, 1),))), b.top)
     # the zero-dimensional subspace always is one
-    zero = SubspaceApprox(EchelonMatrix(2, 0, ()))
-    assert subspace_initial_segment(zero, b) is SegmentVerdict.YES
+    assert m.fin_leq(_subspace(EchelonMatrix(2, 0, ())), b.top)
     # a line outside the stem's row space never is
-    off = SubspaceApprox(EchelonMatrix(2, 2, ((1, 0),)))
-    assert subspace_initial_segment(off, b) is SegmentVerdict.NO
-    # wider than the truncation: cannot be decided
-    wide = SubspaceApprox(EchelonMatrix(2, 4, ((1, 0, 0, 0),)))
-    assert subspace_initial_segment(wide, b) is SegmentVerdict.INCONCLUSIVE
+    assert not m.fin_leq(_subspace(EchelonMatrix(2, 2, ((1, 0),))), b.top)
+    # nor is one wider than the stem's columns
+    assert not m.fin_leq(_subspace(EchelonMatrix(2, 4, ((1, 0, 0, 0),))), b.top)
 
 
 def test_subspace_initial_segment_matches_reduct_search():
-    # Dual route: compare against exhaustive enumeration of reduct
-    # approximations at a small truncation.
+    # Dual route: compare `fin_leq` against exhaustive enumeration of
+    # reduct approximations at a small truncation, candidates wider than
+    # the stem included.
     m = matrix_space(2, 3)
     for top in m.stems():
-        stem = Stem(m, top)
         approxes = set()
         for reduct in m.iter_neighborhood(m.empty(), top):
             approxes.update(m.chain(reduct))
-        for cols in range(4):
+        for cols in range(5):
             for cand in _all_echelon(2, cols):
-                verdict = subspace_initial_segment(SubspaceApprox(cand), stem)
-                if cand.cols > top.payload.cols:
-                    assert verdict is SegmentVerdict.INCONCLUSIVE
-                    continue
                 expected = any(a.payload == cand for a in approxes)
-                assert (verdict is SegmentVerdict.YES) == expected
+                assert m.fin_leq(_subspace(cand), top) == expected
 
 
 def _all_echelon(q, cols):
@@ -216,27 +216,26 @@ def test_partition_stem_approx_block_count_and_domain():
                 assert sum(len(b) for b in a.payload) == top.payload[n][0]
 
 
+# Coarsening is the finitization order `fin_leq`; on partitions of one
+# domain it says that every block of the second lies in a block of the
+# first.
+
+
 def test_part_coarser_examples():
     p = partition_space(4)
     x = p.make([(0, 1), (2,)])
     y = p.make([(0,), (1,), (2,)])
-    assert part_coarser(x, y)
-    assert part_coarser(x, x)
-    assert not part_coarser(p.make([(0, 2), (1,)]), p.make([(0, 1), (2,)]))
-
-
-def test_part_coarser_domain_mismatch():
-    p = partition_space(4)
-    with pytest.raises(ValueError):
-        part_coarser(p.make([(0, 1)]), p.make([(0,), (1,), (2,)]))
+    assert p.fin_leq(x, y)
+    assert p.fin_leq(x, x)
+    assert not p.fin_leq(p.make([(0, 2), (1,)]), p.make([(0, 1), (2,)]))
 
 
 def test_part_coarser_on_stems_allows_domain_gap():
     p = partition_space(4)
     small = Stem(p, p.make([(0, 1)]))
     big = Stem(p, p.make([(0,), (1,), (2,)]))
-    assert part_coarser(small, big)
-    assert not part_coarser(big, small)
+    assert p.fin_leq(small.top, big.top)
+    assert not p.fin_leq(big.top, small.top)
 
 
 def test_part_coarser_partial_order_fixed_domain():
@@ -244,7 +243,7 @@ def test_part_coarser_partial_order_fixed_domain():
     parts = [a for a in p.stems() if sum(len(b) for b in a.payload) == 4]
     for x in parts:
         for y in parts:
-            if part_coarser(x, y) and part_coarser(y, x):
+            if p.fin_leq(x, y) and p.fin_leq(y, x):
                 assert x == y
 
 
@@ -262,12 +261,23 @@ def test_enumerate_partitions_ceiling():
         enumerate_partitions(8, 4, ceiling=100)
 
 
+def _coarsenings(space, t, k):
+    """The k-block partitions coarser than `t` on its whole domain: the
+    length-k, full-domain slice of `fin_below(t)`."""
+    domain = sum(len(b) for b in t.payload)
+    return [
+        c
+        for c in space.fin_below(t)
+        if c.length == k and sum(len(b) for b in c.payload) == domain
+    ]
+
+
 def test_coarsenings_of_discrete_three():
     p = partition_space(3)
     t = p.make([(0,), (1,), (2,)])
-    got = {c.payload for c in coarsenings(t, 2)}
+    got = {c.payload for c in _coarsenings(p, t, 2)}
     assert got == {((0, 1), (2,)), ((0, 2), (1,)), ((0,), (1, 2))}
-    assert coarsenings(t, 3) == [t]
+    assert _coarsenings(p, t, 3) == [t]
 
 
 def test_partition_extensions_of_singleton_block():
@@ -301,7 +311,7 @@ def test_partition_extensions_respect_block_granularity():
 def test_coarsenings_count_matches_stirling():
     p = partition_space(4)
     t = p.make([(0,), (1,), (2,), (3,)])
-    assert len(coarsenings(t, 2)) == 7
+    assert len(_coarsenings(p, t, 2)) == 7
 
 
 def test_partition_rejects_bad_payloads():
@@ -367,7 +377,7 @@ def test_ellentuck_children_match_a_sort_by_sort_key(ground):
 def test_gf3_matrix_space_operations():
     m = matrix_space(3, 3)
     stem = Stem(m, m.make_rows([(1, 2, 0), (0, 0, 1)], 3))
-    assert mat_pn(stem, 1) == 2
+    assert stem.top.payload.pivots[1] == 2
     assert stem.approx(1).payload.rows == ((1, 2),)
     doubled = m.make_rows([(1, 2)], 2)
     assert m.fin_leq(doubled, stem.approx(1))
@@ -396,15 +406,16 @@ def test_matrix_fin_leq_matches_in_span_over_the_cut_basis(q, max_cols):
         assert a.payload.pivots == leads
         for b in stems:
             ma, mb = a.payload, b.payload
-            want = ma.cols <= mb.cols and all(
-                in_span(r, space._cut_basis(mb, ma.cols)) for r in ma.rows
-            )
+            if ma.cols > mb.cols:
+                assert not space.fin_leq(a, b)
+                continue
+            cut = space._cut_basis(mb, ma.cols)
+            want = spans(tuple(zip(cut.rows, cut.pivots)), ma.rows, q)
             assert space.fin_leq(a, b) == want
-            # in_span and fin_leq share gflinalg.spans; enumerating the
-            # cut span does not.
-            if ma.cols <= mb.cols:
-                span = set(span_vectors(space._cut_basis(mb, ma.cols)))
-                assert want == all(r in span for r in ma.rows)
+            # `spans` serves both sides; enumerating the cut span does
+            # not.
+            span = set(span_vectors(cut))
+            assert want == all(r in span for r in ma.rows)
 
 
 # ----- serialization -----
