@@ -130,9 +130,14 @@ class Output:
             sys.stdout.write(content)
 
 
+def _space(args):
+    """The space of the --space options; matrix without --q is GF(2)."""
+    return space_from_params(dict(vars(args), q=2 if args.q is None else args.q))
+
+
 def cmd_audit(args) -> int:
     out = Output(args)
-    space = space_from_params(vars(args))
+    space = _space(args)
     bounds = AuditBounds(
         max_len=args.max_len,
         max_depth=args.depth,
@@ -173,6 +178,7 @@ _INLINE_FAMILY = {
     "length_bound": "--length-bound",
     "space": "--space",
     "ground": "--ground",
+    "q": "--q",
     "max_cols": "--max-cols",
     "max_domain": "--domain",
 }
@@ -191,7 +197,7 @@ def cmd_galvin(args) -> int:
             raise ParseError(f"--family takes no {', '.join(given)}")
         family = parse_family_file(_read_lines(args.family))
     else:
-        space = space_from_params(vars(args))
+        space = _space(args)
         members = (space.parse(m) for m in args.member)
         family = front_family(space, members, args.length_bound)
     space = family.space
@@ -227,7 +233,7 @@ def cmd_galvin(args) -> int:
 def _run_ramsey(args):
     """The variant's instance string and its finite_ramsey_witness result."""
     n = args.m if args.variant == "paramset" else args.n
-    q = getattr(args, "q", None)  # glr and witness only
+    q = getattr(args, "q", None)  # glr and witness only; matrix levels supply 2
     if args.variant == "classical":
         kind, instance = "classical", f"classical;k={args.k};n={n};s={args.s}"
     elif args.variant == "glr":
@@ -313,7 +319,7 @@ def _add_space_options(p):
     # arguments are a space_from_params mapping.
     p.add_argument("--space", choices=SPACE_TAGS)
     p.add_argument("--ground", type=int, help="ellentuck ground bound")
-    p.add_argument("--q", type=int, default=2, help="matrix field order")
+    p.add_argument("--q", type=int, help="matrix field order")
     p.add_argument("--max-cols", type=int, help="matrix column truncation")
     p.add_argument(
         "--domain",
@@ -387,7 +393,7 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
         v.add_argument("--mode", choices=("exhaustive", "backtracking"), default="exhaustive")
         v.add_argument("--node-budget", type=int)
         if name in ("glr", "witness"):
-            v.add_argument("--q", type=int, default=2)
+            v.add_argument("--q", type=int, default=2 if name == "glr" else None)
         if name == "witness":
             v.add_argument("--space", choices=SPACE_TAGS, required=True)
         _add_common(v)

@@ -54,6 +54,9 @@ EXHAUSTED = "exhausted"
 
 EXHAUSTIVE_CEILING = 1 << 25
 
+# The stats key and certificate line that state each mode's work.
+_WORK_COUNTER = {"backtracking": "nodes", "exhaustive": "colorings_checked"}
+
 
 @dataclass(frozen=True)
 class Coloring:
@@ -87,13 +90,11 @@ class LevelInstance:
     configs: list[list[int]]
 
     def instance_str(self) -> str:
-        parts = [f"instance={self.kind}", f"k={self.k}", f"n={self.n}"]
-        if self.q is not None:
-            parts.append(f"q={self.q}")
-        return ";".join(parts)
+        q = "" if self.q is None else f";q={self.q}"
+        return f"instance={self.kind};k={self.k};n={self.n}{q}"
 
 
-def _level_space(kind: str, m: int, q: int) -> tuple[Space, Stem]:
+def _level_space(kind: str, m: int, q: int | None) -> tuple[Space, Stem]:
     """The space truncated at m (whatever its size field is called) and
     its full stem; the length-0 stem at level 0."""
     size = max(m, 1)
@@ -127,10 +128,12 @@ def _classical_level(M: int, k: int, n: int) -> LevelInstance:
 def build_level(kind: str, m: int, k: int, n: int, q: int | None = None) -> LevelInstance:
     """The depth-m instance: domain, witnesses, and configurations.
 
-    `kind` is a space tag, or `classical` for `_classical_level`."""
+    `kind` is a space tag, or `classical` for `_classical_level`; only
+    a matrix level reads `q` (default 2)."""
     if kind == "classical":
         return _classical_level(m, k, n)
-    space, stem = _level_space(kind, m, q or 2)
+    q = (q or 2) if kind == "matrix" else None
+    space, stem = _level_space(kind, m, q)
     top = stem.top
     prev = space.restrict(top, m - 1) if m >= 1 else None
 
@@ -177,7 +180,7 @@ def _level_exhaustive(inst: LevelInstance, s: int, ceiling: int):
             total,
             ceiling,
         )
-    is_witness, bad, _ = _level_backtracking(inst, s, None)
+    is_witness, bad, _ = _level_backtracking(inst, s)
     if is_witness:
         return True, None, total
     index = 0
@@ -186,20 +189,21 @@ def _level_exhaustive(inst: LevelInstance, s: int, ceiling: int):
     return False, bad, index + 1
 
 
-def _level_backtracking(inst: LevelInstance, s: int, node_budget: int | None):
+def _level_backtracking(inst: LevelInstance, s: int, node_budget: int | None = None):
     """Search for a bad coloring, pruning color-permutation copies.
 
-    Colors are assigned in canonical item order under the
-    restricted-growth rule (a new color may only follow all smaller
-    ones), which enumerates exactly one representative per color
-    permutation class.  Each color keeps the mask of the items it has
-    colored, item i at bit i.  A configuration is fully colored once
-    its last item is, so item i keeps the masks of the configurations
-    it closes, less its own bit: giving i color c prunes the branch iff
-    one of them lies inside c's mask.  An empty configuration is never
-    monochromatic, as in verify_witness.  Exhausting the tree therefore
-    proves the level is a witness.  Returns (is_witness | None,
-    bad_coloring | None, nodes); None means the budget ran out.
+    One depth-first loop, without recursion, colors the items in
+    canonical order under the restricted-growth rule (a new color may
+    only follow all smaller ones): one coloring per color permutation
+    class.  Each color keeps the mask of its items, item i at bit i.
+    Item i keeps the masks of the configurations it closes (it is their
+    last item), less its own bit, so giving i color c prunes iff one of
+    them lies inside c's mask.  An empty configuration is never
+    monochromatic, as in verify_witness, so exhausting the tree proves
+    the level is a witness.  The path is the color given at each item
+    and the colors in use on entering it; one node is counted per color
+    tried.  Returns (is_witness | None, bad_coloring | None, nodes);
+    None means the node budget ran out, at node budget + 1.
     """
     size = len(inst.items)
     closes: list[list[int]] = [[] for _ in range(size)]
@@ -207,74 +211,64 @@ def _level_backtracking(inst: LevelInstance, s: int, node_budget: int | None):
         if cfg:
             last = max(cfg)
             closes[last].append(sum(1 << j for j in cfg if j != last))
+    if not size:
+        return False, [], 0
+    budget = float("inf") if node_budget is None else node_budget
     colmask = [0] * s
-    nodes = 0
-
-    def rec(i: int, used: int):
-        nonlocal nodes
-        if i == size:
-            return [
-                next(c for c in range(s) if colmask[c] >> j & 1) for j in range(size)
-            ]
-        bit = 1 << i
-        for c in range(min(used + 1, s)):
+    given = [0] * size
+    used_on = [0] * size
+    limits = [min(used + 1, s) for used in range(s + 1)]  # colors open to item i
+    i = c = used = nodes = 0
+    limit = limits[0]
+    while True:
+        if c < limit:
             nodes += 1
-            if node_budget is not None and nodes > node_budget:
-                raise _BudgetExhausted()
+            if nodes > budget:
+                return None, None, nodes
             mask = colmask[c]
             for rest in closes[i]:
                 if rest & mask == rest:
+                    c += 1
                     break
             else:
-                colmask[c] = mask | bit
-                hit = rec(i + 1, max(used, c + 1))
-                if hit is not None:
-                    return hit
-                colmask[c] = mask
-        return None
+                colmask[c] = mask | 1 << i
+                given[i] = c
+                used_on[i] = used
+                if c == used:
+                    used += 1
+                i += 1
+                if i == size:
+                    return False, given, nodes
+                c = 0
+                limit = limits[used]
+        elif i:  # every color tried at item i: back to item i - 1
+            i -= 1
+            c = given[i]
+            colmask[c] ^= 1 << i
+            used = used_on[i]
+            c += 1
+            limit = limits[used]
+        else:
+            return True, None, nodes
 
-    try:
-        bad = rec(0, 0)
-    except _BudgetExhausted:
-        return None, None, nodes
-    if bad is None:
-        return True, None, nodes
-    return False, bad, nodes
 
-
-class _BudgetExhausted(Exception):
-    pass
-
-
-def _witness_certificate(inst: LevelInstance, s: int, mode: str, stats: dict) -> str:
-    lines = [
+def _certificate(inst: LevelInstance, s: int, claim: str, body: list[str]) -> str:
+    head = [
         "ramsey-certificate v1",
         inst.instance_str(),
         f"s={s}",
-        "claim=witness",
+        f"claim={claim}",
         f"level={inst.level}",
         f"domain={len(inst.items)}",
         f"witnesses={len(inst.witnesses)}",
-        f"mode={mode}",
     ]
-    for key in sorted(stats):
-        lines.append(f"{key}={stats[key]}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(head + body) + "\n"
 
 
 def _bad_certificate(inst: LevelInstance, s: int, coloring: list[int]) -> str:
-    lines = [
-        "ramsey-certificate v1",
-        inst.instance_str(),
-        f"s={s}",
-        "claim=bad-coloring",
-        f"level={inst.level}",
-        f"domain={len(inst.items)}",
-        f"witnesses={len(inst.witnesses)}",
-    ]
-    for a, c in zip(inst.items, coloring):
-        lines.append(f"item={inst.space.serialize(a)};color={c}")
-    return "\n".join(lines) + "\n"
+    keys = (inst.space.serialize(a) for a in inst.items)
+    body = [f"item={key};color={c}" for key, c in zip(keys, coloring)]
+    return _certificate(inst, s, "bad-coloring", body)
 
 
 def finite_ramsey_witness(
@@ -292,12 +286,13 @@ def finite_ramsey_witness(
     domain admits a witness with a monochromatic configuration.
 
     `kind` is `classical` (k-subsets of {0..m-1}, k >= 0), `matrix`
-    (GF(q) vector Ramsey numbers), `partition` (parameter sets, n the
-    witness's block count) or `ellentuck`.  Both modes run the same
-    restricted-growth search; exhaustive mode refuses a level whose s^N
-    colorings exceed `exhaustive_ceiling` (CeilingExceededError) and
-    reports `colorings_checked`, backtracking mode reports `nodes` and
-    alone takes a `node_budget`.
+    (GF(q) vector Ramsey numbers; q defaults to 2 and no other kind
+    takes one), `partition` (parameter sets, n the witness's block
+    count) or `ellentuck`; levels run from n to `bound >= n`.  Both
+    modes run the same restricted-growth search; exhaustive mode
+    refuses a level whose s^N colorings exceed `exhaustive_ceiling`
+    (CeilingExceededError) and reports `colorings_checked`,
+    backtracking mode reports `nodes` and alone takes a `node_budget`.
 
     Found results carry a witness-level certificate and, when a lower
     level was examined, the bad coloring refuting it; when every level
@@ -313,6 +308,10 @@ def finite_ramsey_witness(
         raise ValueError(f"need {least_k} <= k <= n")
     if s < 1:
         raise ValueError("need s >= 1")
+    if bound < n:
+        raise ValueError(f"need bound >= n: the first level is {n}")
+    if q is not None and kind != "matrix":
+        raise ValueError(f"only matrix levels take a field order q, not {kind}")
     if mode not in ("exhaustive", "backtracking"):
         raise ValueError(f"unknown mode {mode!r}")
     if node_budget is not None and node_budget < 0:
@@ -326,25 +325,23 @@ def finite_ramsey_witness(
         inst = build_level(kind, m, k, n, q)
         stats["levels_examined"] += 1
         if mode == "exhaustive":
-            is_witness, bad, checked = _level_exhaustive(inst, s, exhaustive_ceiling)
-            stats["colorings_checked"] = checked
-            level_stats = {"colorings_checked": checked}
+            is_witness, bad, work = _level_exhaustive(inst, s, exhaustive_ceiling)
         else:
-            is_witness, bad, nodes = _level_backtracking(inst, s, node_budget)
-            stats["nodes"] = nodes
-            level_stats = {"nodes": nodes}
-            if is_witness is None:
-                return WitnessResult(
-                    INCONCLUSIVE if last_bad is None else LOWER_BOUND,
-                    last_bad_level,
-                    lower_bound_certificate=last_bad,
-                    stats=dict(stats, undecided_level=m),
-                )
+            is_witness, bad, work = _level_backtracking(inst, s, node_budget)
+        stats[_WORK_COUNTER[mode]] = work
+        if is_witness is None:
+            return WitnessResult(
+                INCONCLUSIVE if last_bad is None else LOWER_BOUND,
+                last_bad_level,
+                lower_bound_certificate=last_bad,
+                stats=dict(stats, undecided_level=m),
+            )
         if is_witness:
+            body = [f"mode={mode}", f"{_WORK_COUNTER[mode]}={work}"]
             return WitnessResult(
                 FOUND,
                 m,
-                found_certificate=_witness_certificate(inst, s, mode, level_stats),
+                found_certificate=_certificate(inst, s, "witness", body),
                 lower_bound_certificate=last_bad,
                 stats=stats,
             )
@@ -442,10 +439,6 @@ def _rebuild_level_from_fields(fields: dict) -> LevelInstance:
     k, n = int(inst["k"]), int(inst["n"])
     q = int(inst["q"]) if "q" in inst else None
     return build_level(kind, int(fields["level"]), k, n, q)
-
-
-# The certificate line that states each mode's work.
-_WORK_COUNTER = {"backtracking": "nodes", "exhaustive": "colorings_checked"}
 
 
 def _replay_witness_claim(keys: list[str], witness_sets: list[set], s: int, ceiling: int):

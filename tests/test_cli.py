@@ -164,6 +164,7 @@ def test_galvin_family_file_takes_no_inline_family(tmp_path, capsys):
         (["--member", "{1}"], "--member"),
         (["--space", "ellentuck"], "--space"),
         (["--space", "partition", "--domain", "4"], "--space, --domain"),
+        (["--q", "3"], "--q"),
     ):
         code = cli.main(["galvin", "--family", str(path), *extra])
         out, err = capsys.readouterr()
@@ -262,6 +263,45 @@ def test_ramsey_node_budget_needs_backtracking(capsys):
     out, err = capsys.readouterr()
     assert code == 2 and out == ""
     assert err == "error: a node budget needs backtracking mode\n"
+
+
+def test_ramsey_bound_below_the_first_level_exits_2(capsys):
+    code = cli.main([
+        "ramsey", "classical", "--k", "1", "--n", "2", "--s", "2", "--bound", "1",
+    ])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == "error: need bound >= n: the first level is 2\n"
+
+
+@pytest.mark.parametrize("space", ["ellentuck", "partition"])
+@pytest.mark.parametrize("q", ["2", "7"])
+def test_ramsey_witness_q_needs_the_matrix_space(capsys, space, q):
+    code = cli.main([
+        "ramsey", "witness", "--space", space, "--q", q,
+        "--k", "1", "--n", "2", "--s", "2", "--bound", "3",
+    ])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: only matrix levels take a field order q, not {space}\n"
+
+
+def test_ramsey_one_instance_one_certificate(capsys, schema):
+    # The witness variant and the named variant of one instance print
+    # the same certificates; a matrix level without --q is over GF(2).
+    args = ["--k", "1", "--s", "2", "--bound", "3"]
+    _, witness = run_json(
+        capsys, schema, "ramsey", "witness", "--space", "partition", "--n", "2", *args
+    )
+    _, paramset = run_json(capsys, schema, "ramsey", "paramset", "--m", "2", *args)
+    assert witness["certificates"] == paramset["certificates"]
+    assert "instance=partition;k=1;n=2" in witness["certificates"]["found"].splitlines()
+    _, matrix = run_json(
+        capsys, schema, "ramsey", "witness", "--space", "matrix", "--n", "2", *args
+    )
+    _, glr = run_json(capsys, schema, "ramsey", "glr", "--n", "2", *args)
+    assert matrix["certificates"] == glr["certificates"]
+    assert "instance=matrix;k=1;n=2;q=2" in glr["certificates"]["found"].splitlines()
 
 
 def test_ramsey_ceiling_refusal(capsys, monkeypatch):

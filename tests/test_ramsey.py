@@ -191,6 +191,42 @@ def test_node_budget_needs_backtracking_mode():
         finite_ramsey_witness("classical", 2, 3, 2, bound=8, node_budget=1)
 
 
+def test_bound_below_the_first_level_is_an_input_error():
+    # Levels run from n, so bound = n - 1 would examine none.
+    with pytest.raises(ValueError, match="bound >= n"):
+        finite_ramsey_witness("classical", 1, 2, 2, bound=1)
+    with pytest.raises(ValueError, match="bound >= n"):
+        finite_ramsey_witness("matrix", 1, 2, 2, bound=1, mode="backtracking")
+    res = finite_ramsey_witness("classical", 1, 2, 2, bound=2)
+    assert res.outcome == EXHAUSTED and res.stats["levels_examined"] == 1
+
+
+def test_only_matrix_levels_take_a_field_order():
+    for kind in ("classical", "ellentuck", "partition"):
+        with pytest.raises(ValueError, match="field order"):
+            finite_ramsey_witness(kind, 1, 2, 2, bound=3, q=2)
+    # A matrix level is over GF(2) unless q is given, and names its q.
+    plain = finite_ramsey_witness("matrix", 1, 2, 2, bound=4)
+    assert plain.found_certificate == finite_ramsey_witness(
+        "matrix", 1, 2, 2, bound=4, q=2
+    ).found_certificate
+    assert "instance=matrix;k=1;n=2;q=2" in plain.found_certificate.splitlines()
+
+
+def test_certificates_naming_q_off_the_matrix_space_still_replay():
+    # build_level ignores q for the other kinds, so a certificate written
+    # when the CLI added q=2 to every instance still verifies.
+    assert build_level("partition", 2, 1, 2, 3).instance_str() == (
+        "instance=partition;k=1;n=2"
+    )
+    res = finite_ramsey_witness("partition", 1, 2, 2, bound=3)
+    for cert in (res.found_certificate, res.lower_bound_certificate):
+        if cert is None:
+            continue
+        old = cert.replace("instance=partition;k=1;n=2", "instance=partition;k=1;n=2;q=2")
+        assert old != cert and verify_witness(cert) and verify_witness(old)
+
+
 def test_exhaustive_ceiling_refusal():
     with pytest.raises(CeilingExceededError) as exc:
         finite_ramsey_witness("classical", 2, 3, 2, bound=8, exhaustive_ceiling=16)

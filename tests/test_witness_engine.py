@@ -5,6 +5,9 @@ as they were written over lists of item indices, kept here as oracles.
 The backtracking oracle skips an empty configuration, as the s^N
 oracle and verify_witness do.  Exhaustive mode takes its answer from
 the backtracking search, so the s^N oracle checks that answer too.
+`_recursive_backtracking` is the mask searcher as a recursive closure,
+before it became one loop; it is fast enough to compare with the loop
+at the benchmark's node budgets.
 """
 
 import contextlib
@@ -98,6 +101,46 @@ def _reference_backtracking(inst, s, node_budget):
     return (True, None, nodes) if bad is None else (False, bad, nodes)
 
 
+def _recursive_backtracking(inst, s, node_budget):
+    size = len(inst.items)
+    closes = [[] for _ in range(size)]
+    for cfg in inst.configs:
+        if cfg:
+            last = max(cfg)
+            closes[last].append(sum(1 << j for j in cfg if j != last))
+    colmask = [0] * s
+    nodes = 0
+
+    def rec(i, used):
+        nonlocal nodes
+        if i == size:
+            return [
+                next(c for c in range(s) if colmask[c] >> j & 1) for j in range(size)
+            ]
+        bit = 1 << i
+        for c in range(min(used + 1, s)):
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                raise _Budget()
+            mask = colmask[c]
+            for rest in closes[i]:
+                if rest & mask == rest:
+                    break
+            else:
+                colmask[c] = mask | bit
+                hit = rec(i + 1, max(used, c + 1))
+                if hit is not None:
+                    return hit
+                colmask[c] = mask
+        return None
+
+    try:
+        bad = rec(0, 0)
+    except _Budget:
+        return None, None, nodes
+    return (True, None, nodes) if bad is None else (False, bad, nodes)
+
+
 # ----- instances -----
 
 
@@ -156,6 +199,61 @@ def test_backtracking_matches_the_list_reference(s, budget):
     for inst in _cases():
         got = _level_backtracking(inst, s, budget)
         assert got == _reference_backtracking(inst, s, budget)
+        assert got == _recursive_backtracking(inst, s, budget)
+
+
+# The witness workload's heaviest levels with their rows' node budgets:
+# (kind, level, k, n, q), s, budgets.  None of these budgets decides its
+# level.
+BENCHMARK_LEVELS = [
+    (("classical", 9, 2, 3, None), 3, [60_000, 100_000]),
+    (("classical", 10, 2, 4, None), 2, [15_000]),
+    (("matrix", 5, 1, 2, 2), 3, [15_000]),
+    (("matrix", 4, 1, 2, 3), 2, [15_000]),
+]
+
+# Levels those rows decide or straddle, with the exact node count of
+# their search: R(3,3,3) > 8, R(4,4) > 9, GLR_2(1,2;3) = 5 and
+# GLR_3(1,2;2) > 3.  (The levels above need 5.5M, over 20M and 6.2M
+# nodes, too many for the test suite.)
+DECIDED_LEVELS = [
+    (("classical", 8, 2, 3, None), 3, False, 87_726),
+    (("classical", 9, 2, 4, None), 2, False, 12_474),
+    (("matrix", 5, 1, 2, 2), 3, True, 545_795),
+    (("matrix", 3, 1, 2, 3), 2, False, 19),
+]
+
+
+@pytest.mark.parametrize("level, s, budgets", BENCHMARK_LEVELS)
+def test_loop_matches_the_recursive_search_at_benchmark_budgets(level, s, budgets):
+    inst = build_level(*level)
+    for budget in budgets:
+        got = _level_backtracking(inst, s, budget)
+        assert got == _recursive_backtracking(inst, s, budget)
+        assert got == (None, None, budget + 1)
+
+
+@pytest.mark.parametrize("level, s, is_witness, nodes", DECIDED_LEVELS)
+def test_loop_matches_the_recursive_search_at_the_exact_budget(level, s, is_witness, nodes):
+    # A budget of exactly the search's node count decides the level; one
+    # node less stops it on its last node.
+    inst = build_level(*level)
+    exact = _level_backtracking(inst, s, nodes)
+    assert exact == _recursive_backtracking(inst, s, nodes)
+    assert exact == _level_backtracking(inst, s, None)
+    assert exact[0] is is_witness and exact[2] == nodes
+    short = _level_backtracking(inst, s, nodes - 1)
+    assert short == _recursive_backtracking(inst, s, nodes - 1)
+    assert short == (None, None, nodes)
+
+
+def test_a_deep_level_needs_no_recursion():
+    # 1,500 items and no configurations: the first coloring tried is
+    # bad, one node per item, at a depth past the interpreter's
+    # default recursion limit.
+    inst = _instance(1500, [])
+    assert _level_backtracking(inst, 2, None) == (False, [0] * 1500, 1500)
+    assert _level_backtracking(inst, 2, 1499) == (None, None, 1500)
 
 
 def test_empty_configuration_is_never_monochromatic():
