@@ -30,15 +30,17 @@ The laws read the primitives' answers from an indexed universe
 (core.Universe), built per call and dropped on return.  The A4(ii)
 sweep is the one primitive `fin_leq` sweep: it asks every ordered pair
 of approximations once, and each down-set it yields is checked against
-`fin_below`.  The other laws read the bitsets built from it: A4(i)
-tests a chain mask against the union of the chain's down-sets,
+`fin_below`.  The other laws read the bitsets built from it:
 transitivity tests down-set inclusion, depth is the first chain member
 whose down-set holds the approximation, and A5/A6 test neighborhood
 bitmasks (walked through `iter_neighborhood` and kept for the audit)
-against up-sets and down-sets.  Instances are counted, and failures
-searched for, in the order the laws have always used, so counts and
-first counterexamples are those of a sweep that asks the primitives
-directly.
+against up-sets and down-sets.  A2 and A4(i), laws on pairs of stems,
+are row sweeps: A2 groups the stems by chain, and A4(i) transposes the
+down-sets once into masks over stem positions, so each stem's row of
+pairs is one AND of its chain's masks and one comparison.  Instances
+are counted, and failures searched for, in the order the laws have
+always used (pairs in row order), so counts and first counterexamples
+are those of a sweep that asks the primitives directly.
 """
 
 from __future__ import annotations
@@ -178,29 +180,35 @@ def _audit_a1(uni, report):
 
 
 def _audit_a2(uni, report):
+    """Pairs (i, j), i < j, of stem positions are counted in row order;
+    the first pair with identical chains fails.  Chains are grouped by
+    value, so the first twin pair is the first two positions of the
+    group that starts first, and it is pair number
+    i(T-1) - i(i-1)/2 + (j - i) of T(T-1)/2."""
     tops, chains = uni.tops, uni.chains
-    pairs = 0
-    prefix_pairs = 0
-    for i, a in enumerate(tops):
-        ca = chains[a]
-        for b in tops[i + 1 :]:
-            pairs += 1
-            cb = chains[b]
-            common = min(len(ca), len(cb))
-            if ca[:common] != cb[:common]:
-                continue
-            if len(ca) == len(cb):
-                _fail(
-                    report, "A2", "separation", pairs,
-                    f"distinct stems with identical chains: "
-                    f"{uni.space.serialize(uni.items[a])} vs "
-                    f"{uni.space.serialize(uni.items[b])}",
-                )
-                return
-            # One chain strictly extends the other: indistinguishable
-            # within the truncation, consistent with A2.
-            prefix_pairs += 1
-    _ok(report, "A2", "separation", pairs, notes=f"prefix-pairs={prefix_pairs}")
+    total = len(tops)
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for p, t in enumerate(tops):
+        groups.setdefault(tuple(chains[t]), []).append(p)
+    twins = [g[:2] for g in groups.values() if len(g) > 1]
+    if twins:
+        i, j = min(twins)
+        _fail(
+            report, "A2", "separation", i * (total - 1) - i * (i - 1) // 2 + j - i,
+            f"distinct stems with identical chains: "
+            f"{uni.space.serialize(uni.items[tops[i]])} vs "
+            f"{uni.space.serialize(uni.items[tops[j]])}",
+        )
+        return
+    # A chain that strictly extends another is indistinguishable from it
+    # within the truncation, consistent with A2; count those pairs.
+    prefix_pairs = sum(
+        tuple(chain[:k]) in groups for chain in groups for k in range(1, len(chain))
+    )
+    _ok(
+        report, "A2", "separation", total * (total - 1) // 2,
+        notes=f"prefix-pairs={prefix_pairs}",
+    )
 
 
 def _audit_a3(uni, report):
@@ -246,28 +254,37 @@ def _audit_a4(uni, report, bounds) -> bool:
         return space.serialize(items[i])
 
     # (i) stem order == chainwise domination: every member of a's chain
-    # lies in the union of the down-sets of b's chain.
-    chain_mask = {}
-    dominated = {}
-    for t in uni.tops:
-        chain_mask[t] = dominated[t] = 0
+    # lies in the union of the down-sets of b's chain.  Pairs (a, b) of
+    # stems are counted in row order.  Row a is swept at once over the
+    # stem positions p: `below_of[a]` holds the p with a below tops[p],
+    # and `dom_of[c]` the p whose chain's down-sets hold c.
+    tops = uni.tops
+    below_of = [0] * len(down)
+    dom_of = [0] * len(down)
+    for p, t in enumerate(tops):
+        bit = 1 << p
+        dominated = 0
         for c in uni.chains[t]:
-            chain_mask[t] |= 1 << c
-            dominated[t] |= down[c]
-    instances = 0
-    for a in uni.tops:
-        ca = chain_mask[a]
-        for b in uni.tops:
-            instances += 1
-            lhs = bool(down[b] >> a & 1)
-            rhs = not ca & ~dominated[b]
-            if lhs != rhs:
-                _fail(
-                    report, "A4", "finitization-link", instances,
-                    f"{ser(a)} vs {ser(b)}: order={lhs} chainwise={rhs}",
-                )
-                return False
-    _ok(report, "A4", "finitization-link", instances)
+            dominated |= down[c]
+        for c in iter_bits(dominated):
+            dom_of[c] |= bit
+        for c in iter_bits(down[t]):
+            below_of[c] |= bit
+    everywhere = (1 << len(tops)) - 1
+    for ia, a in enumerate(tops):
+        chainwise = everywhere
+        for c in uni.chains[a]:
+            chainwise &= dom_of[c]
+        diff = below_of[a] ^ chainwise
+        if diff:
+            p = (diff & -diff).bit_length() - 1
+            lhs = bool(below_of[a] >> p & 1)
+            _fail(
+                report, "A4", "finitization-link", ia * len(tops) + p + 1,
+                f"{ser(a)} vs {ser(tops[p])}: order={lhs} chainwise={not lhs}",
+            )
+            return False
+    _ok(report, "A4", "finitization-link", len(tops) ** 2)
 
     # (ii) down-sets are finite and match a direct filter of the universe.
     universe = (1 << uni.size) - 1

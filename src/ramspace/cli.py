@@ -23,6 +23,7 @@ import json
 import os
 import sys
 import time
+from dataclasses import fields
 
 from . import __version__
 from .audit import AuditBounds, audit_axioms
@@ -37,7 +38,7 @@ from .ramsey import (
     abs_ramsey_reduce,
     finite_ramsey_witness,
 )
-from .spaces import SPACE_TAGS, int_param, parse_params_str, space_from_params
+from .spaces import SPACE_TAGS, SPACES, int_param, parse_params_str, space_from_params
 
 ENV_CEILING = "RAMSPACE_CEILING"
 
@@ -130,8 +131,27 @@ class Output:
             sys.stdout.write(content)
 
 
+# The space options by argparse dest, which is a field of one space class.
+_SPACE_OPTIONS = {
+    "ground": "--ground",
+    "q": "--q",
+    "max_cols": "--max-cols",
+    "max_domain": "--domain",
+}
+
+
 def _space(args):
-    """The space of the --space options; matrix without --q is GF(2)."""
+    """The space of the --space options; matrix without --q is GF(2).
+    An option that is no field of the chosen space is refused."""
+    if args.space in SPACES:
+        owned = {f.name for f in fields(SPACES[args.space])}
+        foreign = [
+            flag
+            for dest, flag in _SPACE_OPTIONS.items()
+            if dest not in owned and getattr(args, dest) is not None
+        ]
+        if foreign:
+            raise ParseError(f"the {args.space} space takes no {', '.join(foreign)}")
     return space_from_params(dict(vars(args), q=2 if args.q is None else args.q))
 
 
@@ -177,10 +197,7 @@ _INLINE_FAMILY = {
     "member": "--member",
     "length_bound": "--length-bound",
     "space": "--space",
-    "ground": "--ground",
-    "q": "--q",
-    "max_cols": "--max-cols",
-    "max_domain": "--domain",
+    **_SPACE_OPTIONS,
 }
 
 
@@ -242,7 +259,8 @@ def _run_ramsey(args):
         kind, instance = "partition", f"paramset;k={args.k};m={n};s={args.s}"
     else:
         kind = args.space
-        instance = f"witness;space={kind};k={args.k};n={n};s={args.s}"
+        field = f"q={2 if q is None else q};" if kind == "matrix" else ""
+        instance = f"witness;space={kind};{field}k={args.k};n={n};s={args.s}"
     return instance, finite_ramsey_witness(
         kind, args.k, n, args.s, args.bound, mode=args.mode, q=q,
         exhaustive_ceiling=_default_ceiling(), node_budget=args.node_budget,

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable, Iterator, NamedTuple
 
 from .errors import (
     MixedSpaceError,
@@ -38,12 +38,16 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class Approximation:
+class Approximation(NamedTuple):
     """A finite approximation of length `length` in the space `space_tag`.
 
     `payload` is the space-specific immutable datum; construct these
     through the owning space so the invariants are checked.
+
+    A value is the tuple (space_tag, payload, length): it is immutable,
+    and it is built, hashed and compared as a tuple, so its hash is
+    hash((space_tag, payload, length)) and it equals the bare 3-tuple
+    with the same fields.
     """
 
     space_tag: str

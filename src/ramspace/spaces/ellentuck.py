@@ -55,9 +55,10 @@ class EllentuckSpace(Space):
         return Approximation(TAG, a.payload[:n], n)
 
     def fin_leq(self, a: Approximation, b: Approximation) -> bool:
-        self.check_tag(a)
-        self.check_tag(b)
-        return set(a.payload) <= set(b.payload)
+        if a.space_tag != TAG or b.space_tag != TAG:
+            self.check_tag(a)
+            self.check_tag(b)
+        return set(b.payload).issuperset(a.payload)
 
     def fin_below(self, a: Approximation) -> list[Approximation]:
         self.check_tag(a)

@@ -12,6 +12,7 @@ from ramspace.audit import (
     AxiomReport,
     audit_axioms,
 )
+from ramspace.core import Universe
 from ramspace.errors import CeilingExceededError
 from ramspace.spaces import parse_params_str, space_from_params
 from ramspace.spaces.ellentuck import TAG, EllentuckSpace
@@ -353,6 +354,126 @@ def test_reports_match_the_primitive_audit_on_the_benchmark_grid():
             mismatched.append((case["space"], case["bounds"]))
     assert len(REPORTS["grid"]) == 209
     assert not mismatched
+
+
+def _a2_oracle(uni):
+    """A2 as the pair loop over stems the audit used before its row
+    sweep: the reference for the pair count and the first twin pair."""
+    tops, chains = uni.tops, uni.chains
+    ser = uni.space.serialize
+    pairs = 0
+    prefix_pairs = 0
+    for i, a in enumerate(tops):
+        ca = chains[a]
+        for b in tops[i + 1 :]:
+            pairs += 1
+            cb = chains[b]
+            common = min(len(ca), len(cb))
+            if ca[:common] != cb[:common]:
+                continue
+            if len(ca) == len(cb):
+                return [
+                    "A2", "separation", COUNTEREXAMPLE, pairs, "",
+                    f"distinct stems with identical chains: "
+                    f"{ser(uni.items[a])} vs {ser(uni.items[b])}",
+                ]
+            prefix_pairs += 1
+    return ["A2", "separation", BOUNDED_PASS, pairs, f"prefix-pairs={prefix_pairs}", None]
+
+
+def _a4_link_oracle(uni):
+    """A4(i) as the pair loop over stems the audit used before its row
+    sweep."""
+    down = uni.down
+    ser = uni.space.serialize
+    chain_mask = {}
+    dominated = {}
+    for t in uni.tops:
+        chain_mask[t] = dominated[t] = 0
+        for c in uni.chains[t]:
+            chain_mask[t] |= 1 << c
+            dominated[t] |= down[c]
+    instances = 0
+    for a in uni.tops:
+        for b in uni.tops:
+            instances += 1
+            lhs = bool(down[b] >> a & 1)
+            rhs = not chain_mask[a] & ~dominated[b]
+            if lhs != rhs:
+                return [
+                    "A4", "finitization-link", COUNTEREXAMPLE, instances, "",
+                    f"{ser(uni.items[a])} vs {ser(uni.items[b])}: "
+                    f"order={lhs} chainwise={rhs}",
+                ]
+    return ["A4", "finitization-link", BOUNDED_PASS, instances, "", None]
+
+
+@dataclass(frozen=True)
+class LateSeparationSpace(EllentuckSpace):
+    """A2: {0,2,3,4} and {1,2,3,4}, the last two stems of length 4 on
+    ground 5 (positions 29 and 30 of 32), share the chain {}, {0},
+    {0,1}, {0,1,2}, X, where X holds {0,1,2,3,4} at length 4."""
+
+    def restrict(self, a, n):
+        if a.payload in ((0, 2, 3, 4), (1, 2, 3, 4)):
+            if n == 4:
+                return Approximation(TAG, (0, 1, 2, 3, 4), 4)
+            return super().restrict(self.make((0, 1, 2, 3)), n)
+        return super().restrict(a, n)
+
+
+@dataclass(frozen=True)
+class LateLinkSpace(EllentuckSpace):
+    """A4(i): {1,2,3} (position 22 of 32 on ground 5) is not below
+    {1,2,3,4} (position 30), though it is that stem's length-3 member."""
+
+    def fin_leq(self, a, b):
+        if a.payload == (1, 2, 3) and b.payload == (1, 2, 3, 4):
+            return False
+        return super().fin_leq(a, b)
+
+
+@dataclass(frozen=True)
+class ReversedLateLinkSpace(LateLinkSpace):
+    """LateLinkSpace with its stems listed longest first, so that a
+    stem's position among the stems is not its universe id."""
+
+    def stems(self):
+        return super().stems()[::-1]
+
+
+ROW_SWEEP_SPACES = [space for _, space, _ in CONTROLS] + [
+    LateSeparationSpace(5),
+    LateLinkSpace(5),
+    ReversedLateLinkSpace(5),
+    ell_space(6),
+    matrix_space(2, 3),
+    matrix_space(3, 2),
+    partition_space(5),
+]
+
+
+@pytest.mark.parametrize("space", ROW_SWEEP_SPACES, ids=lambda s: type(s).__name__)
+def test_row_sweeps_match_the_pair_loops(space):
+    # A2 and A4(i) count the pairs of the loops they replace and stop
+    # at the same first counterexample, with the same text.
+    rows = _as_rows(audit_axioms(space, FAST))["checks"]
+    uni = Universe(space)
+    assert rows[1] == _a2_oracle(uni)
+    assert rows[3] == _a4_link_oracle(uni)
+
+
+def test_the_first_failure_can_sit_on_the_last_stems():
+    # Pair (29, 30) of 32 stems: 29*31 - 29*28/2 + (30 - 29) = 494 of 496.
+    a2 = audit_axioms(LateSeparationSpace(5), FAST).check_for("A2")
+    assert (a2.status, a2.instances) == (COUNTEREXAMPLE, 494)
+    assert a2.witness == "distinct stems with identical chains: {0,2,3,4} vs {1,2,3,4}"
+    # Row 22, column 30: instance 22*32 + 30 + 1 = 735 of 1024.
+    link = audit_axioms(LateLinkSpace(5), FAST).checks[3]
+    assert (link.name, link.status, link.instances) == (
+        "finitization-link", COUNTEREXAMPLE, 735,
+    )
+    assert link.witness == "{1,2,3} vs {1,2,3,4}: order=False chainwise=True"
 
 
 @pytest.mark.parametrize(

@@ -172,6 +172,31 @@ def test_galvin_family_file_takes_no_inline_family(tmp_path, capsys):
         assert err == f"error: --family takes no {named}\n"
 
 
+@pytest.mark.parametrize("argv, err", [
+    (["audit", "--space", "ellentuck", "--ground", "3", "--q", "7", "--depth", "2"],
+     "the ellentuck space takes no --q"),
+    (["audit", "--space", "ellentuck", "--ground", "3", "--domain", "9",
+      "--max-cols", "4", "--depth", "2"],
+     "the ellentuck space takes no --max-cols, --domain"),
+    (["audit", "--space", "partition", "--domain", "3", "--ground", "5", "--depth", "2"],
+     "the partition space takes no --ground"),
+    (["audit", "--space", "matrix", "--max-cols", "2", "--domain", "3"],
+     "the matrix space takes no --domain"),
+    (["galvin", "--space", "ellentuck", "--ground", "4", "--q", "7", "--member", "{0}"],
+     "the ellentuck space takes no --q"),
+])
+def test_space_options_of_another_space_exit_2(capsys, argv, err):
+    code = cli.main(argv)
+    out, got = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert got == f"error: {err}\n"
+
+
+def test_matrix_space_options_default_q_to_2(capsys):
+    _, text = run(capsys, "audit", "--space", "matrix", "--max-cols", "2", "--depth", "2")
+    assert text.splitlines()[0] == "audit space=matrix;q=2;max_cols=2"
+
+
 @pytest.mark.parametrize("space", [
     ["--space", "ellentuck", "--ground", "8", "--member", "{0}"],
     ["--space", "matrix", "--max-cols", "3", "--member", "q=2;1"],
@@ -302,6 +327,17 @@ def test_ramsey_one_instance_one_certificate(capsys, schema):
     _, glr = run_json(capsys, schema, "ramsey", "glr", "--n", "2", *args)
     assert matrix["certificates"] == glr["certificates"]
     assert "instance=matrix;k=1;n=2;q=2" in glr["certificates"]["found"].splitlines()
+
+
+@pytest.mark.parametrize("q, named", [([], "q=2"), (["--q", "3"], "q=3")])
+def test_ramsey_witness_matrix_instance_names_q(capsys, schema, q, named):
+    args = ["--k", "1", "--n", "2", "--s", "2", "--bound", "3"]
+    _, payload = run_json(capsys, schema, "ramsey", "witness", "--space", "matrix", *q, *args)
+    assert payload["parameters"]["instance"] == f"witness;space=matrix;{named};k=1;n=2;s=2"
+    cert = next(iter(payload["certificates"].values()))
+    assert f"instance=matrix;k=1;n=2;{named}" in cert.splitlines()
+    _, payload = run_json(capsys, schema, "ramsey", "witness", "--space", "partition", *args)
+    assert payload["parameters"]["instance"] == "witness;space=partition;k=1;n=2;s=2"
 
 
 def test_ramsey_ceiling_refusal(capsys, monkeypatch):

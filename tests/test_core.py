@@ -279,3 +279,29 @@ def test_an_audit_asks_fin_below_once_per_stem_top(cls, args):
     report = audit_axioms(sp, AuditBounds(max_len=2, max_depth=3, include_a6=True))
     assert report.passed
     assert sorted(calls, key=sp.sort_key) == sp.stems()
+
+
+@pytest.mark.parametrize(
+    "space, text, shown",
+    [
+        (ell_space(6), "{0,2,5}", "<ellentuck:(0, 2, 5)>"),
+        (
+            matrix_space(3, 3), "q=3;120;001",
+            "<matrix:EchelonMatrix(q=3, cols=3, rows=((1, 2, 0), (0, 0, 1)))>",
+        ),
+        (partition_space(4), "({0,2},{1},{3})", "<partition:((0, 2), (1,), (3,))>"),
+    ],
+    ids=["ellentuck", "matrix", "partition"],
+)
+def test_an_approximation_is_its_field_tuple(space, text, shown):
+    # The hash is the one a frozen dataclass of the three fields had,
+    # so set and dict order do not change; the repr is unchanged too.
+    a = space.parse(text)
+    fields = (a.space_tag, a.payload, a.length)
+    assert hash(a) == hash(fields)
+    assert a == fields and a == Approximation(*fields)
+    assert repr(a) == shown
+    for name in ("space_tag", "payload", "length"):
+        with pytest.raises(AttributeError):
+            setattr(a, name, None)
+    assert (a.space_tag, a.payload, a.length) == fields

@@ -19,6 +19,7 @@ from ramspace.spaces import parse_params_str, space_from_params
 from ramspace.errors import (
     CeilingExceededError,
     InvalidApproximationError,
+    MixedSpaceError,
     OutOfRangeError,
     ParseError,
 )
@@ -372,6 +373,44 @@ def test_ellentuck_children_match_a_sort_by_sort_key(ground):
         last = a.payload[-1] if a.payload else -1
         want = [space.make(a.payload + (x,)) for x in top.payload if x > last]
         assert children == sorted(want, key=space.sort_key)
+
+
+def _reference_fin_leq(space, a, b):
+    space.check_tag(a)
+    space.check_tag(b)
+    return set(a.payload) <= set(b.payload)
+
+
+def test_ellentuck_fin_leq_matches_the_set_inclusion_reference():
+    space = ell_space(6)
+    universe = space.stems()
+    assert len(universe) == 64
+    for a in universe:
+        for b in universe:
+            assert space.fin_leq(a, b) == _reference_fin_leq(space, a, b)
+    # Two-digit elements, whose serialization order is not numeric.
+    space = ell_space(12)
+    rng = random.Random(12)
+    sample = [
+        space.make(sorted(rng.sample(range(12), rng.randint(0, 12))))
+        for _ in range(60)
+    ]
+    assert any(x >= 10 for a in sample for x in a.payload)
+    for a in sample:
+        for b in sample:
+            assert space.fin_leq(a, b) == _reference_fin_leq(space, a, b)
+
+
+def test_ellentuck_fin_leq_refuses_a_foreign_approximation():
+    space = ell_space(4)
+    ours = space.make((0, 1))
+    for foreign in (
+        partition_space(4).make([[0], [1]]),
+        Approximation("matrix", ours.payload, ours.length),
+    ):
+        for a, b in ((foreign, ours), (ours, foreign), (foreign, foreign)):
+            with pytest.raises(MixedSpaceError):
+                space.fin_leq(a, b)
 
 
 def test_gf3_matrix_space_operations():
