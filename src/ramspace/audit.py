@@ -153,11 +153,13 @@ def audit_axioms(space: Space, bounds: AuditBounds | None = None) -> AxiomReport
     _audit_a1(uni, report)
     _audit_a2(uni, report)
     _audit_a3(uni, report)
+    # The depth law, A5 and A6 read depths, which A4 (i) and (ii)
+    # define; after a failure there they are not asked.
     if _audit_a4(uni, report, bounds):
         _audit_depth(uni, report)
-    _audit_a5(uni, report, bounds)
-    if bounds.include_a6:
-        _audit_a6(uni, report, bounds)
+        _audit_a5(uni, report, bounds)
+        if bounds.include_a6:
+            _audit_a6(uni, report, bounds)
     return report
 
 
@@ -247,7 +249,7 @@ def _audit_a3(uni, report):
 
 def _audit_a4(uni, report, bounds) -> bool:
     """A4 (i), (ii) and the quasi-order laws; returns whether (i) and
-    (ii) passed, which the depth law needs."""
+    (ii) passed, which the depth law, A5 and A6 need."""
     space, items, down = uni.space, uni.items, uni.down
 
     def ser(i):

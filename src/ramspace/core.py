@@ -177,7 +177,10 @@ class Space(ABC):
         self, a: Approximation, max_length: int | None = None
     ) -> list[Approximation]:
         """Extension-closure of the empty approximation below `a`, in
-        canonical order: sorted levels of increasing length."""
+        canonical order: sorted levels of increasing length, up to
+        `max_length` when it is given.  Stage 2 of `galvin_search` reads
+        it up to the level it has settled and merges the new level from
+        that level's `extensions_below` lists itself."""
         out = []
         frontier = [self.empty()]
         while frontier:

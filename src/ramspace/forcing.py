@@ -30,6 +30,8 @@ replay through `verify_dichotomy`, which never consults engine state.
 from __future__ import annotations
 
 import enum
+import heapq
+import itertools
 from dataclasses import dataclass, field
 from typing import Callable, Iterable
 
@@ -400,12 +402,18 @@ def galvin_search(
 
     At level n a candidate is asked about its approximations of the new
     length n+1 first, then about the shorter ones, each group in
-    canonical order.  The current stem is not asked the shorter ones
-    again: stage 1 or the previous level saw each of them rejected.  A
-    verdict's kind does not depend on the engine's memo, and no stage-2
-    sweep can pass the ceiling, so the stem chosen, the certificate and
-    `reducts_scanned` do not depend on that order; only `walk_nodes`
-    does.
+    canonical order (`_stage2_asks`).  The current stem is not asked the
+    shorter ones again: stage 1 or the previous level saw each of them
+    rejected.  A verdict's kind does not depend on the engine's memo,
+    and no stage-2 sweep can pass the ceiling, so the stem chosen, the
+    certificate and `reducts_scanned` do not depend on that order; only
+    `walk_nodes` does.
+
+    The current stem is the first candidate, and the rest of its
+    neighborhood is swept only once it is refused.  Each neighborhood
+    is swept and sorted longest-first at most once per search, so when
+    stage 1 seeds stage 2 with A itself, the first level reuses stage
+    1's order of [empty, A].
 
     When the reducts of A pass `max_reducts`, a space with
     `exclude_member` (ellentuck) shrinks A greedily instead; any other
@@ -417,6 +425,20 @@ def galvin_search(
     engine = ForcingEngine(family, max_reducts)
     L = family.length_bound
     stats = {"reducts_scanned": 0}
+
+    orders: dict[tuple[Approximation, Approximation], list[Approximation]] = {}
+
+    def ordered(base: Approximation, top: Approximation) -> list[Approximation]:
+        # [base, top] longest first, swept and sorted once per search.
+        if (base, top) not in orders:
+            orders[base, top] = space.longest_first(engine._neighborhood(base, top))
+        return orders[base, top]
+
+    def candidates(prefix: Approximation, top: Approximation):
+        # `top` first, then the rest of [prefix, top] longest first: the
+        # neighborhood is swept only once `top` itself is refused.
+        yield top
+        yield from (t for t in ordered(prefix, top) if t != top)
 
     def finish_alt1(B: Stem) -> DichotomyResult:
         bad = [f for f in family.members if space.fin_leq(f, B.top)]
@@ -454,7 +476,7 @@ def galvin_search(
     try:
         if engine.chain_status(A.top, empty) is ChainStatus.ALL_HIT:
             return finish_alt2(A)
-        reducts = space.longest_first(engine._neighborhood(empty, A.top))
+        reducts = ordered(empty, A.top)
         first_accepting: Stem | None = None
         for t in reducts:
             stats["reducts_scanned"] += 1
@@ -494,27 +516,16 @@ def galvin_search(
     # it is asked first (see the docstring for why the order is free).
     current = seed
     for level in range(L):
-        target_len = level + 1
         chosen = None
         blocker = None
         # Preserve the chain up to the level, or all of it when the
         # truncated stem is shorter than the level index.
         prefix = current.approx(min(level, current.length))
-        cands = [current.top] + [
-            t
-            for t in space.longest_first(engine._neighborhood(prefix, current.top))
-            if t != current.top
-        ]
-        for t in cands:
+        for t in candidates(prefix, current.top):
             stats["reducts_scanned"] += 1
             cand = Stem(space, t)
-            below = space.closure_below(t, max_length=target_len)
-            settled = sum(b.length < target_len for b in below)
-            asks = below[settled:]
-            if t != current.top:
-                asks += below[:settled]
             ok = True
-            for b in asks:
+            for b in _stage2_asks(space, t, level, settled=t == current.top):
                 v = engine.verdict(cand, b)
                 if v.kind != REJECTS:
                     ok = False
@@ -541,6 +552,26 @@ def galvin_search(
             )
         current = chosen
     return finish_alt1(current)
+
+
+def _stage2_asks(space: Space, t: Approximation, level: int, settled: bool):
+    """The approximations stage 2 asks candidate `t` at `level`: those
+    of the new length level+1, then, unless `settled`, the shorter
+    ones, each group in canonical order.
+
+    The new length is a merge of its parents' `extensions_below` lists,
+    each already in `sort_key` order.  The merge takes a child's sort
+    key only when it reads the child, so a candidate refused on its
+    first ask costs one key per parent, not a sort of its new level.
+    The shorter ones are `closure_below(t, level)`, read only after
+    every new-length ask rejected.
+    """
+    below = space.closure_below(t, level)
+    new = heapq.merge(
+        *(space.extensions_below(b, t) for b in below if b.length == level),
+        key=space.sort_key,
+    )
+    return new if settled else itertools.chain(new, below)
 
 
 def _greedy_avoiding_stem(space: Space, A: Stem, family: FrontFamily) -> Stem | None:

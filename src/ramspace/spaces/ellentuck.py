@@ -8,6 +8,7 @@ finitization is plain set inclusion.
 from __future__ import annotations
 
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 
 from ..core import Approximation, Space, Stem
@@ -18,6 +19,10 @@ from ..errors import (
 )
 
 TAG = "ellentuck"
+
+# Builds an `Approximation` from its field tuple in C, without the
+# NamedTuple's Python-level `__new__`.
+_new = tuple.__new__
 
 
 def _closing_text(x: int) -> str:
@@ -52,7 +57,7 @@ class EllentuckSpace(Space):
         self.check_tag(a)
         if n < 0 or n > a.length:
             raise InvalidApproximationError(f"restrict index {n} out of range")
-        return Approximation(TAG, a.payload[:n], n)
+        return _new(Approximation, (TAG, a.payload[:n], n))
 
     def fin_leq(self, a: Approximation, b: Approximation) -> bool:
         if a.space_tag != TAG or b.space_tag != TAG:
@@ -69,26 +74,28 @@ class EllentuckSpace(Space):
         return sorted(out, key=self.sort_key)
 
     def extensions_below(self, a, top) -> list[Approximation]:
-        if a.space_tag != self.tag or top.space_tag != self.tag:
+        if a.space_tag != TAG or top.space_tag != TAG:
             self.check_tag(a)
             self.check_tag(top)
         payload = a.payload
-        if payload and not set(payload).issubset(top.payload):
+        if payload and not set(top.payload).issuperset(payload):
             raise EmptyNeighborhoodError(
                 f"[{self.serialize(a)}, {self.serialize(top)}] is empty"
             )
-        last = payload[-1] if payload else -1
-        kids = [x for x in top.payload if x > last]
+        # The children add the elements of `top` past the last one of
+        # `a`: a slice of `top`'s payload, which `sorted` gives back in
+        # one linear pass when it is ascending, as every payload `make`
+        # accepts is.
+        kids = sorted(top.payload)
+        kids = kids[bisect_right(kids, payload[-1] if payload else -1):]
         # Siblings share their serialized prefix, so `sort_key` order is
         # the order of the text "x}" that ends each child.  That is
         # numeric order only while every child is a digit: "10}" < "1}"
         # < "2}", and "-12}" < "-1}" < "0}".
-        if kids and (min(kids) < 0 or max(kids) > 9):
+        if kids and (kids[0] < 0 or kids[-1] > 9):
             kids.sort(key=_closing_text)
-        else:
-            kids.sort()
         n = a.length + 1
-        return [Approximation(TAG, payload + (x,), n) for x in kids]
+        return [_new(Approximation, (TAG, payload + (x,), n)) for x in kids]
 
     def stems(self) -> list[Approximation]:
         out = []

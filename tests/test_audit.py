@@ -1,10 +1,12 @@
+import contextlib
+import io
 import json
 from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
-from ramspace import Approximation, ell_space, matrix_space, partition_space
+from ramspace import Approximation, cli, ell_space, matrix_space, partition_space
 from ramspace.audit import (
     BOUNDED_PASS,
     COUNTEREXAMPLE,
@@ -13,7 +15,7 @@ from ramspace.audit import (
     audit_axioms,
 )
 from ramspace.core import Universe
-from ramspace.errors import CeilingExceededError
+from ramspace.errors import CeilingExceededError, NotInSpaceError
 from ramspace.spaces import parse_params_str, space_from_params
 from ramspace.spaces.ellentuck import TAG, EllentuckSpace
 
@@ -509,3 +511,54 @@ def test_negative_length_and_depth_bounds_are_input_errors(key):
     # the caps are not checked: transitivity_cap=0 is a tested edge case
     report = audit_axioms(ell_space(3), AuditBounds(**{key: 0}, transitivity_cap=0))
     assert report.passed
+
+
+@dataclass(frozen=True)
+class StrayChainSpace(EllentuckSpace):
+    """A4(i): the chain of {0,2,3,4} is the chain of {1,2,3,4}, so {0},
+    which `fin_below` puts below {0,2,3,4}, lies below no member of
+    that stem's chain and has no depth there."""
+
+    def restrict(self, a, n):
+        if a.payload == (0, 2, 3, 4):
+            return super().restrict(self.make((1, 2, 3, 4)), n)
+        return super().restrict(a, n)
+
+
+STRAY_CHAIN_ROWS = [
+    ["A1", "empty-base", BOUNDED_PASS, 32, "", None],
+    ["A2", "separation", COUNTEREXAMPLE, 494, "",
+     "distinct stems with identical chains: {0,2,3,4} vs {1,2,3,4}"],
+    ["A3", "length-coherence", BOUNDED_PASS, 112, "", None],
+    ["A4", "finitization-link", COUNTEREXAMPLE, 62, "",
+     "{0} vs {0,2,3,4}: order=True chainwise=False"],
+]
+
+
+@pytest.mark.parametrize("bounds", [FAST, A6_FAST], ids=["a5", "a5-a6"])
+def test_a_failed_finitization_skips_the_laws_that_read_depth(bounds):
+    # The depth law, A5 and A6 read depths, which A4 (i) and (ii)
+    # define.  After A4(i) fails they are not asked, so the report
+    # carries A4's counterexample instead of raising NotInSpaceError.
+    space = StrayChainSpace(5)
+    uni = Universe(space)
+    with pytest.raises(NotInSpaceError):
+        uni.depth(uni.index[space.make((0,))], uni.index[space.make((0, 2, 3, 4))])
+    report = audit_axioms(space, bounds)
+    assert _as_rows(report) == {
+        "checks": STRAY_CHAIN_ROWS, "depth_pairs_checked": 0, "depth_violations": 0,
+    }
+    assert not report.passed
+
+
+def test_a_failed_finitization_exits_1_on_the_cli(monkeypatch):
+    monkeypatch.setattr(cli, "_space", lambda args: StrayChainSpace(5))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = cli.main(["audit", "--space", "ellentuck", "--ground", "5",
+                         "--depth", "3", "--a6", "--format", "json"])
+    assert code == 1
+    got = json.loads(out.getvalue())
+    assert got["outcome"] == COUNTEREXAMPLE
+    assert [[r["axiom"], r["name"], r["status"], r["instances"], r["notes"], r["witness"]]
+            for r in got["report"]] == STRAY_CHAIN_ROWS

@@ -8,6 +8,10 @@ ids; it is kept here as the oracle every verdict is compared with.
 `_canonical_galvin_search` is `galvin_search` as it was before stage 2
 asked each candidate its new-length approximations first; it is kept
 as the oracle for every search's stem and certificate.
+`_reordered_closure` is stage 2's ask sequence as it was built before
+the new length became a merge of child lists: `closure_below` one
+level further, new length first; it is kept as the oracle of
+`_stage2_asks`.
 """
 
 from __future__ import annotations
@@ -45,10 +49,11 @@ from ramspace.forcing import (
     _certificate_alt2,
     _frontier,
     _greedy_avoiding_stem,
+    _stage2_asks,
     front_family,
     galvin_search,
 )
-from ramspace.spaces.ellentuck import TAG
+from ramspace.spaces.ellentuck import TAG, EllentuckSpace
 
 DATA = pathlib.Path(__file__).parent / "data" / "forcing_results.json"
 
@@ -349,6 +354,92 @@ def test_ellentuck_children_follow_the_text_order():
         e.extensions_below(e.make((1,)), e.make((2, 3)))
     with pytest.raises(MixedSpaceError):
         e.extensions_below(e.empty(), Approximation("matrix", (), 0))
+
+
+class _AskedChildren(EllentuckSpace):
+    """The ellentuck space, keeping each child list it gives."""
+
+    def __init__(self, ground):
+        super().__init__(ground)
+        object.__setattr__(self, "asked", {})
+
+    def extensions_below(self, a, top):
+        kids = self.asked[a] = super().extensions_below(a, top)
+        return kids
+
+
+def test_ellentuck_children_of_every_ground_12_pair():
+    # Ground 12 holds 10 and 11, whose text order is not their numeric
+    # order.  Its stems include every ground-11 stem, and the children
+    # do not read `ground`, so this covers ground 11 as well.  The walk
+    # of [{}, top] asks the children of every base below top once: each
+    # list must be the `sort_key`-sorted filter, and the walk must be
+    # the depth-first order those lists gave before the child list
+    # became a slice.  [base, top] is the subtree of base in that walk.
+    e = _AskedChildren(12)
+    tops = e.stems()
+    assert set(ell_space(11).stems()) <= set(tops)
+    for top in tops:
+        e.asked.clear()
+        walk = list(e.iter_neighborhood(e.empty(), top))
+        order = []
+        stack = [e.empty()]
+        while stack:
+            base = stack.pop()
+            order.append(base)
+            last = base.payload[-1] if base.payload else -1
+            want = sorted(
+                (
+                    Approximation(TAG, base.payload + (x,), base.length + 1)
+                    for x in top.payload
+                    if x > last
+                ),
+                key=e.sort_key,
+            )
+            assert e.asked[base] == want, (base, top)
+            stack.extend(reversed(want))
+        assert walk == order, top
+        for x in sorted(set(range(12)) - set(top.payload)):
+            for base in (e.make((x,)), e.make(sorted(top.payload + (x,)))):
+                with pytest.raises(EmptyNeighborhoodError):
+                    e.extensions_below(base, top)
+
+
+# ----- stage 2's asks against the reordered closure -----
+
+
+def _reordered_closure(space, t, level, settled):
+    """Stage 2's asks as they were built before the new length was
+    merged lazily: closure_below(t, level+1), new length first, and the
+    shorter ones after unless settled."""
+    below = space.closure_below(t, max_length=level + 1)
+    shorter = sum(b.length <= level for b in below)
+    return below[shorter:] + ([] if settled else below[:shorter])
+
+
+@pytest.mark.parametrize(
+    "space, reordered",
+    [(ell_space(6), False), (ell_space(12), True), (matrix_space(2, 3), True),
+     (matrix_space(3, 2), False), (partition_space(5), True)],
+    ids=lambda v: v.params_str() if hasattr(v, "params_str") else "",
+)
+def test_stage_2_asks_match_the_reordered_closure(space, reordered):
+    # `reordered`: whether some (top, level) has parents whose child
+    # lists, laid end to end, are out of canonical order, so that the
+    # merge is what puts them in it.
+    rng = random.Random(20261018)
+    stems = space.stems()
+    tops = [space.full_stem().top, space.empty()] + rng.sample(stems, min(12, len(stems)))
+    merged = 0
+    for t in tops:
+        for level in (0, 1, 2):
+            for settled in (True, False):
+                want = _reordered_closure(space, t, level, settled)
+                assert list(_stage2_asks(space, t, level, settled)) == want, (t, level)
+            parents = [b for b in space.closure_below(t, level) if b.length == level]
+            joined = [c for b in parents for c in space.extensions_below(b, t)]
+            merged += joined != _reordered_closure(space, t, level, True)
+    assert bool(merged) == reordered
 
 
 # ----- stage 2's check order against the canonical order -----
