@@ -31,6 +31,7 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Iterator, NamedTuple
 
 from .errors import (
+    InvalidApproximationError,
     MixedSpaceError,
     NotInSpaceError,
     OutOfRangeError,
@@ -56,6 +57,19 @@ class Approximation(NamedTuple):
 
     def __repr__(self):
         return f"<{self.space_tag}:{self.payload!r}>"
+
+
+def int_tuple(items) -> tuple[int, ...]:
+    """`items` as a tuple of ints, for a space's `make`.  Anything else
+    raises InvalidApproximationError: no float, bool or string is
+    coerced."""
+    try:
+        out = tuple(items)
+    except TypeError:
+        out = None
+    if out is None or any(type(x) is not int for x in out):
+        raise InvalidApproximationError(f"not a sequence of integers: {items!r}")
+    return out
 
 
 class Space(ABC):

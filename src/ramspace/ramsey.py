@@ -426,7 +426,7 @@ def dual_to_classical_encoding(t: Approximation) -> Approximation:
     """
     if t.space_tag != "partition":
         raise TypeError("expected a partition approximation")
-    minima = tuple(sorted(b[0] for b in t.payload if b[0] != 0))
+    minima = tuple(t.payload.index(j) for j in range(1, t.length))
     return Approximation("ellentuck", minima, len(minima))
 
 

@@ -11,7 +11,7 @@ import itertools
 from bisect import bisect_right
 from dataclasses import dataclass
 
-from ..core import Approximation, Space, Stem
+from ..core import Approximation, Space, Stem, int_tuple
 from ..errors import (
     EmptyNeighborhoodError,
     InvalidApproximationError,
@@ -44,7 +44,7 @@ class EllentuckSpace(Space):
         return Approximation(TAG, (), 0)
 
     def make(self, payload) -> Approximation:
-        elems = tuple(int(x) for x in payload)
+        elems = int_tuple(payload)
         if any(b <= a for a, b in zip(elems, elems[1:])):
             raise InvalidApproximationError(f"not strictly increasing: {elems}")
         if elems and (elems[0] < 0 or elems[-1] >= self.ground):

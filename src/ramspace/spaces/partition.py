@@ -6,8 +6,16 @@ into n blocks listed by increasing minimum; t records where block n of
 the represented infinite partition begins.  The length-n member of a
 stem's chain cuts the first n blocks at the minimum of block n.
 
+The payload is the partition's label tuple: entry e is the index of
+the block holding e.  Blocks are listed by increasing minimum, so the
+tuple is a restricted-growth string (each entry at most one more than
+every entry before it), and each partition has exactly one.  The
+domain t is the tuple's length and the block count is its largest
+label plus one.  `make` takes blocks, the layout of the text form.
+
 Finitization: s is below t when s partitions a smaller initial segment
-and is coarser than t restricted to that segment.
+and is coarser than t restricted to that segment: on s's domain, t's
+label of an element determines s's.
 """
 
 from __future__ import annotations
@@ -15,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from ..core import Approximation, Space, Stem
+from ..core import Approximation, Space, Stem, int_tuple
 from ..errors import (
     CeilingExceededError,
     EmptyNeighborhoodError,
@@ -25,15 +33,24 @@ from ..errors import (
 
 TAG = "partition"
 
-Blocks = tuple[tuple[int, ...], ...]
+
+def _approx(labels: tuple[int, ...]) -> Approximation:
+    return Approximation(TAG, labels, max(labels, default=-1) + 1)
 
 
-def _domain(blocks: Blocks) -> int:
-    return sum(len(b) for b in blocks)
+def _blocks(labels: tuple[int, ...]) -> list[list[int]]:
+    """The blocks a label tuple names, by increasing minimum."""
+    blocks = [[] for _ in range(max(labels, default=-1) + 1)]
+    for e, j in enumerate(labels):
+        blocks[j].append(e)
+    return blocks
 
 
 @dataclass(frozen=True)
 class PartitionSpace(Space):
+    """Ordered partitions of {0..t-1} for t <= max_domain, each held as
+    its restricted-growth label tuple; `make` takes blocks."""
+
     max_domain: int
 
     tag = TAG
@@ -46,7 +63,14 @@ class PartitionSpace(Space):
         return Approximation(TAG, (), 0)
 
     def make(self, payload) -> Approximation:
-        blocks = tuple(tuple(sorted(int(x) for x in b)) for b in payload)
+        """The approximation whose blocks are `payload`: blocks of ints
+        listed by increasing minimum that partition {0..t-1}."""
+        try:
+            blocks = [sorted(int_tuple(b)) for b in payload]
+        except TypeError:
+            raise InvalidApproximationError(
+                f"not a sequence of blocks: {payload!r}"
+            ) from None
         if any(not b for b in blocks):
             raise InvalidApproximationError("empty block")
         mins = [b[0] for b in blocks]
@@ -62,7 +86,11 @@ class PartitionSpace(Space):
             raise InvalidApproximationError(
                 f"domain {t} exceeds truncation {self.max_domain}"
             )
-        return Approximation(TAG, blocks, len(blocks))
+        labels = [0] * t
+        for j, b in enumerate(blocks):
+            for x in b:
+                labels[x] = j
+        return Approximation(TAG, tuple(labels), len(blocks))
 
     def restrict(self, a: Approximation, n: int) -> Approximation:
         self.check_tag(a)
@@ -70,51 +98,24 @@ class PartitionSpace(Space):
             raise InvalidApproximationError(f"restrict index {n} out of range")
         if n == a.length:
             return a
-        cut = a.payload[n][0]
-        blocks = tuple(tuple(x for x in b if x < cut) for b in a.payload[:n])
-        return Approximation(TAG, blocks, n)
-
-    @staticmethod
-    def _restriction(blocks: Blocks, u: int) -> Blocks:
-        out = []
-        for b in blocks:
-            cut = tuple(x for x in b if x < u)
-            if cut:
-                out.append(cut)
-        return tuple(out)
-
-    @staticmethod
-    def _coarser(x: Blocks, y: Blocks) -> bool:
-        """True iff every block of y is contained in some block of x."""
-        owner = {}
-        for i, b in enumerate(x):
-            for e in b:
-                owner[e] = i
-        for b in y:
-            if any(e not in owner for e in b):
-                return False
-            if len({owner[e] for e in b}) > 1:
-                return False
-        return True
+        return Approximation(TAG, a.payload[: a.payload.index(n)], n)
 
     def fin_leq(self, a: Approximation, b: Approximation) -> bool:
         self.check_tag(a)
         self.check_tag(b)
-        ta, tb = _domain(a.payload), _domain(b.payload)
-        if ta > tb:
+        la, lb = a.payload, b.payload
+        if len(la) > len(lb):
             return False
-        return self._coarser(a.payload, self._restriction(b.payload, ta))
+        return len(set(zip(lb, la))) == len(set(lb[: len(la)]))
 
     def fin_below(self, a: Approximation) -> list[Approximation]:
         self.check_tag(a)
-        t = _domain(a.payload)
         out = []
-        for u in range(t + 1):
-            base = self._restriction(a.payload, u)
-            for grouping in _set_partitions(len(base)):
-                merged = _merge_blocks(base, grouping)
-                out.append(Approximation(TAG, merged, len(merged)))
-        return sorted(set(out), key=self.sort_key)
+        for u in range(len(a.payload) + 1):
+            cut = a.payload[:u]
+            for g in _rgs_iter(max(cut, default=-1) + 1):
+                out.append(_approx(tuple(g[x] for x in cut)))
+        return sorted(out, key=self.sort_key)
 
     def extensions_below(self, a, top) -> list[Approximation]:
         self.check_tag(a)
@@ -123,50 +124,29 @@ class PartitionSpace(Space):
             raise EmptyNeighborhoodError(
                 f"[{self.serialize(a)}, {self.serialize(top)}] is empty"
             )
-        ta = _domain(a.payload)
-        tt = _domain(top.payload)
-        n = a.length
-        if ta >= tt:
+        stem = top.payload
+        ta, n = len(a.payload), a.length
+        # Block n of any extension starts at ta, so ta must begin a
+        # block of the stem's partition: its label k is new there.
+        if ta >= len(stem) or stem[ta] in stem[:ta]:
             return []
-        # Block n of any extension starts at ta, so ta must begin a block
-        # of the stem's partition.
-        top_block_of = {}
-        for i, b in enumerate(top.payload):
-            for e in b:
-                top_block_of[e] = i
-        if top.payload[top_block_of[ta]][0] != ta:
-            return []
-        a_block_of = {}
-        for i, b in enumerate(a.payload):
-            for e in b:
-                a_block_of[e] = i
+        k = stem[ta]
+        # The stem blocks that began before ta keep a's labels and the
+        # one at ta gets label n; each later one takes any label 0..n.
+        forced = [label for _, label in sorted(set(zip(stem, a.payload)))] + [n]
         out = []
-        for t2 in range(ta + 1, tt + 1):
-            segment = self._restriction(top.payload, t2)
-            forced: list[tuple[tuple[int, ...], int]] = []
-            free: list[tuple[int, ...]] = []
-            for b in segment:
-                if b[0] < ta:
-                    forced.append((b, a_block_of[b[0]]))
-                elif b[0] == ta:
-                    forced.append((b, n))
-                else:
-                    free.append(b)
-            for assignment in itertools.product(range(n + 1), repeat=len(free)):
-                blocks = [list() for _ in range(n + 1)]
-                for b, i in forced:
-                    blocks[i].extend(b)
-                for b, i in zip(free, assignment):
-                    blocks[i].extend(b)
-                payload = tuple(tuple(sorted(b)) for b in blocks)
-                out.append(Approximation(TAG, payload, n + 1))
+        for t2 in range(ta + 1, len(stem) + 1):
+            cut = stem[:t2]
+            free = max(cut) - k
+            for assignment in itertools.product(range(n + 1), repeat=free):
+                label_of = forced + list(assignment)
+                out.append(Approximation(TAG, tuple(label_of[x] for x in cut), n + 1))
         return sorted(out, key=self.sort_key)
 
     def stems(self) -> list[Approximation]:
-        out = [self.empty()]
-        for t in range(1, self.max_domain + 1):
-            for blocks in _set_partitions(t):
-                out.append(Approximation(TAG, blocks, len(blocks)))
+        out = [
+            _approx(g) for t in range(self.max_domain + 1) for g in _rgs_iter(t)
+        ]
         return sorted(out, key=self.sort_key)
 
     def stem_count(self) -> int:
@@ -175,35 +155,23 @@ class PartitionSpace(Space):
     def serialize(self, a: Approximation) -> str:
         self.check_tag(a)
         inner = ",".join(
-            "{" + ",".join(str(x) for x in b) + "}" for b in a.payload
+            "{" + ",".join(map(str, b)) + "}" for b in _blocks(a.payload)
         )
         return f"({inner})"
 
     def _parse(self, text: str) -> Approximation:
-        if not (text.startswith("(") and text.endswith(")")):
-            raise ParseError(f"bad partition literal: {text!r}")
-        body = text[1:-1]
-        if not body:
+        # Only the canonical layout "({0,2},{1})" splits into blocks;
+        # `parse` rejects any other text naming a valid partition.
+        if text == "()":
             return self.empty()
-        blocks = []
-        depth = 0
-        cur = ""
-        for ch in body + ",":
-            if ch == "," and depth == 0:
-                cur = cur.strip()
-                if not (cur.startswith("{") and cur.endswith("}")):
-                    raise ParseError(f"bad partition literal: {text!r}")
-                try:
-                    blocks.append(tuple(int(x) for x in cur[1:-1].split(",")))
-                except ValueError as e:
-                    raise ParseError(f"bad partition literal: {text!r}") from e
-                cur = ""
-            else:
-                if ch == "{":
-                    depth += 1
-                elif ch == "}":
-                    depth -= 1
-                cur += ch
+        if not (text.startswith("({") and text.endswith("})")):
+            raise ParseError(f"bad partition literal: {text!r}")
+        try:
+            blocks = [
+                [int(x) for x in b.split(",")] for b in text[2:-2].split("},{")
+            ]
+        except ValueError as e:
+            raise ParseError(f"bad partition literal: {text!r}") from e
         try:
             return self.make(blocks)
         except ValueError as e:
@@ -216,14 +184,14 @@ class PartitionSpace(Space):
         return self.discrete_stem()
 
     def open_beyond(self, e: Approximation, top: Approximation) -> bool:
-        return _domain(e.payload) == _domain(top.payload)
+        return len(e.payload) == len(top.payload)
 
     def discrete_stem(self, n: int | None = None) -> Stem:
         """The stem of singleton blocks {0},...,{n-1}."""
         n = self.max_domain if n is None else n
         if n > self.max_domain:
             raise ValueError("domain exceeds truncation")
-        return Stem(self, self.make(tuple((i,) for i in range(n))))
+        return Stem(self, _approx(tuple(range(n))))
 
 
 def partition_space(max_domain: int) -> PartitionSpace:
@@ -256,28 +224,6 @@ def _rgs_iter(n: int, k: int | None = None):
             prefix.pop()
 
     yield from rec([], 0)
-
-
-def _blocks_from_rgs(rgs: tuple[int, ...]) -> Blocks:
-    nb = max(rgs) + 1 if rgs else 0
-    blocks = [[] for _ in range(nb)]
-    for e, label in enumerate(rgs):
-        blocks[label].append(e)
-    return tuple(tuple(b) for b in blocks)
-
-
-def _set_partitions(n: int, k: int | None = None):
-    for rgs in _rgs_iter(n, k):
-        yield _blocks_from_rgs(rgs)
-
-
-def _merge_blocks(base: Blocks, grouping: Blocks) -> Blocks:
-    merged = []
-    for group in grouping:
-        blk = sorted(x for i in group for x in base[i])
-        merged.append(tuple(blk))
-    merged.sort(key=lambda b: b[0])
-    return tuple(merged)
 
 
 def _bell(n: int) -> int:
@@ -316,9 +262,6 @@ def enumerate_partitions(n: int, k: int, ceiling: int = 1 << 22) -> list[Approxi
         raise CeilingExceededError(
             f"enumerate_partitions({n},{k}) too large", total, ceiling
         )
-    out = [
-        Approximation(TAG, blocks, len(blocks)) for blocks in _set_partitions(n, k)
-    ]
+    out = [Approximation(TAG, g, k) for g in _rgs_iter(n, k)]
     assert len(out) == total
     return sorted(out, key=PartitionSpace(max(n, 1)).sort_key)
-

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from partition_oracle import blocks
 from ramspace import Stem, ell_space, matrix_space, partition_space
 from ramspace.audit import AuditBounds, audit_axioms
 from ramspace.forcing import (
@@ -394,7 +395,7 @@ def test_criterion_8_dual_encoding():
         c = {p: rng.randint(0, 1) for p in pairs}
         for t in partitions:
             # independent reading of the formula
-            minima = tuple(sorted(min(b) for b in t.payload))
+            minima = tuple(sorted(min(b) for b in blocks(t)))
             assert minima[0] == 0  # the first block always holds 0
             direct = c[minima[1:]]
             pulled = c[dual_to_classical_encoding(t).payload]

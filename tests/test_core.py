@@ -289,13 +289,14 @@ def test_an_audit_asks_fin_below_once_per_stem_top(cls, args):
             matrix_space(3, 3), "q=3;120;001",
             "<matrix:EchelonMatrix(q=3, cols=3, rows=((1, 2, 0), (0, 0, 1)))>",
         ),
-        (partition_space(4), "({0,2},{1},{3})", "<partition:((0, 2), (1,), (3,))>"),
+        (partition_space(4), "({0,2},{1},{3})", "<partition:(0, 1, 0, 2)>"),
     ],
     ids=["ellentuck", "matrix", "partition"],
 )
 def test_an_approximation_is_its_field_tuple(space, text, shown):
     # The hash is the one a frozen dataclass of the three fields had,
-    # so set and dict order do not change; the repr is unchanged too.
+    # so set and dict order do not change.  The repr shows the payload:
+    # a partition's is its label tuple, entry e the block holding e.
     a = space.parse(text)
     fields = (a.space_tag, a.payload, a.length)
     assert hash(a) == hash(fields)

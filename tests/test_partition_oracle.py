@@ -1,0 +1,109 @@
+"""Differential test of the partition space against the blocks oracle.
+
+`PartitionSpace` holds each partition as its restricted-growth label
+tuple; `partition_oracle.BlocksPartitionSpace` is the blocks
+representation it replaced.  Each primitive must give the same answer
+in both, compared through serialization, or raise the same error type.
+"""
+
+import pytest
+
+from partition_oracle import BlocksPartitionSpace, blocks
+from ramspace import Approximation, Stem, enumerate_partitions, partition_space
+from ramspace.errors import ParseError
+
+NEW, OLD = partition_space(6), BlocksPartitionSpace(6)
+STEMS = NEW.stems()
+SMALL = [a for a in STEMS if len(a.payload) <= 5]
+# Each stem's counterpart in the oracle.
+OLD_OF = {a: OLD.make(blocks(a)) for a in STEMS}
+
+
+def _outcome(space, fn, *args):
+    """What `fn(*args)` gives, serialized, or the type of its error."""
+    try:
+        r = fn(*args)
+    except Exception as e:  # the error type is part of the answer
+        return type(e)
+    if isinstance(r, Stem):
+        r = r.top
+    if isinstance(r, Approximation):
+        return space.serialize(r)
+    if isinstance(r, list):
+        return [space.serialize(x) for x in r]
+    return r
+
+
+def _check(name, *args):
+    """Ask `name` of both spaces; the approximations in `args` are the
+    package's, and the oracle gets their counterparts."""
+    old_args = [OLD_OF[x] if isinstance(x, Approximation) else x for x in args]
+    got = _outcome(NEW, getattr(NEW, name), *args)
+    want = _outcome(OLD, getattr(OLD, name), *old_args)
+    assert got == want, (name, [NEW.serialize(x) for x in args if x in OLD_OF])
+
+
+def test_stems_and_enumerations_match_the_oracle():
+    assert [NEW.serialize(a) for a in STEMS] == [OLD.serialize(a) for a in OLD.stems()]
+    assert NEW.stem_count() == OLD.stem_count() == 1 + 1 + 2 + 5 + 15 + 52 + 203
+    for n in range(8):
+        _check("discrete_stem", n)
+    assert NEW.full_stem() == NEW.discrete_stem()
+    old_stems = OLD.stems()
+    for n in range(7):
+        for k in range(n + 1):
+            want = [
+                OLD.serialize(a)
+                for a in old_stems
+                if a.length == k and sum(map(len, a.payload)) == n
+            ]
+            assert [NEW.serialize(a) for a in enumerate_partitions(n, k)] == want
+
+
+def test_make_and_parse_match_the_oracle():
+    for a in STEMS:
+        text = NEW.serialize(a)
+        assert NEW.make(blocks(a)) == a
+        assert NEW.parse(text) == a
+        assert OLD.serialize(OLD.parse(text)) == text
+    for text in ["()", "({0})", "({0,2},{1})", "({0}, {1})", "({1},{0})",
+                 "({00},{1})", "({0},{1}", "{0},{1}", "({})", "({0},{})",
+                 "({0},{2})", "({0,1,2,3,4,5,6})", "( {0})", "({0}{1})"]:
+        assert _outcome(NEW, NEW.parse, text) == _outcome(OLD, OLD.parse, text), text
+
+
+def test_restriction_and_down_sets_match_at_domain_six():
+    for a in STEMS:
+        for n in range(-1, a.length + 2):
+            _check("restrict", a, n)
+        _check("fin_below", a)
+
+
+def test_order_matches_at_domain_six():
+    olds = [OLD_OF[b] for b in STEMS]
+    for a in STEMS:
+        old_a = OLD_OF[a]
+        got = [NEW.fin_leq(a, b) for b in STEMS]
+        assert got == [OLD.fin_leq(old_a, b) for b in olds], NEW.serialize(a)
+
+
+def test_neighborhoods_match_up_to_domain_five():
+    for a in SMALL:
+        for b in SMALL:
+            _check("extensions_below", a, b)
+            _check("open_beyond", a, b)
+
+
+def test_extensions_below_the_discrete_stem_match_at_domain_six():
+    top = NEW.discrete_stem().top
+    for a in NEW.fin_below(top):
+        _check("extensions_below", a, top)
+
+
+def test_oracle_blocks_are_the_serialized_blocks():
+    p = partition_space(4)
+    a = p.parse("({0,2},{1},{3})")
+    assert a.payload == (0, 1, 0, 2)
+    assert blocks(a) == ((0, 2), (1,), (3,))
+    with pytest.raises(ParseError):
+        p.parse("({0,2},{1},{4})")

@@ -3,6 +3,7 @@ import random
 
 import pytest
 
+from partition_oracle import blocks
 from ramspace import ell_space, forcing, partition_space, ramsey
 from ramspace.errors import CeilingExceededError
 from ramspace.ramsey import (
@@ -117,7 +118,7 @@ def test_paramset_two_two_split_coloring_is_bad_at_four():
     inst = build_level("partition", 4, 2, 3)
     shape = []
     for a in inst.items:
-        sizes = sorted(len(b) for b in a.payload)
+        sizes = sorted(len(b) for b in blocks(a))
         shape.append(1 if sizes == [2, 2] else 0)
     ok = all(
         len({shape[i] for i in cfg}) > 1 for cfg in inst.configs
@@ -389,7 +390,7 @@ def test_encoding_pulls_back_colorings():
         for t in partitions:
             enc = dual_to_classical_encoding(t)
             d_value = c[enc.payload]
-            assert d_value == c[tuple(sorted(b[0] for b in t.payload if b[0] != 0))]
+            assert d_value == c[tuple(sorted(b[0] for b in blocks(t) if b[0] != 0))]
 
 
 # ----- the abstract reduction -----
@@ -450,7 +451,7 @@ def test_reduce_refuses_over_the_ceiling():
     p = partition_space(4)
     A = p.discrete_stem()
     dom = [a for a in p.fin_below(A.top) if a.length == 1]
-    col = Coloring(p, 1, 2, {p.serialize(a): len(a.payload[0]) % 2 for a in dom})
+    col = Coloring(p, 1, 2, {p.serialize(a): len(blocks(a)[0]) % 2 for a in dom})
     with pytest.raises(CeilingExceededError) as exc:
         abs_ramsey_reduce(col, A, max_reducts=2)
     assert (exc.value.estimate, exc.value.ceiling) == (3, 2)

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from partition_oracle import blocks
 from ramspace import (
     Approximation,
     EchelonMatrix,
@@ -194,7 +195,7 @@ def _all_echelon(q, cols):
 def test_partition_stem_approx_singleton_stem():
     p = partition_space(6)
     stem = p.discrete_stem()
-    assert stem.approx(2).payload == ((0,), (1,))
+    assert blocks(stem.approx(2)) == ((0,), (1,))
     assert stem.approx(0) == p.empty()
 
 
@@ -202,7 +203,7 @@ def test_partition_stem_approx_cuts_at_next_block_minimum():
     p = partition_space(8)
     stem = Stem(p, p.make([(0, 3), (1, 4), (2, 5), (6,), (7,)]))
     r3 = stem.approx(3)
-    assert r3.payload == ((0, 3), (1, 4), (2, 5))
+    assert blocks(r3) == ((0, 3), (1, 4), (2, 5))
     assert r3.length == 3
 
 
@@ -214,7 +215,7 @@ def test_partition_stem_approx_block_count_and_domain():
             a = stem.approx(n)
             assert a.length == n
             if n < top.length:
-                assert sum(len(b) for b in a.payload) == top.payload[n][0]
+                assert sum(len(b) for b in blocks(a)) == blocks(top)[n][0]
 
 
 # Coarsening is the finitization order `fin_leq`; on partitions of one
@@ -241,7 +242,7 @@ def test_part_coarser_on_stems_allows_domain_gap():
 
 def test_part_coarser_partial_order_fixed_domain():
     p = partition_space(5)
-    parts = [a for a in p.stems() if sum(len(b) for b in a.payload) == 4]
+    parts = [a for a in p.stems() if sum(len(b) for b in blocks(a)) == 4]
     for x in parts:
         for y in parts:
             if p.fin_leq(x, y) and p.fin_leq(y, x):
@@ -251,7 +252,7 @@ def test_part_coarser_partial_order_fixed_domain():
 def test_enumerate_partitions_counts():
     assert len(enumerate_partitions(4, 2)) == 7
     assert len(enumerate_partitions(5, 1)) == 1
-    assert [a.payload for a in enumerate_partitions(3, 3)] == [((0,), (1,), (2,))]
+    assert [blocks(a) for a in enumerate_partitions(3, 3)] == [((0,), (1,), (2,))]
     for n in range(9):
         for k in range(n + 1):
             assert len(enumerate_partitions(n, k)) == stirling2(n, k)
@@ -265,18 +266,18 @@ def test_enumerate_partitions_ceiling():
 def _coarsenings(space, t, k):
     """The k-block partitions coarser than `t` on its whole domain: the
     length-k, full-domain slice of `fin_below(t)`."""
-    domain = sum(len(b) for b in t.payload)
+    domain = sum(len(b) for b in blocks(t))
     return [
         c
         for c in space.fin_below(t)
-        if c.length == k and sum(len(b) for b in c.payload) == domain
+        if c.length == k and sum(len(b) for b in blocks(c)) == domain
     ]
 
 
 def test_coarsenings_of_discrete_three():
     p = partition_space(3)
     t = p.make([(0,), (1,), (2,)])
-    got = {c.payload for c in _coarsenings(p, t, 2)}
+    got = {blocks(c) for c in _coarsenings(p, t, 2)}
     assert got == {((0, 1), (2,)), ((0, 2), (1,)), ((0,), (1, 2))}
     assert _coarsenings(p, t, 3) == [t]
 
@@ -305,7 +306,7 @@ def test_partition_extensions_respect_block_granularity():
     p = partition_space(4)
     coarse = p.make([(0, 1), (2, 3)])
     one = p.make([(0, 1)])
-    got = {b.payload for b in p.extensions_below(one, coarse)}
+    got = {blocks(b) for b in p.extensions_below(one, coarse)}
     assert got == {((0, 1), (2,)), ((0, 1), (2, 3))}
 
 
@@ -323,6 +324,30 @@ def test_partition_rejects_bad_payloads():
         p.make([(1,), (0, 2)])  # not ordered by minima
     with pytest.raises(InvalidApproximationError):
         p.make([(0, 1, 2, 3, 4)])  # beyond the truncation
+
+
+@pytest.mark.parametrize(
+    "space, payload",
+    [
+        (ell_space(3), [0.7]),
+        (ell_space(3), [1.0]),
+        (ell_space(3), [True]),
+        (ell_space(3), ["1"]),
+        (ell_space(3), 5),
+        (partition_space(3), [[0], [1.5]]),
+        (partition_space(3), [[0], [1.0]]),
+        (partition_space(3), [[0, True]]),
+        (partition_space(3), [[0], ["1"]]),
+        (partition_space(3), "01"),
+        (partition_space(3), (0, 1)),
+        (partition_space(3), 5),
+    ],
+)
+def test_make_coerces_nothing(space, payload):
+    # Only ints are elements: a float, bool or string is refused, not
+    # rounded or converted, and so is a payload of the wrong shape.
+    with pytest.raises(InvalidApproximationError):
+        space.make(payload)
 
 
 def test_extensions_characterization_all_spaces():
