@@ -147,6 +147,23 @@ def spans(
     return True
 
 
+def times_basis(
+    x: Sequence[Sequence[int]], basis: Sequence[Sequence[int]], q: int
+) -> tuple[tuple[int, ...], ...]:
+    """The rows of X·B over GF(q), for an RREF X with as many columns as
+    B has rows.  For an RREF B, X·B is in RREF (B's pivot columns hold
+    X), so distinct X name distinct subspaces of B's row space.  Each
+    row of X leads with a 1, so its product starts as that basis row."""
+    out = []
+    for row in x:
+        v = None
+        for c, b in zip(row, basis):
+            if c:
+                v = b if v is None else [(s + c * t) % q for s, t in zip(v, b)]
+        out.append(tuple(v))
+    return tuple(out)
+
+
 def gaussian_binomial(m: int, k: int, q: int) -> int:
     """Number of k-dimensional subspaces of F_q^m.
 

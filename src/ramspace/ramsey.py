@@ -15,7 +15,8 @@ Concrete instances:
     {0..M-1}, and its witnesses are the n-subsets;
   * finite vector Ramsey numbers over GF(q) (Graham-Leeb-Rothschild):
     domains are the rank-k echelon matrices with m columns, witnesses
-    the rank-n ones, configurations the subspace order;
+    the rank-n ones, and a witness's configuration its k-dimensional
+    subspaces, built as X·B from its basis B;
   * partition Ramsey numbers (Graham-Rothschild parameter sets):
     domains are the k-block partitions of the level, configurations the
     coarsenings of an m-block witness.
@@ -46,7 +47,8 @@ from dataclasses import dataclass, field
 from .core import Approximation, Space, Stem
 from .errors import CeilingExceededError
 from .forcing import ALT1, ALT2, INCONCLUSIVE, MAX_REDUCTS, FrontFamily, galvin_search
-from .spaces import ell_space, parse_params_str, space_from_params
+from .gflinalg import enumerate_rre, times_basis
+from .spaces import ell_space, matrix_space, parse_params_str, space_from_params
 
 FOUND = "found"
 LOWER_BOUND = "lower_bound"
@@ -94,13 +96,12 @@ class LevelInstance:
         return f"instance={self.kind};k={self.k};n={self.n}{q}"
 
 
-def _level_space(kind: str, m: int, q: int | None) -> tuple[Space, Stem]:
-    """The space truncated at m (whatever its size field is called) and
-    its full stem; the length-0 stem at level 0."""
+def _level_space(kind: str, m: int) -> tuple[Space, Stem]:
+    """The ellentuck or partition space truncated at m (whatever its
+    size field is called) and its full stem; the length-0 stem at level
+    0."""
     size = max(m, 1)
-    sp = space_from_params(
-        dict(space=kind, q=q, ground=size, max_cols=size, max_domain=size)
-    )
+    sp = space_from_params(dict(space=kind, ground=size, max_domain=size))
     return sp, sp.full_stem() if m else Stem(sp, sp.empty())
 
 
@@ -125,15 +126,38 @@ def _classical_level(M: int, k: int, n: int) -> LevelInstance:
     return LevelInstance("classical", M, k, n, None, space, items, witnesses, configs)
 
 
+def _matrix_level(m: int, k: int, n: int, q: int) -> LevelInstance:
+    """The GLR instance: the k- and n-dimensional subspaces of F_q^m as
+    items and witnesses, in `sort_key` order (RREF matrices with m
+    columns, the full stem's depth-m approximations).  Witness B's
+    configuration is X·B for X over `enumerate_rre(k, n, q)`."""
+    space = matrix_space(q, max(m, 1))
+
+    def subspaces(d: int) -> list[Approximation]:
+        found = enumerate_rre(d, m, q) if 1 <= d <= m else []
+        return sorted(map(space.make, found), key=space.sort_key)
+
+    items, witnesses = subspaces(k), subspaces(n)
+    index = {a.payload.rows: i for i, a in enumerate(items)}
+    xs = [x.rows for x in enumerate_rre(k, n, q)]
+    configs = [
+        sorted(index[times_basis(x, b.payload.rows, q)] for x in xs) for b in witnesses
+    ]
+    return LevelInstance("matrix", m, k, n, q, space, items, witnesses, configs)
+
+
 def build_level(kind: str, m: int, k: int, n: int, q: int | None = None) -> LevelInstance:
     """The depth-m instance: domain, witnesses, and configurations.
 
-    `kind` is a space tag, or `classical` for `_classical_level`; only
-    a matrix level reads `q` (default 2)."""
+    `kind` is `classical` or `matrix`, built by `_classical_level` and
+    `_matrix_level` (the only kind that reads `q`, default 2), or
+    `ellentuck` or `partition`: the full stem's `fin_below` members at
+    depth m, each witness's configuration the items `fin_leq` below it."""
     if kind == "classical":
         return _classical_level(m, k, n)
-    q = (q or 2) if kind == "matrix" else None
-    space, stem = _level_space(kind, m, q)
+    if kind == "matrix":
+        return _matrix_level(m, k, n, q or 2)
+    space, stem = _level_space(kind, m)
     top = stem.top
     prev = space.restrict(top, m - 1) if m >= 1 else None
 
@@ -148,7 +172,7 @@ def build_level(kind: str, m: int, k: int, n: int, q: int | None = None) -> Leve
     configs = [
         [i for i, a in enumerate(items) if space.fin_leq(a, b)] for b in witnesses
     ]
-    return LevelInstance(kind, m, k, n, q, space, items, witnesses, configs)
+    return LevelInstance(kind, m, k, n, None, space, items, witnesses, configs)
 
 
 @dataclass
@@ -487,9 +511,10 @@ def verify_witness(certificate: str, exhaustive_ceiling: int = EXHAUSTIVE_CEILIN
     """Replay a search certificate without the search engine.
 
     The instance is rebuilt from the certificate header alone by
-    `build_level`, classical levels included, and every check works on
-    serialized item keys in dictionaries and sets, sharing no index
-    table, mask or search helper with the searcher.
+    `build_level`, whose classical and matrix levels come from
+    `_classical_level` and `_matrix_level` as the searcher's do, and
+    every check works on serialized item keys in dictionaries and sets,
+    sharing no index table, mask or search helper with the searcher.
 
     A witness claim is re-established by a restricted-growth depth-first
     replay over the rebuilt items in order: an item may take a color

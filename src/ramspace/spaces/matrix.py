@@ -25,6 +25,7 @@ from ..gflinalg import (
     pivot,
     span_vectors,
     spans,
+    times_basis,
 )
 
 TAG = "matrix"
@@ -65,7 +66,11 @@ class MatrixSpace(Space):
         return Approximation(TAG, payload, payload.nrows)
 
     def make_rows(self, rows, cols: int) -> Approximation:
-        return self.make(EchelonMatrix(self.q, cols, rows))
+        try:
+            m = EchelonMatrix(self.q, cols, rows)
+        except ValueError as e:
+            raise InvalidApproximationError(str(e)) from e
+        return self.make(m)
 
     def restrict(self, a: Approximation, n: int) -> Approximation:
         self.check_tag(a)
@@ -95,15 +100,21 @@ class MatrixSpace(Space):
         return spans(_pivoting_before(mb, ma.cols), ma.rows, self.q)
 
     def fin_below(self, a: Approximation) -> list[Approximation]:
+        """For each column count c, X·B for X over `enumerate_rre(k, d, q)`,
+        where B is the d rows of `a` that pivot before c, cut to c (the
+        identity when d == c, so X as it is); in `sort_key` order."""
         self.check_tag(a)
         m: EchelonMatrix = a.payload
         out = [self.empty()]
         for cols in range(1, m.cols + 1):
-            basis = _pivoting_before(m, cols)
-            for k in range(1, len(basis) + 1):
-                for cand in enumerate_rre(k, cols, self.q):
-                    if spans(basis, cand.rows, self.q):
-                        out.append(Approximation(TAG, cand, k))
+            basis = [r[:cols] for r, _ in _pivoting_before(m, cols)]
+            d = len(basis)
+            for k in range(1, d + 1):
+                for x in enumerate_rre(k, d, self.q):
+                    if d < cols:
+                        rows = times_basis(x.rows, basis, self.q)
+                        x = EchelonMatrix(self.q, cols, rows)
+                    out.append(Approximation(TAG, x, k))
         return sorted(out, key=self.sort_key)
 
     def extensions_below(self, a, top) -> list[Approximation]:
@@ -179,9 +190,8 @@ class MatrixSpace(Space):
             rows = tuple(tuple(int(ch) for ch in rt) for rt in row_texts)
         except ValueError as e:
             raise ParseError(f"bad matrix literal: {text!r}") from e
-        cols = len(rows[0])
         try:
-            return self.make(EchelonMatrix(self.q, cols, rows))
+            return self.make_rows(rows, len(rows[0]))
         except ValueError as e:
             raise ParseError(f"not a valid echelon approximation: {text!r}") from e
 

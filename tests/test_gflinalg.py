@@ -12,6 +12,7 @@ from ramspace.gflinalg import (
     rref_of_rows,
     span_vectors,
     spans,
+    times_basis,
 )
 
 
@@ -175,3 +176,19 @@ def test_span_vectors_counts():
     assert len(set(span_vectors(m))) == 4
     m3 = EchelonMatrix(3, 2, ((1, 2),))
     assert set(span_vectors(m3)) == {(0, 0), (1, 2), (2, 1)}
+
+
+@pytest.mark.parametrize("q, max_cols", [(2, 4), (3, 4), (5, 3), (7, 3)])
+def test_times_basis_names_each_subspace_of_the_basis_once(q, max_cols):
+    # X·B is already the RREF of a subspace of B's row space, and
+    # distinct X name distinct subspaces.
+    for cols in range(1, max_cols + 1):
+        for d in range(1, cols + 1):
+            for b in enumerate_rre(d, cols, q):
+                for k in range(1, d + 1):
+                    xs = enumerate_rre(k, d, q)
+                    products = {times_basis(x.rows, b.rows, q) for x in xs}
+                    assert len(products) == len(xs)
+                    for rows in products:
+                        assert rref_of_rows(rows, cols, q).rows == rows
+                        assert _subspace_leq(EchelonMatrix(q, cols, rows), b)

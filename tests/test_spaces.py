@@ -8,6 +8,7 @@ from partition_oracle import blocks
 from ramspace import (
     Approximation,
     EchelonMatrix,
+    MatrixSpace,
     Stem,
     ell_space,
     enumerate_partitions,
@@ -341,13 +342,19 @@ def test_partition_rejects_bad_payloads():
         (partition_space(3), "01"),
         (partition_space(3), (0, 1)),
         (partition_space(3), 5),
+        (matrix_space(2, 3), ([[1.0, 0, 1]], 3)),
+        (matrix_space(2, 3), ([[True, 0, 1]], 3)),
     ],
 )
 def test_make_coerces_nothing(space, payload):
     # Only ints are elements: a float, bool or string is refused, not
     # rounded or converted, and so is a payload of the wrong shape.
+    # Matrix rows come through make_rows, with their column count.
     with pytest.raises(InvalidApproximationError):
-        space.make(payload)
+        if isinstance(space, MatrixSpace):
+            space.make_rows(*payload)
+        else:
+            space.make(payload)
 
 
 def test_extensions_characterization_all_spaces():
