@@ -17,7 +17,6 @@ from .core import Approximation, Space, Stem
 from .errors import (
     CeilingExceededError,
     EmptyNeighborhoodError,
-    FusionExhaustedError,
     InvalidApproximationError,
     MixedSpaceError,
     NotInSpaceError,
@@ -25,16 +24,14 @@ from .errors import (
     ParseError,
     RamspaceError,
 )
-from .gflinalg import EchelonMatrix, enumerate_rre, gaussian_binomial, rref_of_rows
+from .gflinalg import EchelonMatrix, enumerate_rre, gaussian_binomial
 from .spaces import (
     EllentuckSpace,
     MatrixSpace,
     PartitionSpace,
     ell_space,
-    enumerate_partitions,
     matrix_space,
     partition_space,
-    stirling2,
 )
 
 __version__ = "0.1.0"

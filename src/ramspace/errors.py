@@ -40,11 +40,3 @@ class CeilingExceededError(RamspaceError):
         self.estimate = estimate
         self.ceiling = ceiling
 
-
-class FusionExhaustedError(RamspaceError):
-    """Raised when a fusion step cannot produce a refinement at some level."""
-
-    def __init__(self, level: int, message: str = ""):
-        detail = f": {message}" if message else ""
-        super().__init__(f"fusion exhausted at level {level}{detail}")
-        self.level = level

@@ -7,8 +7,9 @@ it for certain (it passes length L clean, or it ends inside the
 truncation at a node no family member extends), or runs out of
 truncated universe with the question open.
 
-On top of the chain walk sits one forcing question, `decide`, whose
-verdict is one of the classical relations or neither:
+On top of the chain walk sits one forcing question,
+`ForcingEngine(family, max_reducts).verdict`, whose verdict is one of
+the classical relations or neither:
 
   accepts   -- every chain through `a` below the stem hits the family;
   rejects   -- the stem's own walk avoids for certain AND no stem in the
@@ -33,15 +34,10 @@ import enum
 import heapq
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Iterable
 
 from .core import Approximation, Index, Space, Stem
-from .errors import (
-    CeilingExceededError,
-    EmptyNeighborhoodError,
-    FusionExhaustedError,
-    MixedSpaceError,
-)
+from .errors import CeilingExceededError, EmptyNeighborhoodError, MixedSpaceError
 from .spaces import parse_params_str, space_from_params
 
 ACCEPTS = "accepts"
@@ -58,6 +54,8 @@ class FrontFamily:
     length_bound: int
 
     def __post_init__(self):
+        if self.length_bound < 0:
+            raise ValueError(f"need length_bound >= 0, got {self.length_bound}")
         for m in self.members:
             self.space.check_tag(m)
             if m.length > self.length_bound:
@@ -256,67 +254,6 @@ class ForcingEngine:
                 open_proxies += 1
         notes = f"open-proxies={open_proxies}" if open_proxies else ""
         return ForcingVerdict(REJECTS, self.nodes, diagnostics=notes)
-
-    def rejection_witness(self, stem: Stem, a: Approximation) -> Stem | None:
-        """A preserved-depth reduct below which no one-step extension of
-        `a` is accepted by `stem`.  Mirrors the pigeonhole step of the
-        classical argument; tried longest-first so witnesses with
-        nonempty extension sets are preferred."""
-        top = stem.top
-        n = stem.depth(a)
-        prefix = self.space.restrict(top, n)
-        for t in self.space.longest_first(self._neighborhood(prefix, top)):
-            if not self.space.fin_leq(a, t):
-                continue
-            exts = self.space.extensions_below(a, t)
-            if all(self.chain_status(top, b) is not ChainStatus.ALL_HIT for b in exts):
-                return Stem(self.space, t)
-        return None
-
-
-def decide(B: Stem, a: Approximation, family: FrontFamily) -> ForcingVerdict:
-    """One of accepts/rejects, or undecided with diagnostics."""
-    return ForcingEngine(family).verdict(B, a)
-
-
-def fusion(
-    B0: Stem,
-    step: Callable[[int, Stem], Stem | None],
-    levels: int,
-) -> Stem:
-    """Iterate a per-level refinement rule and return the diagonal stem.
-
-    At level n (1-based) the rule must produce a reduct of the previous
-    stem whose chain agrees with it up to index n-1; the final stem then
-    agrees with the level-n stem at every index n <= levels, which is
-    asserted.  A failing step raises FusionExhaustedError at its level.
-    """
-    space = B0.space
-    current = B0
-    level_approx: list[Approximation] = [B0.approx(0)]
-    for n in range(1, levels + 1):
-        try:
-            nxt = step(n, current)
-        except FusionExhaustedError:
-            raise
-        except Exception as e:  # a step signalling failure by raising
-            raise FusionExhaustedError(n, str(e)) from e
-        if nxt is None:
-            raise FusionExhaustedError(n, "step produced no refinement")
-        if nxt.space != space:
-            raise FusionExhaustedError(n, "step changed the space")
-        if not space.fin_leq(nxt.top, current.top):
-            raise FusionExhaustedError(n, "step output is not a reduct")
-        # Preserve the chain up to n-1 (or as far as the truncation goes).
-        p = min(n - 1, current.length)
-        if nxt.length < p or nxt.approx(p) != current.approx(p):
-            raise FusionExhaustedError(n, "step output breaks the preserved prefix")
-        current = nxt
-        if current.length >= n:
-            level_approx.append(current.approx(n))
-    for i, a in enumerate(level_approx):
-        assert current.approx(i) == a, "diagonal property violated"
-    return current
 
 
 # ----- the dichotomy search -----

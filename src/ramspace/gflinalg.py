@@ -4,12 +4,12 @@ Vectors and matrix rows are tuples of ints whose entries are already in
 0..q-1; nothing here reduces an entry mod q.  `EchelonMatrix` is the one
 matrix type, and its constructor is the one that checks a matrix: a
 prime q, row widths, int entries in range (an entry outside 0..q-1 is
-rejected, not reduced) and the echelon invariants.  Raw rows reach it
-through `rref_of_rows`, which runs the same row check before it
-eliminates.  The canonical representative of a row space is its reduced
-row-echelon form with zero rows removed; subspaces of F_q^m are
-identified with their unique such representative throughout the
-package.
+rejected, not reduced) and the echelon invariants.  Nothing here
+eliminates raw rows: every matrix the package builds or parses is
+already in echelon form, and the constructor only checks it.  The
+canonical representative of a row space is its reduced row-echelon
+form with zero rows removed; subspaces of F_q^m are identified with
+their unique such representative throughout the package.
 
 Only prime moduli are supported; extension fields are out of scope.
 """
@@ -97,33 +97,6 @@ class EchelonMatrix:
     @property
     def nrows(self) -> int:
         return len(self.rows)
-
-
-def rref_of_rows(rows: Iterable[Sequence[int]], cols: int, q: int) -> EchelonMatrix:
-    """Reduced row-echelon form of raw int rows, zero rows deleted.
-
-    Each row must have width `cols` and entries in 0..q-1.  The result is
-    the unique canonical matrix with the same row space.
-    """
-    rows = [list(r) for r in rows]
-    _check_rows(rows, cols, q)
-    nr = len(rows)
-    r = 0
-    for c in range(cols):
-        if r == nr:
-            break
-        pivot_row = next((i for i in range(r, nr) if rows[i][c]), None)
-        if pivot_row is None:
-            continue
-        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
-        inv = pow(rows[r][c], -1, q)
-        rows[r] = [(x * inv) % q for x in rows[r]]
-        for i in range(nr):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [(a - f * b) % q for a, b in zip(rows[i], rows[r])]
-        r += 1
-    return EchelonMatrix(q, cols, rows[:r])
 
 
 def spans(

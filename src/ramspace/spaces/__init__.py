@@ -6,7 +6,7 @@ from ..core import Space
 from ..errors import ParseError
 from .ellentuck import EllentuckSpace, ell_space
 from .matrix import MatrixSpace, matrix_space
-from .partition import PartitionSpace, enumerate_partitions, partition_space, stirling2
+from .partition import PartitionSpace, partition_space
 
 SPACES = {cls.tag: cls for cls in (EllentuckSpace, MatrixSpace, PartitionSpace)}
 SPACE_TAGS = tuple(SPACES)
@@ -51,11 +51,9 @@ __all__ = [
     "SPACES",
     "SPACE_TAGS",
     "ell_space",
-    "enumerate_partitions",
     "int_param",
     "matrix_space",
     "parse_params_str",
     "partition_space",
     "space_from_params",
-    "stirling2",
 ]

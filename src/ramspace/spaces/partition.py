@@ -24,12 +24,7 @@ import itertools
 from dataclasses import dataclass
 
 from ..core import Approximation, Space, Stem, int_tuple
-from ..errors import (
-    CeilingExceededError,
-    EmptyNeighborhoodError,
-    InvalidApproximationError,
-    ParseError,
-)
+from ..errors import EmptyNeighborhoodError, InvalidApproximationError, ParseError
 
 TAG = "partition"
 
@@ -181,46 +176,30 @@ class PartitionSpace(Space):
         return f"space={TAG};max_domain={self.max_domain}"
 
     def full_stem(self) -> Stem:
-        return self.discrete_stem()
+        """The stem of singleton blocks {0},...,{max_domain-1}."""
+        return Stem(self, _approx(tuple(range(self.max_domain))))
+
+    # Kept only because perfbench/workloads.py calls it.
+    discrete_stem = full_stem
 
     def open_beyond(self, e: Approximation, top: Approximation) -> bool:
         return len(e.payload) == len(top.payload)
-
-    def discrete_stem(self, n: int | None = None) -> Stem:
-        """The stem of singleton blocks {0},...,{n-1}."""
-        n = self.max_domain if n is None else n
-        if n > self.max_domain:
-            raise ValueError("domain exceeds truncation")
-        return Stem(self, _approx(tuple(range(n))))
 
 
 def partition_space(max_domain: int) -> PartitionSpace:
     return PartitionSpace(max_domain)
 
 
-def _rgs_iter(n: int, k: int | None = None):
-    """Restricted-growth strings of length n (exactly k classes if given)."""
-    if n == 0:
-        if k in (None, 0):
-            yield ()
-        return
+def _rgs_iter(n: int):
+    """Restricted-growth strings of length n."""
 
     def rec(prefix: list[int], used: int):
         if len(prefix) == n:
-            if k is None or used == k:
-                yield tuple(prefix)
+            yield tuple(prefix)
             return
-        remaining = n - len(prefix)
         for label in range(used + 1):
-            new_used = used + (1 if label == used else 0)
-            if k is not None:
-                if new_used > k:
-                    continue
-                # Opening a class at every later position still cannot reach k.
-                if new_used + (remaining - 1) < k:
-                    continue
             prefix.append(label)
-            yield from rec(prefix, new_used)
+            yield from rec(prefix, used + (label == used))
             prefix.pop()
 
     yield from rec([], 0)
@@ -234,34 +213,3 @@ def _bell(n: int) -> int:
             nxt.append(nxt[-1] + x)
         row = nxt
     return row[0]
-
-
-def stirling2(n: int, k: int) -> int:
-    """Stirling number of the second kind via the standard recurrence."""
-    if n == 0 and k == 0:
-        return 1
-    if n == 0 or k == 0 or k > n:
-        return 0
-    table = [[0] * (k + 1) for _ in range(n + 1)]
-    table[0][0] = 1
-    for i in range(1, n + 1):
-        for j in range(1, min(i, k) + 1):
-            table[i][j] = j * table[i - 1][j] + table[i - 1][j - 1]
-    return table[n][k]
-
-
-def enumerate_partitions(n: int, k: int, ceiling: int = 1 << 22) -> list[Approximation]:
-    """All k-block partitions of {0..n-1}, ordered by block minima.
-
-    Count equals the Stirling number S(n, k).
-    """
-    if k < 0 or k > n:
-        raise ValueError("need 0 <= k <= n")
-    total = stirling2(n, k)
-    if total > ceiling:
-        raise CeilingExceededError(
-            f"enumerate_partitions({n},{k}) too large", total, ceiling
-        )
-    out = [Approximation(TAG, g, k) for g in _rgs_iter(n, k)]
-    assert len(out) == total
-    return sorted(out, key=PartitionSpace(max(n, 1)).sort_key)

@@ -1,4 +1,5 @@
-"""The reference matrix `fin_below` and matrix `build_level`.
+"""The reference matrix `fin_below`, matrix `build_level` and row
+reduction.
 
 `SpanMatrixSpace.fin_below` is the span-tested enumeration the package's
 `MatrixSpace.fin_below` used before it built each subspace as X·B: every
@@ -7,13 +8,17 @@ RRE matrix of each column count, kept when the stem's cut rows span it.
 `_matrix_level`: the members of the full stem's `fin_below` at depth
 exactly m, and for each witness the items `fin_leq` below it.  Both are
 kept unchanged as the oracle that `test_matrix_oracle.py` checks the
-package against.
+package against.  `rref_of_rows` is Gaussian elimination of raw rows,
+which the package never needs: the tests reduce rows with it to check
+`enumerate_rre`, `times_basis` and the cut bases against.
 """
 
 from __future__ import annotations
 
+from typing import Iterable, Sequence
+
 from ramspace.core import Approximation, Stem
-from ramspace.gflinalg import EchelonMatrix, enumerate_rre, spans
+from ramspace.gflinalg import EchelonMatrix, _check_rows, enumerate_rre, spans
 from ramspace.ramsey import LevelInstance
 from ramspace.spaces.matrix import TAG, MatrixSpace, _pivoting_before
 
@@ -53,3 +58,30 @@ def build_level(m: int, k: int, n: int, q: int = 2) -> LevelInstance:
         [i for i, a in enumerate(items) if space.fin_leq(a, b)] for b in witnesses
     ]
     return LevelInstance("matrix", m, k, n, q, space, items, witnesses, configs)
+
+
+def rref_of_rows(rows: Iterable[Sequence[int]], cols: int, q: int) -> EchelonMatrix:
+    """Reduced row-echelon form of raw int rows, zero rows deleted.
+
+    Each row must have width `cols` and entries in 0..q-1.  The result is
+    the unique canonical matrix with the same row space.
+    """
+    rows = [list(r) for r in rows]
+    _check_rows(rows, cols, q)
+    nr = len(rows)
+    r = 0
+    for c in range(cols):
+        if r == nr:
+            break
+        pivot_row = next((i for i in range(r, nr) if rows[i][c]), None)
+        if pivot_row is None:
+            continue
+        rows[r], rows[pivot_row] = rows[pivot_row], rows[r]
+        inv = pow(rows[r][c], -1, q)
+        rows[r] = [(x * inv) % q for x in rows[r]]
+        for i in range(nr):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [(a - f * b) % q for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return EchelonMatrix(q, cols, rows[:r])

@@ -10,6 +10,7 @@ import time
 
 import pytest
 
+from forcing_oracle import rejection_witness
 from partition_oracle import blocks
 from ramspace import Stem, ell_space, matrix_space, partition_space
 from ramspace.audit import AuditBounds, audit_axioms
@@ -28,7 +29,6 @@ from ramspace.ramsey import (
     finite_ramsey_witness,
     verify_witness,
 )
-from ramspace.spaces.partition import enumerate_partitions
 
 
 def _report(number: int, label: str, ok: bool):
@@ -163,7 +163,7 @@ def _stirling_oracle(n, k, _memo={}):
     return _memo[key]
 
 
-def test_criterion_5_counting_cross_checks():
+def test_criterion_5_counting_cross_checks(partitions_by_shape):
     mismatches = 0
     for q in (2, 3):
         for m in range(6):
@@ -172,7 +172,7 @@ def test_criterion_5_counting_cross_checks():
                     mismatches += 1
     for n in range(9):
         for k in range(n + 1):
-            if len(enumerate_partitions(n, k)) != _stirling_oracle(n, k):
+            if len(partitions_by_shape[n, k]) != _stirling_oracle(n, k):
                 mismatches += 1
     _report(
         5,
@@ -237,7 +237,7 @@ def test_criterion_6_forcing_properties():
                     verdicts[(t, a)] == "accepts" for t in seers
                 )
                 # a rejecting pair admits a pigeonhole-style witness
-                w = engine.rejection_witness(B, a)
+                w = rejection_witness(engine, B, a)
                 if w is None:
                     violations["witness"] += 1
                 else:
@@ -383,12 +383,10 @@ def test_criterion_7_dichotomy_soundness():
 # ----- criterion 8: the dual encoding -----
 
 
-def test_criterion_8_dual_encoding():
+def test_criterion_8_dual_encoding(partitions_by_shape):
     rng = random.Random(318_638)
     pairs = list(itertools.combinations(range(1, 7), 2))
-    partitions = [
-        t for n in range(3, 8) for t in enumerate_partitions(n, 3)
-    ]
+    partitions = [t for n in range(3, 8) for t in partitions_by_shape[n, 3]]
     mismatches = 0
     samples = 0
     for _ in range(200):

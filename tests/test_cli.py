@@ -211,6 +211,21 @@ def test_galvin_max_reducts_below_one_exits_2(capsys, space, value):
     assert err == f"error: need max_reducts >= 1, got {value}\n"
 
 
+def test_galvin_negative_length_bound_exits_2(tmp_path, capsys):
+    # An empty family passes any length bound's member check, so the
+    # bound itself must be refused, inline and in a family file.
+    path = tmp_path / "family.txt"
+    path.write_text("space=ellentuck;ground=3\nlength_bound=-2\n")
+    for argv, value in (
+        (["--space", "ellentuck", "--ground", "3", "--length-bound", "-3"], -3),
+        (["--family", str(path)], -2),
+    ):
+        code = cli.main(["galvin", *argv])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "", argv
+        assert err == f"error: need length_bound >= 0, got {value}\n"
+
+
 @pytest.mark.parametrize("flag, key", [("--depth", "max_depth"), ("--max-len", "max_len")])
 def test_audit_negative_bound_exits_2(capsys, flag, key):
     code = cli.main(["audit", "--space", "ellentuck", "--ground", "4", flag, "-1"])
@@ -589,8 +604,8 @@ def test_unexpected_exception_is_an_internal_error(capsys, monkeypatch):
 @pytest.mark.parametrize(
     "space, stem, k",
     [
-        (matrix_space(2, 3), matrix_space(2, 3).identity_stem(), 1),
-        (partition_space(4), partition_space(4).discrete_stem(), 2),
+        (matrix_space(2, 3), matrix_space(2, 3).full_stem(), 1),
+        (partition_space(4), partition_space(4).full_stem(), 2),
     ],
     ids=["matrix", "partition"],
 )

@@ -5,11 +5,8 @@ import tracemalloc
 import pytest
 
 from ramspace import Stem, ell_space, matrix_space, partition_space
-from ramspace.errors import (
-    CeilingExceededError,
-    EmptyNeighborhoodError,
-    FusionExhaustedError,
-)
+from forcing_oracle import FusionExhaustedError, fusion, rejection_witness
+from ramspace.errors import CeilingExceededError, EmptyNeighborhoodError
 from ramspace.forcing import (
     ACCEPTS,
     ALT1,
@@ -18,9 +15,7 @@ from ramspace.forcing import (
     UNDECIDED,
     ForcingEngine,
     FrontFamily,
-    decide,
     front_family,
-    fusion,
     galvin_search,
     verify_dichotomy,
 )
@@ -40,55 +35,58 @@ def test_family_sorts_and_validates(e8):
     assert fam.length_bound == 1
     with pytest.raises(ValueError):
         FrontFamily(e8, (e8.make((1, 2)),), 1)
+    with pytest.raises(ValueError):
+        FrontFamily(e8, (), -1)
 
 
 def test_accepts_when_base_is_a_member(e12):
     A = e12.full_stem()
     fam = front_family(e12, [e12.make((x,)) for x in range(12)])
-    v = decide(A, e12.make((3,)), fam)
+    v = ForcingEngine(fam).verdict(A, e12.make((3,)))
     assert v.kind == ACCEPTS
 
 
 def test_empty_family_is_rejected_everywhere(e12):
     A = e12.full_stem()
     fam = front_family(e12, [], length_bound=0)
-    assert decide(A, e12.make((1,)), fam).kind == REJECTS
-    assert decide(A, e12.empty(), fam).kind == REJECTS
+    assert ForcingEngine(fam).verdict(A, e12.make((1,))).kind == REJECTS
+    assert ForcingEngine(fam).verdict(A, e12.empty()).kind == REJECTS
 
 
 def test_rejects_odd_base_against_even_pairs(even_pairs_family):
     e, fam = even_pairs_family
     A = e.full_stem()
-    v = decide(A, e.make((1,)), fam)
+    v = ForcingEngine(fam).verdict(A, e.make((1,)))
     assert v.kind == REJECTS
     # a second engine gives the same verdict: not accepts
-    assert decide(A, e.make((1,)), fam).kind == REJECTS
+    assert ForcingEngine(fam).verdict(A, e.make((1,))).kind == REJECTS
 
 
 def test_odds_stem_does_not_accept_odd_base(even_pairs_family):
     e, fam = even_pairs_family
     odds = Stem(e, e.make(tuple(range(1, 12, 2))))
-    assert decide(odds, e.make((1,)), fam).kind != ACCEPTS
+    assert ForcingEngine(fam).verdict(odds, e.make((1,))).kind != ACCEPTS
 
 
 def test_member_is_never_rejected(e12):
     A = e12.full_stem()
     fam = front_family(e12, [e12.make((2, 5))])
-    assert decide(A, e12.make((2, 5)), fam).kind == ACCEPTS
+    assert ForcingEngine(fam).verdict(A, e12.make((2, 5))).kind == ACCEPTS
 
 
 def test_decide_empty_base(e12):
     A = e12.full_stem()
     all_singletons = front_family(e12, [e12.make((x,)) for x in range(12)])
-    assert decide(A, e12.empty(), all_singletons).kind == ACCEPTS
-    assert decide(A, e12.empty(), front_family(e12, [], length_bound=0)).kind == REJECTS
+    assert ForcingEngine(all_singletons).verdict(A, e12.empty()).kind == ACCEPTS
+    empty_family = front_family(e12, [], length_bound=0)
+    assert ForcingEngine(empty_family).verdict(A, e12.empty()).kind == REJECTS
 
 
 def test_verdict_requires_nonempty_neighborhood(e8):
     stem = Stem(e8, e8.make((0, 2)))
     fam = front_family(e8, [e8.make((0,))])
     with pytest.raises(EmptyNeighborhoodError):
-        decide(stem, e8.make((1,)), fam)
+        ForcingEngine(fam).verdict(stem, e8.make((1,)))
 
 
 def test_accepts_and_rejects_mutually_exclusive(e8):
@@ -111,7 +109,7 @@ def test_undecided_carries_boundary_diagnostics():
     # The chain stuck at {3} can still meet {3, x}-shaped members only
     # beyond the truncated stem, so small stems stay undecided.
     fam = front_family(e, [e.make((1, 2))])
-    v = decide(Stem(e, e.make((1,))), e.make((1,)), fam)
+    v = ForcingEngine(fam).verdict(Stem(e, e.make((1,))), e.make((1,)))
     assert v.kind == UNDECIDED
     assert "boundary" in v.diagnostics or "question open" in v.diagnostics
 
@@ -136,7 +134,7 @@ def test_accepting_reduct_before_the_ceiling_is_undecided(e12):
 def test_walk_to_the_family_bound_rejects_a_clean_base(e8):
     # Every chain through {3} passes length 2 clean, so it avoids {1,2}.
     fam = front_family(e8, [e8.make((1, 2))])
-    assert decide(e8.full_stem(), e8.make((3,)), fam).kind == REJECTS
+    assert ForcingEngine(fam).verdict(e8.full_stem(), e8.make((3,))).kind == REJECTS
 
 
 def test_rejection_witness_exists_when_rejecting(even_pairs_family):
@@ -145,7 +143,7 @@ def test_rejection_witness_exists_when_rejecting(even_pairs_family):
     eng = ForcingEngine(fam)
     a = e.make((1,))
     assert eng.verdict(A, a).kind == REJECTS
-    w = eng.rejection_witness(A, a)
+    w = rejection_witness(eng, A, a)
     assert w is not None
     for b in w.space.extensions_below(a, w.top):
         assert eng.chain_status(A.top, b).name != "ALL_HIT"
@@ -287,7 +285,7 @@ def test_galvin_alternatives_never_both_verify(even_pairs_family):
 def test_galvin_matrix_space():
     m = matrix_space(2, 3)
     fam = front_family(m, [m.make_rows([(1,)], 1)])
-    res = galvin_search(m.identity_stem(), fam)
+    res = galvin_search(m.full_stem(), fam)
     assert res.outcome == ALT1
     assert verify_dichotomy(res.certificate)
     assert not m.fin_leq(fam.members[0], res.stem.top)
@@ -296,7 +294,7 @@ def test_galvin_matrix_space():
 def test_galvin_partition_space():
     p = partition_space(4)
     fam = front_family(p, [p.make([(0,), (1,)])])
-    res = galvin_search(p.discrete_stem(), fam)
+    res = galvin_search(p.full_stem(), fam)
     assert res.outcome == ALT1
     assert verify_dichotomy(res.certificate)
 
@@ -333,7 +331,7 @@ def test_galvin_refuses_when_greedy_disabled():
     p = partition_space(5)
     fam = front_family(p, [p.make([(0,), (1,)])])
     with pytest.raises(CeilingExceededError) as exc:
-        galvin_search(p.discrete_stem(), fam, max_reducts=3)
+        galvin_search(p.full_stem(), fam, max_reducts=3)
     assert (exc.value.estimate, exc.value.ceiling) == (4, 3)
     m = matrix_space(2, 3)
     fam = front_family(m, [m.make_rows([(1, 0)], 2)])

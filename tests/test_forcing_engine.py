@@ -25,6 +25,7 @@ import random
 
 import pytest
 
+from forcing_oracle import rejection_witness
 from ramspace import Stem, cli, ell_space, matrix_space, partition_space, ramsey
 from ramspace.core import Approximation
 from ramspace.errors import (
@@ -263,7 +264,7 @@ def test_every_verdict_matches_the_primitive_engine(space, pool):
                 assert got == _ask(old.verdict, B, a), (fam, B, a)
                 compared += 1
                 if got.kind == REJECTS:
-                    w_new = new.rejection_witness(B, a)
+                    w_new = rejection_witness(new, B, a)
                     w_old = old.rejection_witness(B, a)
                     assert w_new == w_old, (fam, B, a)
                 assert new.nodes == old.nodes

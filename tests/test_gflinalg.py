@@ -4,12 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from matrix_oracle import rref_of_rows
 from ramspace.errors import CeilingExceededError
 from ramspace.gflinalg import (
     EchelonMatrix,
     enumerate_rre,
     gaussian_binomial,
-    rref_of_rows,
     span_vectors,
     spans,
     times_basis,

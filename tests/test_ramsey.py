@@ -368,23 +368,19 @@ def test_encoding_examples():
     assert dual_to_classical_encoding(p.make([(0,), (1,), (2,)])).payload == (1, 2)
 
 
-def test_encoding_size_for_k_plus_one_blocks():
-    from ramspace.spaces.partition import enumerate_partitions
-
+def test_encoding_size_for_k_plus_one_blocks(partitions_by_shape):
     for n in range(3, 8):
-        for t in enumerate_partitions(n, 3):
+        for t in partitions_by_shape[n, 3]:
             enc = dual_to_classical_encoding(t)
             assert enc.length == 2
             assert all(1 <= x <= n - 1 for x in enc.payload)
 
 
-def test_encoding_pulls_back_colorings():
+def test_encoding_pulls_back_colorings(partitions_by_shape):
     # d(t) = c(minima of t without 0) for a seeded sample of colorings
-    from ramspace.spaces.partition import enumerate_partitions
-
     rng = random.Random(20240811)
     pairs = list(itertools.combinations(range(1, 7), 2))
-    partitions = [t for n in range(3, 8) for t in enumerate_partitions(n, 3)]
+    partitions = [t for n in range(3, 8) for t in partitions_by_shape[n, 3]]
     for _ in range(50):
         c = {p: rng.randint(0, 1) for p in pairs}
         for t in partitions:
@@ -449,7 +445,7 @@ def test_reduce_requires_total_coloring():
 
 def test_reduce_refuses_over_the_ceiling():
     p = partition_space(4)
-    A = p.discrete_stem()
+    A = p.full_stem()
     dom = [a for a in p.fin_below(A.top) if a.length == 1]
     col = Coloring(p, 1, 2, {p.serialize(a): len(blocks(a)[0]) % 2 for a in dom})
     with pytest.raises(CeilingExceededError) as exc:

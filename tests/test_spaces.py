@@ -11,15 +11,13 @@ from ramspace import (
     MatrixSpace,
     Stem,
     ell_space,
-    enumerate_partitions,
     matrix_space,
     partition_space,
-    stirling2,
 )
-from ramspace.gflinalg import enumerate_rre, rref_of_rows, span_vectors, spans
+from matrix_oracle import rref_of_rows
+from ramspace.gflinalg import enumerate_rre, span_vectors, spans
 from ramspace.spaces import parse_params_str, space_from_params
 from ramspace.errors import (
-    CeilingExceededError,
     InvalidApproximationError,
     MixedSpaceError,
     OutOfRangeError,
@@ -69,7 +67,7 @@ def test_ell_depth_level_sets():
 
 
 def test_mat_pn_identity(m24):
-    ident = m24.identity_stem()
+    ident = m24.full_stem()
     assert ident.top.payload.pivots[3] == 3
 
 
@@ -89,14 +87,14 @@ def test_mat_pn_spread_pivots():
 def test_mat_pn_out_of_range(m24):
     # A stem materializes one pivot per row and no approximation past
     # its last row.
-    stem = m24.identity_stem(2)
+    stem = Stem(m24, m24.make_rows([(1, 0), (0, 1)], 2))
     assert len(stem.top.payload.pivots) == 2
     with pytest.raises(OutOfRangeError):
         stem.approx(3)
 
 
 def test_matrix_stem_approx_identity(m24):
-    ident = m24.identity_stem()
+    ident = m24.full_stem()
     r2 = ident.approx(2)
     assert r2.payload.rows == ((1, 0), (0, 1))
     assert ident.approx(0) == m24.empty()
@@ -195,7 +193,7 @@ def _all_echelon(q, cols):
 
 def test_partition_stem_approx_singleton_stem():
     p = partition_space(6)
-    stem = p.discrete_stem()
+    stem = p.full_stem()
     assert blocks(stem.approx(2)) == ((0,), (1,))
     assert stem.approx(0) == p.empty()
 
@@ -250,18 +248,18 @@ def test_part_coarser_partial_order_fixed_domain():
                 assert x == y
 
 
-def test_enumerate_partitions_counts():
-    assert len(enumerate_partitions(4, 2)) == 7
-    assert len(enumerate_partitions(5, 1)) == 1
-    assert [blocks(a) for a in enumerate_partitions(3, 3)] == [((0,), (1,), (2,))]
-    for n in range(9):
-        for k in range(n + 1):
-            assert len(enumerate_partitions(n, k)) == stirling2(n, k)
-
-
-def test_enumerate_partitions_ceiling():
-    with pytest.raises(CeilingExceededError):
-        enumerate_partitions(8, 4, ceiling=100)
+def test_enumerate_partitions_counts(partitions_by_shape):
+    # The counts by shape are the Stirling numbers of the second kind:
+    # S(0, 0) = 1, S(n, 0) = 0 for n > 0, and the standard recurrence.
+    count = {shape: len(parts) for shape, parts in partitions_by_shape.items()}
+    assert count[4, 2] == 7
+    assert count[5, 1] == 1
+    assert [blocks(a) for a in partitions_by_shape[3, 3]] == [((0,), (1,), (2,))]
+    assert count[0, 0] == 1
+    for n in range(1, 9):
+        assert count[n, 0] == 0
+        for k in range(1, n + 1):
+            assert count[n, k] == k * count.get((n - 1, k), 0) + count[n - 1, k - 1]
 
 
 def _coarsenings(space, t, k):
@@ -288,7 +286,7 @@ def test_partition_extensions_of_singleton_block():
     # {0} extends to exactly the two-block partitions whose second
     # block starts at 1.
     p = partition_space(4)
-    sing = p.discrete_stem(4)
+    sing = p.full_stem()
     one = p.make([(0,)])
     got = {p.serialize(b) for b in p.extensions_below(one, sing.top)}
     assert got == {

@@ -242,6 +242,9 @@ DICHOTOMY_TAMPERINGS = {
     "alt2-hit=0": _edit(ALT2, "chain={0};hit=1", "chain={0};hit=0"),
     "alt2-hit=2": _edit(ALT2, "chain={0};hit=1", "chain={0};hit=2"),
     "alt2-hit=-1": _edit(ALT2, "chain={0};hit=1", "chain={0};hit=-1"),
+    "empty-family-length_bound=-2": _edit(
+        _galvin(E8, []), "length_bound=0", "length_bound=-2"
+    ),
 }
 
 FOUND, BAD = R33.found_certificate, R33.lower_bound_certificate
