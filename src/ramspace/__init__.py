@@ -24,7 +24,7 @@ from .errors import (
     ParseError,
     RamspaceError,
 )
-from .gflinalg import EchelonMatrix, enumerate_rre, gaussian_binomial
+from .gflinalg import enumerate_rre, gaussian_binomial
 from .spaces import (
     EllentuckSpace,
     MatrixSpace,

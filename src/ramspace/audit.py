@@ -100,12 +100,6 @@ class AxiomReport:
     def passed(self) -> bool:
         return all(c.passed for c in self.checks) and self.depth_violations == 0
 
-    def check_for(self, axiom: str) -> AxiomCheck:
-        for c in self.checks:
-            if c.axiom == axiom:
-                return c
-        raise KeyError(axiom)
-
     def summary_lines(self) -> list[str]:
         lines = [f"audit {self.space_params}"]
         for c in self.checks:

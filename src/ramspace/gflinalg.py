@@ -1,15 +1,16 @@
 """Exact linear algebra over prime fields GF(q).
 
 Vectors and matrix rows are tuples of ints whose entries are already in
-0..q-1; nothing here reduces an entry mod q.  `EchelonMatrix` is the one
-matrix type, and its constructor is the one that checks a matrix: a
-prime q, row widths, int entries in range (an entry outside 0..q-1 is
-rejected, not reduced) and the echelon invariants.  Nothing here
-eliminates raw rows: every matrix the package builds or parses is
-already in echelon form, and the constructor only checks it.  The
-canonical representative of a row space is its reduced row-echelon
-form with zero rows removed; subspaces of F_q^m are identified with
-their unique such representative throughout the package.
+0..q-1; nothing here reduces an entry mod q.  A matrix is its tuple of
+rows, and its column count is their width.  The canonical
+representative of a row space is its reduced row-echelon form (RREF)
+with zero rows removed; subspaces of F_q^m are identified with their
+unique such representative throughout the package.  Every row of one
+leads with a 1, so `row.index(1)` is its pivot.  Nothing here
+eliminates raw rows: every matrix the package builds is in RREF by
+construction, and `check_rref` checks a matrix that comes from outside
+(a prime q, row widths, int entries in range, rejected and not reduced
+when outside 0..q-1, and the echelon invariants).
 
 Only prime moduli are supported; extension fields are out of scope.
 """
@@ -17,10 +18,12 @@ Only prime moduli are supported; extension fields are out of scope.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
 from .errors import CeilingExceededError
+
+# The most matrices `enumerate_rre` builds in one call.
+RRE_CEILING = 1 << 22
 
 
 def is_prime(n: int) -> bool:
@@ -39,17 +42,6 @@ def _check_prime(q: int) -> None:
         raise ValueError(f"modulus must be prime, got {q}")
 
 
-def _check_rows(rows: Sequence[Sequence[int]], cols: int, q: int) -> None:
-    """Raise ValueError unless every row holds `cols` ints in 0..q-1."""
-    digits = range(q)
-    for row in rows:
-        if len(row) != cols:
-            raise ValueError(f"row width {len(row)} does not match cols {cols}")
-        for x in row:
-            if type(x) is not int or x not in digits:
-                raise ValueError(f"entry {x!r} is not an int in 0..{q - 1}")
-
-
 def pivot(row: Sequence[int]) -> int:
     """Index of the first nonzero entry, or -1 for a zero row."""
     for j, x in enumerate(row):
@@ -58,45 +50,34 @@ def pivot(row: Sequence[int]) -> int:
     return -1
 
 
-@dataclass(frozen=True)
-class EchelonMatrix:
-    """A reduced row-echelon matrix over GF(q) with no zero rows.
-
-    Invariants: entries are ints in 0..q-1, each row leads with a 1,
-    pivot columns are strictly increasing and contain zeros in every
-    other row, so the row count equals the rank and the matrix
-    canonically names its row space inside F_q^cols.
-    """
-
-    q: int
-    cols: int
-    rows: tuple[tuple[int, ...], ...]
-    # The pivot column of each row, found while the invariants are checked.
-    pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        _check_prime(self.q)
-        rows = tuple(map(tuple, self.rows))
-        object.__setattr__(self, "rows", rows)
-        _check_rows(rows, self.cols, self.q)
-        pivots: list[int] = []
-        for i, row in enumerate(rows):
-            p = pivot(row)
-            if p < 0:
-                raise ValueError("zero row in echelon matrix")
-            if pivots and p <= pivots[-1]:
-                raise ValueError("pivots not strictly increasing")
-            if row[p] != 1:
-                raise ValueError("pivot entry is not 1")
-            for k, other in enumerate(rows):
-                if k != i and other[p] != 0:
-                    raise ValueError("pivot column is not clean")
-            pivots.append(p)
-        object.__setattr__(self, "pivots", tuple(pivots))
-
-    @property
-    def nrows(self) -> int:
-        return len(self.rows)
+def check_rref(rows: Sequence[Sequence[int]], q: int) -> None:
+    """Raise ValueError unless `rows` is a reduced row-echelon matrix
+    over GF(q) with no zero rows: a prime q, rows of one width holding
+    ints in 0..q-1 (an entry outside is rejected, not reduced), each
+    row leading with a 1, pivots strictly increasing, and each pivot
+    column zero in every other row.  Such a matrix canonically names its
+    row space."""
+    _check_prime(q)
+    cols = len(rows[0]) if rows else 0
+    digits = range(q)
+    for row in rows:
+        if len(row) != cols:
+            raise ValueError(f"row width {len(row)} does not match cols {cols}")
+        for x in row:
+            if type(x) is not int or x not in digits:
+                raise ValueError(f"entry {x!r} is not an int in 0..{q - 1}")
+    last = -1
+    for i, row in enumerate(rows):
+        p = pivot(row)
+        if p < 0:
+            raise ValueError("zero row in echelon matrix")
+        if p <= last:
+            raise ValueError("pivots not strictly increasing")
+        if row[p] != 1:
+            raise ValueError("pivot entry is not 1")
+        if any(other[p] for k, other in enumerate(rows) if k != i):
+            raise ValueError("pivot column is not clean")
+        last = p
 
 
 def spans(
@@ -154,24 +135,23 @@ def gaussian_binomial(m: int, k: int, q: int) -> int:
     return num // den
 
 
-def enumerate_rre(
-    k: int, m: int, q: int, ceiling: int = 1 << 22
-) -> list[EchelonMatrix]:
-    """All rank-k reduced row-echelon k x m matrices over GF(q).
+def enumerate_rre(k: int, m: int, q: int) -> list[tuple[tuple[int, ...], ...]]:
+    """The rows of every rank-k reduced row-echelon k x m matrix over GF(q).
 
     These are the canonical representatives of the k-dimensional
     subspaces of F_q^m; the count equals gaussian_binomial(m, k, q).
     Enumeration order is deterministic: pivot sets in lexicographic
-    order, free entries in lexicographic order.
+    order, free entries in lexicographic order.  A count above
+    RRE_CEILING is refused before any matrix is built.
     """
     if k < 0 or k > m:
         raise ValueError("need 0 <= k <= m")
     total = gaussian_binomial(m, k, q)
-    if total > ceiling:
+    if total > RRE_CEILING:
         raise CeilingExceededError(
-            f"enumerate_rre({k},{m},{q}) too large", total, ceiling
+            f"enumerate_rre({k},{m},{q}) too large", total, RRE_CEILING
         )
-    out: list[EchelonMatrix] = []
+    out = []
     for pivots in itertools.combinations(range(m), k):
         pivot_set = set(pivots)
         free = [
@@ -186,18 +166,21 @@ def enumerate_rre(
                 rows[i][pivots[i]] = 1
             for (i, j), val in zip(free, assignment):
                 rows[i][j] = val
-            out.append(EchelonMatrix(q, m, rows))
+            out.append(tuple(map(tuple, rows)))
     assert len(out) == total
     return out
 
 
-def span_vectors(m: EchelonMatrix) -> list[tuple[int, ...]]:
-    """All q^rank vectors in the row space of `m` (deterministic order)."""
+def span_vectors(
+    rows: Sequence[Sequence[int]], cols: int, q: int
+) -> list[tuple[int, ...]]:
+    """All q^len(rows) vectors in the span of linearly independent
+    `rows` of width `cols` (deterministic order)."""
     vecs = []
-    for coeffs in itertools.product(range(m.q), repeat=m.nrows):
-        v = [0] * m.cols
-        for c, row in zip(coeffs, m.rows):
+    for coeffs in itertools.product(range(q), repeat=len(rows)):
+        v = [0] * cols
+        for c, row in zip(coeffs, rows):
             if c:
-                v = [(a + c * b) % m.q for a, b in zip(v, row)]
+                v = [(a + c * b) % q for a, b in zip(v, row)]
         vecs.append(tuple(v))
     return vecs

@@ -42,12 +42,13 @@ searcher's node count rather than s^N.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 
 from .core import Approximation, Space, Stem
 from .errors import CeilingExceededError
 from .forcing import ALT1, ALT2, INCONCLUSIVE, MAX_REDUCTS, FrontFamily, galvin_search
-from .gflinalg import enumerate_rre, times_basis
+from .gflinalg import enumerate_rre, gaussian_binomial, times_basis
 from .spaces import ell_space, matrix_space, parse_params_str, space_from_params
 
 FOUND = "found"
@@ -55,6 +56,10 @@ LOWER_BOUND = "lower_bound"
 EXHAUSTED = "exhausted"
 
 EXHAUSTIVE_CEILING = 1 << 25
+
+# The largest level `build_level` builds: its items plus witnesses, or
+# for an ellentuck or partition level its level space's stems.
+LEVEL_CEILING = 1 << 20
 
 # The stats key and certificate line that state each mode's work.
 _WORK_COUNTER = {"backtracking": "nodes", "exhaustive": "colorings_checked"}
@@ -105,12 +110,18 @@ def _level_space(kind: str, m: int) -> tuple[Space, Stem]:
     return sp, sp.full_stem() if m else Stem(sp, sp.empty())
 
 
+def _refuse_above_ceiling(kind: str, m: int, size: int) -> None:
+    if size > LEVEL_CEILING:
+        raise CeilingExceededError(f"level {m} of {kind} too large", size, LEVEL_CEILING)
+
+
 def _classical_level(M: int, k: int, n: int) -> LevelInstance:
     """The classical instance: the k-subsets of {0..M-1} as items and
     the n-subsets as witnesses.  Items come in the order of their pinned
     (k+1)-subsets (the subset plus M): the order of the depth-(M+1)
     ellentuck level, so a search visits as many nodes here as on that
     level one dimension up."""
+    _refuse_above_ceiling("classical", M, math.comb(M, k) + math.comb(M, n))
     space = ell_space(max(M, 1))
     pinned = ell_space(M + 1)
     combos = sorted(
@@ -131,17 +142,21 @@ def _matrix_level(m: int, k: int, n: int, q: int) -> LevelInstance:
     items and witnesses, in `sort_key` order (RREF matrices with m
     columns, the full stem's depth-m approximations).  Witness B's
     configuration is X·B for X over `enumerate_rre(k, n, q)`."""
+    size = sum(gaussian_binomial(m, d, q) for d in (k, n) if 1 <= d <= m)
+    _refuse_above_ceiling("matrix", m, size)
     space = matrix_space(q, max(m, 1))
 
     def subspaces(d: int) -> list[Approximation]:
         found = enumerate_rre(d, m, q) if 1 <= d <= m else []
-        return sorted(map(space.make, found), key=space.sort_key)
+        return sorted(
+            (Approximation(space.tag, rows, d) for rows in found), key=space.sort_key
+        )
 
     items, witnesses = subspaces(k), subspaces(n)
-    index = {a.payload.rows: i for i, a in enumerate(items)}
-    xs = [x.rows for x in enumerate_rre(k, n, q)]
+    index = {a.payload: i for i, a in enumerate(items)}
+    xs = enumerate_rre(k, n, q)
     configs = [
-        sorted(index[times_basis(x, b.payload.rows, q)] for x in xs) for b in witnesses
+        sorted(index[times_basis(x, b.payload, q)] for x in xs) for b in witnesses
     ]
     return LevelInstance("matrix", m, k, n, q, space, items, witnesses, configs)
 
@@ -152,12 +167,15 @@ def build_level(kind: str, m: int, k: int, n: int, q: int | None = None) -> Leve
     `kind` is `classical` or `matrix`, built by `_classical_level` and
     `_matrix_level` (the only kind that reads `q`, default 2), or
     `ellentuck` or `partition`: the full stem's `fin_below` members at
-    depth m, each witness's configuration the items `fin_leq` below it."""
+    depth m, each witness's configuration the items `fin_leq` below it.
+    Each refuses a level whose size estimate exceeds LEVEL_CEILING
+    before it builds anything."""
     if kind == "classical":
         return _classical_level(m, k, n)
     if kind == "matrix":
         return _matrix_level(m, k, n, q or 2)
     space, stem = _level_space(kind, m)
+    _refuse_above_ceiling(kind, m, space.stem_count())
     top = stem.top
     prev = space.restrict(top, m - 1) if m >= 1 else None
 

@@ -1,10 +1,16 @@
 """The space of row-reduced echelon matrices over GF(q), truncated in columns.
 
-An approximation of length n is an n-row echelon matrix together with
-an explicit column count: the columns record everything of the first n
-rows up to the position where the next row's pivot sits.  A stem is
-such a matrix viewed as a truncated infinite echelon matrix whose
-unmaterialized rows have pivots at or beyond its column count.
+An approximation of length n is an n-row echelon matrix whose width
+records everything of the first n rows up to the position where the
+next row's pivot sits.  A stem is such a matrix viewed as a truncated
+infinite echelon matrix whose unmaterialized rows have pivots at or
+beyond its column count.
+
+The payload is the matrix's tuple of RREF row tuples: the column count
+is the row width (0 for the empty approximation), the field is the
+space's, and a row's pivot is `row.index(1)`, since every row leads
+with a 1.  `make` takes the rows and is the one constructor that checks
+them; the primitives build rows that are RREF by construction.
 
 The finitization: a is below b when a has at most as many columns and
 every row of a lies in the span of b's rows truncated to a's columns.
@@ -16,10 +22,10 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from ..core import Approximation, Space, Stem
+from ..core import Approximation, Space, Stem, int_tuple
 from ..errors import EmptyNeighborhoodError, InvalidApproximationError, ParseError
 from ..gflinalg import (
-    EchelonMatrix,
+    check_rref,
     enumerate_rre,
     gaussian_binomial,
     pivot,
@@ -32,6 +38,14 @@ TAG = "matrix"
 
 # Digit-string serialization limits entries to one character.
 SUPPORTED_Q = (2, 3, 5, 7)
+
+
+def _approx(rows: tuple) -> Approximation:
+    return Approximation(TAG, rows, len(rows))
+
+
+def _cols(rows: tuple) -> int:
+    return len(rows[0]) if rows else 0
 
 
 @dataclass(frozen=True)
@@ -48,73 +62,59 @@ class MatrixSpace(Space):
             raise ValueError("max_cols must be >= 1")
 
     def empty(self) -> Approximation:
-        return Approximation(TAG, EchelonMatrix(self.q, 0, ()), 0)
+        return Approximation(TAG, (), 0)
 
     def make(self, payload) -> Approximation:
-        if not isinstance(payload, EchelonMatrix):
-            raise InvalidApproximationError("payload must be an EchelonMatrix")
-        if payload.q != self.q:
-            raise InvalidApproximationError(
-                f"field mismatch: GF({payload.q}) vs GF({self.q})"
-            )
-        if payload.cols > self.max_cols:
-            raise InvalidApproximationError(
-                f"{payload.cols} columns exceed truncation {self.max_cols}"
-            )
-        if payload.nrows == 0 and payload.cols != 0:
-            raise InvalidApproximationError("empty approximation must have 0 columns")
-        return Approximation(TAG, payload, payload.nrows)
-
-    def make_rows(self, rows, cols: int) -> Approximation:
+        """The approximation whose rows are `payload`: the rows of a
+        reduced row-echelon matrix over GF(q) with no zero rows and at
+        most `max_cols` columns."""
         try:
-            m = EchelonMatrix(self.q, cols, rows)
+            rows = tuple(map(int_tuple, payload))
+            check_rref(rows, self.q)
+        except TypeError:
+            raise InvalidApproximationError(f"not a sequence of rows: {payload!r}") from None
         except ValueError as e:
             raise InvalidApproximationError(str(e)) from e
-        return self.make(m)
+        if _cols(rows) > self.max_cols:
+            raise InvalidApproximationError(
+                f"{_cols(rows)} columns exceed truncation {self.max_cols}"
+            )
+        return _approx(rows)
 
     def restrict(self, a: Approximation, n: int) -> Approximation:
         self.check_tag(a)
         if n < 0 or n > a.length:
             raise InvalidApproximationError(f"restrict index {n} out of range")
-        if n == 0:
-            return self.empty()
         if n == a.length:
             return a
-        m: EchelonMatrix = a.payload
-        cut = m.pivots[n]
-        rows = tuple(r[:cut] for r in m.rows[:n])
-        return Approximation(TAG, EchelonMatrix(self.q, cut, rows), n)
-
-    def _cut_basis(self, m: EchelonMatrix, cols: int) -> EchelonMatrix:
-        """The row space of `m` cut to its first `cols` columns, in RREF."""
-        rows = tuple(r[:cols] for r, _ in _pivoting_before(m, cols))
-        return EchelonMatrix(self.q, cols, rows)
+        rows = a.payload
+        cut = rows[n].index(1)
+        return _approx(tuple(r[:cut] for r in rows[:n]))
 
     def fin_leq(self, a: Approximation, b: Approximation) -> bool:
         self.check_tag(a)
         self.check_tag(b)
-        ma: EchelonMatrix = a.payload
-        mb: EchelonMatrix = b.payload
-        if ma.cols > mb.cols:
+        ra, rb = a.payload, b.payload
+        cols = _cols(ra)
+        if cols > _cols(rb):
             return False
-        return spans(_pivoting_before(mb, ma.cols), ma.rows, self.q)
+        return spans(_pivoting_before(rb, cols), ra, self.q)
 
     def fin_below(self, a: Approximation) -> list[Approximation]:
         """For each column count c, X·B for X over `enumerate_rre(k, d, q)`,
         where B is the d rows of `a` that pivot before c, cut to c (the
         identity when d == c, so X as it is); in `sort_key` order."""
         self.check_tag(a)
-        m: EchelonMatrix = a.payload
+        rows = a.payload
         out = [self.empty()]
-        for cols in range(1, m.cols + 1):
-            basis = [r[:cols] for r, _ in _pivoting_before(m, cols)]
+        for cols in range(1, _cols(rows) + 1):
+            basis = [r[:cols] for r, _ in _pivoting_before(rows, cols)]
             d = len(basis)
             for k in range(1, d + 1):
                 for x in enumerate_rre(k, d, self.q):
                     if d < cols:
-                        rows = times_basis(x.rows, basis, self.q)
-                        x = EchelonMatrix(self.q, cols, rows)
-                    out.append(Approximation(TAG, x, k))
+                        x = times_basis(x, basis, self.q)
+                    out.append(_approx(x))
         return sorted(out, key=self.sort_key)
 
     def extensions_below(self, a, top) -> list[Approximation]:
@@ -124,39 +124,33 @@ class MatrixSpace(Space):
             raise EmptyNeighborhoodError(
                 f"[{self.serialize(a)}, {self.serialize(top)}] is empty"
             )
-        ma: EchelonMatrix = a.payload
-        mt: EchelonMatrix = top.payload
+        ra, rt = a.payload, top.payload
+        p = _cols(ra)
         out = []
-        for w2 in range(ma.cols + 1, mt.cols + 1):
-            basis = self._cut_basis(mt, w2)
-            span = span_vectors(basis)
-            if ma.nrows == 0:
+        for w2 in range(p + 1, _cols(rt) + 1):
+            basis = [r[:w2] for r, _ in _pivoting_before(rt, w2)]
+            span = span_vectors(basis, w2, self.q)
+            if not ra:
                 # First row of a reduct: any leading-1 vector in the span.
                 new_rows = [v for v in span if any(v) and v[pivot(v)] == 1]
                 old_choices: list[list[tuple[int, ...]]] = []
             else:
                 # Next pivot sits exactly at a's column count.
-                p = ma.cols
                 new_rows = [v for v in span if pivot(v) == p and v[p] == 1]
                 old_choices = [
-                    [u for u in span if u[: ma.cols] == r and u[ma.cols] == 0]
-                    for r in ma.rows
+                    [u for u in span if u[:p] == r and u[p] == 0] for r in ra
                 ]
             new_rows.sort()
             for choices in itertools.product(*[sorted(c) for c in old_choices]):
                 for v in new_rows:
-                    rows = tuple(choices) + (v,)
-                    out.append(
-                        Approximation(TAG, EchelonMatrix(self.q, w2, rows), ma.nrows + 1)
-                    )
+                    out.append(_approx(tuple(choices) + (v,)))
         return sorted(out, key=self.sort_key)
 
     def stems(self) -> list[Approximation]:
         out = [self.empty()]
         for cols in range(1, self.max_cols + 1):
             for k in range(1, cols + 1):
-                for m in enumerate_rre(k, cols, self.q):
-                    out.append(Approximation(TAG, m, k))
+                out.extend(map(_approx, enumerate_rre(k, cols, self.q)))
         return sorted(out, key=self.sort_key)
 
     def stem_count(self) -> int:
@@ -168,9 +162,8 @@ class MatrixSpace(Space):
 
     def serialize(self, a: Approximation) -> str:
         self.check_tag(a)
-        m: EchelonMatrix = a.payload
         parts = [f"q={self.q}"]
-        parts.extend("".join(str(x) for x in row) for row in m.rows)
+        parts.extend("".join(map(str, row)) for row in a.payload)
         return ";".join(parts)
 
     def _parse(self, text: str) -> Approximation:
@@ -183,15 +176,12 @@ class MatrixSpace(Space):
             raise ParseError(f"bad matrix literal: {text!r}") from e
         if q != self.q:
             raise ParseError(f"field mismatch: literal GF({q}) vs space GF({self.q})")
-        row_texts = [p for p in parts[1:] if p != ""]
-        if not row_texts:
-            return self.empty()
         try:
-            rows = tuple(tuple(int(ch) for ch in rt) for rt in row_texts)
+            rows = tuple(tuple(int(ch) for ch in rt) for rt in parts[1:] if rt)
         except ValueError as e:
             raise ParseError(f"bad matrix literal: {text!r}") from e
         try:
-            return self.make_rows(rows, len(rows[0]))
+            return self.make(rows)
         except ValueError as e:
             raise ParseError(f"not a valid echelon approximation: {text!r}") from e
 
@@ -204,25 +194,25 @@ class MatrixSpace(Space):
         rows = tuple(
             tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
         )
-        return Stem(self, self.make(EchelonMatrix(self.q, n, rows)))
+        return Stem(self, _approx(rows))
 
     # Kept only because perfbench/workloads.py calls it.
     identity_stem = full_stem
 
     def open_beyond(self, e: Approximation, top: Approximation) -> bool:
-        return e.payload.cols == top.payload.cols
+        return _cols(e.payload) == _cols(top.payload)
 
 
-def _pivoting_before(m: EchelonMatrix, cols: int) -> list[tuple[tuple[int, ...], int]]:
-    """The (row, pivot) pairs of `m` whose pivot lies before `cols`.
+def _pivoting_before(rows: tuple, cols: int) -> list[tuple[tuple[int, ...], int]]:
+    """The (row, pivot) pairs of the RREF `rows` whose pivot lies before
+    `cols`.
 
     Cutting an RREF matrix to its first `cols` columns leaves these rows
     in RREF and turns the others into zero rows, so, cut there, they are
     the RREF basis of the cut row space without any elimination.
     """
-    return [(r, p) for r, p in zip(m.rows, m.pivots) if p < cols]
+    return [(r, p) for r in rows if (p := r.index(1)) < cols]
 
 
 def matrix_space(q: int, max_cols: int) -> MatrixSpace:
     return MatrixSpace(q, max_cols)
-

@@ -1,30 +1,293 @@
-"""The reference matrix `fin_below`, matrix `build_level` and row
-reduction.
+"""The reference matrix space, matrix `fin_below`, matrix `build_level`
+and row reduction.
 
-`SpanMatrixSpace.fin_below` is the span-tested enumeration the package's
-`MatrixSpace.fin_below` used before it built each subspace as X·B: every
-RRE matrix of each column count, kept when the stem's cut rows span it.
+`EchelonMatrixSpace` is the matrix space as it was when each payload
+was an `EchelonMatrix` (the field, the column count, the rows and their
+cached pivots, checked on every construction), before the package's
+`MatrixSpace` held the bare tuple of RREF rows; both are kept unchanged
+here.  `SpanMatrixSpace.fin_below` is the span-tested enumeration that
+`fin_below` used before it built each subspace as X·B: every RRE matrix
+of each column count, kept when the stem's cut rows span it.
 `build_level` is the generic level route matrix levels took before
 `_matrix_level`: the members of the full stem's `fin_below` at depth
-exactly m, and for each witness the items `fin_leq` below it.  Both are
-kept unchanged as the oracle that `test_matrix_oracle.py` checks the
-package against.  `rref_of_rows` is Gaussian elimination of raw rows,
-which the package never needs: the tests reduce rows with it to check
+exactly m, and for each witness the items `fin_leq` below it.  All of
+them are the oracle that `test_matrix_oracle.py` checks the package
+against.  `rref_of_rows` is Gaussian elimination of raw rows, which the
+package never needs: the tests reduce rows with it to check
 `enumerate_rre`, `times_basis` and the cut bases against.
+`echelon(a, q)` reads a package approximation as an `EchelonMatrix`.
 """
 
 from __future__ import annotations
 
+import itertools
+from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-from ramspace.core import Approximation, Stem
-from ramspace.gflinalg import EchelonMatrix, _check_rows, enumerate_rre, spans
+from ramspace import gflinalg
+from ramspace.core import Approximation, Space, Stem
+from ramspace.errors import EmptyNeighborhoodError, InvalidApproximationError, ParseError
+from ramspace.gflinalg import _check_prime, gaussian_binomial, pivot, spans, times_basis
 from ramspace.ramsey import LevelInstance
-from ramspace.spaces.matrix import TAG, MatrixSpace, _pivoting_before
+from ramspace.spaces.matrix import SUPPORTED_Q, TAG
 
 
-class SpanMatrixSpace(MatrixSpace):
-    """`MatrixSpace` with the span-tested `fin_below`."""
+def _check_rows(rows: Sequence[Sequence[int]], cols: int, q: int) -> None:
+    """Raise ValueError unless every row holds `cols` ints in 0..q-1."""
+    digits = range(q)
+    for row in rows:
+        if len(row) != cols:
+            raise ValueError(f"row width {len(row)} does not match cols {cols}")
+        for x in row:
+            if type(x) is not int or x not in digits:
+                raise ValueError(f"entry {x!r} is not an int in 0..{q - 1}")
+
+
+@dataclass(frozen=True)
+class EchelonMatrix:
+    """A reduced row-echelon matrix over GF(q) with no zero rows.
+
+    Invariants: entries are ints in 0..q-1, each row leads with a 1,
+    pivot columns are strictly increasing and contain zeros in every
+    other row, so the row count equals the rank and the matrix
+    canonically names its row space inside F_q^cols.
+    """
+
+    q: int
+    cols: int
+    rows: tuple[tuple[int, ...], ...]
+    # The pivot column of each row, found while the invariants are checked.
+    pivots: tuple[int, ...] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _check_prime(self.q)
+        rows = tuple(map(tuple, self.rows))
+        object.__setattr__(self, "rows", rows)
+        _check_rows(rows, self.cols, self.q)
+        pivots: list[int] = []
+        for i, row in enumerate(rows):
+            p = pivot(row)
+            if p < 0:
+                raise ValueError("zero row in echelon matrix")
+            if pivots and p <= pivots[-1]:
+                raise ValueError("pivots not strictly increasing")
+            if row[p] != 1:
+                raise ValueError("pivot entry is not 1")
+            for k, other in enumerate(rows):
+                if k != i and other[p] != 0:
+                    raise ValueError("pivot column is not clean")
+            pivots.append(p)
+        object.__setattr__(self, "pivots", tuple(pivots))
+
+    @property
+    def nrows(self) -> int:
+        return len(self.rows)
+
+
+def enumerate_rre(k: int, m: int, q: int) -> list[EchelonMatrix]:
+    """The package's enumeration, each matrix checked as an `EchelonMatrix`."""
+    return [EchelonMatrix(q, m, rows) for rows in gflinalg.enumerate_rre(k, m, q)]
+
+
+def span_vectors(m: EchelonMatrix) -> list[tuple[int, ...]]:
+    return gflinalg.span_vectors(m.rows, m.cols, m.q)
+
+
+def echelon(a: Approximation, q: int) -> EchelonMatrix:
+    """The rows of a package matrix approximation over GF(q) as an
+    `EchelonMatrix`."""
+    rows = a.payload
+    return EchelonMatrix(q, len(rows[0]) if rows else 0, rows)
+
+
+@dataclass(frozen=True)
+class EchelonMatrixSpace(Space):
+    q: int
+    max_cols: int
+
+    tag = TAG
+
+    def __post_init__(self):
+        if self.q not in SUPPORTED_Q:
+            raise ValueError(f"q must be one of {SUPPORTED_Q}, got {self.q}")
+        if self.max_cols < 1:
+            raise ValueError("max_cols must be >= 1")
+
+    def empty(self) -> Approximation:
+        return Approximation(TAG, EchelonMatrix(self.q, 0, ()), 0)
+
+    def make(self, payload) -> Approximation:
+        if not isinstance(payload, EchelonMatrix):
+            raise InvalidApproximationError("payload must be an EchelonMatrix")
+        if payload.q != self.q:
+            raise InvalidApproximationError(
+                f"field mismatch: GF({payload.q}) vs GF({self.q})"
+            )
+        if payload.cols > self.max_cols:
+            raise InvalidApproximationError(
+                f"{payload.cols} columns exceed truncation {self.max_cols}"
+            )
+        if payload.nrows == 0 and payload.cols != 0:
+            raise InvalidApproximationError("empty approximation must have 0 columns")
+        return Approximation(TAG, payload, payload.nrows)
+
+    def make_rows(self, rows, cols: int) -> Approximation:
+        try:
+            m = EchelonMatrix(self.q, cols, rows)
+        except ValueError as e:
+            raise InvalidApproximationError(str(e)) from e
+        return self.make(m)
+
+    def restrict(self, a: Approximation, n: int) -> Approximation:
+        self.check_tag(a)
+        if n < 0 or n > a.length:
+            raise InvalidApproximationError(f"restrict index {n} out of range")
+        if n == 0:
+            return self.empty()
+        if n == a.length:
+            return a
+        m: EchelonMatrix = a.payload
+        cut = m.pivots[n]
+        rows = tuple(r[:cut] for r in m.rows[:n])
+        return Approximation(TAG, EchelonMatrix(self.q, cut, rows), n)
+
+    def _cut_basis(self, m: EchelonMatrix, cols: int) -> EchelonMatrix:
+        """The row space of `m` cut to its first `cols` columns, in RREF."""
+        rows = tuple(r[:cols] for r, _ in _pivoting_before(m, cols))
+        return EchelonMatrix(self.q, cols, rows)
+
+    def fin_leq(self, a: Approximation, b: Approximation) -> bool:
+        self.check_tag(a)
+        self.check_tag(b)
+        ma: EchelonMatrix = a.payload
+        mb: EchelonMatrix = b.payload
+        if ma.cols > mb.cols:
+            return False
+        return spans(_pivoting_before(mb, ma.cols), ma.rows, self.q)
+
+    def fin_below(self, a: Approximation) -> list[Approximation]:
+        """For each column count c, X·B for X over `enumerate_rre(k, d, q)`,
+        where B is the d rows of `a` that pivot before c, cut to c (the
+        identity when d == c, so X as it is); in `sort_key` order."""
+        self.check_tag(a)
+        m: EchelonMatrix = a.payload
+        out = [self.empty()]
+        for cols in range(1, m.cols + 1):
+            basis = [r[:cols] for r, _ in _pivoting_before(m, cols)]
+            d = len(basis)
+            for k in range(1, d + 1):
+                for x in enumerate_rre(k, d, self.q):
+                    if d < cols:
+                        rows = times_basis(x.rows, basis, self.q)
+                        x = EchelonMatrix(self.q, cols, rows)
+                    out.append(Approximation(TAG, x, k))
+        return sorted(out, key=self.sort_key)
+
+    def extensions_below(self, a, top) -> list[Approximation]:
+        self.check_tag(a)
+        self.check_tag(top)
+        if not self.fin_leq(a, top):
+            raise EmptyNeighborhoodError(
+                f"[{self.serialize(a)}, {self.serialize(top)}] is empty"
+            )
+        ma: EchelonMatrix = a.payload
+        mt: EchelonMatrix = top.payload
+        out = []
+        for w2 in range(ma.cols + 1, mt.cols + 1):
+            basis = self._cut_basis(mt, w2)
+            span = span_vectors(basis)
+            if ma.nrows == 0:
+                # First row of a reduct: any leading-1 vector in the span.
+                new_rows = [v for v in span if any(v) and v[pivot(v)] == 1]
+                old_choices: list[list[tuple[int, ...]]] = []
+            else:
+                # Next pivot sits exactly at a's column count.
+                p = ma.cols
+                new_rows = [v for v in span if pivot(v) == p and v[p] == 1]
+                old_choices = [
+                    [u for u in span if u[: ma.cols] == r and u[ma.cols] == 0]
+                    for r in ma.rows
+                ]
+            new_rows.sort()
+            for choices in itertools.product(*[sorted(c) for c in old_choices]):
+                for v in new_rows:
+                    rows = tuple(choices) + (v,)
+                    out.append(
+                        Approximation(TAG, EchelonMatrix(self.q, w2, rows), ma.nrows + 1)
+                    )
+        return sorted(out, key=self.sort_key)
+
+    def stems(self) -> list[Approximation]:
+        out = [self.empty()]
+        for cols in range(1, self.max_cols + 1):
+            for k in range(1, cols + 1):
+                for m in enumerate_rre(k, cols, self.q):
+                    out.append(Approximation(TAG, m, k))
+        return sorted(out, key=self.sort_key)
+
+    def stem_count(self) -> int:
+        total = 1
+        for cols in range(1, self.max_cols + 1):
+            for k in range(1, cols + 1):
+                total += gaussian_binomial(cols, k, self.q)
+        return total
+
+    def serialize(self, a: Approximation) -> str:
+        self.check_tag(a)
+        m: EchelonMatrix = a.payload
+        parts = [f"q={self.q}"]
+        parts.extend("".join(str(x) for x in row) for row in m.rows)
+        return ";".join(parts)
+
+    def _parse(self, text: str) -> Approximation:
+        parts = text.split(";")
+        if not parts or not parts[0].startswith("q="):
+            raise ParseError(f"bad matrix literal: {text!r}")
+        try:
+            q = int(parts[0][2:])
+        except ValueError as e:
+            raise ParseError(f"bad matrix literal: {text!r}") from e
+        if q != self.q:
+            raise ParseError(f"field mismatch: literal GF({q}) vs space GF({self.q})")
+        row_texts = [p for p in parts[1:] if p != ""]
+        if not row_texts:
+            return self.empty()
+        try:
+            rows = tuple(tuple(int(ch) for ch in rt) for rt in row_texts)
+        except ValueError as e:
+            raise ParseError(f"bad matrix literal: {text!r}") from e
+        try:
+            return self.make_rows(rows, len(rows[0]))
+        except ValueError as e:
+            raise ParseError(f"not a valid echelon approximation: {text!r}") from e
+
+    def params_str(self) -> str:
+        return f"space={TAG};q={self.q};max_cols={self.max_cols}"
+
+    def full_stem(self) -> Stem:
+        """The stem whose rows are the max_cols standard basis vectors."""
+        n = self.max_cols
+        rows = tuple(
+            tuple(1 if j == i else 0 for j in range(n)) for i in range(n)
+        )
+        return Stem(self, self.make(EchelonMatrix(self.q, n, rows)))
+
+    def open_beyond(self, e: Approximation, top: Approximation) -> bool:
+        return e.payload.cols == top.payload.cols
+
+
+def _pivoting_before(m: EchelonMatrix, cols: int) -> list[tuple[tuple[int, ...], int]]:
+    """The (row, pivot) pairs of `m` whose pivot lies before `cols`.
+
+    Cutting an RREF matrix to its first `cols` columns leaves these rows
+    in RREF and turns the others into zero rows, so, cut there, they are
+    the RREF basis of the cut row space without any elimination.
+    """
+    return [(r, p) for r, p in zip(m.rows, m.pivots) if p < cols]
+
+
+class SpanMatrixSpace(EchelonMatrixSpace):
+    """`EchelonMatrixSpace` with the span-tested `fin_below`."""
 
     def fin_below(self, a: Approximation) -> list[Approximation]:
         self.check_tag(a)

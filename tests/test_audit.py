@@ -11,6 +11,7 @@ from ramspace.audit import (
     BOUNDED_PASS,
     COUNTEREXAMPLE,
     AuditBounds,
+    AxiomCheck,
     AxiomReport,
     audit_axioms,
 )
@@ -24,6 +25,14 @@ FAST = AuditBounds(max_len=2, max_depth=3, transitivity_cap=20_000, amalgamation
 
 def _statuses(report: AxiomReport) -> dict:
     return {(c.axiom, c.name): c.status for c in report.checks}
+
+
+def _check_for(report: AxiomReport, axiom: str) -> AxiomCheck:
+    """The report's row for `axiom`; KeyError when it has none."""
+    for c in report.checks:
+        if c.axiom == axiom:
+            return c
+    raise KeyError(axiom)
 
 
 def test_ellentuck_bounded_pass_with_pigeonhole():
@@ -152,7 +161,7 @@ def test_pigeonhole_audit_against_independent_sweep():
             transitivity_cap=20_000, amalgamation_cap=200,
         ),
     )
-    assert report.check_for("A6").passed
+    assert _check_for(report, "A6").passed
 
 
 def test_summary_lines_shape():
@@ -467,7 +476,7 @@ def test_row_sweeps_match_the_pair_loops(space):
 
 def test_the_first_failure_can_sit_on_the_last_stems():
     # Pair (29, 30) of 32 stems: 29*31 - 29*28/2 + (30 - 29) = 494 of 496.
-    a2 = audit_axioms(LateSeparationSpace(5), FAST).check_for("A2")
+    a2 = _check_for(audit_axioms(LateSeparationSpace(5), FAST), "A2")
     assert (a2.status, a2.instances) == (COUNTEREXAMPLE, 494)
     assert a2.witness == "distinct stems with identical chains: {0,2,3,4} vs {1,2,3,4}"
     # Row 22, column 30: instance 22*32 + 30 + 1 = 735 of 1024.

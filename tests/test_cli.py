@@ -362,6 +362,18 @@ def test_ramsey_ceiling_refusal(capsys, monkeypatch):
         "--k", "2", "--n", "3", "--s", "2", "--bound", "8",
     )
     assert code == 4
+    monkeypatch.delenv(cli.ENV_CEILING)
+    # A level too large to build is refused before it is built, with the
+    # size of its level space.
+    for argv, estimate in [
+        ("witness --space ellentuck --k 1 --n 25 --s 2 --bound 25", 2**25),
+        ("paramset --k 1 --m 12 --s 2 --bound 12", 5034585),
+    ]:
+        code = cli.main(["ramsey", *argv.split()])
+        out, err = capsys.readouterr()
+        assert code == 4 and out == ""
+        assert err.startswith("refused: level ") and err.count("\n") == 1
+        assert f"(estimated {estimate} > ceiling {ramsey.LEVEL_CEILING})" in err
 
 
 def test_ramsey_paramset(capsys, schema):

@@ -202,8 +202,8 @@ def test_is_maximal(e8):
     assert _is_maximal(e8, e8.make((0, 7)))
     assert not _is_maximal(e8, e8.make((0, 3)))
     m = matrix_space(2, 2)
-    assert _is_maximal(m, m.make_rows([(1, 0), (0, 1)], 2))
-    assert not _is_maximal(m, m.make_rows([(1,)], 1))
+    assert _is_maximal(m, m.make([(1, 0), (0, 1)]))
+    assert not _is_maximal(m, m.make([(1,)]))
 
 
 def test_reducts_are_exactly_fin_below(e8):
@@ -287,7 +287,7 @@ def test_an_audit_asks_fin_below_once_per_stem_top(cls, args):
         (ell_space(6), "{0,2,5}", "<ellentuck:(0, 2, 5)>"),
         (
             matrix_space(3, 3), "q=3;120;001",
-            "<matrix:EchelonMatrix(q=3, cols=3, rows=((1, 2, 0), (0, 0, 1)))>",
+            "<matrix:((1, 2, 0), (0, 0, 1))>",
         ),
         (partition_space(4), "({0,2},{1},{3})", "<partition:(0, 1, 0, 2)>"),
     ],
@@ -296,7 +296,8 @@ def test_an_audit_asks_fin_below_once_per_stem_top(cls, args):
 def test_an_approximation_is_its_field_tuple(space, text, shown):
     # The hash is the one a frozen dataclass of the three fields had,
     # so set and dict order do not change.  The repr shows the payload:
-    # a partition's is its label tuple, entry e the block holding e.
+    # a partition's is its label tuple, entry e the block holding e, and
+    # a matrix's is its tuple of RREF rows.
     a = space.parse(text)
     fields = (a.space_tag, a.payload, a.length)
     assert hash(a) == hash(fields)

@@ -284,7 +284,7 @@ def test_galvin_alternatives_never_both_verify(even_pairs_family):
 
 def test_galvin_matrix_space():
     m = matrix_space(2, 3)
-    fam = front_family(m, [m.make_rows([(1,)], 1)])
+    fam = front_family(m, [m.make([(1,)])])
     res = galvin_search(m.full_stem(), fam)
     assert res.outcome == ALT1
     assert verify_dichotomy(res.certificate)
@@ -334,7 +334,7 @@ def test_galvin_refuses_when_greedy_disabled():
         galvin_search(p.full_stem(), fam, max_reducts=3)
     assert (exc.value.estimate, exc.value.ceiling) == (4, 3)
     m = matrix_space(2, 3)
-    fam = front_family(m, [m.make_rows([(1, 0)], 2)])
+    fam = front_family(m, [m.make([(1, 0)])])
     with pytest.raises(CeilingExceededError) as exc:
         galvin_search(m.full_stem(), fam, max_reducts=2)
     assert (exc.value.estimate, exc.value.ceiling) == (3, 2)

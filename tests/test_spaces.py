@@ -7,8 +7,6 @@ from hypothesis import strategies as st
 from partition_oracle import blocks
 from ramspace import (
     Approximation,
-    EchelonMatrix,
-    MatrixSpace,
     Stem,
     ell_space,
     matrix_space,
@@ -16,6 +14,7 @@ from ramspace import (
 )
 from matrix_oracle import rref_of_rows
 from ramspace.gflinalg import enumerate_rre, span_vectors, spans
+from ramspace.spaces.matrix import _pivoting_before
 from ramspace.spaces import parse_params_str, space_from_params
 from ramspace.errors import (
     InvalidApproximationError,
@@ -63,12 +62,24 @@ def test_ell_depth_level_sets():
 
 
 # ----- the matrix space -----
-# The pivot column p_n of row n of a stem is `stem.top.payload.pivots[n]`.
+# A matrix payload is its tuple of RREF rows, and the pivot column p_n of
+# row n of a stem is `stem.top.payload[n].index(1)`.
+
+
+def _pivots(a):
+    return tuple(r.index(1) for r in a.payload)
+
+
+def _cut_basis(rows, cols):
+    """The row space of the RREF `rows` cut to its first `cols` columns,
+    as the package's primitives take it: the rows that pivot before
+    `cols`, cut there."""
+    return tuple(r[:cols] for r, _ in _pivoting_before(rows, cols))
 
 
 def test_mat_pn_identity(m24):
     ident = m24.full_stem()
-    assert ident.top.payload.pivots[3] == 3
+    assert _pivots(ident.top)[3] == 3
 
 
 def test_mat_pn_spread_pivots():
@@ -78,17 +89,17 @@ def test_mat_pn_spread_pivots():
         (0, 0, 1, 0, 0),
         (0, 0, 0, 0, 1),
     ]
-    stem = Stem(m, m.make_rows(rows, 5))
-    assert stem.top.payload.pivots[1] == 2
-    pivots = list(stem.top.payload.pivots)
+    stem = Stem(m, m.make(rows))
+    assert _pivots(stem.top)[1] == 2
+    pivots = list(_pivots(stem.top))
     assert pivots == sorted(pivots) and len(set(pivots)) == 3
 
 
 def test_mat_pn_out_of_range(m24):
     # A stem materializes one pivot per row and no approximation past
     # its last row.
-    stem = Stem(m24, m24.make_rows([(1, 0), (0, 1)], 2))
-    assert len(stem.top.payload.pivots) == 2
+    stem = Stem(m24, m24.make([(1, 0), (0, 1)]))
+    assert len(_pivots(stem.top)) == 2
     with pytest.raises(OutOfRangeError):
         stem.approx(3)
 
@@ -96,7 +107,7 @@ def test_mat_pn_out_of_range(m24):
 def test_matrix_stem_approx_identity(m24):
     ident = m24.full_stem()
     r2 = ident.approx(2)
-    assert r2.payload.rows == ((1, 0), (0, 1))
+    assert r2.payload == ((1, 0), (0, 1))
     assert ident.approx(0) == m24.empty()
 
 
@@ -104,9 +115,9 @@ def test_matrix_stem_approx_cuts_before_next_pivot():
     # Rows (1,1,0) and (0,0,1): the second pivot sits at column 2, so the
     # length-1 approximation keeps row 0 on two columns.
     m = matrix_space(2, 3)
-    stem = Stem(m, m.make_rows([(1, 1, 0), (0, 0, 1)], 3))
+    stem = Stem(m, m.make([(1, 1, 0), (0, 0, 1)]))
     r1 = stem.approx(1)
-    assert r1.payload.rows == ((1, 1),)
+    assert r1.payload == ((1, 1),)
     assert r1.length == 1
 
 
@@ -117,18 +128,18 @@ def test_matrix_stem_approx_lengths(m24):
             a = stem.approx(n)
             assert a.length == n
             if n > 0:
-                assert a.payload.pivots == top.payload.pivots[:n]
+                assert _pivots(a) == _pivots(top)[:n]
 
 
 def test_matrix_fin_leq_example(m24):
-    a = m24.make_rows([(1, 1)], 2)
-    i2 = m24.make_rows([(1, 0), (0, 1)], 2)
+    a = m24.make([(1, 1)])
+    i2 = m24.make([(1, 0), (0, 1)])
     assert m24.fin_leq(a, i2)
     assert not m24.fin_leq(i2, a)
 
 
 def test_matrix_fin_below_of_identity(m24):
-    i2 = m24.make_rows([(1, 0), (0, 1)], 2)
+    i2 = m24.make([(1, 0), (0, 1)])
     got = {m24.serialize(b) for b in m24.fin_below(i2)}
     assert got == {"q=2", "q=2;1", "q=2;10", "q=2;01", "q=2;11", "q=2;10;01"}
 
@@ -136,34 +147,35 @@ def test_matrix_fin_below_of_identity(m24):
 def test_matrix_space_rejects_bad_payloads():
     m = matrix_space(2, 3)
     with pytest.raises(InvalidApproximationError):
-        m.make_rows([(1, 0, 0, 0)], 4)  # too many columns
+        m.make([(1, 0, 0, 0)])  # too many columns
     with pytest.raises(ValueError):
-        m.make_rows([(0, 0)], 2)  # zero row
+        m.make([(0, 0)])  # zero row
     with pytest.raises(ValueError):
         matrix_space(4, 3)  # composite field order
     with pytest.raises(ValueError):
         matrix_space(11, 3)  # beyond digit serialization
 
 
-def _subspace(basis: EchelonMatrix) -> Approximation:
-    """The subspace a basis names, as an approximation with the basis's
-    column count (built directly, so it may be wider than a space)."""
-    return Approximation("matrix", basis, basis.nrows)
+def _subspace(basis) -> Approximation:
+    """The subspace an RREF basis names, as an approximation with the
+    basis's column count (built directly, so it may be wider than a
+    space)."""
+    return Approximation("matrix", basis, len(basis))
 
 
 def test_subspace_initial_segment_three_values():
     # A subspace is an approximation of a reduct of a stem iff its basis
     # sits below the stem's top: `fin_leq`.
     m = matrix_space(2, 3)
-    b = Stem(m, m.make_rows([(1, 1, 0), (0, 0, 1)], 3))
+    b = Stem(m, m.make([(1, 1, 0), (0, 0, 1)]))
     # the length-1 approximation itself names an initial-segment subspace
-    assert m.fin_leq(_subspace(EchelonMatrix(2, 2, ((1, 1),))), b.top)
+    assert m.fin_leq(_subspace(((1, 1),)), b.top)
     # the zero-dimensional subspace always is one
-    assert m.fin_leq(_subspace(EchelonMatrix(2, 0, ())), b.top)
+    assert m.fin_leq(_subspace(()), b.top)
     # a line outside the stem's row space never is
-    assert not m.fin_leq(_subspace(EchelonMatrix(2, 2, ((1, 0),))), b.top)
+    assert not m.fin_leq(_subspace(((1, 0),)), b.top)
     # nor is one wider than the stem's columns
-    assert not m.fin_leq(_subspace(EchelonMatrix(2, 4, ((1, 0, 0, 0),))), b.top)
+    assert not m.fin_leq(_subspace(((1, 0, 0, 0),)), b.top)
 
 
 def test_subspace_initial_segment_matches_reduct_search():
@@ -182,7 +194,7 @@ def test_subspace_initial_segment_matches_reduct_search():
 
 
 def _all_echelon(q, cols):
-    out = [EchelonMatrix(q, cols, ())] if cols == 0 else []
+    out = [()] if cols == 0 else []
     for k in range(1, cols + 1):
         out.extend(enumerate_rre(k, cols, q))
     return out
@@ -340,19 +352,15 @@ def test_partition_rejects_bad_payloads():
         (partition_space(3), "01"),
         (partition_space(3), (0, 1)),
         (partition_space(3), 5),
-        (matrix_space(2, 3), ([[1.0, 0, 1]], 3)),
-        (matrix_space(2, 3), ([[True, 0, 1]], 3)),
+        (matrix_space(2, 3), [[1.0, 0, 1]]),
+        (matrix_space(2, 3), [[True, 0, 1]]),
     ],
 )
 def test_make_coerces_nothing(space, payload):
     # Only ints are elements: a float, bool or string is refused, not
     # rounded or converted, and so is a payload of the wrong shape.
-    # Matrix rows come through make_rows, with their column count.
     with pytest.raises(InvalidApproximationError):
-        if isinstance(space, MatrixSpace):
-            space.make_rows(*payload)
-        else:
-            space.make(payload)
+        space.make(payload)
 
 
 def test_extensions_characterization_all_spaces():
@@ -445,10 +453,10 @@ def test_ellentuck_fin_leq_refuses_a_foreign_approximation():
 
 def test_gf3_matrix_space_operations():
     m = matrix_space(3, 3)
-    stem = Stem(m, m.make_rows([(1, 2, 0), (0, 0, 1)], 3))
-    assert stem.top.payload.pivots[1] == 2
-    assert stem.approx(1).payload.rows == ((1, 2),)
-    doubled = m.make_rows([(1, 2)], 2)
+    stem = Stem(m, m.make([(1, 2, 0), (0, 0, 1)]))
+    assert _pivots(stem.top)[1] == 2
+    assert stem.approx(1).payload == ((1, 2),)
+    doubled = m.make([(1, 2)])
     assert m.fin_leq(doubled, stem.approx(1))
     assert m.serialize(stem.top) == "q=3;120;001"
     assert m.parse("q=3;120;001") == stem.top
@@ -461,9 +469,9 @@ def test_cut_basis_matches_row_reduction(q, max_cols):
     space = matrix_space(q, max_cols)
     for top in space.stems():
         m = top.payload
-        for cols in range(m.cols + 1):
-            cut = (r[:cols] for r in m.rows)
-            assert space._cut_basis(m, cols) == rref_of_rows(cut, cols, q)
+        for cols in range((len(m[0]) if m else 0) + 1):
+            cut = (r[:cols] for r in m)
+            assert _cut_basis(m, cols) == rref_of_rows(cut, cols, q).rows
 
 
 @pytest.mark.parametrize("q, max_cols", [(2, 4), (3, 3), (5, 3), (7, 3)])
@@ -471,20 +479,21 @@ def test_matrix_fin_leq_matches_in_span_over_the_cut_basis(q, max_cols):
     space = matrix_space(q, max_cols)
     stems = space.stems()
     for a in stems:
-        leads = tuple(r.index(next(filter(None, r))) for r in a.payload.rows)
-        assert a.payload.pivots == leads
+        leads = tuple(r.index(next(filter(None, r))) for r in a.payload)
+        assert _pivots(a) == leads
         for b in stems:
             ma, mb = a.payload, b.payload
-            if ma.cols > mb.cols:
+            cols = len(ma[0]) if ma else 0
+            if cols > (len(mb[0]) if mb else 0):
                 assert not space.fin_leq(a, b)
                 continue
-            cut = space._cut_basis(mb, ma.cols)
-            want = spans(tuple(zip(cut.rows, cut.pivots)), ma.rows, q)
+            cut = _cut_basis(mb, cols)
+            want = spans(tuple((r, r.index(1)) for r in cut), ma, q)
             assert space.fin_leq(a, b) == want
             # `spans` serves both sides; enumerating the cut span does
             # not.
-            span = set(span_vectors(cut))
-            assert want == all(r in span for r in ma.rows)
+            span = set(span_vectors(cut, cols, q))
+            assert want == all(r in span for r in ma)
 
 
 # ----- serialization -----
@@ -493,7 +502,7 @@ def test_matrix_fin_leq_matches_in_span_over_the_cut_basis(q, max_cols):
 def test_serialization_examples(e8, m24, p6):
     assert e8.serialize(e8.make((0, 2, 4))) == "{0,2,4}"
     assert e8.serialize(e8.empty()) == "{}"
-    assert m24.serialize(m24.make_rows([(1, 0), (0, 1)], 2)) == "q=2;10;01"
+    assert m24.serialize(m24.make([(1, 0), (0, 1)])) == "q=2;10;01"
     assert m24.serialize(m24.empty()) == "q=2"
     assert p6.serialize(p6.make([(0, 3), (1, 4), (2, 5)])) == "({0,3},{1,4},{2,5})"
     assert p6.serialize(p6.empty()) == "()"

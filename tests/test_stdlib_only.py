@@ -44,11 +44,8 @@ def test_pyproject_declares_no_runtime_dependency():
 
 # Public names that nothing in src/ or perfbench/ names: the dual
 # encoding is the subject of criterion 8 and documented in the README,
-# `exclude_member` is reached through `getattr`, and `check_for`, the
-# reader of one axiom's row of an audit report, is still called only by
-# tests.
+# and `exclude_member` is reached through `getattr`.
 UNCALLED = {
-    "AxiomReport.check_for",
     "dual_to_classical_encoding",
     "EllentuckSpace.exclude_member",
 }

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ramspace import ell_space, matrix_space, partition_space
+from ramspace.errors import CeilingExceededError
 from ramspace.forcing import front_family, galvin_search, verify_dichotomy
 from ramspace.ramsey import (
     _level_backtracking,
@@ -128,7 +129,7 @@ ALT2 = _galvin(E5, _singletons(E5))
 DICHOTOMY = [
     ALT1,
     ALT2,
-    _galvin(M23, [M23.make_rows([(1,)], 1)]),
+    _galvin(M23, [M23.make([(1,)])]),
     _galvin(M22, _singletons(M22)),
     _galvin(P4, [P4.make([(0,), (1,)])]),
 ]
@@ -249,6 +250,8 @@ DICHOTOMY_TAMPERINGS = {
 
 FOUND, BAD = R33.found_certificate, R33.lower_bound_certificate
 FOUND_BT = R33_BT.found_certificate
+# Level 2 of the subset space, whose level 25 has 2^25 stems.
+ELLENTUCK = finite_ramsey_witness("ellentuck", 1, 2, 2, bound=2).found_certificate
 
 
 def _drop(certificate: str, line: str) -> str:
@@ -296,6 +299,7 @@ WITNESS_TAMPERINGS = {
     "backtracking-level-1": _edit(FOUND_BT, "level=6", "level=5"),
     "backtracking-s=3": _edit(FOUND_BT, "s=2", "s=3"),
     "backtracking-s=1": _edit(FOUND_BT, "s=2", "s=1"),
+    "ellentuck-level=25": _edit(ELLENTUCK, "level=2", "level=25"),
 }
 
 
@@ -308,3 +312,13 @@ def test_verify_dichotomy_rejects_tampering(name):
 def test_verify_witness_rejects_tampering(name):
     assert verify_witness(WITNESS_TAMPERINGS[name]) is False
     assert _agrees_with_the_oracle(WITNESS_TAMPERINGS[name])
+
+
+def test_a_level_too_large_to_build_is_refused_unbuilt():
+    # verify_witness and the oracle both rebuild a level through
+    # build_level, which refuses this one from its size estimate alone.
+    lines = WITNESS_TAMPERINGS["ellentuck-level=25"].splitlines()
+    fields = {"instance_line": lines[1], "level": "25"}
+    with pytest.raises(CeilingExceededError) as exc:
+        _rebuild_level_from_fields(fields)
+    assert exc.value.estimate == 2**25
