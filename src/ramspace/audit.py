@@ -33,14 +33,15 @@ of approximations once, and each down-set it yields is checked against
 `fin_below`.  The other laws read the bitsets built from it:
 transitivity tests down-set inclusion, depth is the first chain member
 whose down-set holds the approximation, and A5/A6 test neighborhood
-bitmasks (walked through `iter_neighborhood` and kept for the audit)
-against up-sets and down-sets.  A2 and A4(i), laws on pairs of stems,
-are row sweeps: A2 groups the stems by chain, and A4(i) transposes the
-down-sets once into masks over stem positions, so each stem's row of
-pairs is one AND of its chain's masks and one comparison.  Instances
-are counted, and failures searched for, in the order the laws have
-always used (pairs in row order), so counts and first counterexamples
-are those of a sweep that asks the primitives directly.
+bitmasks against up-sets and down-sets.  Each neighborhood [a, t] is a
+run of the walk of [empty, t], which `iter_neighborhood` gives once per
+stem top.  A2 and A4(i), laws on pairs of stems, are row sweeps: A2
+groups the stems by chain, and A4(i) transposes the down-sets once into
+masks over stem positions, so each stem's row of pairs is one AND of its
+chain's masks and one comparison.  Instances are counted, and failures
+searched for, in the order the laws have always used (pairs in row
+order), so counts and first counterexamples are those of a sweep that
+asks the primitives directly.
 """
 
 from __future__ import annotations
@@ -387,10 +388,6 @@ def _audit_a5(uni, report, bounds):
             f"B={space.serialize(items[b_top])}"
         )
 
-    # (ii) reads its pairs in walk order; walking them first keeps the
-    # order only for those pairs, and (i) reads their masks.
-    pairs = _amalgamation_pairs(uni, bounds)
-
     # (i) preserved-prefix stems keep the base reachable.
     instances = 0
     for t in uni.tops:
@@ -414,46 +411,36 @@ def _audit_a5(uni, report, bounds):
     _ok(report, "A5", "amalgamation-i", instances)
 
     # (ii) capped canonical sweep: some candidate B' through the prefix
-    # has [a, B'] inside the down-set of each B in [a, t].  Candidates
-    # are tried longest first.
+    # has [a, B'] inside the down-set of each B in [a, t], for a of
+    # length <= max_len and depth <= max_depth below each stem top t,
+    # until `amalgamation_cap` instances are checked.  Candidates are
+    # tried longest first.
     cap = bounds.amalgamation_cap
     instances = 0
-    for t, a, n in pairs:
-        reach, _ = uni.neighborhood(uni.chains[t][n], t)
-        candidates = sorted(iter_bits(reach & up[a]), key=lambda c: -items[c].length)
-        for b_top in uni.walk(a, t):
-            if instances >= cap:
-                break
-            instances += 1
-            if not any(
-                not uni.neighborhood(a, c)[0] & ~down[b_top] for c in candidates
-            ):
-                _fail(
-                    report, "A5", "amalgamation-ii", instances,
-                    witness(t, a, b_top),
-                )
-                return
-    _ok(report, "A5", "amalgamation-ii", instances, notes=f"cap={cap}")
-
-
-def _amalgamation_pairs(uni, bounds):
-    """The (t, a, depth) pairs A5(ii) sweeps, in its order, each walked
-    here: [a, t] for a of length <= max_len and depth <= max_depth below
-    each stem top, until the walks hold `amalgamation_cap` instances."""
-    pairs = []
-    walked = 0
     for t in uni.tops:
-        if walked >= bounds.amalgamation_cap:
-            break
         for a in uni.below(t):
-            if uni.lengths[a] > bounds.max_len or walked >= bounds.amalgamation_cap:
+            if items[a].length > bounds.max_len or instances >= cap:
                 break
             n = uni.depth(a, t)
             if n > bounds.max_depth:
                 continue
-            walked += len(uni.walk(a, t))
-            pairs.append((t, a, n))
-    return pairs
+            reach, _ = uni.neighborhood(uni.chains[t][n], t)
+            candidates = sorted(
+                iter_bits(reach & up[a]), key=lambda c: -items[c].length
+            )
+            for b_top in uni.walk(a, t):
+                if instances >= cap:
+                    break
+                instances += 1
+                if not any(
+                    not uni.neighborhood(a, c)[0] & ~down[b_top] for c in candidates
+                ):
+                    _fail(
+                        report, "A5", "amalgamation-ii", instances,
+                        witness(t, a, b_top),
+                    )
+                    return
+    _ok(report, "A5", "amalgamation-ii", instances, notes=f"cap={cap}")
 
 
 def _audit_a6(uni, report, bounds):

@@ -20,8 +20,9 @@ Two integer-id views sit on top of the contract.  `Index` gives ids
 lazily, on first sight, and holds the values, their ids and lengths: a
 forcing engine owns one and walks on its ids.  `Universe` is an `Index`
 of a whole truncated universe with its order held as bitsets, built by
-one eager `fin_leq` sweep: the audit's.  Each belongs to the engine or
-sweep that builds it.
+one eager `fin_leq` sweep: the audit's.  It reads every neighborhood
+[a, t] as a run of one walk of [empty, t] per stem top.  Each belongs to
+the engine or sweep that builds it.
 """
 
 from __future__ import annotations
@@ -209,22 +210,31 @@ class Space(ABC):
 
     def iter_neighborhood(
         self, a: Approximation, top: Approximation
-    ) -> Iterator[Approximation]:
-        """Tops of all stems in [a, stem(top)], canonical depth-first order.
+    ) -> Iterator[tuple[Approximation, int]]:
+        """Tops of all stems in [a, stem(top)], canonical depth-first
+        order, each paired with its depth: its number of extension steps
+        from `a`.
 
         These are exactly the approximations reachable from `a` by
         repeated extension below `top` (each one, viewed as a stem, has
-        `a` in its chain and lies below `top`).
+        `a` in its chain and lies below `top`).  Being a preorder, the
+        walk puts each value's own neighborhood [c, stem(top)] in one
+        run: c and the values after it, up to the next one no deeper
+        than c.
         """
         self.check_tag(a)
         self.check_tag(top)
         if not self.fin_leq(a, top):
             return
-        stack = [a]
+        # One child iterator per level: the depth is the stack height.
+        stack = [iter((a,))]
         while stack:
-            cur = stack.pop()
-            yield cur
-            stack.extend(reversed(self.extensions_below(cur, top)))
+            for cur in stack[-1]:
+                yield cur, len(stack) - 1
+                stack.append(iter(self.extensions_below(cur, top)))
+                break
+            else:
+                stack.pop()
 
 
 @dataclass(frozen=True)
@@ -326,8 +336,19 @@ class Universe(Index):
     with its order bits asked of `fin_leq` against every indexed value,
     so each bit is always a primitive answer.  `below` keeps each
     `fin_below` answer and `neighborhood` each [base, top] mask, as
-    asked, for the life of the index; `walk` keeps the order of the
-    pairs it is asked for.
+    asked, for the life of the index.
+
+    Neighborhoods are read from one walk per stem top.  The first time
+    a top is asked for, [empty, top] is walked through `iter_neighborhood`
+    and kept with, for each position, where its run ends: the run is the
+    position and the positions after it up to the next one that is no
+    deeper.  Depth is read from the walk, not from lengths, which a
+    space that breaks its own contract need not keep in step with it.
+    In a preorder that run is the walk of [value, top], so
+    [base, top] is base's run from its first position.  A base that
+    `down` puts outside top has the empty walk, as `iter_neighborhood`'s
+    guard gives; a base the walk never reached (only a space that breaks
+    its own contract has one) is walked directly and its run appended.
     """
 
     def __init__(self, space: Space):
@@ -355,7 +376,9 @@ class Universe(Index):
         self.chains = {t: self.ids(space.chain(self.items[t])) for t in self.tops}
         self._below = {t: self.ids(below) for t, below in zip(self.tops, answers)}
         self._nbhd: dict[tuple[int, int], tuple[int, int]] = {}
-        self._order: dict[tuple[int, int], list[int]] = {}
+        # top -> (ids in walk order, run end of each position,
+        # first position of each id)
+        self._walks: dict[int, tuple[list[int], list[int], dict[int, int]]] = {}
 
     def _add(self, a: Approximation) -> int:
         leq = self.space.fin_leq
@@ -390,29 +413,46 @@ class Universe(Index):
         )
 
     def walk(self, base: int, top: int) -> list[int]:
-        """Ids of [base, top] in `iter_neighborhood` order.  The order is
-        kept with the pair's mask, so the pair is not walked again."""
-        order = self._order.get((base, top))
-        if order is None:
-            order = self._order[base, top] = self._sweep(base, top)
-        return order
+        """Ids of [base, top] in `iter_neighborhood` order: base's run in
+        the walk of top."""
+        if not self.down[top] >> base & 1:
+            return []
+        walked = self._walks.get(top)
+        if walked is None:
+            walked = self._walks[top] = ([], [], {})
+            self._extend(walked, self.space.empty(), top)
+        order, ends, first = walked
+        start = first.get(base)
+        if start is None:
+            start = len(order)
+            self._extend(walked, self.items[base], top)
+        return order[start:ends[start]]
 
     def neighborhood(self, base: int, top: int) -> tuple[int, int]:
         """[base, top] as an id bitmask, with the number of values its
-        walk yields; a pair already walked is not walked again."""
+        walk yields."""
         got = self._nbhd.get((base, top))
         if got is None:
-            self._sweep(base, top)
-            got = self._nbhd[base, top]
+            walk = self.walk(base, top)
+            mask = 0
+            for i in walk:
+                mask |= 1 << i
+            got = self._nbhd[base, top] = (mask, len(walk))
         return got
 
-    def _sweep(self, base: int, top: int) -> list[int]:
-        order = self.ids(
-            self.space.iter_neighborhood(self.items[base], self.items[top])
-        )
-        if (base, top) not in self._nbhd:
-            mask = 0
-            for i in order:
-                mask |= 1 << i
-            self._nbhd[base, top] = (mask, len(order))
-        return order
+    def _extend(self, walked, a: Approximation, top: int) -> None:
+        """Append the walk of [a, top] to `walked`, with its run ends."""
+        order, ends, first = walked
+        path: list[int] = []  # positions on the walk's current branch
+        for value, depth in self.space.iter_neighborhood(a, self.items[top]):
+            p = len(order)
+            for q in path[depth:]:
+                ends[q] = p
+            del path[depth:]
+            path.append(p)
+            i = self.id(value)
+            order.append(i)
+            ends.append(p)
+            first.setdefault(i, p)
+        for q in path:
+            ends[q] = len(order)

@@ -36,7 +36,20 @@ class CeilingExceededError(RamspaceError):
     """
 
     def __init__(self, message: str, estimate: int, ceiling: int):
-        super().__init__(f"{message} (estimated {estimate} > ceiling {ceiling})")
+        super().__init__(
+            f"{message} (estimated {_count_text(estimate)} > ceiling "
+            f"{_count_text(ceiling)})"
+        )
         self.estimate = estimate
         self.ceiling = ceiling
 
+
+def _count_text(n: int) -> str:
+    """`n` in decimal, or bracketed by a power of two when the
+    interpreter's int-to-string digit limit (4,300 digits by default)
+    refuses its decimal form."""
+    try:
+        return str(n)
+    except ValueError:
+        e = n.bit_length() - 1
+        return f"2^{e}" if n == 1 << e else f"over 2^{e}"

@@ -189,7 +189,7 @@ class ForcingEngine:
     def _neighborhood(self, base: Approximation, top: Approximation):
         """Tops of [base, stem(top)] in canonical order, read lazily;
         refused once the sweep passes `max_reducts`."""
-        for count, t in enumerate(self.space.iter_neighborhood(base, top), 1):
+        for count, (t, _) in enumerate(self.space.iter_neighborhood(base, top), 1):
             if count > self.max_reducts:
                 raise CeilingExceededError(
                     "reduct sweep too large", count, self.max_reducts

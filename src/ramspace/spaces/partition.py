@@ -145,7 +145,16 @@ class PartitionSpace(Space):
         return sorted(out, key=self.sort_key)
 
     def stem_count(self) -> int:
-        return 1 + sum(_bell(t) for t in range(1, self.max_domain + 1))
+        # The partitions of each domain size t are counted by the Bell
+        # number B(t), the first entry of row t of the Bell triangle.
+        total, row = 1, [1]
+        for _ in range(self.max_domain):
+            nxt = [row[-1]]
+            for x in row:
+                nxt.append(nxt[-1] + x)
+            row = nxt
+            total += row[0]
+        return total
 
     def serialize(self, a: Approximation) -> str:
         self.check_tag(a)
@@ -203,13 +212,3 @@ def _rgs_iter(n: int):
             prefix.pop()
 
     yield from rec([], 0)
-
-
-def _bell(n: int) -> int:
-    row = [1]
-    for _ in range(n):
-        nxt = [row[-1]]
-        for x in row:
-            nxt.append(nxt[-1] + x)
-        row = nxt
-    return row[0]

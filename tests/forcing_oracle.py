@@ -4,9 +4,11 @@
 stem; `rejection_witness` is the pigeonhole step below a rejecting
 pair.  Both lived in the package's forcing module, where no search
 called them; `galvin_search` grows its rejecting sequence by asking
-verdicts instead.  They are kept here unchanged: `test_forcing.py`
-checks `fusion`, and criterion 6 checks the witness law on the
-package engine's verdicts through `rejection_witness`.
+verdicts instead.  `test_forcing.py` checks `fusion`, and criterion 6
+checks the witness law on the package engine's verdicts through
+`rejection_witness`, which sorts only the part of its neighborhood its
+search reaches; `test_forcing_engine.py` checks that it returns the
+witness of the full `longest_first` scan.
 """
 
 from __future__ import annotations
@@ -33,17 +35,27 @@ def rejection_witness(
     """A preserved-depth reduct below which no one-step extension of
     `a` is accepted by `stem`.  Mirrors the pigeonhole step of the
     classical argument; tried longest-first so witnesses with
-    nonempty extension sets are preferred."""
+    nonempty extension sets are preferred.
+
+    The neighborhood is swept whole and bucketed by length; a bucket is
+    put in serialization order only when the search reaches it, which
+    is the `longest_first` order read one length at a time."""
     space = engine.space
     top = stem.top
     n = stem.depth(a)
     prefix = space.restrict(top, n)
-    for t in space.longest_first(engine._neighborhood(prefix, top)):
-        if not space.fin_leq(a, t):
-            continue
-        exts = space.extensions_below(a, t)
-        if all(engine.chain_status(top, b) is not ChainStatus.ALL_HIT for b in exts):
-            return Stem(space, t)
+    by_length: dict[int, list[Approximation]] = {}
+    for t in engine._neighborhood(prefix, top):
+        by_length.setdefault(t.length, []).append(t)
+    for length in sorted(by_length, reverse=True):
+        for t in sorted(by_length[length], key=space.serialize):
+            if not space.fin_leq(a, t):
+                continue
+            exts = space.extensions_below(a, t)
+            if all(
+                engine.chain_status(top, b) is not ChainStatus.ALL_HIT for b in exts
+            ):
+                return Stem(space, t)
     return None
 
 

@@ -488,17 +488,19 @@ def test_the_first_failure_can_sit_on_the_last_stems():
 
 
 @pytest.mark.parametrize(
-    "space, bounds",
+    "space, bounds, tops",
     [
-        (partition_space(6), AuditBounds(max_depth=3)),
-        (ell_space(8), AuditBounds(max_depth=4, include_a6=True)),
-        (matrix_space(2, 4), AuditBounds(max_depth=3)),
+        (partition_space(6), AuditBounds(max_depth=3), 279),
+        (ell_space(8), AuditBounds(max_depth=4, include_a6=True), 256),
+        (matrix_space(2, 4), AuditBounds(max_depth=3), 87),
     ],
     ids=["partition-6", "ellentuck-8-a6", "matrix-2-4"],
 )
-def test_an_audit_walks_each_neighborhood_once(space, bounds, monkeypatch):
+def test_an_audit_walks_each_neighborhood_once(space, bounds, tops, monkeypatch):
     # The README audits: A5(ii) reads its pairs in walk order, A5(i)
-    # and A6 read masks, and no pair is walked twice.
+    # and A6 read masks, and each [a, t] is a run of the walk of
+    # [empty, t].  So every walk starts at the empty approximation, no
+    # pair is walked twice, and there is one walk per stem top.
     walks = []
     sweep = type(space).iter_neighborhood
 
@@ -509,7 +511,8 @@ def test_an_audit_walks_each_neighborhood_once(space, bounds, monkeypatch):
     monkeypatch.setattr(type(space), "iter_neighborhood", counting)
     report = audit_axioms(space, bounds)
     assert report.passed
-    assert len(walks) == len(set(walks)) > 500
+    assert len(walks) == len(set(walks)) == tops == space.stem_count()
+    assert {a for a, _ in walks} == {space.empty()}
 
 
 @pytest.mark.parametrize("key", ["max_len", "max_depth", "a6_max_len"])
@@ -571,3 +574,25 @@ def test_a_failed_finitization_exits_1_on_the_cli(monkeypatch):
     assert got["outcome"] == COUNTEREXAMPLE
     assert [[r["axiom"], r["name"], r["status"], r["instances"], r["notes"], r["witness"]]
             for r in got["report"]] == STRAY_CHAIN_ROWS
+
+
+@pytest.mark.parametrize(
+    "space", ROW_SWEEP_SPACES + [StrayChainSpace(5)], ids=lambda s: type(s).__name__
+)
+def test_universe_runs_match_direct_walks(space):
+    # Every [base, top] read as a run of the walk of [empty, top] is
+    # the walk `iter_neighborhood` gives for the pair itself: its ids in
+    # order, and its mask and count.  The controls include bases that
+    # the walk of a top never reaches (BrokenReachSpace) and values
+    # outside the universe (LeakyExtensionSpace).
+    uni = Universe(space)
+    for top in uni.tops:
+        for base in range(uni.size):
+            direct = uni.ids(
+                v for v, _ in space.iter_neighborhood(uni.items[base], uni.items[top])
+            )
+            assert uni.walk(base, top) == direct, (base, top)
+            mask = 0
+            for i in direct:
+                mask |= 1 << i
+            assert uni.neighborhood(base, top) == (mask, len(direct)), (base, top)

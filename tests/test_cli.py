@@ -1,4 +1,5 @@
 import json
+import time
 
 import jsonschema
 import pytest
@@ -374,6 +375,30 @@ def test_ramsey_ceiling_refusal(capsys, monkeypatch):
         assert code == 4 and out == ""
         assert err.startswith("refused: level ") and err.count("\n") == 1
         assert f"(estimated {estimate} > ceiling {ramsey.LEVEL_CEILING})" in err
+    # An estimate past Python's 4,300-digit int-to-string limit is
+    # written as a power of two, and the refusal still exits 4.
+    for argv, line in [
+        (
+            "classical --k 2 --n 200 --s 2 --bound 200",
+            "refused: exhaustive mode needs 2^19900 colorings; use backtracking "
+            f"(estimated 2^19900 > ceiling {ramsey.EXHAUSTIVE_CEILING})\n",
+        ),
+        (
+            "witness --space ellentuck --k 1 --n 20000 --s 2 --bound 20000",
+            "refused: level 20000 of ellentuck too large "
+            f"(estimated 2^20000 > ceiling {ramsey.LEVEL_CEILING})\n",
+        ),
+    ]:
+        code = cli.main(["ramsey", *argv.split()])
+        assert (code, *capsys.readouterr()) == (4, "", line)
+    # Refusing a large partition level takes one pass over the Bell
+    # triangle, not one triangle per domain size.
+    start = time.perf_counter()
+    code = cli.main(["ramsey", *"paramset --k 1 --m 1000 --s 2 --bound 1000".split()])
+    out, err = capsys.readouterr()
+    assert code == 4 and out == "" and err.count("\n") == 1
+    assert err.startswith("refused: level 1000 of partition too large (estimated ")
+    assert time.perf_counter() - start < 10
 
 
 def test_ramsey_paramset(capsys, schema):

@@ -166,8 +166,11 @@ def test_neighborhood_nonempty_iff_fin_leq(spaces):
 def test_neighborhood_stems_pass_through_base(e8):
     full = e8.full_stem()
     a = e8.make((0, 1))
-    members = [Stem(e8, t) for t in e8.iter_neighborhood(a, full.top)]
+    walk = list(e8.iter_neighborhood(a, full.top))
+    members = [Stem(e8, t) for t, _ in walk]
     assert all(s.approx(2) == a for s in members)
+    # each value comes with its number of extension steps from the base
+    assert all(depth == t.length - a.length for t, depth in walk)
     # every subset of {2..7} can extend the base
     assert len(members) == 2**6
 
@@ -208,7 +211,7 @@ def test_is_maximal(e8):
 
 def test_reducts_are_exactly_fin_below(e8):
     stem = Stem(e8, e8.make((1, 4, 6)))
-    reduct_tops = set(e8.iter_neighborhood(e8.empty(), stem.top))
+    reduct_tops = {t for t, _ in e8.iter_neighborhood(e8.empty(), stem.top)}
     assert reduct_tops == set(e8.fin_below(stem.top))
 
 
@@ -234,7 +237,7 @@ def test_universe_matches_the_primitives(spaces):
             assert [items[a] for a in uni.below(t)] == sp.fin_below(items[t])
             for a in uni.below(t):
                 assert uni.depth(a, t) == stem.depth(items[a])
-                order = list(sp.iter_neighborhood(items[a], items[t]))
+                order = [v for v, _ in sp.iter_neighborhood(items[a], items[t])]
                 assert [items[i] for i in uni.walk(a, t)] == order
                 mask, walked = uni.neighborhood(a, t)
                 assert {items[i] for i in iter_bits(mask)} == set(order)

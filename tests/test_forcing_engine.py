@@ -134,7 +134,7 @@ class _PrimitiveEngine:
     def _neighborhood(self, base: Approximation, top: Approximation):
         """Tops of [base, stem(top)] in canonical order, read lazily;
         refused once the sweep passes `max_reducts`."""
-        for count, t in enumerate(self.space.iter_neighborhood(base, top), 1):
+        for count, (t, _) in enumerate(self.space.iter_neighborhood(base, top), 1):
             if count > self.max_reducts:
                 raise CeilingExceededError(
                     "reduct sweep too large", count, self.max_reducts
@@ -382,7 +382,7 @@ def test_ellentuck_children_of_every_ground_12_pair():
     assert set(ell_space(11).stems()) <= set(tops)
     for top in tops:
         e.asked.clear()
-        walk = list(e.iter_neighborhood(e.empty(), top))
+        walk = [t for t, _ in e.iter_neighborhood(e.empty(), top)]
         order = []
         stack = [e.empty()]
         while stack:

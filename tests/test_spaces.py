@@ -185,7 +185,7 @@ def test_subspace_initial_segment_matches_reduct_search():
     m = matrix_space(2, 3)
     for top in m.stems():
         approxes = set()
-        for reduct in m.iter_neighborhood(m.empty(), top):
+        for reduct, _ in m.iter_neighborhood(m.empty(), top):
             approxes.update(m.chain(reduct))
         for cols in range(5):
             for cand in _all_echelon(2, cols):
@@ -335,6 +335,28 @@ def test_partition_rejects_bad_payloads():
         p.make([(1,), (0, 2)])  # not ordered by minima
     with pytest.raises(InvalidApproximationError):
         p.make([(0, 1, 2, 3, 4)])  # beyond the truncation
+
+
+def _bell(n):
+    """The Bell number B(n), from a Bell triangle of its own."""
+    row = [1]
+    for _ in range(n):
+        nxt = [row[-1]]
+        for x in row:
+            nxt.append(nxt[-1] + x)
+        row = nxt
+    return row[0]
+
+
+def test_partition_stem_count_is_a_sum_of_bell_numbers():
+    # One pass over the Bell triangle gives every size's count; the
+    # reference builds a triangle per size.
+    assert [_bell(n) for n in range(7)] == [1, 1, 2, 5, 15, 52, 203]
+    for d in range(1, 31):
+        assert partition_space(d).stem_count() == 1 + sum(
+            _bell(t) for t in range(1, d + 1)
+        )
+    assert partition_space(5).stem_count() == len(partition_space(5).stems())
 
 
 @pytest.mark.parametrize(
