@@ -54,23 +54,31 @@ from .errors import CeilingExceededError
 BOUNDED_PASS = "bounded-pass"
 COUNTEREXAMPLE = "counterexample"
 
+# The most stem tops an audit sweeps, and the most splits A6 decides
+# (the sum of 2^|extensions| over its pairs); larger ones are refused.
+STEM_CEILING = 1 << 14
+A6_INSTANCE_CEILING = 1 << 20
+
 
 @dataclass(frozen=True)
 class AuditBounds:
-    """Caps for the audit sweeps; all checks are exhaustive within them."""
+    """Caps for the audit sweeps; all checks are exhaustive within them.
+
+    `max_len` bounds the length of the approximations A5 and A6 take,
+    and `max_depth` their depth in A5; A6, when `include_a6` is set,
+    takes them below the longest stem top only.  The two caps stop the
+    transitivity and A5(ii) sweeps after that many instances.  An audit
+    too large to run is refused at STEM_CEILING or A6_INSTANCE_CEILING.
+    """
 
     max_len: int = 2
     max_depth: int = 4
     include_a6: bool = False
-    a6_max_len: int = 2
-    a6_anchor_count: int = 1
-    a6_instance_ceiling: int = 1 << 20
-    stem_ceiling: int = 1 << 14
     transitivity_cap: int = 100_000
     amalgamation_cap: int = 800
 
     def __post_init__(self):
-        for key in ("max_len", "max_depth", "a6_max_len"):
+        for key in ("max_len", "max_depth"):
             if getattr(self, key) < 0:
                 raise ValueError(f"need {key} >= 0, got {getattr(self, key)}")
 
@@ -136,11 +144,9 @@ def audit_axioms(space: Space, bounds: AuditBounds | None = None) -> AxiomReport
     """
     bounds = bounds or AuditBounds()
     count = space.stem_count()
-    if count > bounds.stem_ceiling:
+    if count > STEM_CEILING:
         raise CeilingExceededError(
-            f"audit universe for {space.params_str()} too large",
-            count,
-            bounds.stem_ceiling,
+            f"audit universe for {space.params_str()} too large", count, STEM_CEILING
         )
     report = AxiomReport(space.params_str(), bounds)
     uni = Universe(space)
@@ -445,25 +451,23 @@ def _audit_a5(uni, report, bounds):
 
 def _audit_a6(uni, report, bounds):
     space, items = uni.space, uni.items
-    anchors = uni.ids(
-        space.longest_first(items[t] for t in uni.tops)[: bounds.a6_anchor_count]
-    )
+    anchors = uni.ids(space.longest_first(items[t] for t in uni.tops)[:1])
 
     # Refuse before sweeping if the split count is out of reach.
     estimate = 0
     work = []
     for t in anchors:
         for a in uni.below(t):
-            if items[a].length > bounds.a6_max_len:
+            if items[a].length > bounds.max_len:
                 continue
             ext = space.extensions_below(items[a], items[t])
             estimate += 1 << len(ext)
             work.append((t, a, ext))
-    if estimate > bounds.a6_instance_ceiling:
+    if estimate > A6_INSTANCE_CEILING:
         raise CeilingExceededError(
             f"pigeonhole audit for {space.params_str()} too large",
             estimate,
-            bounds.a6_instance_ceiling,
+            A6_INSTANCE_CEILING,
         )
 
     instances = 0

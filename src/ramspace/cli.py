@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from dataclasses import fields
@@ -31,7 +30,6 @@ from .core import Stem
 from .errors import CeilingExceededError, ParseError, RamspaceError
 from .forcing import ALT1, ALT2, MAX_REDUCTS, FrontFamily, front_family, galvin_search
 from .ramsey import (
-    EXHAUSTIVE_CEILING,
     FOUND,
     LOWER_BOUND,
     Coloring,
@@ -40,27 +38,12 @@ from .ramsey import (
 )
 from .spaces import SPACE_TAGS, SPACES, int_param, parse_params_str, space_from_params
 
-ENV_CEILING = "RAMSPACE_CEILING"
-
 EXIT_OK = 0
 EXIT_NEGATIVE = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
 EXIT_REFUSED = 4
 EXIT_INTERNAL = 5
-
-
-def _default_ceiling() -> int:
-    raw = os.environ.get(ENV_CEILING)
-    if not raw:
-        return EXHAUSTIVE_CEILING
-    try:
-        ceiling = int(raw)
-    except ValueError:
-        ceiling = 0
-    if ceiling < 1:
-        raise ParseError(f"bad {ENV_CEILING} value {raw!r}: need an integer >= 1")
-    return ceiling
 
 
 def _ambient(space, stem_text: str | None) -> Stem:
@@ -82,7 +65,8 @@ def parse_family_file(lines: list[str]) -> FrontFamily:
     bound = None
     body = lines[1:]
     if body and body[0].startswith("length_bound="):
-        bound = int(body[0].split("=", 1)[1])
+        key, _, value = body[0].partition("=")
+        bound = int_param({key: value}, key, "the family file")
         body = body[1:]
     return front_family(space, (space.parse(ln) for ln in body), bound)
 
@@ -100,8 +84,10 @@ def parse_coloring_file(lines: list[str]) -> Coloring:
         body, sep, color = ln.rpartition(":")
         if not sep:
             raise ParseError(f"bad coloring line: {ln!r}")
-        a = space.parse(body)
-        mapping[space.serialize(a)] = int(color)
+        key = space.serialize(space.parse(body))
+        if key in mapping:
+            raise ParseError(f"coloring lists {key} twice")
+        mapping[key] = int(color)
     return Coloring(space, k, s, mapping)
 
 
@@ -162,7 +148,6 @@ def cmd_audit(args) -> int:
         max_len=args.max_len,
         max_depth=args.depth,
         include_a6=args.a6,
-        a6_max_len=args.max_len,
     )
     report = audit_axioms(space, bounds)
     code = EXIT_OK if report.passed else EXIT_NEGATIVE
@@ -263,7 +248,7 @@ def _run_ramsey(args):
         instance = f"witness;space={kind};{field}k={args.k};n={n};s={args.s}"
     return instance, finite_ramsey_witness(
         kind, args.k, n, args.s, args.bound, mode=args.mode, q=q,
-        exhaustive_ceiling=_default_ceiling(), node_budget=args.node_budget,
+        node_budget=args.node_budget,
     )
 
 

@@ -158,6 +158,17 @@ class Space(ABC):
     def full_stem(self) -> Stem:
         """The canonical ambient stem: every stem top lies below its top."""
 
+    @abstractmethod
+    def open_beyond(self, e: Approximation, top: Approximation) -> bool:
+        """Whether chains stuck at `e` below `top` continue past the
+        stem's materialized data (so their future is genuinely open).
+
+        When `e` ends strictly inside the materialization, the stem's
+        own data already determines every continuation and an exhausted
+        chain is definitively accounted for.  Each space reads it off
+        the two payloads.
+        """
+
     # ----- derived operations -----
 
     def check_tag(self, a: Approximation) -> None:
@@ -173,17 +184,6 @@ class Space(ABC):
         """`tops` longest first, ties in serialization order: the scan
         order of every candidate search whose first hit is certified."""
         return sorted(tops, key=lambda t: (-t.length, self.serialize(t)))
-
-    def open_beyond(self, e: Approximation, top: Approximation) -> bool:
-        """Whether chains stuck at `e` below `top` continue past the
-        stem's materialized data (so their future is genuinely open).
-
-        When `e` ends strictly inside the materialization, the stem's
-        own data already determines every continuation and an exhausted
-        chain is definitively accounted for.  The conservative default
-        treats every boundary as open; concrete spaces tighten it.
-        """
-        return True
 
     def chain(self, top: Approximation) -> list[Approximation]:
         return [self.restrict(top, i) for i in range(top.length + 1)]

@@ -55,6 +55,8 @@ FOUND = "found"
 LOWER_BOUND = "lower_bound"
 EXHAUSTED = "exhausted"
 
+# The most colorings an exhaustive level may have (s^N for N items), and
+# the most nodes a witness replay may take: the one witness ceiling.
 EXHAUSTIVE_CEILING = 1 << 25
 
 # The largest level `build_level` builds: its items plus witnesses, or
@@ -67,21 +69,26 @@ _WORK_COUNTER = {"backtracking": "nodes", "exhaustive": "colorings_checked"}
 
 @dataclass(frozen=True)
 class Coloring:
-    """A total coloring of a declared family of approximations."""
+    """A coloring of length-k approximations, by serialization, with
+    colors 0..s-1; `of` refuses an approximation it does not color."""
 
     space: Space
     k: int
     s: int
     mapping: dict
 
+    def __post_init__(self):
+        if self.s < 1 or self.k < 1:
+            raise ValueError("need s >= 1 and k >= 1")
+        for c in self.mapping.values():
+            if not 0 <= c < self.s:
+                raise ValueError(f"color {c} out of range for s={self.s}")
+
     def of(self, a: Approximation) -> int:
         key = self.space.serialize(a)
         if key not in self.mapping:
             raise ValueError(f"coloring is not total: missing {key}")
-        c = self.mapping[key]
-        if not 0 <= c < self.s:
-            raise ValueError(f"color {c} out of range for s={self.s}")
-        return c
+        return self.mapping[key]
 
 
 @dataclass
@@ -202,12 +209,12 @@ class WitnessResult:
     stats: dict = field(default_factory=dict)
 
 
-def _level_exhaustive(inst: LevelInstance, s: int, ceiling: int):
+def _level_exhaustive(inst: LevelInstance, s: int):
     """(is_witness, first bad coloring or None, colorings checked).
 
-    Refuses a level whose s^N colorings exceed `ceiling` before any
-    search, then answers as a scan of all s^N colorings in index order
-    (item 0 the most significant base-s digit) would.  The
+    Refuses a level whose s^N colorings exceed `EXHAUSTIVE_CEILING`
+    before any search, then answers as a scan of all s^N colorings in
+    index order (item 0 the most significant base-s digit) would.  The
     restricted-growth search gives that answer: relabelling a
     coloring's colors in order of first use never raises its index, so
     the least bad coloring is restricted-growth, and the search meets
@@ -216,11 +223,11 @@ def _level_exhaustive(inst: LevelInstance, s: int, ceiling: int):
     """
     size = len(inst.items)
     total = s**size
-    if total > ceiling:
+    if total > EXHAUSTIVE_CEILING:
         raise CeilingExceededError(
             f"exhaustive mode needs {s}^{size} colorings; use backtracking",
             total,
-            ceiling,
+            EXHAUSTIVE_CEILING,
         )
     is_witness, bad, _ = _level_backtracking(inst, s)
     if is_witness:
@@ -321,7 +328,6 @@ def finite_ramsey_witness(
     bound: int,
     mode: str = "exhaustive",
     q: int | None = None,
-    exhaustive_ceiling: int = EXHAUSTIVE_CEILING,
     node_budget: int | None = None,
 ) -> WitnessResult:
     """Least level m <= bound at which every s-coloring of the depth-m
@@ -332,9 +338,10 @@ def finite_ramsey_witness(
     takes one), `partition` (parameter sets, n the witness's block
     count) or `ellentuck`; levels run from n to `bound >= n`.  Both
     modes run the same restricted-growth search; exhaustive mode
-    refuses a level whose s^N colorings exceed `exhaustive_ceiling`
-    (CeilingExceededError) and reports `colorings_checked`,
-    backtracking mode reports `nodes` and alone takes a `node_budget`.
+    refuses a level whose s^N colorings exceed `EXHAUSTIVE_CEILING`
+    (CeilingExceededError; backtracking mode still answers it) and
+    reports `colorings_checked`, backtracking mode reports `nodes` and
+    alone takes a `node_budget`.
 
     Found results carry a witness-level certificate and, when a lower
     level was examined, the bad coloring refuting it; when every level
@@ -367,7 +374,7 @@ def finite_ramsey_witness(
         inst = build_level(kind, m, k, n, q)
         stats["levels_examined"] += 1
         if mode == "exhaustive":
-            is_witness, bad, work = _level_exhaustive(inst, s, exhaustive_ceiling)
+            is_witness, bad, work = _level_exhaustive(inst, s)
         else:
             is_witness, bad, work = _level_backtracking(inst, s, node_budget)
         stats[_WORK_COUNTER[mode]] = work
@@ -417,8 +424,6 @@ def abs_ramsey_reduce(
     reducts pass `max_reducts` refuses as `galvin_search` does."""
     space = coloring.space
     k, s = coloring.k, coloring.s
-    if s < 1 or k < 1:
-        raise ValueError("need s >= 1 and k >= 1")
     certificates: list[str] = []
     stats = {"walk_nodes": 0, "reducts_scanned": 0}
     current = A
@@ -456,22 +461,6 @@ def _assert_monochromatic(space, stem, k, coloring, color):
             )
 
 
-# ----- dual-to-classical encoding -----
-
-
-def dual_to_classical_encoding(t: Approximation) -> Approximation:
-    """The set of block minima of a partition, with 0 removed.
-
-    Pulls colorings of k-subsets back to (k+1)-block partitions: a
-    partition with k+1 blocks whose first block contains 0 encodes the
-    k-subset of its positive block minima.
-    """
-    if t.space_tag != "partition":
-        raise TypeError("expected a partition approximation")
-    minima = tuple(t.payload.index(j) for j in range(1, t.length))
-    return Approximation("ellentuck", minima, len(minima))
-
-
 # ----- independent certificate verification -----
 
 
@@ -483,10 +472,10 @@ def _rebuild_level_from_fields(fields: dict) -> LevelInstance:
     return build_level(kind, int(fields["level"]), k, n, q)
 
 
-def _replay_witness_claim(keys: list[str], witness_sets: list[set], s: int, ceiling: int):
+def _replay_witness_claim(keys: list[str], witness_sets: list[set], s: int):
     """The node count of the replay verify_witness describes; None when
     it reaches a coloring with no monochromatic witness set, or passes
-    `ceiling` nodes."""
+    `EXHAUSTIVE_CEILING` nodes."""
     place = {key: i for i, key in enumerate(keys)}
     closing: list[list[set]] = [[] for _ in keys]
     for ws in witness_sets:
@@ -503,7 +492,7 @@ def _replay_witness_claim(keys: list[str], witness_sets: list[set], s: int, ceil
             return None  # a full coloring with no monochromatic witness set
         if color <= used and color < s:
             nodes += 1
-            if nodes > ceiling:
+            if nodes > EXHAUSTIVE_CEILING:
                 return None
             held = holders[color]
             for rest in closing[i]:
@@ -525,7 +514,7 @@ def _replay_witness_claim(keys: list[str], witness_sets: list[set], s: int, ceil
         color += 1
 
 
-def verify_witness(certificate: str, exhaustive_ceiling: int = EXHAUSTIVE_CEILING) -> bool:
+def verify_witness(certificate: str) -> bool:
     """Replay a search certificate without the search engine.
 
     The instance is rebuilt from the certificate header alone by
@@ -545,7 +534,7 @@ def verify_witness(certificate: str, exhaustive_ceiling: int = EXHAUSTIVE_CEILIN
     all s^N.  A closed configuration that is monochromatic stays so
     under every extension of the branch, so each cut branch holds no
     coloring without a monochromatic configuration.  The claim holds iff
-    the replay reaches no full coloring.  `exhaustive_ceiling` bounds
+    the replay reaches no full coloring.  `EXHAUSTIVE_CEILING` bounds
     the replay's nodes (one node per item and color tried); a larger
     replay is refused.  For s >= 2 the node count is below s^N, so every
     claim exhaustive mode can make under the same ceiling replays.
@@ -604,7 +593,7 @@ def verify_witness(certificate: str, exhaustive_ceiling: int = EXHAUSTIVE_CEILIN
         keys = [space.serialize(a) for a in inst.items]
         if s < 1 or (mode == "exhaustive" and counter != s ** len(keys)):
             return False
-        nodes = _replay_witness_claim(keys, witness_sets, s, exhaustive_ceiling)
+        nodes = _replay_witness_claim(keys, witness_sets, s)
         return nodes is not None and (mode == "exhaustive" or counter == nodes)
 
     return False

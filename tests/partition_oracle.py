@@ -4,7 +4,9 @@ of blocks, listed by increasing minimum.
 This is the blocks representation the package's `PartitionSpace` held
 before it switched to restricted-growth label tuples, kept unchanged as
 the oracle that `test_partition_oracle.py` checks every primitive
-against.  `blocks(a)` reads the blocks of a package approximation.
+against.  `blocks(a)` reads the blocks of a package approximation,
+and `dual_to_classical_encoding(t)` reads a partition's positive block
+minima as an ellentuck approximation (criterion 8's pull-back).
 """
 
 from __future__ import annotations
@@ -32,6 +34,19 @@ def blocks(a: Approximation) -> Blocks:
     for e, label in enumerate(a.payload):
         out[label].append(e)
     return tuple(tuple(b) for b in out)
+
+
+def dual_to_classical_encoding(t: Approximation) -> Approximation:
+    """The set of block minima of a partition, with 0 removed.
+
+    Pulls colorings of k-subsets back to (k+1)-block partitions: a
+    partition with k+1 blocks whose first block contains 0 encodes the
+    k-subset of its positive block minima.
+    """
+    if t.space_tag != "partition":
+        raise TypeError("expected a partition approximation")
+    minima = tuple(t.payload.index(j) for j in range(1, t.length))
+    return Approximation("ellentuck", minima, len(minima))
 
 
 def _domain(blocks: Blocks) -> int:

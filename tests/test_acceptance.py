@@ -11,7 +11,7 @@ import time
 import pytest
 
 from forcing_oracle import rejection_witness
-from partition_oracle import blocks
+from partition_oracle import blocks, dual_to_classical_encoding
 from ramspace import Stem, ell_space, matrix_space, partition_space
 from ramspace.audit import AuditBounds, audit_axioms
 from ramspace.forcing import (
@@ -24,11 +24,7 @@ from ramspace.forcing import (
     verify_dichotomy,
 )
 from ramspace.gflinalg import enumerate_rre, gaussian_binomial
-from ramspace.ramsey import (
-    dual_to_classical_encoding,
-    finite_ramsey_witness,
-    verify_witness,
-)
+from ramspace.ramsey import finite_ramsey_witness, verify_witness
 
 
 def _report(number: int, label: str, ok: bool):
@@ -45,7 +41,7 @@ def audit_reports():
     reports = {
         "ellentuck": audit_axioms(
             ell_space(8),
-            AuditBounds(max_len=2, max_depth=4, include_a6=True, a6_max_len=2),
+            AuditBounds(max_len=2, max_depth=4, include_a6=True),
         ),
         "matrix": audit_axioms(matrix_space(2, 4), AuditBounds(max_len=2, max_depth=3)),
         "partition": audit_axioms(

@@ -50,6 +50,20 @@ def test_audit_matrix_ok(capsys, schema):
     assert code == 0 and payload["outcome"] == "bounded-pass"
 
 
+def test_audit_json_bounds_are_the_five_settings(capsys, schema):
+    _, payload = run_json(
+        capsys, schema, "audit", "--space", "ellentuck", "--ground", "4",
+        "--depth", "3", "--max-len", "1", "--a6",
+    )
+    assert payload["parameters"]["bounds"] == {
+        "max_len": 1,
+        "max_depth": 3,
+        "include_a6": True,
+        "transitivity_cap": 100_000,
+        "amalgamation_cap": 800,
+    }
+
+
 def test_audit_usage_error(capsys):
     code, _ = run(capsys, "audit", "--space", "ellentuck", "--ground", "0")
     assert code == 2
@@ -356,14 +370,7 @@ def test_ramsey_witness_matrix_instance_names_q(capsys, schema, q, named):
     assert payload["parameters"]["instance"] == "witness;space=partition;k=1;n=2;s=2"
 
 
-def test_ramsey_ceiling_refusal(capsys, monkeypatch):
-    monkeypatch.setenv(cli.ENV_CEILING, "4")
-    code, _ = run(
-        capsys, "ramsey", "classical",
-        "--k", "2", "--n", "3", "--s", "2", "--bound", "8",
-    )
-    assert code == 4
-    monkeypatch.delenv(cli.ENV_CEILING)
+def test_ramsey_ceiling_refusal(capsys):
     # A level too large to build is refused before it is built, with the
     # size of its level space.
     for argv, estimate in [
@@ -582,6 +589,32 @@ def test_header_and_meta_errors_exit_2(tmp_path, capsys, command, text, key):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize(
+    "command, text, stem, err",
+    [
+        # Every color is checked, not only those below the ambient stem.
+        (
+            "reduce", "space=ellentuck;ground=3\nk=1;s=2\n{0}:0\n{1}:1\n{2}:5\n",
+            ["--stem", "{0,1}"], "error: color 5 out of range for s=2\n",
+        ),
+        (
+            "reduce", "space=ellentuck;ground=3\nk=1;s=2\n{0}:0\n{0}:1\n",
+            [], "error: coloring lists {0} twice\n",
+        ),
+        (
+            "galvin", "space=ellentuck;ground=3\nlength_bound=x\n{0}\n",
+            [], "error: the family file needs an integer 'length_bound'\n",
+        ),
+    ],
+    ids=["color-out-of-range", "approximation-twice", "length-bound"],
+)
+def test_malformed_input_file_exits_2(tmp_path, capsys, command, text, stem, err):
+    path = tmp_path / "input.txt"
+    path.write_text(text)
+    flag = "--family" if command == "galvin" else "--coloring"
+    assert run_err(capsys, command, flag, str(path), *stem) == (2, err)
+
+
 def test_matrix_digit_not_below_q_exits_2(capsys):
     # 4 is not a GF(3) digit; the literal must not be read as q=3;110.
     code, err = run_err(
@@ -601,17 +634,6 @@ def test_non_canonical_member_exits_2(capsys):
     )
     assert code == 2
     assert err == "error: non-canonical literal '{0, 2}'; write '{0,2}'\n"
-
-
-@pytest.mark.parametrize("value", ["abc", "0"])
-def test_bad_ceiling_exits_2(capsys, monkeypatch, value):
-    monkeypatch.setenv(cli.ENV_CEILING, value)
-    code, err = run_err(
-        capsys, "ramsey", "classical", "--k", "2", "--n", "3", "--s", "2",
-        "--bound", "8",
-    )
-    assert code == 2
-    assert cli.ENV_CEILING in err
 
 
 @pytest.mark.parametrize(

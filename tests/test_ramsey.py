@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from partition_oracle import blocks
+from partition_oracle import blocks, dual_to_classical_encoding
 from ramspace import ell_space, forcing, partition_space, ramsey
 from ramspace.errors import CeilingExceededError
 from ramspace.ramsey import (
@@ -13,7 +13,6 @@ from ramspace.ramsey import (
     Coloring,
     abs_ramsey_reduce,
     build_level,
-    dual_to_classical_encoding,
     finite_ramsey_witness,
     verify_witness,
     _level_backtracking,
@@ -144,10 +143,10 @@ def test_witness_levels_are_monotone():
     # once a level is a witness, later levels within reach stay witnesses
     for m in (3, 4):
         inst = build_level("matrix", m, 1, 2, q=2)
-        ok, bad, _ = _level_exhaustive(inst, 2, ceiling=1 << 20)
+        ok, bad, _ = _level_exhaustive(inst, 2)
         assert ok and bad is None
     inst = build_level("ellentuck", 7, 3, 4)
-    ok, _, _ = _level_exhaustive(inst, 2, ceiling=1 << 20)
+    ok, _, _ = _level_exhaustive(inst, 2)
     assert ok
     inst = build_level("ellentuck", 8, 3, 4)
     ok, bad, _ = _level_backtracking(inst, 2, node_budget=None)
@@ -229,8 +228,10 @@ def test_certificates_naming_q_off_the_matrix_space_still_replay():
 
 
 def test_exhaustive_ceiling_refusal():
+    # Level 200 has comb(200, 2) items, so 2^19900 colorings: above
+    # EXHAUSTIVE_CEILING, and refused before any search.
     with pytest.raises(CeilingExceededError) as exc:
-        finite_ramsey_witness("classical", 2, 3, 2, bound=8, exhaustive_ceiling=16)
+        finite_ramsey_witness("classical", 2, 200, 2, bound=200)
     assert "backtracking" in str(exc.value)
 
 

@@ -1,8 +1,9 @@
 """The package is stdlib-only: every import in `src/ramspace/` is
 relative, of `ramspace` itself, or of a standard-library module, and
-`pyproject.toml` declares no runtime dependency.  And it holds no code
-only for its tests: each public function, method and class is named in
-`src/` or `perfbench/` outside its own definition."""
+`pyproject.toml` declares no runtime dependency.  It reads no
+environment variable: every setting is an argument or a constant.  And
+it holds no code only for its tests: each public function, method and
+class is named in `src/` or `perfbench/` outside its own definition."""
 
 import ast
 import pathlib
@@ -42,13 +43,9 @@ def test_pyproject_declares_no_runtime_dependency():
     assert re.findall(r"^dependencies\b.*$", text, re.M) == ["dependencies = []"]
 
 
-# Public names that nothing in src/ or perfbench/ names: the dual
-# encoding is the subject of criterion 8 and documented in the README,
-# and `exclude_member` is reached through `getattr`.
-UNCALLED = {
-    "dual_to_classical_encoding",
-    "EllentuckSpace.exclude_member",
-}
+# Public names that nothing in src/ or perfbench/ names: `exclude_member`
+# is reached through `getattr`.
+UNCALLED = {"EllentuckSpace.exclude_member"}
 
 
 def _definitions(tree):
@@ -75,6 +72,22 @@ def _mentions(tree):
             yield node.lineno, node.id
         elif isinstance(node, ast.Attribute):
             yield node.lineno, node.attr
+
+
+def test_package_reads_no_environment_variable():
+    # Output depends on the command line and input files alone.
+    reads = []
+    for path in sorted(PACKAGE.rglob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        imported = [
+            (n.lineno, n.name) for n in ast.walk(tree) if isinstance(n, ast.alias)
+        ]
+        reads += [
+            f"{path.relative_to(ROOT)}:{line}: {name}"
+            for line, name in [*_mentions(tree), *imported]
+            if name in ("environ", "environb", "getenv", "getenvb")
+        ]
+    assert reads == []
 
 
 def test_every_public_name_in_the_package_is_used_outside_its_definition():

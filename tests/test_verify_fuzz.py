@@ -17,7 +17,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramspace import ell_space, matrix_space, partition_space
+from ramspace import ell_space, matrix_space, partition_space, ramsey
 from ramspace.errors import CeilingExceededError
 from ramspace.forcing import front_family, galvin_search, verify_dichotomy
 from ramspace.ramsey import (
@@ -209,13 +209,16 @@ def test_r33_certificates_agree_with_the_oracle():
         assert _agrees_with_the_oracle(result.lower_bound_certificate)
 
 
-def test_replay_above_the_node_ceiling_is_refused():
+def test_replay_above_the_node_ceiling_is_refused(monkeypatch):
     # The R(3,3) replay takes 987 nodes, the searcher's count.
     found = R33_BT.found_certificate
     assert "nodes=987" in found.splitlines()
-    assert verify_witness(found, exhaustive_ceiling=987)
-    assert verify_witness(found, exhaustive_ceiling=986) is False
-    assert verify_witness(found, exhaustive_ceiling=100) is False
+    monkeypatch.setattr(ramsey, "EXHAUSTIVE_CEILING", 987)
+    assert verify_witness(found)
+    monkeypatch.setattr(ramsey, "EXHAUSTIVE_CEILING", 986)
+    assert verify_witness(found) is False
+    monkeypatch.setattr(ramsey, "EXHAUSTIVE_CEILING", 100)
+    assert verify_witness(found) is False
 
 
 @settings(max_examples=40, deadline=None)

@@ -190,7 +190,7 @@ def test_exhaustive_scan_matches_the_list_reference(s):
     for inst in _cases():
         if s ** len(inst.items) > 1 << 12:
             continue
-        assert _level_exhaustive(inst, s, 1 << 12) == _reference_exhaustive(inst, s)
+        assert _level_exhaustive(inst, s) == _reference_exhaustive(inst, s)
 
 
 @pytest.mark.parametrize("s", [1, 2, 3])
@@ -261,7 +261,7 @@ def test_empty_configuration_is_never_monochromatic():
     # level keeps its bad coloring and the certificate replays.
     inst = build_level("ellentuck", 3, 2, 3)
     inst.configs.append([])
-    ex = _level_exhaustive(inst, 2, 1 << 10)
+    ex = _level_exhaustive(inst, 2)
     bt = _level_backtracking(inst, 2, None)
     assert ex == (False, [0, 1], 2)
     assert bt[:2] == (False, [0, 1])
@@ -279,7 +279,7 @@ def test_empty_configuration_is_never_monochromatic():
 )
 def test_two_jobs_match_one(level, s, is_witness):
     inst = build_level(*level)
-    one = _level_exhaustive(inst, s, 1 << 16)
+    one = _level_exhaustive(inst, s)
     assert one[0] is is_witness
 
 
