@@ -84,10 +84,13 @@ def parse_coloring_file(lines: list[str]) -> Coloring:
         body, sep, color = ln.rpartition(":")
         if not sep:
             raise ParseError(f"bad coloring line: {ln!r}")
-        key = space.serialize(space.parse(body))
+        a = space.parse(body)
+        key = space.serialize(a)
+        if a.length != k:
+            raise ParseError(f"coloring line {ln!r} has length {a.length}, not k={k}")
         if key in mapping:
             raise ParseError(f"coloring lists {key} twice")
-        mapping[key] = int(color)
+        mapping[key] = int_param({"color": color}, "color", f"coloring line {ln!r}")
     return Coloring(space, k, s, mapping)
 
 

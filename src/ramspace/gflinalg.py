@@ -104,10 +104,10 @@ def spans(
 def times_basis(
     x: Sequence[Sequence[int]], basis: Sequence[Sequence[int]], q: int
 ) -> tuple[tuple[int, ...], ...]:
-    """The rows of X·B over GF(q), for an RREF X with as many columns as
-    B has rows.  For an RREF B, X·B is in RREF (B's pivot columns hold
-    X), so distinct X name distinct subspaces of B's row space.  Each
-    row of X leads with a 1, so its product starts as that basis row."""
+    """The rows of X·B over GF(q), for an X with as many columns as B has
+    rows, each row leading with a 1 (its product starts as that basis
+    row).  For RREF X and B, X·B is in RREF (B's pivot columns hold X),
+    so distinct X name distinct subspaces of B's row space."""
     out = []
     for row in x:
         v = None
@@ -170,17 +170,3 @@ def enumerate_rre(k: int, m: int, q: int) -> list[tuple[tuple[int, ...], ...]]:
     assert len(out) == total
     return out
 
-
-def span_vectors(
-    rows: Sequence[Sequence[int]], cols: int, q: int
-) -> list[tuple[int, ...]]:
-    """All q^len(rows) vectors in the span of linearly independent
-    `rows` of width `cols` (deterministic order)."""
-    vecs = []
-    for coeffs in itertools.product(range(q), repeat=len(rows)):
-        v = [0] * cols
-        for c, row in zip(coeffs, rows):
-            if c:
-                v = [(a + c * b) % q for a, b in zip(v, row)]
-        vecs.append(tuple(v))
-    return vecs

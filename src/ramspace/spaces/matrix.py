@@ -11,6 +11,8 @@ is the row width (0 for the empty approximation), the field is the
 space's, and a row's pivot is `row.index(1)`, since every row leads
 with a 1.  `make` takes the rows and is the one constructor that checks
 them; the primitives build rows that are RREF by construction.
+`fin_below` and `extensions_below` build every row as X·B over an RREF
+basis B, the upper matrix's rows cut to a column count; no span is listed.
 
 The finitization: a is below b when a has at most as many columns and
 every row of a lies in the span of b's rows truncated to a's columns.
@@ -28,8 +30,6 @@ from ..gflinalg import (
     check_rref,
     enumerate_rre,
     gaussian_binomial,
-    pivot,
-    span_vectors,
     spans,
     times_basis,
 )
@@ -118,32 +118,40 @@ class MatrixSpace(Space):
         return sorted(out, key=self.sort_key)
 
     def extensions_below(self, a, top) -> list[Approximation]:
+        """Each child's rows as X·B, B the rows of `top` pivoting before
+        the child's width w, cut to w; in `sort_key` order.  Below the
+        empty approximation X runs over `enumerate_rre(1, len(B), q)`.
+        Else the new row is `top`'s row pivoting at `a`'s column count p
+        (no such row: no children) and each row of `a` is its lift through
+        the rows pivoting before p, each plus any combination of the rows
+        after p.  A row's candidates are built once per width and shared."""
         self.check_tag(a)
         self.check_tag(top)
         if not self.fin_leq(a, top):
             raise EmptyNeighborhoodError(
                 f"[{self.serialize(a)}, {self.serialize(top)}] is empty"
             )
-        ra, rt = a.payload, top.payload
+        ra, rt, q = a.payload, top.payload, self.q
         p = _cols(ra)
         out = []
-        for w2 in range(p + 1, _cols(rt) + 1):
-            basis = [r[:w2] for r, _ in _pivoting_before(rt, w2)]
-            span = span_vectors(basis, w2, self.q)
-            if not ra:
-                # First row of a reduct: any leading-1 vector in the span.
-                new_rows = [v for v in span if any(v) and v[pivot(v)] == 1]
-                old_choices: list[list[tuple[int, ...]]] = []
-            else:
-                # Next pivot sits exactly at a's column count.
-                new_rows = [v for v in span if pivot(v) == p and v[p] == 1]
-                old_choices = [
-                    [u for u in span if u[:p] == r and u[p] == 0] for r in ra
-                ]
-            new_rows.sort()
-            for choices in itertools.product(*[sorted(c) for c in old_choices]):
-                for v in new_rows:
-                    out.append(_approx(tuple(choices) + (v,)))
+        if not ra:
+            for w in range(1, _cols(rt) + 1):
+                basis = [r[:w] for r, _ in _pivoting_before(rt, w)]
+                if basis:
+                    x = [row for (row,) in enumerate_rre(1, len(basis), q)]
+                    out.extend(_approx((v,)) for v in times_basis(x, basis, q))
+            return sorted(out, key=self.sort_key)
+        before = _pivoting_before(rt, p)
+        rest = rt[len(before):]
+        if not rest or rest[0].index(1) != p:
+            return []
+        coords = [[r[j] for _, j in before] for r in ra]
+        heads = (*times_basis(coords, [b for b, _ in before], q), rest[0])
+        for w in range(p + 1, _cols(rt) + 1):
+            tail = [r[:w] for r in rest[1:] if r.index(1) < w]
+            x = [(1, *c) for c in itertools.product(range(q), repeat=len(tail))]
+            rows = [times_basis(x, [h[:w], *tail], q) for h in heads]
+            out.extend(map(_approx, itertools.product(*rows)))
         return sorted(out, key=self.sort_key)
 
     def stems(self) -> list[Approximation]:

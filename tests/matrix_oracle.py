@@ -1,5 +1,5 @@
-"""The reference matrix space, matrix `fin_below`, matrix `build_level`
-and row reduction.
+"""The reference matrix space, matrix `fin_below`, matrix `build_level`,
+span enumeration and row reduction.
 
 `EchelonMatrixSpace` is the matrix space as it was when each payload
 was an `EchelonMatrix` (the field, the column count, the rows and their
@@ -15,6 +15,9 @@ them are the oracle that `test_matrix_oracle.py` checks the package
 against.  `rref_of_rows` is Gaussian elimination of raw rows, which the
 package never needs: the tests reduce rows with it to check
 `enumerate_rre`, `times_basis` and the cut bases against.
+`span_vectors` lists every vector of a span; `extensions_below` used
+it before it built each child's rows as X·B, and
+`EchelonMatrixSpace.extensions_below` still filters it.
 `echelon(a, q)` reads a package approximation as an `EchelonMatrix`.
 """
 
@@ -89,8 +92,19 @@ def enumerate_rre(k: int, m: int, q: int) -> list[EchelonMatrix]:
     return [EchelonMatrix(q, m, rows) for rows in gflinalg.enumerate_rre(k, m, q)]
 
 
-def span_vectors(m: EchelonMatrix) -> list[tuple[int, ...]]:
-    return gflinalg.span_vectors(m.rows, m.cols, m.q)
+def span_vectors(
+    rows: Sequence[Sequence[int]], cols: int, q: int
+) -> list[tuple[int, ...]]:
+    """All q^len(rows) vectors in the span of linearly independent
+    `rows` of width `cols` (deterministic order)."""
+    vecs = []
+    for coeffs in itertools.product(range(q), repeat=len(rows)):
+        v = [0] * cols
+        for c, row in zip(coeffs, rows):
+            if c:
+                v = [(a + c * b) % q for a, b in zip(v, row)]
+        vecs.append(tuple(v))
+    return vecs
 
 
 def echelon(a: Approximation, q: int) -> EchelonMatrix:
@@ -195,7 +209,7 @@ class EchelonMatrixSpace(Space):
         out = []
         for w2 in range(ma.cols + 1, mt.cols + 1):
             basis = self._cut_basis(mt, w2)
-            span = span_vectors(basis)
+            span = span_vectors(basis.rows, w2, self.q)
             if ma.nrows == 0:
                 # First row of a reduct: any leading-1 vector in the span.
                 new_rows = [v for v in span if any(v) and v[pivot(v)] == 1]

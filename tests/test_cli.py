@@ -124,6 +124,39 @@ def test_galvin_alt2(capsys, schema):
     assert code == 0 and payload["outcome"] == "alt2"
 
 
+def test_galvin_wide_matrix_search_is_pinned(capsys, schema):
+    # Six columns, past the five that the all-pairs child-list oracle
+    # tests reach: a change to a child list or to the walk shows in
+    # `walk_nodes` or the certificate.
+    code, payload = run_json(
+        capsys, schema, "galvin", "--space", "matrix", "--q", "2",
+        "--max-cols", "6", "--member", "q=2;1",
+    )
+    ambient = "q=2;100000;010000;001000;000100;000010;000001"
+    stem = "q=2;010000;001000;000100;000010;000001"
+    assert code == 0
+    assert payload == {
+        "certificates": {
+            "dichotomy": "galvin-certificate v1\nspace=matrix;q=2;max_cols=6\n"
+            f"family=q=2;1\nlength_bound=1\nambient={ambient}\noutcome=ALT1\n"
+            f"stem={stem}\nchecked=1\n"
+        },
+        "command": "galvin",
+        "diagnostics": None,
+        "exit_code": 0,
+        "outcome": "alt1",
+        "parameters": {
+            "ambient": ambient,
+            "family": "q=2;1",
+            "length_bound": 1,
+            "space": "space=matrix;q=2;max_cols=6",
+        },
+        "seconds": None,
+        "stats": {"reducts_scanned": 3, "walk_nodes": 1652},
+        "stem": stem,
+    }
+
+
 def test_galvin_malformed_family(tmp_path, capsys):
     path = tmp_path / "family.txt"
     path.write_text("space=ellentuck;ground=5\nnot-a-member\n")
@@ -605,8 +638,19 @@ def test_header_and_meta_errors_exit_2(tmp_path, capsys, command, text, key):
             "galvin", "space=ellentuck;ground=3\nlength_bound=x\n{0}\n",
             [], "error: the family file needs an integer 'length_bound'\n",
         ),
+        (
+            "reduce", "space=ellentuck;ground=3\nk=1;s=2\n{0}:x\n",
+            [], "error: coloring line '{0}:x' needs an integer 'color'\n",
+        ),
+        (
+            "reduce", "space=ellentuck;ground=3\nk=1;s=2\n{0}:0\n{1}:1\n{2}:0\n{0,1}:1\n",
+            [], "error: coloring line '{0,1}:1' has length 2, not k=1\n",
+        ),
     ],
-    ids=["color-out-of-range", "approximation-twice", "length-bound"],
+    ids=[
+        "color-out-of-range", "approximation-twice", "length-bound",
+        "color-not-an-integer", "length-not-k",
+    ],
 )
 def test_malformed_input_file_exits_2(tmp_path, capsys, command, text, stem, err):
     path = tmp_path / "input.txt"

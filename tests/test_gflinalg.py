@@ -4,14 +4,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from matrix_oracle import rref_of_rows
+from matrix_oracle import rref_of_rows, span_vectors
 from ramspace.errors import CeilingExceededError
 from ramspace.gflinalg import (
     RRE_CEILING,
     check_rref,
     enumerate_rre,
     gaussian_binomial,
-    span_vectors,
     spans,
     times_basis,
 )

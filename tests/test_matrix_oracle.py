@@ -4,9 +4,10 @@
 `MatrixSpace` holds each approximation as its tuple of RREF rows;
 `EchelonMatrixSpace` is the `EchelonMatrix` representation it replaced.
 Each primitive must give the same answer in both, compared through
-serialization, or raise the same error type.  `MatrixSpace.fin_below`
-and `build_level("matrix", ...)` build each subspace as X·B from a
-basis B; the span-tested `fin_below` and the generic level route they
+serialization, or raise the same error type.  `MatrixSpace.fin_below`,
+`MatrixSpace.extensions_below` and `build_level("matrix", ...)` build
+each subspace as X·B from a basis B; the span-tested `fin_below`, the
+span-filtering `extensions_below` and the generic level route they
 replaced must give the same approximations in the same order.
 """
 
@@ -97,6 +98,17 @@ def test_order_and_extensions_match_the_oracle(pair):
             _check(pair, "fin_leq", a, b)
             _check(pair, "extensions_below", a, b)
             _check(pair, "open_beyond", a, b)
+
+
+@pytest.mark.parametrize("q, cols", [(2, 5), (3, 4)])
+def test_extensions_below_wider_tops_match_the_oracle(q, cols):
+    # Every pair whose neighborhood is nonempty: `a` below `top`.
+    new, old = matrix_space(q, cols), EchelonMatrixSpace(q, cols)
+    stems = new.stems()
+    pair = new, old, stems, {a: old.make(echelon(a, q)) for a in stems}
+    for top in stems:
+        for a in new.fin_below(top):
+            _check(pair, "extensions_below", a, top)
 
 
 def test_make_and_parse_match_the_oracle(pair):

@@ -12,8 +12,8 @@ from ramspace import (
     matrix_space,
     partition_space,
 )
-from matrix_oracle import rref_of_rows
-from ramspace.gflinalg import enumerate_rre, span_vectors, spans
+from matrix_oracle import rref_of_rows, span_vectors
+from ramspace.gflinalg import enumerate_rre, spans
 from ramspace.spaces.matrix import _pivoting_before
 from ramspace.spaces import parse_params_str, space_from_params
 from ramspace.errors import (
