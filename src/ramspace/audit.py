@@ -14,8 +14,8 @@ The six laws, stated for the truncated universe:
   A3  approximation values determine their length and their whole
       initial chain (restriction is self-coherent);
   A4  the finitization: (i) the stem order coincides with chainwise
-      domination, (ii) the down-set of every approximation is finite
-      and exactly matches a direct filter; plus quasi-order laws;
+      domination, (ii) every down-set is finite and matches a direct
+      filter, a stem top's also count_below and [empty, top]; quasi-order laws;
   A5  amalgamation: (i) below a stem that preserves the depth-many
       prefix, the base approximation stays reachable; (ii) stronger
       stems can be found inside the preserved-prefix neighborhood;
@@ -143,7 +143,7 @@ def audit_axioms(space: Space, bounds: AuditBounds | None = None) -> AxiomReport
     large to sweep (refuse-with-estimate rather than sample silently).
     """
     bounds = bounds or AuditBounds()
-    count = space.stem_count()
+    count = space.count_below(space.full_stem().top)
     if count > STEM_CEILING:
         raise CeilingExceededError(
             f"audit universe for {space.params_str()} too large", count, STEM_CEILING
@@ -289,7 +289,8 @@ def _audit_a4(uni, report, bounds) -> bool:
             return False
     _ok(report, "A4", "finitization-link", len(tops) ** 2)
 
-    # (ii) down-sets are finite and match a direct filter of the universe.
+    # (ii) down-sets are finite and match a direct filter of the universe;
+    # a stem top's also its `count_below` and [empty, top], which galvin counts.
     universe = (1 << uni.size) - 1
     empty = uni.index.get(space.empty())
     instances = 0
@@ -315,6 +316,16 @@ def _audit_a4(uni, report, bounds) -> bool:
                 f"fin_below({ser(a)}) misses a or the empty approximation",
             )
             return False
+        if a in uni.chains:
+            counted = space.count_below(items[a])
+            walked = uni.neighborhood(empty, a)[0] == got
+            if counted != len(enumerated) or not walked:
+                _fail(
+                    report, "A4", "down-set", instances,
+                    f"fin_below({ser(a)}) has {len(enumerated)} members: "
+                    f"count_below={counted}, [{ser(empty)}, {ser(a)}] equal={walked}",
+                )
+                return False
     _ok(report, "A4", "down-set", instances)
 
     # Quasi-order laws on the universe.  Reflexivity is checked above:

@@ -11,7 +11,9 @@ assumes, see audit.py):
 
   * the chain of a stem is recovered from its top by `restrict`;
   * the neighborhood [a, B] is nonempty exactly when fin_leq(a, top(B));
-  * the stems of [a, B] are the extension-closure of `a` below top(B).
+  * the stems of [a, B] are the extension-closure of `a` below top(B);
+  * [empty, B] is fin_below(top(B)); count_below counts it, and of the
+    full stem's top counts the whole truncated universe.
 
 All values are immutable; every operation is a pure function, so
 instances can be shared freely across threads.
@@ -129,8 +131,8 @@ class Space(ABC):
         """Every stem top in the truncated universe, canonical order."""
 
     @abstractmethod
-    def stem_count(self) -> int:
-        """Size of stems() without materializing it."""
+    def count_below(self, a: Approximation) -> int:
+        """len(fin_below(a)) in closed form, without building it."""
 
     @abstractmethod
     def serialize(self, a: Approximation) -> str:

@@ -348,13 +348,14 @@ def galvin_search(
 
     The current stem is the first candidate, and the rest of its
     neighborhood is swept only once it is refused.  Each neighborhood
-    is swept and sorted longest-first at most once per search, so when
-    stage 1 seeds stage 2 with A itself, the first level reuses stage
-    1's order of [empty, A].
+    is sorted longest-first at most once per search, so when stage 1
+    seeds stage 2 with A itself, the first level reuses stage 1's
+    order of [empty, A], which is `fin_below(A.top)`.
 
-    When the reducts of A pass `max_reducts`, a space with
-    `exclude_member` (ellentuck) shrinks A greedily instead; any other
-    space refuses with the CeilingExceededError and its estimate.
+    Stage 1 counts the reducts of A (`count_below`) before it builds
+    them.  Past `max_reducts`, a space with `exclude_member`
+    (ellentuck) shrinks A greedily instead; any other space refuses
+    with a CeilingExceededError whose estimate is that count.
     """
     space = family.space
     if A.space != space:
@@ -406,45 +407,43 @@ def galvin_search(
     # meets the family.  Otherwise look for a rejecting stem to seed the
     # rejecting sequence (the main line of the argument); only when no
     # reduct rejects fall back to a smaller accepting reduct.  The
-    # reducts of A are swept once, here: every later sweep lies inside
-    # them, so only this one can pass the ceiling.
+    # reducts of A, [empty, A] = fin_below(A.top), are counted before
+    # they are built: every later sweep lies inside them, so only they
+    # can pass the ceiling (a greedy alternative 1 is verified directly).
     empty = space.empty()
-    seed: Stem | None = None
-    try:
-        if engine.chain_status(A.top, empty) is ChainStatus.ALL_HIT:
-            return finish_alt2(A)
-        reducts = ordered(empty, A.top)
-        first_accepting: Stem | None = None
-        for t in reducts:
-            stats["reducts_scanned"] += 1
-            v = engine.verdict(Stem(space, t), empty)
-            if v.kind == REJECTS:
-                seed = Stem(space, t)
-                break
-            if v.kind == ACCEPTS and first_accepting is None:
-                first_accepting = Stem(space, t)
-        if seed is None:
-            if first_accepting is not None:
-                return finish_alt2(first_accepting)
-            direct = direct_alt1_scan(reducts)
-            if direct is not None:
-                return finish_alt1(direct)
-            return DichotomyResult(
-                INCONCLUSIVE,
-                None,
-                "",
-                diagnostics="no reduct decides the empty approximation "
-                "within the truncation",
-                stats=stats,
-            )
-    except CeilingExceededError:
-        # Universe too large to sweep: where the space excludes single
-        # members, fall back to greedy exclusion (the final claim is
-        # verified directly); elsewhere refuse with the estimate.
+    if engine.chain_status(A.top, empty) is ChainStatus.ALL_HIT:
+        return finish_alt2(A)
+    count = space.count_below(A.top)
+    if count > max_reducts:
         greedy = _greedy_avoiding_stem(space, A, family)
         if greedy is None:
-            raise
+            raise CeilingExceededError("reduct sweep too large", count, max_reducts)
         return finish_alt1(greedy)
+    reducts = orders[empty, A.top] = space.longest_first(space.fin_below(A.top))
+    seed: Stem | None = None
+    first_accepting: Stem | None = None
+    for t in reducts:
+        stats["reducts_scanned"] += 1
+        v = engine.verdict(Stem(space, t), empty)
+        if v.kind == REJECTS:
+            seed = Stem(space, t)
+            break
+        if v.kind == ACCEPTS and first_accepting is None:
+            first_accepting = Stem(space, t)
+    if seed is None:
+        if first_accepting is not None:
+            return finish_alt2(first_accepting)
+        direct = direct_alt1_scan(reducts)
+        if direct is not None:
+            return finish_alt1(direct)
+        return DichotomyResult(
+            INCONCLUSIVE,
+            None,
+            "",
+            diagnostics="no reduct decides the empty approximation "
+            "within the truncation",
+            stats=stats,
+        )
 
     # Stage 2: grow the rejecting sequence level by level.  After level
     # L every member of the family would be trivially accepted, so a

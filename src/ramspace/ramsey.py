@@ -182,7 +182,7 @@ def build_level(kind: str, m: int, k: int, n: int, q: int | None = None) -> Leve
     if kind == "matrix":
         return _matrix_level(m, k, n, q or 2)
     space, stem = _level_space(kind, m)
-    _refuse_above_ceiling(kind, m, space.stem_count())
+    _refuse_above_ceiling(kind, m, space.count_below(stem.top))
     top = stem.top
     prev = space.restrict(top, m - 1) if m >= 1 else None
 

@@ -105,8 +105,9 @@ class EllentuckSpace(Space):
                 out.append(Approximation(TAG, sub, k))
         return sorted(out, key=self.sort_key)
 
-    def stem_count(self) -> int:
-        return 2**self.ground
+    def count_below(self, a: Approximation) -> int:
+        self.check_tag(a)
+        return 2**a.length
 
     def serialize(self, a: Approximation) -> str:
         self.check_tag(a)

@@ -127,12 +127,13 @@ class MatrixSpace(Space):
         after p.  A row's candidates are built once per width and shared."""
         self.check_tag(a)
         self.check_tag(top)
-        if not self.fin_leq(a, top):
+        ra, rt, q = a.payload, top.payload, self.q
+        p = _cols(ra)
+        before = _pivoting_before(rt, p)
+        if p > _cols(rt) or not spans(before, ra, q):
             raise EmptyNeighborhoodError(
                 f"[{self.serialize(a)}, {self.serialize(top)}] is empty"
             )
-        ra, rt, q = a.payload, top.payload, self.q
-        p = _cols(ra)
         out = []
         if not ra:
             for w in range(1, _cols(rt) + 1):
@@ -141,7 +142,6 @@ class MatrixSpace(Space):
                     x = [row for (row,) in enumerate_rre(1, len(basis), q)]
                     out.extend(_approx((v,)) for v in times_basis(x, basis, q))
             return sorted(out, key=self.sort_key)
-        before = _pivoting_before(rt, p)
         rest = rt[len(before):]
         if not rest or rest[0].index(1) != p:
             return []
@@ -161,12 +161,10 @@ class MatrixSpace(Space):
                 out.extend(map(_approx, enumerate_rre(k, cols, self.q)))
         return sorted(out, key=self.sort_key)
 
-    def stem_count(self) -> int:
-        total = 1
-        for cols in range(1, self.max_cols + 1):
-            for k in range(1, cols + 1):
-                total += gaussian_binomial(cols, k, self.q)
-        return total
+    def count_below(self, a: Approximation) -> int:
+        self.check_tag(a)
+        ds = [len(_pivoting_before(a.payload, c)) for c in range(1, _cols(a.payload) + 1)]
+        return 1 + sum(gaussian_binomial(d, k, self.q) for d in ds for k in range(1, d + 1))
 
     def serialize(self, a: Approximation) -> str:
         self.check_tag(a)

@@ -144,17 +144,16 @@ class PartitionSpace(Space):
         ]
         return sorted(out, key=self.sort_key)
 
-    def stem_count(self) -> int:
-        # The partitions of each domain size t are counted by the Bell
-        # number B(t), the first entry of row t of the Bell triangle.
-        total, row = 1, [1]
-        for _ in range(self.max_domain):
-            nxt = [row[-1]]
-            for x in row:
-                nxt.append(nxt[-1] + x)
-            row = nxt
-            total += row[0]
-        return total
+    def count_below(self, a: Approximation) -> int:
+        # Each cut of a's domain with b blocks is coarsened in B(b) ways:
+        # the Bell number B(b) is the first entry of row b of the Bell
+        # triangle.  A cut's block count is its largest label plus one.
+        self.check_tag(a)
+        bell, row = [1], [1]
+        for _ in range(a.length):
+            row = list(itertools.accumulate(row, initial=row[-1]))
+            bell.append(row[0])
+        return sum(bell[m + 1] for m in itertools.accumulate(a.payload, max, initial=-1))
 
     def serialize(self, a: Approximation) -> str:
         self.check_tag(a)

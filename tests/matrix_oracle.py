@@ -30,7 +30,7 @@ from typing import Iterable, Sequence
 from ramspace import gflinalg
 from ramspace.core import Approximation, Space, Stem
 from ramspace.errors import EmptyNeighborhoodError, InvalidApproximationError, ParseError
-from ramspace.gflinalg import _check_prime, gaussian_binomial, pivot, spans, times_basis
+from ramspace.gflinalg import _check_prime, pivot, spans, times_basis
 from ramspace.ramsey import LevelInstance
 from ramspace.spaces.matrix import SUPPORTED_Q, TAG
 
@@ -239,12 +239,8 @@ class EchelonMatrixSpace(Space):
                     out.append(Approximation(TAG, m, k))
         return sorted(out, key=self.sort_key)
 
-    def stem_count(self) -> int:
-        total = 1
-        for cols in range(1, self.max_cols + 1):
-            for k in range(1, cols + 1):
-                total += gaussian_binomial(cols, k, self.q)
-        return total
+    def count_below(self, a: Approximation) -> int:
+        return len(self.fin_below(a))
 
     def serialize(self, a: Approximation) -> str:
         self.check_tag(a)

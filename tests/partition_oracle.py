@@ -186,8 +186,8 @@ class BlocksPartitionSpace(Space):
                 out.append(Approximation(TAG, blocks, len(blocks)))
         return sorted(out, key=self.sort_key)
 
-    def stem_count(self) -> int:
-        return len(self.stems())
+    def count_below(self, a: Approximation) -> int:
+        return len(self.fin_below(a))
 
     def serialize(self, a: Approximation) -> str:
         self.check_tag(a)

@@ -179,7 +179,10 @@ def test_summary_lines_shape():
 # the audit before it read the indexed universe, when every law asked
 # the primitives directly.  The grid covers each audit class of the
 # benchmark; the controls below are broken spaces, one per law, so the
-# indexed sweeps must also find the same first failure.
+# indexed sweeps must also find the same first failure.  The reach,
+# transitivity, leaky and miscount controls are pinned from the indexed
+# audit, whose A4(ii) also holds each stem top's `count_below` and walk
+# of [empty, top] to its down-set.
 
 REPORTS = json.loads((Path(__file__).parent / "data" / "audit_reports.json").read_text())
 
@@ -217,8 +220,8 @@ class BrokenLinkSpace(EllentuckSpace):
 @dataclass(frozen=True)
 class BrokenTransitivitySpace(EllentuckSpace):
     """Quasi-order: {2} <= {0,2} <= {0,1,2} but not {2} <= {0,1,2}.
-    The down-set of {0,1,2} and the children agree with the broken
-    order, so A4(i) and A4(ii) still pass."""
+    The down-set of {0,1,2}, its count and the children agree with the
+    broken order, so A4(i) and A4(ii) still pass."""
 
     def _dropped(self, a, b):
         return a.payload == (2,) and b.payload == (0, 1, 2)
@@ -229,26 +232,32 @@ class BrokenTransitivitySpace(EllentuckSpace):
     def fin_below(self, a):
         return [b for b in super().fin_below(a) if not self._dropped(b, a)]
 
+    def count_below(self, a):
+        return len(self.fin_below(a))
+
     def extensions_below(self, a, top):
-        return EllentuckSpace(self.ground).extensions_below(a, top)
+        kids = EllentuckSpace(self.ground).extensions_below(a, top)
+        return [k for k in kids if not self._dropped(k, top)]
 
 
 @dataclass(frozen=True)
 class BrokenReachSpace(EllentuckSpace):
-    """A5(i): the children of {0} lose the 0, so walks below a stem
-    through {0} leave the base {0} behind."""
+    """A5(i): the children of {0} also come without the 0, so walks
+    below a stem through {0} leave the base {0} behind.  Each walk of
+    [{}, t] still reaches exactly the down-set of t, as A4(ii) checks."""
 
     def extensions_below(self, a, top):
         kids = super().extensions_below(a, top)
         if a.payload == (0,):
-            return [self.make(k.payload[1:]) for k in kids]
+            return kids + [self.make(k.payload[1:]) for k in kids]
         return kids
 
 
 @dataclass(frozen=True)
 class LeakyExtensionSpace(EllentuckSpace):
-    """A5(ii): every nonempty base also gets a child outside the ground
-    set, so no candidate neighborhood fits below the base itself."""
+    """A4(ii): every nonempty base also gets a child outside the ground
+    set, so the walk of [{}, {0}] reaches {0,4}, which the down-set of
+    {0} does not hold."""
 
     def extensions_below(self, a, top):
         if self.ground in a.payload:
@@ -257,6 +266,15 @@ class LeakyExtensionSpace(EllentuckSpace):
         if a.payload:
             kids.append(Approximation(TAG, a.payload + (self.ground,), a.length + 1))
         return kids
+
+
+@dataclass(frozen=True)
+class MiscountedSpace(EllentuckSpace):
+    """A4(ii): `count_below` of {1,2} is one short of its down-set, so
+    a dichotomy would count one reduct fewer than it sweeps."""
+
+    def count_below(self, a):
+        return super().count_below(a) - (a.payload == (1, 2))
 
 
 @dataclass(frozen=True)
@@ -302,6 +320,7 @@ CONTROLS = [
     ("transitivity", BrokenTransitivitySpace(4), FAST),
     ("reach", BrokenReachSpace(4), FAST),
     ("leaky", LeakyExtensionSpace(4), FAST),
+    ("miscount", MiscountedSpace(4), FAST),
     ("pigeonhole", BrokenPigeonholeSpace(4), A6_FAST),
     ("irreflexive", IrreflexiveSpace(4), FAST),
 ]
@@ -328,7 +347,8 @@ def _as_rows(report: AxiomReport) -> dict:
         ("link", BrokenLinkSpace(4), FAST, ("A4", "finitization-link")),
         ("transitivity", BrokenTransitivitySpace(4), FAST, ("A4", "quasi-order")),
         ("reach", BrokenReachSpace(4), FAST, ("A5", "amalgamation-i")),
-        ("leaky", LeakyExtensionSpace(4), FAST, ("A5", "amalgamation-ii")),
+        ("leaky", LeakyExtensionSpace(4), FAST, ("A4", "down-set")),
+        ("miscount", MiscountedSpace(4), FAST, ("A4", "down-set")),
         ("pigeonhole", BrokenPigeonholeSpace(4), A6_FAST, ("A6", "pigeonhole")),
         ("irreflexive", IrreflexiveSpace(4), FAST, ("A4", "down-set")),
     ],
@@ -515,7 +535,7 @@ def test_an_audit_walks_each_neighborhood_once(space, bounds, tops, monkeypatch)
     monkeypatch.setattr(type(space), "iter_neighborhood", counting)
     report = audit_axioms(space, bounds)
     assert report.passed
-    assert len(walks) == len(set(walks)) == tops == space.stem_count()
+    assert len(walks) == len(set(walks)) == tops == space.count_below(space.full_stem().top)
     assert {a for a, _ in walks} == {space.empty()}
 
 

@@ -194,14 +194,55 @@ def test_galvin_inconclusive_exit(capsys, schema, monkeypatch):
 
 def test_galvin_refusal_without_greedy(capsys):
     # Partitions have no greedy exclusion, so an over-ceiling search
-    # refuses with its estimate.
+    # refuses with its estimate: the 279 reducts of the domain-6 stem.
     code = cli.main([
         "galvin", "--space", "partition", "--domain", "6",
         "--member", "({0},{1})", "--max-reducts", "3",
     ])
     out, err = capsys.readouterr()
     assert code == 4 and out == ""
-    assert err == "refused: reduct sweep too large (estimated 4 > ceiling 3)\n"
+    assert err == "refused: reduct sweep too large (estimated 279 > ceiling 3)\n"
+
+
+def _one_gigabyte_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.parametrize(
+    "args, refusal",
+    [
+        (["--space", "ellentuck", "--ground", "400", "--member", "{0}"], None),
+        (["--space", "ellentuck", "--ground", "3000", "--member", "{0}"], None),
+        (["--space", "matrix", "--q", "2", "--max-cols", "8", "--member", "q=2;1"],
+         "refused: reduct sweep too large (estimated 449693 > ceiling 65536)\n"),
+        (["--space", "partition", "--domain", "10", "--member", "({0},{1})"],
+         "refused: reduct sweep too large (estimated 142418 > ceiling 65536)\n"),
+    ],
+    ids=["ellentuck-400", "ellentuck-3000", "matrix-2-8", "partition-10"],
+)
+def test_wide_galvin_searches_answer_before_sweeping(args, refusal):
+    # The reducts of each ambient stem number far past the ceiling
+    # (2^3000 at ground 3000).  The search counts them before it builds
+    # any, so each row answers within a 1 GB address space and 30 s:
+    # ellentuck by greedy exclusion, the others by refusing with the
+    # exact count.  One child process per row holds the limit.
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "ramspace.cli", "galvin", *args, "--format", "json"],
+        capture_output=True, text=True, timeout=30,
+        preexec_fn=_one_gigabyte_address_space,
+    )
+    if refusal is None:
+        assert proc.returncode == 0, proc.stderr
+        payload = json.loads(proc.stdout)
+        assert payload["outcome"] == "alt1"
+        assert forcing.verify_dichotomy(payload["certificates"]["dichotomy"])
+    else:
+        assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", refusal)
 
 
 def test_galvin_family_file_takes_no_inline_family(tmp_path, capsys):

@@ -327,17 +327,20 @@ def test_galvin_boundary_lurking_family_falls_back_to_direct_scan():
 
 def test_galvin_refuses_when_greedy_disabled():
     # Matrix and partition have no greedy exclusion: the search refuses
-    # with the estimate the reduct sweep reached.
+    # before it sweeps, with the exact count of the ambient stem's
+    # reducts, |fin_below(A.top)|, as its estimate.
     p = partition_space(5)
     fam = front_family(p, [p.make([(0,), (1,)])])
     with pytest.raises(CeilingExceededError) as exc:
         galvin_search(p.full_stem(), fam, max_reducts=3)
-    assert (exc.value.estimate, exc.value.ceiling) == (4, 3)
+    assert (exc.value.estimate, exc.value.ceiling) == (76, 3)
+    assert len(p.fin_below(p.full_stem().top)) == 76
     m = matrix_space(2, 3)
     fam = front_family(m, [m.make([(1, 0)])])
     with pytest.raises(CeilingExceededError) as exc:
         galvin_search(m.full_stem(), fam, max_reducts=2)
-    assert (exc.value.estimate, exc.value.ceiling) == (3, 2)
+    assert (exc.value.estimate, exc.value.ceiling) == (21, 2)
+    assert len(m.fin_below(m.full_stem().top)) == 21
 
 
 def test_galvin_ellentuck_excludes_greedily_over_the_ceiling():

@@ -290,7 +290,7 @@ def test_the_ceiling_estimate_matches_the_primitive_engine(space, pool, max_redu
         if isinstance(got, tuple):
             refused += 1
     # The empty family rejects, so it sweeps every reduct of A.
-    assert refused or max_reducts >= space.stem_count()
+    assert refused or max_reducts >= space.count_below(A.top)
 
 
 def test_the_ceiling_error_carries_the_primitive_engine_estimate():

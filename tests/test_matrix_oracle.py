@@ -78,7 +78,8 @@ def _check(pair, name, *args):
 def test_stems_and_full_stem_match_the_oracle(pair):
     new, old, stems, _ = pair
     assert [new.serialize(a) for a in stems] == [old.serialize(a) for a in old.stems()]
-    assert new.stem_count() == old.stem_count() == len(stems)
+    assert new.count_below(new.full_stem().top) == len(stems)
+    assert old.count_below(old.full_stem().top) == len(stems)
     _check(pair, "full_stem")
 
 
@@ -87,6 +88,7 @@ def test_restriction_and_down_sets_match_the_oracle(pair):
         for n in range(-1, a.length + 2):
             _check(pair, "restrict", a, n)
         _check(pair, "fin_below", a)
+        _check(pair, "count_below", a)
 
 
 def test_order_and_extensions_match_the_oracle(pair):

@@ -451,7 +451,8 @@ def test_reduce_refuses_over_the_ceiling():
     col = Coloring(p, 1, 2, {p.serialize(a): len(blocks(a)[0]) % 2 for a in dom})
     with pytest.raises(CeilingExceededError) as exc:
         abs_ramsey_reduce(col, A, max_reducts=2)
-    assert (exc.value.estimate, exc.value.ceiling) == (3, 2)
+    # The estimate is the exact count of A's reducts: 1 + B(1) + ... + B(4).
+    assert (exc.value.estimate, exc.value.ceiling) == (24, 2)
 
 
 def test_reduce_propagates_inconclusive(monkeypatch):

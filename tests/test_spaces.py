@@ -348,15 +348,37 @@ def _bell(n):
     return row[0]
 
 
-def test_partition_stem_count_is_a_sum_of_bell_numbers():
+def test_partition_full_count_is_a_sum_of_bell_numbers():
     # One pass over the Bell triangle gives every size's count; the
     # reference builds a triangle per size.
     assert [_bell(n) for n in range(7)] == [1, 1, 2, 5, 15, 52, 203]
     for d in range(1, 31):
-        assert partition_space(d).stem_count() == 1 + sum(
+        space = partition_space(d)
+        assert space.count_below(space.full_stem().top) == 1 + sum(
             _bell(t) for t in range(1, d + 1)
         )
-    assert partition_space(5).stem_count() == len(partition_space(5).stems())
+    space = partition_space(5)
+    assert space.count_below(space.full_stem().top) == len(space.stems())
+
+
+# Every space the benchmark audits or searches, plus matrix (2,5), (3,4),
+# (5,2), (7,2) and partition 7.
+COUNTED_SPACES = (
+    [ell_space(g) for g in range(1, 10)]
+    + [matrix_space(2, c) for c in range(1, 6)]
+    + [matrix_space(3, c) for c in range(1, 5)]
+    + [matrix_space(q, 2) for q in (5, 7)]
+    + [partition_space(d) for d in range(1, 8)]
+)
+
+
+@pytest.mark.parametrize("space", COUNTED_SPACES, ids=lambda s: s.params_str())
+def test_count_below_is_the_size_of_fin_below(space):
+    # The galvin search refuses on this count before it builds the
+    # reducts, so it must be exact on every stem, the full one too.
+    for t in space.stems():
+        assert space.count_below(t) == len(space.fin_below(t)), space.serialize(t)
+    assert space.count_below(space.full_stem().top) == len(space.stems())
 
 
 @pytest.mark.parametrize(
