@@ -462,7 +462,8 @@ def _audit_a5(uni, report, bounds):
 
 def _audit_a6(uni, report, bounds):
     space, items = uni.space, uni.items
-    anchors = uni.ids(space.longest_first(items[t] for t in uni.tops)[:1])
+    # The longest stem top, first in serialization order.
+    anchors = [min(uni.tops, key=lambda t: (-uni.lengths[t], space.serialize(items[t])))]
 
     # Refuse before sweeping if the split count is out of reach.
     estimate = 0

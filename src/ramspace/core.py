@@ -107,11 +107,12 @@ class Space(ABC):
         """The finitization quasi-order on approximations."""
 
     @abstractmethod
-    def fin_below(self, a: Approximation) -> list[Approximation]:
-        """The finite set {b : fin_leq(b, a)}, canonically ordered.
+    def fin_below(self, a: Approximation, length: int | None = None) -> list[Approximation]:
+        """The finite set {b : fin_leq(b, a)}, canonically ordered; with a
+        `length`, only its members of that length ([] outside 0..|a|).
 
-        Each space enumerates it directly; the audit's A4(ii) checks it
-        against the `fin_leq` filter of the universe.
+        Each space builds only the group asked for; the audit's A4(ii)
+        checks the whole set against the `fin_leq` filter of the universe.
         """
 
     @abstractmethod
@@ -181,11 +182,6 @@ class Space(ABC):
 
     def sort_key(self, a: Approximation):
         return (a.length, self.serialize(a))
-
-    def longest_first(self, tops) -> list[Approximation]:
-        """`tops` longest first, ties in serialization order: the scan
-        order of every candidate search whose first hit is certified."""
-        return sorted(tops, key=lambda t: (-t.length, self.serialize(t)))
 
     def chain(self, top: Approximation) -> list[Approximation]:
         return [self.restrict(top, i) for i in range(top.length + 1)]

@@ -346,11 +346,10 @@ def galvin_search(
     certificate and `reducts_scanned` do not depend on that order; only
     `walk_nodes` does.
 
-    The current stem is the first candidate, and the rest of its
-    neighborhood is swept only once it is refused.  Each neighborhood
-    is sorted longest-first at most once per search, so when stage 1
-    seeds stage 2 with A itself, the first level reuses stage 1's
-    order of [empty, A], which is `fin_below(A.top)`.
+    Every scan reads [base, top] longest first, one length group of
+    `fin_below(top)` at a time (each in serialization order), keeping
+    the values whose chain passes through base.  In stage 2 the current
+    stem comes first, and the rest is read only once it is refused.
 
     Stage 1 counts the reducts of A (`count_below`) before it builds
     them.  Past `max_reducts`, a space with `exclude_member`
@@ -364,19 +363,11 @@ def galvin_search(
     L = family.length_bound
     stats = {"reducts_scanned": 0}
 
-    orders: dict[tuple[Approximation, Approximation], list[Approximation]] = {}
-
-    def ordered(base: Approximation, top: Approximation) -> list[Approximation]:
-        # [base, top] longest first, swept and sorted once per search.
-        if (base, top) not in orders:
-            orders[base, top] = space.longest_first(engine._neighborhood(base, top))
-        return orders[base, top]
-
-    def candidates(prefix: Approximation, top: Approximation):
-        # `top` first, then the rest of [prefix, top] longest first: the
-        # neighborhood is swept only once `top` itself is refused.
-        yield top
-        yield from (t for t in ordered(prefix, top) if t != top)
+    def longest_first(base: Approximation, top: Approximation):
+        for k in range(top.length, base.length - 1, -1):
+            for t in space.fin_below(top, k):
+                if space.restrict(t, base.length) == base:
+                    yield t
 
     def finish_alt1(B: Stem) -> DichotomyResult:
         bad = [f for f in family.members if space.fin_leq(f, B.top)]
@@ -385,12 +376,12 @@ def galvin_search(
         stats["walk_nodes"] = engine.nodes
         return DichotomyResult(ALT1, B, cert, stats=stats)
 
-    def direct_alt1_scan(reducts: list[Approximation]) -> Stem | None:
+    def direct_alt1_scan() -> Stem | None:
         # Fallback when the rejecting sequence strands on boundary
         # noise: the alternative-1 claim is a directly checkable
         # statement about the truncated down-set, so scan for the
         # longest reduct no family member sits below.
-        for t in reducts:
+        for t in longest_first(empty, A.top):
             if not any(space.fin_leq(f, t) for f in family.members):
                 stats["direct_scan"] = 1
                 return Stem(space, t)
@@ -408,8 +399,8 @@ def galvin_search(
     # rejecting sequence (the main line of the argument); only when no
     # reduct rejects fall back to a smaller accepting reduct.  The
     # reducts of A, [empty, A] = fin_below(A.top), are counted before
-    # they are built: every later sweep lies inside them, so only they
-    # can pass the ceiling (a greedy alternative 1 is verified directly).
+    # any is built: every later read lies inside them, so only they can
+    # pass the ceiling (a greedy alternative 1 is verified directly).
     empty = space.empty()
     if engine.chain_status(A.top, empty) is ChainStatus.ALL_HIT:
         return finish_alt2(A)
@@ -419,10 +410,9 @@ def galvin_search(
         if greedy is None:
             raise CeilingExceededError("reduct sweep too large", count, max_reducts)
         return finish_alt1(greedy)
-    reducts = orders[empty, A.top] = space.longest_first(space.fin_below(A.top))
     seed: Stem | None = None
     first_accepting: Stem | None = None
-    for t in reducts:
+    for t in longest_first(empty, A.top):
         stats["reducts_scanned"] += 1
         v = engine.verdict(Stem(space, t), empty)
         if v.kind == REJECTS:
@@ -433,7 +423,7 @@ def galvin_search(
     if seed is None:
         if first_accepting is not None:
             return finish_alt2(first_accepting)
-        direct = direct_alt1_scan(reducts)
+        direct = direct_alt1_scan()
         if direct is not None:
             return finish_alt1(direct)
         return DichotomyResult(
@@ -457,7 +447,9 @@ def galvin_search(
         # Preserve the chain up to the level, or all of it when the
         # truncated stem is shorter than the level index.
         prefix = current.approx(min(level, current.length))
-        for t in candidates(prefix, current.top):
+        # `current` first; the rest only once it is refused.
+        rest = (t for t in longest_first(prefix, current.top) if t != current.top)
+        for t in itertools.chain([current.top], rest):
             stats["reducts_scanned"] += 1
             cand = Stem(space, t)
             ok = True
@@ -471,7 +463,7 @@ def galvin_search(
                 chosen = cand
                 break
         if chosen is None:
-            direct = direct_alt1_scan(reducts)
+            direct = direct_alt1_scan()
             if direct is not None:
                 return finish_alt1(direct)
             t, b, v = blocker

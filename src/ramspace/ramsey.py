@@ -173,8 +173,8 @@ def build_level(kind: str, m: int, k: int, n: int, q: int | None = None) -> Leve
 
     `kind` is `classical` or `matrix`, built by `_classical_level` and
     `_matrix_level` (the only kind that reads `q`, default 2), or
-    `ellentuck` or `partition`: the full stem's `fin_below` members at
-    depth m, each witness's configuration the items `fin_leq` below it.
+    `ellentuck` or `partition`: the full stem's length-k and -n `fin_below`
+    members at depth m, each witness's configuration the items `fin_leq` below it.
     Each refuses a level whose size estimate exceeds LEVEL_CEILING
     before it builds anything."""
     if kind == "classical":
@@ -191,9 +191,8 @@ def build_level(kind: str, m: int, k: int, n: int, q: int | None = None) -> Leve
             return False
         return m == 0 or not space.fin_leq(a, prev)
 
-    below = space.fin_below(top)
-    items = [a for a in below if a.length == k and at_depth(a)]
-    witnesses = [b for b in below if b.length == n and at_depth(b)]
+    items = [a for a in space.fin_below(top, k) if at_depth(a)]
+    witnesses = [b for b in space.fin_below(top, n) if at_depth(b)]
     configs = [
         [i for i, a in enumerate(items) if space.fin_leq(a, b)] for b in witnesses
     ]
@@ -429,9 +428,7 @@ def abs_ramsey_reduce(
     current = A
     for color in range(s - 1):
         members = [
-            a
-            for a in space.fin_below(current.top)
-            if a.length == k and coloring.of(a) == color
+            a for a in space.fin_below(current.top, k) if coloring.of(a) == color
         ]
         family = FrontFamily(space, tuple(members), k)
         res = galvin_search(current, family, max_reducts)
@@ -453,8 +450,8 @@ def abs_ramsey_reduce(
 
 
 def _assert_monochromatic(space, stem, k, coloring, color):
-    for a in space.fin_below(stem.top):
-        if a.length == k and coloring.of(a) != color:
+    for a in space.fin_below(stem.top, k):
+        if coloring.of(a) != color:
             raise AssertionError(
                 f"reduction returned a non-monochromatic stem: "
                 f"{space.serialize(a)} has color {coloring.of(a)} != {color}"

@@ -65,12 +65,14 @@ class EllentuckSpace(Space):
             self.check_tag(b)
         return set(b.payload).issuperset(a.payload)
 
-    def fin_below(self, a: Approximation) -> list[Approximation]:
+    def fin_below(self, a, length=None) -> list[Approximation]:
         self.check_tag(a)
-        out = []
-        for k in range(a.length + 1):
-            for sub in itertools.combinations(a.payload, k):
-                out.append(Approximation(TAG, sub, k))
+        out = [
+            Approximation(TAG, sub, k)
+            for k in range(a.length + 1)
+            if length in (None, k)
+            for sub in itertools.combinations(a.payload, k)
+        ]
         return sorted(out, key=self.sort_key)
 
     def extensions_below(self, a, top) -> list[Approximation]:

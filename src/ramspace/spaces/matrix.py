@@ -100,17 +100,20 @@ class MatrixSpace(Space):
             return False
         return spans(_pivoting_before(rb, cols), ra, self.q)
 
-    def fin_below(self, a: Approximation) -> list[Approximation]:
+    def fin_below(self, a, length=None) -> list[Approximation]:
         """For each column count c, X·B for X over `enumerate_rre(k, d, q)`,
         where B is the d rows of `a` that pivot before c, cut to c (the
-        identity when d == c, so X as it is); in `sort_key` order."""
+        identity when d == c, so X as it is); in `sort_key` order.  With
+        a `length`, X runs over the k = length rows only."""
         self.check_tag(a)
         rows = a.payload
-        out = [self.empty()]
+        out = [self.empty()] if length in (None, 0) else []
         for cols in range(1, _cols(rows) + 1):
             basis = [r[:cols] for r, _ in _pivoting_before(rows, cols)]
             d = len(basis)
             for k in range(1, d + 1):
+                if length not in (None, k):
+                    continue
                 for x in enumerate_rre(k, d, self.q):
                     if d < cols:
                         x = times_basis(x, basis, self.q)

@@ -103,13 +103,16 @@ class PartitionSpace(Space):
             return False
         return len(set(zip(lb, la))) == len(set(lb[: len(la)]))
 
-    def fin_below(self, a: Approximation) -> list[Approximation]:
+    def fin_below(self, a, length=None) -> list[Approximation]:
+        # Each cut coarsened by a restricted-growth string g of its
+        # blocks: the coarsening has one block per label of g.
         self.check_tag(a)
         out = []
         for u in range(len(a.payload) + 1):
             cut = a.payload[:u]
             for g in _rgs_iter(max(cut, default=-1) + 1):
-                out.append(_approx(tuple(g[x] for x in cut)))
+                if length in (None, max(g, default=-1) + 1):
+                    out.append(_approx(tuple(g[x] for x in cut)))
         return sorted(out, key=self.sort_key)
 
     def extensions_below(self, a, top) -> list[Approximation]:

@@ -8,7 +8,7 @@ verdicts instead.  `test_forcing.py` checks `fusion`, and criterion 6
 checks the witness law on the package engine's verdicts through
 `rejection_witness`, which sorts only the part of its neighborhood its
 search reaches; `test_forcing_engine.py` checks that it returns the
-witness of the full `longest_first` scan.
+witness of the full longest-first scan.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ def rejection_witness(
 
     The neighborhood is swept whole and bucketed by length; a bucket is
     put in serialization order only when the search reaches it, which
-    is the `longest_first` order read one length at a time."""
+    is the longest-first order read one length at a time."""
     space = engine.space
     top = stem.top
     n = stem.depth(a)

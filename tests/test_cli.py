@@ -245,6 +245,42 @@ def test_wide_galvin_searches_answer_before_sweeping(args, refusal):
         assert (proc.returncode, proc.stdout, proc.stderr) == (4, "", refusal)
 
 
+# Runs the CLI in a child and reports, last on stderr, the child's
+# `ru_maxrss` in kB from `os.wait4`.  A process keeps the peak RSS of
+# the one it was forked from, so the child is forked from this small
+# launcher, not from the test process.
+_CLI_PEAK_RSS = """
+import os, sys
+pid = os.fork()
+if pid == 0:
+    os.execv(sys.executable, [sys.executable, "-m", "ramspace.cli", *sys.argv[1:]])
+_, status, usage = os.wait4(pid, 0)
+print(usage.ru_maxrss, file=sys.stderr)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
+def test_wide_matrix_search_reads_its_reducts_by_length():
+    # The q=3 six-column stem has 59,539 reducts and stage 1 seeds on
+    # the third it reads.  It reads them one length group at a time,
+    # longest first, so the search stays under 36 MB; building and
+    # sorting the whole list took it to about 51 MB.
+    import subprocess
+    import sys
+
+    proc = subprocess.run(
+        [sys.executable, "-c", _CLI_PEAK_RSS, "galvin", "--space", "matrix",
+         "--q", "3", "--max-cols", "6", "--member", "q=3;1", "--format", "json"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    payload = json.loads(proc.stdout)
+    assert payload["outcome"] == "alt1"
+    assert forcing.verify_dichotomy(payload["certificates"]["dichotomy"])
+    peak_kb = int(proc.stderr.split()[-1])
+    assert peak_kb <= 36 * 1024, peak_kb
+
+
 def test_galvin_family_file_takes_no_inline_family(tmp_path, capsys):
     path = tmp_path / "family.txt"
     path.write_text("space=ellentuck;ground=8\n{0}\n")

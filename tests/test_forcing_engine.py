@@ -7,7 +7,10 @@ approximation values, before it moved onto an engine-owned index of
 ids; it is kept here as the oracle every verdict is compared with.
 `_canonical_galvin_search` is `galvin_search` as it was before stage 2
 asked each candidate its new-length approximations first; it is kept
-as the oracle for every search's stem and certificate.
+as the oracle for every search's stem and certificate.  Both read each
+neighborhood as a whole `iter_neighborhood` sweep sorted longest first
+(`_longest_first`), where `galvin_search` reads the length groups of
+`fin_below(top, k)`.
 `_reordered_closure` is stage 2's ask sequence as it was built before
 the new length became a merge of child lists: `closure_below` one
 level further, new length first; it is kept as the oracle of
@@ -26,7 +29,7 @@ import random
 import pytest
 
 from forcing_oracle import rejection_witness
-from ramspace import Stem, cli, ell_space, matrix_space, partition_space, ramsey
+from ramspace import Stem, cli, ell_space, forcing, matrix_space, partition_space, ramsey
 from ramspace.core import Approximation
 from ramspace.errors import (
     CeilingExceededError,
@@ -60,6 +63,12 @@ DATA = pathlib.Path(__file__).parent / "data" / "forcing_results.json"
 
 
 # ----- the oracle: the engine over approximation values -----
+
+
+def _longest_first(space, tops):
+    """`tops` longest first, ties in serialization order: the scan order
+    of every candidate search, as a whole sweep sorted once."""
+    return sorted(tops, key=lambda t: (-t.length, space.serialize(t)))
 
 
 class _PrimitiveEngine:
@@ -204,7 +213,7 @@ class _PrimitiveEngine:
         top = stem.top
         n = stem.depth(a)
         prefix = self.space.restrict(top, n)
-        for t in self.space.longest_first(self._neighborhood(prefix, top)):
+        for t in _longest_first(self.space, self._neighborhood(prefix, top)):
             if not self.space.fin_leq(a, t):
                 continue
             exts = self.space.extensions_below(a, t)
@@ -477,7 +486,7 @@ def _canonical_galvin_search(A, family, max_reducts=MAX_REDUCTS):
     try:
         if engine.chain_status(A.top, empty) is ChainStatus.ALL_HIT:
             return finish_alt2(A)
-        reducts = space.longest_first(engine._neighborhood(empty, A.top))
+        reducts = _longest_first(space, engine._neighborhood(empty, A.top))
         first_accepting = None
         for t in reducts:
             stats["reducts_scanned"] += 1
@@ -507,7 +516,7 @@ def _canonical_galvin_search(A, family, max_reducts=MAX_REDUCTS):
         prefix = current.approx(min(level, current.length))
         cands = [current.top] + [
             t
-            for t in space.longest_first(engine._neighborhood(prefix, current.top))
+            for t in _longest_first(space, engine._neighborhood(prefix, current.top))
             if t != current.top
         ]
         for t in cands:
@@ -569,15 +578,29 @@ def test_stage_2_order_keeps_seeded_random_searches(space, monkeypatch):
     # Seeded color classes, as `reduce` searches them: a random half of
     # the length-k approximations, below the full stem or a random stem
     # of length >= 3.  Both orders choose the same stems; the new one
-    # asks fewer verdicts.
+    # asks fewer verdicts.  Some levels must read candidates past the
+    # current stem under a non-empty prefix, where the search keeps
+    # only part of each length group of fin_below(current).
     asked = [0]
     verdict = ForcingEngine.verdict
+    asks = forcing._stage2_asks
+    search = [0]
+    past_current: set[tuple[int, int]] = set()
 
     def counting(self, stem, a):
         asked[0] += 1
         return verdict(self, stem, a)
 
+    def recording(space, t, level, settled):
+        # A candidate other than the current stem lies in [prefix,
+        # current] with a prefix shorter than the current stem, so the
+        # prefix has length `level`: non-empty from level 1 on.
+        if not settled and level >= 1:
+            past_current.add((search[0], level))
+        return asks(space, t, level, settled)
+
     monkeypatch.setattr(ForcingEngine, "verdict", counting)
+    monkeypatch.setattr(forcing, "_stage2_asks", recording)
     rng = random.Random(20261018)
     below = space.fin_below(space.full_stem().top)
     ambients = [space.full_stem()] + [
@@ -585,8 +608,10 @@ def test_stage_2_order_keeps_seeded_random_searches(space, monkeypatch):
     ]
     outcomes = {ALT1: 0, ALT2: 0, INCONCLUSIVE: 0}
     verdicts = {"canonical": 0, "new-length first": 0}
-    for _ in range(40):
-        k = rng.choice((1, 2))
+    for i in range(50):
+        # Ten more classes of length 3, whose searches on ellentuck
+        # read past the current stem at level 1 and on.
+        k = rng.choice((1, 2)) if i < 40 else 3
         members = [a for a in below if a.length == k and rng.random() < 0.5]
         family = front_family(space, members, length_bound=k)
         A = rng.choice(ambients)
@@ -594,12 +619,18 @@ def test_stage_2_order_keeps_seeded_random_searches(space, monkeypatch):
         want = _canonical_galvin_search(A, family)
         verdicts["canonical"] += asked[0] - start
         start = asked[0]
+        search[0] += 1
         got = galvin_search(A, family)
         verdicts["new-length first"] += asked[0] - start
         assert _comparable(got) == _comparable(want), (members, A)
         outcomes[got.outcome] += 1
     assert outcomes[ALT1] and outcomes[ALT2], outcomes
     assert verdicts["new-length first"] < verdicts["canonical"], verdicts
+    # Matrix (3, 2) has one such neighborhood, [1, the identity], and
+    # no family reaches it: an identity refused at level 1 (it meets
+    # the family) is refused at level 0 already.
+    if space != matrix_space(3, 2):
+        assert past_current, outcomes
 
 
 @pytest.mark.parametrize("space, pool", CASES)

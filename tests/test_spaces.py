@@ -376,8 +376,16 @@ COUNTED_SPACES = (
 def test_count_below_is_the_size_of_fin_below(space):
     # The galvin search refuses on this count before it builds the
     # reducts, so it must be exact on every stem, the full one too.
+    # It then reads them one length group at a time: each group is the
+    # whole down-set's members of that length, in the same order, and
+    # a length outside 0..|t| has none.
     for t in space.stems():
-        assert space.count_below(t) == len(space.fin_below(t)), space.serialize(t)
+        below = space.fin_below(t)
+        assert space.count_below(t) == len(below), space.serialize(t)
+        groups = [space.fin_below(t, k) for k in range(-1, t.length + 2)]
+        for k, group in zip(range(-1, t.length + 2), groups):
+            assert group == [b for b in below if b.length == k], (space.serialize(t), k)
+        assert sum(map(len, groups)) == space.count_below(t)
     assert space.count_below(space.full_stem().top) == len(space.stems())
 
 
