@@ -9,6 +9,13 @@ Every space has a default ambient stem (`Space.full_stem`: the whole
 ground set, the identity matrix, the discrete partition), so `galvin`
 and `reduce` run without `--stem` on all three spaces.
 
+Every command's options are declared once, in `_COMMANDS`.  `main`
+reads a spelled-out argv straight from that table (`read_argv`), and
+builds argparse from the same table (`build_parser`) only for what that
+read declines: help, version, abbreviations, `--flag=value` and usage
+errors.  So a job never imports argparse, and argparse writes every
+help and error text.
+
 Exit codes: 0 success (bounded-pass / dichotomy certified / witness
 found / monochromatic reduct), 1 counterexample or lower-bound-only,
 2 usage or input errors, 3 inconclusive or exhausted bound, 4 refusal
@@ -18,11 +25,11 @@ reported as one `internal error: <type>: <message>` line, no traceback).
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 import time
 from dataclasses import fields
+from types import SimpleNamespace
 
 from . import __version__
 from .audit import AuditBounds, audit_axioms
@@ -120,13 +127,25 @@ class Output:
             sys.stdout.write(content)
 
 
-# The space options by argparse dest, which is a field of one space class.
-_SPACE_OPTIONS = {
-    "ground": "--ground",
-    "q": "--q",
-    "max_cols": "--max-cols",
-    "max_domain": "--domain",
-}
+# The space options as (flag, add_argument keywords).  Their
+# destinations are the space classes' field names, so the parsed
+# arguments are a space_from_params mapping.
+_SPACE = (
+    ("--space", {"choices": SPACE_TAGS}),
+    ("--ground", {"type": int, "help": "ellentuck ground bound"}),
+    ("--q", {"type": int, "help": "matrix field order"}),
+    ("--max-cols", {"type": int, "help": "matrix column truncation"}),
+    ("--domain", {"dest": "max_domain", "metavar": "DOMAIN", "type": int,
+                  "help": "partition domain truncation"}),
+)
+
+
+def _dest(flag: str, keywords: dict) -> str:
+    return keywords.get("dest", flag[2:].replace("-", "_"))
+
+
+# The space options by dest, which is a field of one space class.
+_SPACE_OPTIONS = {_dest(flag, kw): flag for flag, kw in _SPACE[1:]}
 
 
 def _space(args):
@@ -180,7 +199,7 @@ def cmd_audit(args) -> int:
     return code
 
 
-# The galvin options that name a family inline, by argparse dest.
+# The galvin options that name a family inline, by dest.
 _INLINE_FAMILY = {
     "member": "--member",
     "length_bound": "--length-bound",
@@ -310,45 +329,132 @@ def cmd_reduce(args) -> int:
     return code
 
 
-def _add_common(p):
-    p.add_argument("--format", choices=("text", "json"), default="text")
-    p.add_argument("--output", help="write output to this path instead of stdout")
-    p.add_argument(
-        "--timing",
-        action="store_true",
-        help="include wall time (off by default so output is byte-stable)",
+_COMMON = (
+    ("--format", {"choices": ("text", "json"), "default": "text"}),
+    ("--output", {"help": "write output to this path instead of stdout"}),
+    ("--timing", {"action": "store_true",
+                  "help": "include wall time (off by default so output is byte-stable)"}),
+)
+_STEM = ("--stem", {"help": "ambient stem serialization (default: full stem)"})
+_REQUIRED_INT = {"type": int, "required": True}
+
+
+def _ramsey(size_flag: str, *extra) -> tuple:
+    return (
+        ("--k", _REQUIRED_INT),
+        (size_flag, _REQUIRED_INT),
+        ("--s", _REQUIRED_INT),
+        ("--bound", _REQUIRED_INT),
+        ("--mode", {"choices": ("exhaustive", "backtracking"), "default": "exhaustive"}),
+        ("--node-budget", {"type": int}),
+        *extra,
+        *_COMMON,
     )
 
 
-def _add_space_options(p):
-    # Destinations are the space classes' field names, so the parsed
-    # arguments are a space_from_params mapping.
-    p.add_argument("--space", choices=SPACE_TAGS)
-    p.add_argument("--ground", type=int, help="ellentuck ground bound")
-    p.add_argument("--q", type=int, help="matrix field order")
-    p.add_argument("--max-cols", type=int, help="matrix column truncation")
-    p.add_argument(
-        "--domain",
-        dest="max_domain",
-        metavar="DOMAIN",
-        type=int,
-        help="partition domain truncation",
-    )
+_COMMAND_HELP = {
+    "audit": "check the structural laws of a space",
+    "galvin": "run the dichotomy search for a front family",
+    "ramsey": "compute a finite Ramsey-type witness",
+    "reduce": "find a reduct on which a coloring is constant",
+}
+
+# Every command and `ramsey` variant: its function and its options as
+# (flag, add_argument keywords), in help order.  The one declaration of
+# the CLI's options: `read_argv` reads argv from it and `build_parser`
+# builds argparse from it.
+_COMMANDS = {
+    ("audit",): (cmd_audit, (
+        *_SPACE,
+        ("--depth", {"type": int, "default": 4}),
+        ("--max-len", {"type": int, "default": 2}),
+        ("--a6", {"action": "store_true", "help": "include the pigeonhole audit"}),
+        *_COMMON,
+    )),
+    ("galvin",): (cmd_galvin, (
+        *_SPACE,
+        ("--family", {"help": "family file (header + one member per line)"}),
+        ("--member", {"action": "append", "default": [],
+                      "help": "inline family member (repeatable; requires --space options)"}),
+        ("--length-bound", {"type": int}),
+        _STEM,
+        ("--max-reducts", {"type": int, "default": MAX_REDUCTS}),
+        *_COMMON,
+    )),
+    ("ramsey", "classical"): (cmd_ramsey, _ramsey("--n")),
+    ("ramsey", "glr"): (cmd_ramsey, _ramsey("--n", ("--q", {"type": int, "default": 2}))),
+    ("ramsey", "paramset"): (cmd_ramsey, _ramsey("--m")),
+    ("ramsey", "witness"): (cmd_ramsey, _ramsey(
+        "--n",
+        ("--q", {"type": int}),
+        ("--space", {"choices": SPACE_TAGS, "required": True}),
+    )),
+    ("reduce",): (cmd_reduce, (
+        ("--coloring", {"required": True, "help": "coloring file"}),
+        _STEM,
+        *_COMMON,
+    )),
+}
 
 
-def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
-    """The argument parser for `argv`, or for every command without it.
+def read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would give a spelled-out `argv`, or None.
 
-    Every command and `ramsey` variant is registered, but only the ones
-    `argv` names get their options: building the options of all of them
-    would cost most of a short job.  The top-level parser and `ramsey`
-    take no option with a value, so the names are the first two
-    arguments that are not options; argparse reads no other subparser.
+    Spelled out means: the command (and `ramsey` variant) first, then
+    only exact flags of its table, each `--flag value` as two arguments
+    with a value that does not start with `-`, every int and choice
+    valid and every required flag given.  Anything else (help, version,
+    an abbreviation, `--flag=value`, `--`, an error) returns None and
+    is left to `build_parser`, so argparse writes every message.
     """
-    named = None if argv is None else [a for a in argv if not a.startswith("-")][:2]
+    key = tuple(argv[:2] if argv[:1] == ["ramsey"] else argv[:1])
+    if key not in _COMMANDS:
+        return None
+    fn, options = _COMMANDS[key]
+    table = dict(options)
+    values = dict(zip(("command", "variant"), key), fn=fn)
+    for flag, kw in options:
+        action = kw.get("action")
+        default = kw.get("default", False if action == "store_true" else None)
+        values[_dest(flag, kw)] = list(default) if action == "append" else default
+    rest = iter(argv[len(key):])
+    for flag in rest:
+        kw = table.get(flag)
+        if kw is None:
+            return None
+        dest, action = _dest(flag, kw), kw.get("action")
+        if action == "store_true":
+            values[dest] = True
+            continue
+        value = next(rest, "-")  # a flag without its value declines too
+        if value.startswith("-"):
+            return None
+        if "type" in kw:
+            try:
+                value = kw["type"](value)
+            except ValueError:
+                return None
+        if "choices" in kw and value not in kw["choices"]:
+            return None
+        if action == "append":
+            values[dest].append(value)
+        else:
+            values[dest] = value
+    if any(kw.get("required") and values[_dest(flag, kw)] is None for flag, kw in options):
+        return None
+    return SimpleNamespace(**values)
 
-    def wanted(*names):
-        return named is None or named[: len(names)] == list(names)
+
+def build_parser():
+    """The argparse parser of every command, built from `_COMMANDS`.
+
+    `main` reads a spelled-out argv with `read_argv` and builds this
+    parser only for what that declines: help, version, abbreviations,
+    `--flag=value` and usage errors.  This is the only place argparse
+    is imported, so a job's path never loads or builds it, and every
+    help and error text is argparse's own.
+    """
+    import argparse
 
     parser = argparse.ArgumentParser(
         prog="ramspace",
@@ -357,71 +463,25 @@ def build_parser(argv: list[str] | None = None) -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("audit", help="check the structural laws of a space")
-    if wanted("audit"):
-        _add_space_options(p)
-        p.add_argument("--depth", type=int, default=4)
-        p.add_argument("--max-len", type=int, default=2)
-        p.add_argument("--a6", action="store_true", help="include the pigeonhole audit")
-        _add_common(p)
-        p.set_defaults(fn=cmd_audit)
-
-    p = sub.add_parser("galvin", help="run the dichotomy search for a front family")
-    if wanted("galvin"):
-        _add_space_options(p)
-        p.add_argument("--family", help="family file (header + one member per line)")
-        p.add_argument(
-            "--member",
-            action="append",
-            default=[],
-            help="inline family member (repeatable; requires --space options)",
-        )
-        p.add_argument("--length-bound", type=int)
-        p.add_argument("--stem", help="ambient stem serialization (default: full stem)")
-        p.add_argument("--max-reducts", type=int, default=MAX_REDUCTS)
-        _add_common(p)
-        p.set_defaults(fn=cmd_galvin)
-
-    p = sub.add_parser("ramsey", help="compute a finite Ramsey-type witness")
-    variant = p.add_subparsers(dest="variant", required=True)
-    for name in ("classical", "glr", "paramset", "witness"):
-        v = variant.add_parser(name)
-        if not wanted("ramsey", name):
-            continue
-        v.add_argument("--k", type=int, required=True)
-        if name == "paramset":
-            v.add_argument("--m", type=int, required=True)
-        else:
-            v.add_argument("--n", type=int, required=True)
-        v.add_argument("--s", type=int, required=True)
-        v.add_argument("--bound", type=int, required=True)
-        v.add_argument("--mode", choices=("exhaustive", "backtracking"), default="exhaustive")
-        v.add_argument("--node-budget", type=int)
-        if name in ("glr", "witness"):
-            v.add_argument("--q", type=int, default=2 if name == "glr" else None)
-        if name == "witness":
-            v.add_argument("--space", choices=SPACE_TAGS, required=True)
-        _add_common(v)
-        v.set_defaults(fn=cmd_ramsey)
-
-    p = sub.add_parser("reduce", help="find a reduct on which a coloring is constant")
-    if wanted("reduce"):
-        p.add_argument("--coloring", required=True, help="coloring file")
-        p.add_argument("--stem", help="ambient stem serialization (default: full stem)")
-        _add_common(p)
-        p.set_defaults(fn=cmd_reduce)
+    commands = {name: sub.add_parser(name, help=text) for name, text in _COMMAND_HELP.items()}
+    variants = commands["ramsey"].add_subparsers(dest="variant", required=True)
+    for key, (fn, options) in _COMMANDS.items():
+        p = variants.add_parser(key[1]) if key[1:] else commands[key[0]]
+        for flag, kw in options:
+            p.add_argument(flag, **kw)
+        p.set_defaults(fn=fn)
     return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser(argv)
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as e:
-        # argparse exits with 2 on usage errors already
-        return int(e.code or 0)
+    args = read_argv(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as e:
+            # argparse exits with 2 on usage errors already
+            return int(e.code or 0)
     try:
         return args.fn(args)
     except CeilingExceededError as e:

@@ -135,6 +135,20 @@ def gaussian_binomial(m: int, k: int, q: int) -> int:
     return num // den
 
 
+def galois_numbers(m: int, q: int) -> list[int]:
+    """G_0, ..., G_m, where G_d counts every subspace of F_q^d (the sum
+    over k of gaussian_binomial(d, k, q)).
+
+    One pass of the Goldman-Rota recurrence
+    G_(d+1) = 2 G_d + (q^d - 1) G_(d-1), from G_0 = 1 and G_1 = 2.
+    """
+    _check_prime(q)
+    out = [1, 2]
+    for d in range(1, m):
+        out.append(2 * out[d] + (q**d - 1) * out[d - 1])
+    return out[: m + 1]
+
+
 def enumerate_rre(k: int, m: int, q: int) -> list[tuple[tuple[int, ...], ...]]:
     """The rows of every rank-k reduced row-echelon k x m matrix over GF(q).
 

@@ -29,7 +29,7 @@ from ..errors import EmptyNeighborhoodError, InvalidApproximationError, ParseErr
 from ..gflinalg import (
     check_rref,
     enumerate_rre,
-    gaussian_binomial,
+    galois_numbers,
     spans,
     times_basis,
 )
@@ -167,7 +167,8 @@ class MatrixSpace(Space):
     def count_below(self, a: Approximation) -> int:
         self.check_tag(a)
         ds = [len(_pivoting_before(a.payload, c)) for c in range(1, _cols(a.payload) + 1)]
-        return 1 + sum(gaussian_binomial(d, k, self.q) for d in ds for k in range(1, d + 1))
+        galois = galois_numbers(max(ds, default=0), self.q)
+        return 1 + sum(galois[d] - 1 for d in ds)
 
     def serialize(self, a: Approximation) -> str:
         self.check_tag(a)

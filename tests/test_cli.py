@@ -79,6 +79,21 @@ def test_audit_refusal(capsys):
     assert code == 4
 
 
+def test_audit_refuses_a_200_column_matrix_space(capsys):
+    # The 200-column identity top has 1 + sum over c of (G_c - 1)
+    # reducts, G_c the number of subspaces of GF(2)^c.  The expected
+    # count sums q-Pascal rows, not the package's Galois recurrence.
+    row, count = [1], 1
+    for c in range(1, 201):
+        row = [1, *(row[k - 1] + 2**k * row[k] for k in range(1, c)), 1]
+        count += sum(row) - 1
+    code = cli.main(["audit", "--space", "matrix", "--q", "2", "--max-cols", "200"])
+    assert (code, *capsys.readouterr()) == (4, "", (
+        "refused: audit universe for space=matrix;q=2;max_cols=200 too large "
+        f"(estimated {count} > ceiling 16384)\n"
+    ))
+
+
 def test_audit_counterexample_exit(capsys, monkeypatch):
     # exit-code mapping for a failing report (real spaces all pass)
     report = AxiomReport("space=test", AuditBounds())

@@ -10,6 +10,7 @@ from ramspace.gflinalg import (
     RRE_CEILING,
     check_rref,
     enumerate_rre,
+    galois_numbers,
     gaussian_binomial,
     spans,
     times_basis,
@@ -112,6 +113,13 @@ def test_gaussian_binomial_values():
     assert gaussian_binomial(3, 1, 3) == 13
     assert gaussian_binomial(5, 0, 2) == 1
     assert gaussian_binomial(5, 5, 3) == 1
+
+
+@pytest.mark.parametrize("q", [2, 3, 5, 7])
+def test_galois_numbers_sum_the_gaussian_binomials(q):
+    galois = galois_numbers(40, q)
+    assert galois == [sum(gaussian_binomial(d, k, q) for k in range(d + 1)) for d in range(41)]
+    assert galois_numbers(0, q) == [1] and galois_numbers(1, q) == [1, 2]
 
 
 def test_enumerate_rre_1_2_2():
