@@ -112,10 +112,17 @@ class ForcingEngine:
     front, and it holds no child lists: a walk asks the space's
     `extensions_below` once per node it visits.
 
+    Beside the walk memo the engine owns one table, `_accepting`: for
+    each (a, prefix) pair, keyed by one int, the (top, f) facts where a
+    sweep of [prefix, top] stopped at f, its first reduct below which
+    `a` is accepted, each with the diagnostics naming f.  An undecided
+    verdict that such a fact covers is read from the table instead of a
+    new sweep (see `verdict`); every other verdict sweeps through the
+    space's `iter_neighborhood`.
+
     A fresh engine is a pure function of (family, max_reducts),
-    single-threaded.  Engines share no state: neighborhoods are swept
-    afresh through the space's `iter_neighborhood` on each request, so
-    memory is released with the engine.
+    single-threaded.  Engines share no state, and both tables are
+    released with the engine.
     """
 
     def __init__(self, family: FrontFamily, max_reducts: int = MAX_REDUCTS):
@@ -131,6 +138,7 @@ class ForcingEngine:
             self.space.restrict(f, i) for f in family.members for i in range(f.length)
         )
         self._walk_memo: dict[int, ChainStatus] = {}
+        self._accepting: dict[int, list[tuple[Approximation, Approximation, str]]] = {}
         self.nodes = 0
 
     # ----- chain walk -----
@@ -213,6 +221,22 @@ class ForcingEngine:
         stops at the first accepting reduct.  Raises CeilingExceededError
         when it passes `max_reducts` reducts before that reduct, so a
         rejection is only ever certified over a fully swept neighborhood.
+
+        Before it sweeps, the verdict looks for a fact (top', f) of the
+        same (a, prefix) with top <= top' and f <= top, and if it finds
+        one answers undecided naming f.  That is the answer the sweep
+        would give, exactly:
+          - [prefix, top] lies inside [prefix, top'], and its sweep
+            order is the order of [prefix, top'] cut down to it (each
+            child list is the parent's children below the top, in
+            `sort_key` order), so f, first to accept in [prefix, top'],
+            is first in [prefix, top] too;
+          - every reduct that sweep would walk comes before f in
+            [prefix, top'], and the sweep that found f walked them all,
+            so each walk would be a memo hit and `nodes` is unchanged;
+          - it would yield no more reducts before f than that sweep did,
+            so it would not have passed `max_reducts` either.
+        Rejections always sweep: their open-proxy count is per top.
         """
         if stem.space is not self.space and stem.space != self.space:
             raise MixedSpaceError("stem does not belong to the family's space")
@@ -237,19 +261,25 @@ class ForcingEngine:
         prefix = self.space.restrict(top, n)
         # `a` is clean, so below each reduct its status is its walk.
         base = self.index.id(a)
+        key = base << 32 | self.index.id(prefix)
+        leq = self.space.fin_leq
+        for u, f, why in self._accepting.get(key, ()):
+            if leq(top, u) and leq(f, top):
+                return ForcingVerdict(UNDECIDED, self.nodes, diagnostics=why)
         open_proxies = 0
         for t in self._neighborhood(prefix, top):
             st = self.walk(base, self.index.id(t))
             if st is ChainStatus.ALL_HIT:
-                return ForcingVerdict(
-                    UNDECIDED,
-                    self.nodes,
-                    diagnostics=(
-                        "not decided at this stem: "
-                        f"{self.space.serialize(t)} accepts "
-                        f"{self.space.serialize(a)}"
-                    ),
+                why = (
+                    "not decided at this stem: "
+                    f"{self.space.serialize(t)} accepts {self.space.serialize(a)}"
                 )
+                # A fact with the same reduct below a smaller top covers
+                # nothing this one does not.
+                facts = self._accepting.setdefault(key, [])
+                facts[:] = [(u, f, w) for u, f, w in facts if f != t or not leq(u, top)]
+                facts.append((top, t, why))
+                return ForcingVerdict(UNDECIDED, self.nodes, diagnostics=why)
             if st is ChainStatus.EXHAUSTED:
                 open_proxies += 1
         notes = f"open-proxies={open_proxies}" if open_proxies else ""
@@ -341,10 +371,11 @@ def galvin_search(
     length n+1 first, then about the shorter ones, each group in
     canonical order (`_stage2_asks`).  The current stem is not asked the
     shorter ones again: stage 1 or the previous level saw each of them
-    rejected.  A verdict's kind does not depend on the engine's memo,
-    and no stage-2 sweep can pass the ceiling, so the stem chosen, the
-    certificate and `reducts_scanned` do not depend on that order; only
-    `walk_nodes` does.
+    rejected.  A verdict's kind does not depend on the engine's walk
+    memo or its table of accepting reducts, and no stage-2 sweep can
+    pass the ceiling, so the stem chosen, the certificate and
+    `reducts_scanned` do not depend on that order; only `walk_nodes`
+    does.
 
     Every scan reads [base, top] longest first, one length group of
     `fin_below(top)` at a time (each in serialization order), keeping

@@ -6,9 +6,9 @@ pair.  Both lived in the package's forcing module, where no search
 called them; `galvin_search` grows its rejecting sequence by asking
 verdicts instead.  `test_forcing.py` checks `fusion`, and criterion 6
 checks the witness law on the package engine's verdicts through
-`rejection_witness`, which sorts only the part of its neighborhood its
-search reaches; `test_forcing_engine.py` checks that it returns the
-witness of the full longest-first scan.
+`rejection_witness`, which reads its neighborhood from the length
+groups of `fin_below` and sweeps nothing; `test_forcing_engine.py`
+checks that it returns the witness of the full longest-first scan.
 """
 
 from __future__ import annotations
@@ -37,19 +37,16 @@ def rejection_witness(
     classical argument; tried longest-first so witnesses with
     nonempty extension sets are preferred.
 
-    The neighborhood is swept whole and bucketed by length; a bucket is
-    put in serialization order only when the search reaches it, which
-    is the longest-first order read one length at a time."""
+    [prefix, top] is read one length group of `fin_below(top, k)` at a
+    time, longest first, keeping the values whose chain passes through
+    the prefix: the longest-first order, with nothing swept ahead of
+    the reduct that is tested."""
     space = engine.space
     top = stem.top
-    n = stem.depth(a)
-    prefix = space.restrict(top, n)
-    by_length: dict[int, list[Approximation]] = {}
-    for t in engine._neighborhood(prefix, top):
-        by_length.setdefault(t.length, []).append(t)
-    for length in sorted(by_length, reverse=True):
-        for t in sorted(by_length[length], key=space.serialize):
-            if not space.fin_leq(a, t):
+    prefix = space.restrict(top, stem.depth(a))
+    for k in range(top.length, prefix.length - 1, -1):
+        for t in space.fin_below(top, k):
+            if space.restrict(t, prefix.length) != prefix or not space.fin_leq(a, t):
                 continue
             exts = space.extensions_below(a, t)
             if all(

@@ -659,6 +659,89 @@ def test_verdicts_do_not_depend_on_the_memo(space, pool):
     assert {ACCEPTS, REJECTS} <= kinds
 
 
+# One case per space.
+REUSE_CASES = [case for case in CASES if case.id != "matrix-3-2"]
+
+
+def _warm_questions(space, pool, seed):
+    """Each family of one or two pool members, paired with every
+    (stem, a) question with |a| <= 2 in a shuffled order of its own,
+    drawn from `seed`."""
+    rng = random.Random(seed)
+    questions = [
+        (Stem(space, t), a)
+        for t in space.stems()
+        for a in space.fin_below(t)
+        if a.length <= 2
+    ]
+    return [
+        (fam, rng.sample(questions, len(questions)))
+        for r in (1, 2)
+        for fam in itertools.combinations(pool, r)
+    ]
+
+
+def _count_sweeps(monkeypatch):
+    """Neighborhood sweeps started per engine class, from now on."""
+    sweeps = {ForcingEngine: 0, _PrimitiveEngine: 0}
+    for cls in sweeps:
+
+        def counted(self, base, top, cls=cls, sweep=cls._neighborhood):
+            sweeps[cls] += 1
+            return sweep(self, base, top)
+
+        monkeypatch.setattr(cls, "_neighborhood", counted)
+    return sweeps
+
+
+@pytest.mark.parametrize("space, pool", REUSE_CASES)
+def test_warm_verdicts_reuse_accepting_reducts_exactly(space, pool, monkeypatch):
+    # One warm engine per family answers a shuffled question list in
+    # the primitive engine's order: every kind, diagnostic and node
+    # count must be the primitive engine's, with fewer sweeps, because
+    # an undecided verdict covered by an earlier accepting reduct is
+    # answered from the engine's table.
+    sweeps = _count_sweeps(monkeypatch)
+    kinds = set()
+    for fam, questions in _warm_questions(space, pool, seed=2028):
+        family = front_family(space, fam, length_bound=2)
+        new, old = ForcingEngine(family), _PrimitiveEngine(family)
+        for B, a in questions:
+            got, want = new.verdict(B, a), old.verdict(B, a)
+            assert got == want, (fam, B, a)
+            kinds.add(got.kind)
+    assert kinds == {ACCEPTS, REJECTS, UNDECIDED}
+    assert sweeps[ForcingEngine] < sweeps[_PrimitiveEngine], sweeps
+
+
+@pytest.mark.parametrize("space, pool", REUSE_CASES)
+def test_warm_ceilings_match_the_primitive_engine(space, pool, monkeypatch):
+    # Six of those families and their question orders, under small
+    # ceilings: a verdict read from the table is one whose sweep would
+    # have reached its accepting reduct within the ceiling, so every
+    # answer, refusal estimate and node count is the primitive engine's.
+    sweeps = _count_sweeps(monkeypatch)
+    asked = random.Random(2028).sample(_warm_questions(space, pool, seed=2028), 6)
+    refused = 0
+    for max_reducts in (1, 2, 3, 5, 8, 13):
+        for fam, questions in asked:
+            family = front_family(space, fam, length_bound=2)
+            new = ForcingEngine(family, max_reducts)
+            old = _PrimitiveEngine(family, max_reducts)
+            for B, a in questions:
+                answers = []
+                for engine in (new, old):
+                    try:
+                        answers.append(engine.verdict(B, a))
+                    except CeilingExceededError as e:
+                        answers.append((str(e), e.estimate, e.ceiling))
+                assert answers[0] == answers[1], (max_reducts, fam, B, a)
+                assert new.nodes == old.nodes
+                refused += isinstance(answers[0], tuple)
+    assert refused
+    assert sweeps[ForcingEngine] < sweeps[_PrimitiveEngine], sweeps
+
+
 @pytest.mark.parametrize("space, pool", CASES)
 def test_can_still_hit_matches_the_member_loop(space, pool):
     # The engine's set of proper member prefixes against the oracle's
