@@ -189,22 +189,12 @@ class Space(ABC):
     def closure_below(
         self, a: Approximation, max_length: int | None = None
     ) -> list[Approximation]:
-        """Extension-closure of the empty approximation below `a`, in
-        canonical order: sorted levels of increasing length, up to
-        `max_length` when it is given.  Stage 2 of `galvin_search` reads
-        it up to the level it has settled and merges the new level from
-        that level's `extensions_below` lists itself."""
-        out = []
-        frontier = [self.empty()]
-        while frontier:
-            out.extend(frontier)
-            if max_length is not None and frontier[0].length >= max_length:
-                break
-            nxt = []
-            for c in frontier:
-                nxt.extend(self.extensions_below(c, a))
-            frontier = sorted(nxt, key=self.sort_key)
-        return out
+        """`fin_below(a)` up to `max_length`, in canonical order: the
+        length groups `fin_below(a, k)` for k from 0 to min(|a|,
+        max_length), shortest first.  Stage 2 of `galvin_search` reads
+        it for the lengths it has settled."""
+        last = a.length if max_length is None else min(a.length, max_length)
+        return [b for k in range(last + 1) for b in self.fin_below(a, k)]
 
     def iter_neighborhood(
         self, a: Approximation, top: Approximation

@@ -31,7 +31,6 @@ replay through `verify_dichotomy`, which never consults engine state.
 from __future__ import annotations
 
 import enum
-import heapq
 import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
@@ -303,56 +302,32 @@ class DichotomyResult:
 
 
 def _frontier(engine: ForcingEngine, top: Approximation) -> list[tuple[Approximation, int]]:
-    """Hit frontier below an accepting stem: one entry per pruned chain,
-    carrying the index at which the chain meets the family."""
-    space = engine.space
-    out = []
-
-    def rec(c: Approximation):
-        idx = engine.hit_index(c)
-        if idx is not None:
-            out.append((c, idx))
-            return
-        children = space.extensions_below(c, top)
-        assert children, "acceptance certificate with an exhausted chain"
-        for d in children:
-            rec(d)
-
-    rec(space.empty())
-    return out
+    """Hit frontier below a stem that accepts the empty approximation
+    (the caller checks it): the family members below `top` none of
+    whose proper restrictions is a member, each with the index at which
+    its chain meets the family (its length), in the family's canonical
+    order.  A walk of every chain from the empty approximation stops at
+    exactly these nodes, one per pruned chain."""
+    return [
+        (m, m.length)
+        for m in engine.family.members
+        if engine.space.fin_leq(m, top) and engine.hit_index(m) == m.length
+    ]
 
 
-def _certificate_alt1(family: FrontFamily, A: Stem, B: Stem, checked: int) -> str:
-    lines = [
+def _certificate(
+    family: FrontFamily, A: Stem, outcome: str, B: Stem, body: list[str]
+) -> str:
+    head = [
         "galvin-certificate v1",
         family.space.params_str(),
         f"family={family.serialize_members()}",
         f"length_bound={family.length_bound}",
         f"ambient={A.serialize()}",
-        "outcome=ALT1",
+        f"outcome={outcome}",
         f"stem={B.serialize()}",
-        f"checked={checked}",
     ]
-    return "\n".join(lines) + "\n"
-
-
-def _certificate_alt2(
-    family: FrontFamily, A: Stem, B: Stem, frontier: list[tuple[Approximation, int]]
-) -> str:
-    space = family.space
-    lines = [
-        "galvin-certificate v1",
-        space.params_str(),
-        f"family={family.serialize_members()}",
-        f"length_bound={family.length_bound}",
-        f"ambient={A.serialize()}",
-        "outcome=ALT2",
-        f"stem={B.serialize()}",
-        f"chains={len(frontier)}",
-    ]
-    for node, idx in sorted(frontier, key=lambda p: space.sort_key(p[0])):
-        lines.append(f"chain={space.serialize(node)};hit={idx}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(head + body) + "\n"
 
 
 def galvin_search(
@@ -368,19 +343,21 @@ def galvin_search(
     candidates are scanned longest-first in serialization order.
 
     At level n a candidate is asked about its approximations of the new
-    length n+1 first, then about the shorter ones, each group in
-    canonical order (`_stage2_asks`).  The current stem is not asked the
-    shorter ones again: stage 1 or the previous level saw each of them
-    rejected.  A verdict's kind does not depend on the engine's walk
-    memo or its table of accepting reducts, and no stage-2 sweep can
-    pass the ceiling, so the stem chosen, the certificate and
-    `reducts_scanned` do not depend on that order; only `walk_nodes`
-    does.
+    length n+1 first, then about the shorter ones: the length groups of
+    `fin_below(t)`, each in canonical order (`_stage2_asks`).  The
+    current stem is not asked the shorter ones again: stage 1 or the
+    previous level saw each of them rejected.  A verdict's kind does
+    not depend on the engine's walk memo or its table of accepting
+    reducts, and no stage-2 sweep can pass the ceiling, so the stem
+    chosen, the certificate and `reducts_scanned` do not depend on that
+    order; only `walk_nodes` does.
 
     Every scan reads [base, top] longest first, one length group of
     `fin_below(top)` at a time (each in serialization order), keeping
     the values whose chain passes through base.  In stage 2 the current
-    stem comes first, and the rest is read only once it is refused.
+    stem comes first, and the rest is read only once it is refused.  An
+    alternative-2 certificate lists the family members where the chains
+    below its stem first hit, read from the family (`_frontier`).
 
     Stage 1 counts the reducts of A (`count_below`) before it builds
     them.  Past `max_reducts`, a space with `exclude_member`
@@ -403,7 +380,7 @@ def galvin_search(
     def finish_alt1(B: Stem) -> DichotomyResult:
         bad = [f for f in family.members if space.fin_leq(f, B.top)]
         assert not bad, "alternative-1 stem still meets the family"
-        cert = _certificate_alt1(family, A, B, checked=len(family.members))
+        cert = _certificate(family, A, "ALT1", B, [f"checked={len(family.members)}"])
         stats["walk_nodes"] = engine.nodes
         return DichotomyResult(ALT1, B, cert, stats=stats)
 
@@ -419,8 +396,13 @@ def galvin_search(
         return None
 
     def finish_alt2(B: Stem) -> DichotomyResult:
+        # The stem accepted, so this is a walk memo lookup.
+        accepts = engine.chain_status(B.top, space.empty()) is ChainStatus.ALL_HIT
+        assert accepts, "alternative-2 stem with a chain that avoids the family"
         frontier = _frontier(engine, B.top)
-        cert = _certificate_alt2(family, A, B, frontier)
+        body = [f"chains={len(frontier)}"]
+        body += [f"chain={space.serialize(m)};hit={i}" for m, i in frontier]
+        cert = _certificate(family, A, "ALT2", B, body)
         stats["walk_nodes"] = engine.nodes
         return DichotomyResult(ALT2, B, cert, stats=stats)
 
@@ -514,23 +496,14 @@ def galvin_search(
 
 
 def _stage2_asks(space: Space, t: Approximation, level: int, settled: bool):
-    """The approximations stage 2 asks candidate `t` at `level`: those
-    of the new length level+1, then, unless `settled`, the shorter
-    ones, each group in canonical order.
-
-    The new length is a merge of its parents' `extensions_below` lists,
-    each already in `sort_key` order.  The merge takes a child's sort
-    key only when it reads the child, so a candidate refused on its
-    first ask costs one key per parent, not a sort of its new level.
-    The shorter ones are `closure_below(t, level)`, read only after
-    every new-length ask rejected.
-    """
-    below = space.closure_below(t, level)
-    new = heapq.merge(
-        *(space.extensions_below(b, t) for b in below if b.length == level),
-        key=space.sort_key,
-    )
-    return new if settled else itertools.chain(new, below)
+    """The approximations stage 2 asks candidate `t` at `level`: the
+    length group `fin_below(t, level + 1)`, then, unless `settled`, the
+    shorter ones, `closure_below(t, level)`, each in canonical order.
+    The shorter ones are built only after every new-length ask
+    rejected."""
+    yield from space.fin_below(t, level + 1)
+    if not settled:
+        yield from space.closure_below(t, level)
 
 
 def _greedy_avoiding_stem(space: Space, A: Stem, family: FrontFamily) -> Stem | None:

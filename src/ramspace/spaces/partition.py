@@ -105,14 +105,14 @@ class PartitionSpace(Space):
 
     def fin_below(self, a, length=None) -> list[Approximation]:
         # Each cut coarsened by a restricted-growth string g of its
-        # blocks: the coarsening has one block per label of g.
+        # blocks: the coarsening has one block per label of g, so a
+        # length group takes the strings with `length` labels only.
         self.check_tag(a)
         out = []
         for u in range(len(a.payload) + 1):
             cut = a.payload[:u]
-            for g in _rgs_iter(max(cut, default=-1) + 1):
-                if length in (None, max(g, default=-1) + 1):
-                    out.append(_approx(tuple(g[x] for x in cut)))
+            for g in _rgs_iter(max(cut, default=-1) + 1, length):
+                out.append(_approx(tuple(g[x] for x in cut)))
         return sorted(out, key=self.sort_key)
 
     def extensions_below(self, a, top) -> list[Approximation]:
@@ -201,14 +201,21 @@ def partition_space(max_domain: int) -> PartitionSpace:
     return PartitionSpace(max_domain)
 
 
-def _rgs_iter(n: int):
-    """Restricted-growth strings of length n."""
+def _rgs_iter(n: int, labels: int | None = None):
+    """Restricted-growth strings of length n; with `labels`, only those
+    that use exactly that many labels."""
 
     def rec(prefix: list[int], used: int):
-        if len(prefix) == n:
-            yield tuple(prefix)
+        left = n - len(prefix)
+        if not left:
+            if labels in (None, used):
+                yield tuple(prefix)
             return
-        for label in range(used + 1):
+        # Once every entry left must open a label, entry `used` is the
+        # only choice; once all `labels` are open, no entry opens one.
+        must_open = labels is not None and labels - used >= left
+        may_open = labels is None or used < labels
+        for label in range(used if must_open else 0, used + may_open):
             prefix.append(label)
             yield from rec(prefix, used + (label == used))
             prefix.pop()

@@ -9,6 +9,11 @@ checks the witness law on the package engine's verdicts through
 `rejection_witness`, which reads its neighborhood from the length
 groups of `fin_below` and sweeps nothing; `test_forcing_engine.py`
 checks that it returns the witness of the full longest-first scan.
+
+`closure_below` and `frontier_walk` are the package's breadth-first
+extension closure and recursive hit-frontier walk as they were before
+both read their sets from `fin_below` and the family; the tests
+compare the package against them.
 """
 
 from __future__ import annotations
@@ -54,6 +59,48 @@ def rejection_witness(
             ):
                 return Stem(space, t)
     return None
+
+
+def closure_below(space, a: Approximation, max_length: int | None = None):
+    """Extension-closure of the empty approximation below `a`, in
+    canonical order: sorted levels of increasing length, up to
+    `max_length` when it is given.  This is `Space.closure_below` as it
+    was built before it read the length groups of `fin_below`."""
+    out = []
+    frontier = [space.empty()]
+    while frontier:
+        out.extend(frontier)
+        if max_length is not None and frontier[0].length >= max_length:
+            break
+        nxt = []
+        for c in frontier:
+            nxt.extend(space.extensions_below(c, a))
+        frontier = sorted(nxt, key=space.sort_key)
+    return out
+
+
+def frontier_walk(
+    engine: ForcingEngine, top: Approximation
+) -> list[tuple[Approximation, int]]:
+    """Hit frontier below an accepting stem: one entry per pruned chain,
+    carrying the index at which the chain meets the family.  This is
+    the package's `_frontier` as it was built before it read the
+    frontier from the family: a walk of every chain below `top`."""
+    space = engine.space
+    out = []
+
+    def rec(c: Approximation):
+        idx = engine.hit_index(c)
+        if idx is not None:
+            out.append((c, idx))
+            return
+        children = space.extensions_below(c, top)
+        assert children, "acceptance certificate with an exhausted chain"
+        for d in children:
+            rec(d)
+
+    rec(space.empty())
+    return out
 
 
 def fusion(

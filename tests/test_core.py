@@ -2,6 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from forcing_oracle import closure_below
 from ramspace import (
     Approximation,
     Stem,
@@ -176,8 +177,22 @@ def test_neighborhood_stems_pass_through_base(e8):
 
 
 def test_closure_matches_fin_below(spaces):
+    # The breadth-first extension closure reaches exactly `fin_below`.
     for sp in spaces:
         for top in sp.stems()[:40]:
+            assert closure_below(sp, top) == sp.fin_below(top)
+
+
+def test_closure_below_reads_the_length_groups(spaces):
+    # Up to every length, past |top| too, the closure is the length
+    # groups of `fin_below`, shortest first, and the breadth-first
+    # extension closure.
+    for sp in spaces:
+        for top in sp.stems():
+            for n in range(top.length + 3):
+                want = [x for k in range(n + 1) for x in sp.fin_below(top, k)]
+                assert sp.closure_below(top, n) == want, (top, n)
+                assert closure_below(sp, top, n) == want, (top, n)
             assert sp.closure_below(top) == sp.fin_below(top)
 
 

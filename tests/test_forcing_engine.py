@@ -11,10 +11,13 @@ as the oracle for every search's stem and certificate.  Both read each
 neighborhood as a whole `iter_neighborhood` sweep sorted longest first
 (`_longest_first`), where `galvin_search` reads the length groups of
 `fin_below(top, k)`.
-`_reordered_closure` is stage 2's ask sequence as it was built before
-the new length became a merge of child lists: `closure_below` one
-level further, new length first; it is kept as the oracle of
-`_stage2_asks`.
+`_reordered_closure` is stage 2's ask sequence as it was first built:
+the breadth-first extension closure (`forcing_oracle.closure_below`)
+one level further, new length first; it is kept as the oracle of
+`_stage2_asks`, which reads the length groups of `fin_below`.  The
+canonical search reads the same closure, and its alternative-2
+certificates list the frontier a walk of every chain finds
+(`forcing_oracle.frontier_walk`).
 """
 
 from __future__ import annotations
@@ -28,7 +31,7 @@ import random
 
 import pytest
 
-from forcing_oracle import rejection_witness
+from forcing_oracle import closure_below, frontier_walk, rejection_witness
 from ramspace import Stem, cli, ell_space, forcing, matrix_space, partition_space, ramsey
 from ramspace.core import Approximation
 from ramspace.errors import (
@@ -49,13 +52,13 @@ from ramspace.forcing import (
     ForcingEngine,
     ForcingVerdict,
     FrontFamily,
-    _certificate_alt1,
-    _certificate_alt2,
+    _certificate,
     _frontier,
     _greedy_avoiding_stem,
     _stage2_asks,
     front_family,
     galvin_search,
+    verify_dichotomy,
 )
 from ramspace.spaces.ellentuck import TAG, EllentuckSpace
 
@@ -420,9 +423,9 @@ def test_ellentuck_children_of_every_ground_12_pair():
 
 def _reordered_closure(space, t, level, settled):
     """Stage 2's asks as they were built before the new length was
-    merged lazily: closure_below(t, level+1), new length first, and the
-    shorter ones after unless settled."""
-    below = space.closure_below(t, max_length=level + 1)
+    merged lazily: the extension closure up to level+1, new length
+    first, and the shorter ones after unless settled."""
+    below = closure_below(space, t, max_length=level + 1)
     shorter = sum(b.length <= level for b in below)
     return below[shorter:] + ([] if settled else below[:shorter])
 
@@ -435,8 +438,8 @@ def _reordered_closure(space, t, level, settled):
 )
 def test_stage_2_asks_match_the_reordered_closure(space, reordered):
     # `reordered`: whether some (top, level) has parents whose child
-    # lists, laid end to end, are out of canonical order, so that the
-    # merge is what puts them in it.
+    # lists, laid end to end, are out of canonical order, so that
+    # reading them in turn would not give the canonical length group.
     rng = random.Random(20261018)
     stems = space.stems()
     tops = [space.full_stem().top, space.empty()] + rng.sample(stems, min(12, len(stems)))
@@ -446,7 +449,7 @@ def test_stage_2_asks_match_the_reordered_closure(space, reordered):
             for settled in (True, False):
                 want = _reordered_closure(space, t, level, settled)
                 assert list(_stage2_asks(space, t, level, settled)) == want, (t, level)
-            parents = [b for b in space.closure_below(t, level) if b.length == level]
+            parents = [b for b in closure_below(space, t, level) if b.length == level]
             joined = [c for b in parents for c in space.extensions_below(b, t)]
             merged += joined != _reordered_closure(space, t, level, True)
     assert bool(merged) == reordered
@@ -465,12 +468,15 @@ def _canonical_galvin_search(A, family, max_reducts=MAX_REDUCTS):
     stats = {"reducts_scanned": 0}
 
     def finish_alt1(B):
-        cert = _certificate_alt1(family, A, B, checked=len(family.members))
+        cert = _certificate(family, A, "ALT1", B, [f"checked={len(family.members)}"])
         stats["walk_nodes"] = engine.nodes
         return DichotomyResult(ALT1, B, cert, stats=stats)
 
     def finish_alt2(B):
-        cert = _certificate_alt2(family, A, B, _frontier(engine, B.top))
+        frontier = sorted(frontier_walk(engine, B.top), key=lambda p: space.sort_key(p[0]))
+        body = [f"chains={len(frontier)}"]
+        body += [f"chain={space.serialize(c)};hit={i}" for c, i in frontier]
+        cert = _certificate(family, A, "ALT2", B, body)
         stats["walk_nodes"] = engine.nodes
         return DichotomyResult(ALT2, B, cert, stats=stats)
 
@@ -524,7 +530,7 @@ def _canonical_galvin_search(A, family, max_reducts=MAX_REDUCTS):
             cand = Stem(space, t)
             if all(
                 engine.verdict(cand, b).kind == REJECTS
-                for b in space.closure_below(t, max_length=target_len)
+                for b in closure_below(space, t, max_length=target_len)
             ):
                 chosen = cand
                 break
@@ -759,6 +765,47 @@ def test_can_still_hit_matches_the_member_loop(space, pool):
                 assert got == old._can_still_hit(c, t), (members, t, c)
                 seen.add(got)
     assert seen == {True, False}
+
+
+# ----- the alternative-2 frontier against the chain walk -----
+
+
+@pytest.mark.parametrize("space, pool", CASES)
+def test_frontier_matches_the_chain_walk(space, pool):
+    # Every stem that accepts the empty approximation is a stem an
+    # alternative-2 certificate can name.  Below each, the frontier read
+    # from the family must be the walk's, in canonical order.  Families
+    # of one to three pool values include the empty member, and members
+    # that are restrictions of other members, so that the walk stops
+    # above a member below the stem.  Every search's certificate, from
+    # the full stem and from three seeded ambient stems, must verify.
+    rng = random.Random(2009)
+    stems = space.stems()
+    families = [fam for r in (1, 2, 3) for fam in itertools.combinations(pool, r)]
+    compared = with_empty = shadowed = searched_alt2 = 0
+    for fam in families:
+        family = front_family(space, fam)
+        engine = ForcingEngine(family)
+        for t in stems:
+            if engine.chain_status(t, space.empty()) is not ChainStatus.ALL_HIT:
+                continue
+            want = sorted(frontier_walk(engine, t), key=lambda p: space.sort_key(p[0]))
+            got = _frontier(engine, t)
+            assert got == want, (family.serialize_members(), space.serialize(t))
+            compared += 1
+            with_empty += space.empty() in family.members
+            shadowed += len(got) < sum(space.fin_leq(m, t) for m in family.members)
+        for A in [space.full_stem()] + [Stem(space, t) for t in rng.sample(stems, 3)]:
+            res = galvin_search(A, family)
+            assert verify_dichotomy(res.certificate) == (res.outcome != INCONCLUSIVE)
+            if res.outcome == ALT2:
+                searched_alt2 += 1
+                got = _frontier(ForcingEngine(family), res.stem.top)
+                lines = [ln for ln in res.certificate.splitlines() if ln.startswith("chain=")]
+                assert lines == [
+                    f"chain={space.serialize(m)};hit={i}" for m, i in got
+                ]
+    assert compared and with_empty and shadowed and searched_alt2
 
 
 # ----- the pinned forcing grid -----
