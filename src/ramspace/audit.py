@@ -462,8 +462,8 @@ def _audit_a5(uni, report, bounds):
 
 def _audit_a6(uni, report, bounds):
     space, items = uni.space, uni.items
-    # The longest stem top, first in serialization order.
-    anchors = [min(uni.tops, key=lambda t: (-uni.lengths[t], space.serialize(items[t])))]
+    # The longest stem top, first in canonical order: the least id.
+    anchors = [min(uni.tops, key=lambda t: (-uni.lengths[t], t))]
 
     # Refuse before sweeping if the split count is out of reach.
     estimate = 0
@@ -508,12 +508,12 @@ def _audit_a6(uni, report, bounds):
         undecided = ((1 << (full + 1)) - 1) & ~decided
         if undecided and not has_empty:
             side = (undecided & -undecided).bit_length() - 1
-            chosen = {e for i, e in enumerate(ext) if side >> i & 1}
+            chosen = [e for i, e in enumerate(ext) if side >> i & 1]
             _fail(
                 report, "A6", "pigeonhole", instances + side + 1,
                 f"stem {space.serialize(items[t])}, "
                 f"a={space.serialize(items[a])}, "
-                f"side={sorted(space.serialize(x) for x in chosen)}",
+                f"side={[space.serialize(x) for x in chosen]}",
             )
             return
         instances += full + 1

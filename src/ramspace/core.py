@@ -120,12 +120,17 @@ class Space(ABC):
         self, a: Approximation, top: Approximation
     ) -> list[Approximation]:
         """All length-(|a|+1) approximations extending `a` below `top`,
-        in `sort_key` order: the canonical child order of every sweep.
+        in canonical (`sort_key`) order: the child order of every sweep.
 
         Raises EmptyNeighborhoodError when `a` is not below `top` at all;
         returns [] when the neighborhood is nonempty but the truncation
         admits no extension.
         """
+
+    def iter_extensions_below(self, a, top) -> Iterator[Approximation]:
+        """`extensions_below(a, top)`, same order and error, read lazily:
+        a space whose child lists can be too large to build generates it."""
+        return iter(self.extensions_below(a, top))
 
     @abstractmethod
     def stems(self) -> list[Approximation]:
@@ -181,7 +186,9 @@ class Space(ABC):
             )
 
     def sort_key(self, a: Approximation):
-        return (a.length, self.serialize(a))
+        """The canonical order of every sweep: shorter first, then by payload
+        as a tuple (ascending ints, RREF rows or restricted-growth labels)."""
+        return (a.length, a.payload)
 
     def chain(self, top: Approximation) -> list[Approximation]:
         return [self.restrict(top, i) for i in range(top.length + 1)]

@@ -108,8 +108,8 @@ class ForcingEngine:
     Walks run on these ids, with a memo keyed by one int per
     (node, top) pair and the members held as a set of ids.  The index
     gives ids only to values the engine meets, so it sweeps nothing up
-    front, and it holds no child lists: a walk asks the space's
-    `extensions_below` once per node it visits.
+    front, and it holds no child lists: a walk reads each node's
+    children lazily (`iter_extensions_below`), up to the first it needs.
 
     Beside the walk memo the engine owns one table, `_accepting`: for
     each (a, prefix) pair, keyed by one int, the (top, f) facts where a
@@ -168,16 +168,14 @@ class ForcingEngine:
             status = ChainStatus.AVOID
         else:
             items = self.index.items
-            children = self.space.extensions_below(items[c], items[top])
-            if not children:
-                status = (
-                    ChainStatus.EXHAUSTED
-                    if self._can_still_hit(items[c], items[top])
-                    else ChainStatus.AVOID
-                )
+            children = self.space.iter_extensions_below(items[c], items[top])
+            first = next(children, None)
+            if first is None:
+                still = self._can_still_hit(items[c], items[top])
+                status = ChainStatus.EXHAUSTED if still else ChainStatus.AVOID
             else:
                 status = ChainStatus.ALL_HIT
-                for d in map(self.index.id, children):
+                for d in map(self.index.id, itertools.chain((first,), children)):
                     if d in self._members:
                         continue
                     status = min(status, self.walk(d, top))
@@ -228,7 +226,7 @@ class ForcingEngine:
           - [prefix, top] lies inside [prefix, top'], and its sweep
             order is the order of [prefix, top'] cut down to it (each
             child list is the parent's children below the top, in
-            `sort_key` order), so f, first to accept in [prefix, top'],
+            canonical order), so f, first to accept in [prefix, top'],
             is first in [prefix, top] too;
           - every reduct that sweep would walk comes before f in
             [prefix, top'], and the sweep that found f walked them all,
@@ -340,7 +338,7 @@ def galvin_search(
     some reduct accepts the empty approximation (alternative 2: every
     maximal chain below it meets the family).  Inconclusive outcomes
     name the blocking approximation.  Searches are deterministic:
-    candidates are scanned longest-first in serialization order.
+    candidates are scanned longest-first in canonical order.
 
     At level n a candidate is asked about its approximations of the new
     length n+1 first, then about the shorter ones: the length groups of
@@ -353,7 +351,7 @@ def galvin_search(
     order; only `walk_nodes` does.
 
     Every scan reads [base, top] longest first, one length group of
-    `fin_below(top)` at a time (each in serialization order), keeping
+    `fin_below(top)` at a time (each in canonical order), keeping
     the values whose chain passes through base.  In stage 2 the current
     stem comes first, and the rest is read only once it is refused.  An
     alternative-2 certificate lists the family members where the chains

@@ -124,18 +124,12 @@ def _refuse_above_ceiling(kind: str, m: int, size: int) -> None:
 
 def _classical_level(M: int, k: int, n: int) -> LevelInstance:
     """The classical instance: the k-subsets of {0..M-1} as items and
-    the n-subsets as witnesses.  Items come in the order of their pinned
-    (k+1)-subsets (the subset plus M): the order of the depth-(M+1)
-    ellentuck level, so a search visits as many nodes here as on that
-    level one dimension up."""
+    the n-subsets as witnesses, in canonical order, which is that of the
+    pinned (k+1)-subsets (the subset plus M) of the depth-(M+1) ellentuck
+    level: a search visits as many nodes here as one dimension up."""
     _refuse_above_ceiling("classical", M, math.comb(M, k) + math.comb(M, n))
     space = ell_space(max(M, 1))
-    pinned = ell_space(M + 1)
-    combos = sorted(
-        itertools.combinations(range(M), k),
-        key=lambda c: pinned.sort_key(pinned.make(c + (M,))),
-    )
-    items = [space.make(c) for c in combos]
+    items = [space.make(c) for c in itertools.combinations(range(M), k)]
     witnesses = [space.make(c) for c in itertools.combinations(range(M), n)]
     index = {a.payload: i for i, a in enumerate(items)}
     configs = [
@@ -146,7 +140,7 @@ def _classical_level(M: int, k: int, n: int) -> LevelInstance:
 
 def _matrix_level(m: int, k: int, n: int, q: int) -> LevelInstance:
     """The GLR instance: the k- and n-dimensional subspaces of F_q^m as
-    items and witnesses, in `sort_key` order (RREF matrices with m
+    items and witnesses, in canonical order (RREF matrices with m
     columns, the full stem's depth-m approximations).  Witness B's
     configuration is X·B for X over `enumerate_rre(k, n, q)`."""
     size = sum(gaussian_binomial(m, d, q) for d in (k, n) if 1 <= d <= m)
@@ -155,9 +149,7 @@ def _matrix_level(m: int, k: int, n: int, q: int) -> LevelInstance:
 
     def subspaces(d: int) -> list[Approximation]:
         found = enumerate_rre(d, m, q) if 1 <= d <= m else []
-        return sorted(
-            (Approximation(space.tag, rows, d) for rows in found), key=space.sort_key
-        )
+        return [Approximation(space.tag, rows, d) for rows in sorted(found)]
 
     items, witnesses = subspaces(k), subspaces(n)
     index = {a.payload: i for i, a in enumerate(items)}

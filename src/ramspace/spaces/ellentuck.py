@@ -25,11 +25,6 @@ TAG = "ellentuck"
 _new = tuple.__new__
 
 
-def _closing_text(x: int) -> str:
-    """The text "x}" that ends the serialization of a child adding x."""
-    return f"{x}}}"
-
-
 @dataclass(frozen=True)
 class EllentuckSpace(Space):
     ground: int
@@ -66,14 +61,14 @@ class EllentuckSpace(Space):
         return set(b.payload).issuperset(a.payload)
 
     def fin_below(self, a, length=None) -> list[Approximation]:
+        # Combinations of an ascending payload come in canonical order.
         self.check_tag(a)
-        out = [
+        return [
             Approximation(TAG, sub, k)
             for k in range(a.length + 1)
             if length in (None, k)
             for sub in itertools.combinations(a.payload, k)
         ]
-        return sorted(out, key=self.sort_key)
 
     def extensions_below(self, a, top) -> list[Approximation]:
         if a.space_tag != TAG or top.space_tag != TAG:
@@ -84,28 +79,19 @@ class EllentuckSpace(Space):
             raise EmptyNeighborhoodError(
                 f"[{self.serialize(a)}, {self.serialize(top)}] is empty"
             )
-        # The children add the elements of `top` past the last one of
-        # `a`: a slice of `top`'s payload, which `sorted` gives back in
-        # one linear pass when it is ascending, as every payload `make`
-        # accepts is.
+        # The children add the elements of `top` past the last one of `a`,
+        # in numeric order; `sorted` is one pass over an ascending payload.
         kids = sorted(top.payload)
         kids = kids[bisect_right(kids, payload[-1] if payload else -1):]
-        # Siblings share their serialized prefix, so `sort_key` order is
-        # the order of the text "x}" that ends each child.  That is
-        # numeric order only while every child is a digit: "10}" < "1}"
-        # < "2}", and "-12}" < "-1}" < "0}".
-        if kids and (kids[0] < 0 or kids[-1] > 9):
-            kids.sort(key=_closing_text)
         n = a.length + 1
         return [_new(Approximation, (TAG, payload + (x,), n)) for x in kids]
 
     def stems(self) -> list[Approximation]:
-        out = []
-        universe = range(self.ground)
-        for k in range(self.ground + 1):
-            for sub in itertools.combinations(universe, k):
-                out.append(Approximation(TAG, sub, k))
-        return sorted(out, key=self.sort_key)
+        return [
+            Approximation(TAG, sub, k)
+            for k in range(self.ground + 1)
+            for sub in itertools.combinations(range(self.ground), k)
+        ]
 
     def count_below(self, a: Approximation) -> int:
         self.check_tag(a)

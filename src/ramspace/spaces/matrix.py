@@ -103,7 +103,7 @@ class MatrixSpace(Space):
     def fin_below(self, a, length=None) -> list[Approximation]:
         """For each column count c, X·B for X over `enumerate_rre(k, d, q)`,
         where B is the d rows of `a` that pivot before c, cut to c (the
-        identity when d == c, so X as it is); in `sort_key` order.  With
+        identity when d == c, so X as it is); in canonical order.  With
         a `length`, X runs over the k = length rows only."""
         self.check_tag(a)
         rows = a.payload
@@ -122,7 +122,7 @@ class MatrixSpace(Space):
 
     def extensions_below(self, a, top) -> list[Approximation]:
         """Each child's rows as X·B, B the rows of `top` pivoting before
-        the child's width w, cut to w; in `sort_key` order.  Below the
+        the child's width w, cut to w; in canonical order.  Below the
         empty approximation X runs over `enumerate_rre(1, len(B), q)`.
         Else the new row is `top`'s row pivoting at `a`'s column count p
         (no such row: no children) and each row of `a` is its lift through

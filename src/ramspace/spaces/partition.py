@@ -116,35 +116,19 @@ class PartitionSpace(Space):
         return sorted(out, key=self.sort_key)
 
     def extensions_below(self, a, top) -> list[Approximation]:
+        return list(self.iter_extensions_below(a, top))
+
+    def iter_extensions_below(self, a, top):
         self.check_tag(a)
         self.check_tag(top)
         if not self.fin_leq(a, top):
             raise EmptyNeighborhoodError(
                 f"[{self.serialize(a)}, {self.serialize(top)}] is empty"
             )
-        stem = top.payload
-        ta, n = len(a.payload), a.length
-        # Block n of any extension starts at ta, so ta must begin a
-        # block of the stem's partition: its label k is new there.
-        if ta >= len(stem) or stem[ta] in stem[:ta]:
-            return []
-        k = stem[ta]
-        # The stem blocks that began before ta keep a's labels and the
-        # one at ta gets label n; each later one takes any label 0..n.
-        forced = [label for _, label in sorted(set(zip(stem, a.payload)))] + [n]
-        out = []
-        for t2 in range(ta + 1, len(stem) + 1):
-            cut = stem[:t2]
-            free = max(cut) - k
-            for assignment in itertools.product(range(n + 1), repeat=free):
-                label_of = forced + list(assignment)
-                out.append(Approximation(TAG, tuple(label_of[x] for x in cut), n + 1))
-        return sorted(out, key=self.sort_key)
+        return _children(a.payload, top.payload, a.length)
 
     def stems(self) -> list[Approximation]:
-        out = [
-            _approx(g) for t in range(self.max_domain + 1) for g in _rgs_iter(t)
-        ]
+        out = [_approx(g) for t in range(self.max_domain + 1) for g in _rgs_iter(t)]
         return sorted(out, key=self.sort_key)
 
     def count_below(self, a: Approximation) -> int:
@@ -199,6 +183,37 @@ class PartitionSpace(Space):
 
 def partition_space(max_domain: int) -> PartitionSpace:
     return PartitionSpace(max_domain)
+
+
+def _children(labels_a: tuple[int, ...], stem: tuple[int, ...], n: int):
+    """The (n+1)-block coarsenings of cuts of `stem` that extend the
+    n-block partition `labels_a`, in canonical order: a cut's labels are
+    a prefix of every longer cut's, so each comes before those that also
+    label the next stem block, by that label (a preorder, no recursion)."""
+    ta = len(labels_a)
+    # Block n of any extension starts at ta, so ta must begin a
+    # block of the stem's partition: its label k is new there.
+    if ta >= len(stem) or stem[ta] in stem[:ta]:
+        return
+    # The stem blocks that began before ta keep a's labels and the
+    # one at ta gets label n; each later one takes any label 0..n.
+    labels = [label for _, label in sorted(set(zip(stem, labels_a)))] + [n]
+    first = [stem.index(j) for j in range(max(stem) + 1)] + [len(stem)]
+    k = b = len(labels) - 1
+    while True:
+        row = tuple(labels[x] for x in stem[: first[b + 1]])
+        for t in range(first[b] + 1, first[b + 1] + 1):
+            yield Approximation(TAG, row[:t], n + 1)
+        if b + 2 < len(first):
+            labels.append(0)
+            b += 1
+            continue
+        while b > k and labels[-1] == n:
+            labels.pop()
+            b -= 1
+        if b == k:
+            return
+        labels[-1] += 1
 
 
 def _rgs_iter(n: int, labels: int | None = None):

@@ -63,9 +63,10 @@ def rejection_witness(
 
 def closure_below(space, a: Approximation, max_length: int | None = None):
     """Extension-closure of the empty approximation below `a`, in
-    canonical order: sorted levels of increasing length, up to
-    `max_length` when it is given.  This is `Space.closure_below` as it
-    was built before it read the length groups of `fin_below`."""
+    canonical order: levels of increasing length, each sorted by payload
+    here rather than by the package's key, up to `max_length` when it
+    is given.  This is `Space.closure_below` as it was built before it
+    read the length groups of `fin_below`."""
     out = []
     frontier = [space.empty()]
     while frontier:
@@ -75,7 +76,7 @@ def closure_below(space, a: Approximation, max_length: int | None = None):
         nxt = []
         for c in frontier:
             nxt.extend(space.extensions_below(c, a))
-        frontier = sorted(nxt, key=space.sort_key)
+        frontier = sorted(nxt, key=lambda b: b.payload)
     return out
 
 

@@ -19,6 +19,7 @@ package never needs: the tests reduce rows with it to check
 it before it built each child's rows as X·B, and
 `EchelonMatrixSpace.extensions_below` still filters it.
 `echelon(a, q)` reads a package approximation as an `EchelonMatrix`.
+Every list the oracle builds is sorted by its own `canonical` key.
 """
 
 from __future__ import annotations
@@ -107,6 +108,12 @@ def span_vectors(
     return vecs
 
 
+def canonical(a: Approximation):
+    """The canonical order, written here rather than read from the
+    package: shorter first, then by the tuple of rows."""
+    return (a.length, a.payload.rows)
+
+
 def echelon(a: Approximation, q: int) -> EchelonMatrix:
     """The rows of a package matrix approximation over GF(q) as an
     `EchelonMatrix`."""
@@ -182,7 +189,7 @@ class EchelonMatrixSpace(Space):
     def fin_below(self, a: Approximation) -> list[Approximation]:
         """For each column count c, X·B for X over `enumerate_rre(k, d, q)`,
         where B is the d rows of `a` that pivot before c, cut to c (the
-        identity when d == c, so X as it is); in `sort_key` order."""
+        identity when d == c, so X as it is); in canonical order."""
         self.check_tag(a)
         m: EchelonMatrix = a.payload
         out = [self.empty()]
@@ -195,7 +202,7 @@ class EchelonMatrixSpace(Space):
                         rows = times_basis(x.rows, basis, self.q)
                         x = EchelonMatrix(self.q, cols, rows)
                     out.append(Approximation(TAG, x, k))
-        return sorted(out, key=self.sort_key)
+        return sorted(out, key=canonical)
 
     def extensions_below(self, a, top) -> list[Approximation]:
         self.check_tag(a)
@@ -229,7 +236,7 @@ class EchelonMatrixSpace(Space):
                     out.append(
                         Approximation(TAG, EchelonMatrix(self.q, w2, rows), ma.nrows + 1)
                     )
-        return sorted(out, key=self.sort_key)
+        return sorted(out, key=canonical)
 
     def stems(self) -> list[Approximation]:
         out = [self.empty()]
@@ -237,7 +244,7 @@ class EchelonMatrixSpace(Space):
             for k in range(1, cols + 1):
                 for m in enumerate_rre(k, cols, self.q):
                     out.append(Approximation(TAG, m, k))
-        return sorted(out, key=self.sort_key)
+        return sorted(out, key=canonical)
 
     def count_below(self, a: Approximation) -> int:
         return len(self.fin_below(a))
@@ -309,7 +316,7 @@ class SpanMatrixSpace(EchelonMatrixSpace):
                 for cand in enumerate_rre(k, cols, self.q):
                     if spans(basis, cand.rows, self.q):
                         out.append(Approximation(TAG, cand, k))
-        return sorted(out, key=self.sort_key)
+        return sorted(out, key=canonical)
 
 
 def build_level(m: int, k: int, n: int, q: int = 2) -> LevelInstance:

@@ -4,9 +4,10 @@ of blocks, listed by increasing minimum.
 This is the blocks representation the package's `PartitionSpace` held
 before it switched to restricted-growth label tuples, kept unchanged as
 the oracle that `test_partition_oracle.py` checks every primitive
-against.  `blocks(a)` reads the blocks of a package approximation,
-and `dual_to_classical_encoding(t)` reads a partition's positive block
-minima as an ellentuck approximation (criterion 8's pull-back).
+against; it sorts by its own `canonical` key.  `blocks(a)` reads the
+blocks of a package approximation, and `dual_to_classical_encoding(t)`
+reads a partition's positive block minima as an ellentuck approximation
+(criterion 8's pull-back).
 """
 
 from __future__ import annotations
@@ -51,6 +52,17 @@ def dual_to_classical_encoding(t: Approximation) -> Approximation:
 
 def _domain(blocks: Blocks) -> int:
     return sum(len(b) for b in blocks)
+
+
+def canonical(a: Approximation):
+    """The canonical order, written here rather than read from the
+    package: shorter first, then by the label tuple the blocks name
+    (entry e is the index of the block holding e)."""
+    labels = [0] * _domain(a.payload)
+    for j, b in enumerate(a.payload):
+        for e in b:
+            labels[e] = j
+    return (a.length, tuple(labels))
 
 
 @dataclass(frozen=True)
@@ -131,7 +143,7 @@ class BlocksPartitionSpace(Space):
             for grouping in _set_partitions(len(base)):
                 merged = _merge_blocks(base, grouping)
                 out.append(Approximation(TAG, merged, len(merged)))
-        return sorted(set(out), key=self.sort_key)
+        return sorted(set(out), key=canonical)
 
     def extensions_below(self, a, top) -> list[Approximation]:
         self.check_tag(a)
@@ -177,14 +189,14 @@ class BlocksPartitionSpace(Space):
                     blocks[i].extend(b)
                 payload = tuple(tuple(sorted(b)) for b in blocks)
                 out.append(Approximation(TAG, payload, n + 1))
-        return sorted(out, key=self.sort_key)
+        return sorted(out, key=canonical)
 
     def stems(self) -> list[Approximation]:
         out = [self.empty()]
         for t in range(1, self.max_domain + 1):
             for blocks in _set_partitions(t):
                 out.append(Approximation(TAG, blocks, len(blocks)))
-        return sorted(out, key=self.sort_key)
+        return sorted(out, key=canonical)
 
     def count_below(self, a: Approximation) -> int:
         return len(self.fin_below(a))

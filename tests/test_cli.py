@@ -234,15 +234,21 @@ def _one_gigabyte_address_space():
          "refused: reduct sweep too large (estimated 449693 > ceiling 65536)\n"),
         (["--space", "partition", "--domain", "10", "--member", "({0},{1})"],
          "refused: reduct sweep too large (estimated 142418 > ceiling 65536)\n"),
+        (["--space", "partition", "--domain", "40", "--member", "({0},{1})"],
+         "refused: reduct sweep too large (estimated "
+         "168992694259134874599518802213062420 > ceiling 65536)\n"),
     ],
-    ids=["ellentuck-400", "ellentuck-3000", "matrix-2-8", "partition-10"],
+    ids=["ellentuck-400", "ellentuck-3000", "matrix-2-8", "partition-10", "partition-40"],
 )
 def test_wide_galvin_searches_answer_before_sweeping(args, refusal):
     # The reducts of each ambient stem number far past the ceiling
     # (2^3000 at ground 3000).  The search counts them before it builds
     # any, so each row answers within a 1 GB address space and 30 s:
     # ellentuck by greedy exclusion, the others by refusing with the
-    # exact count.  One child process per row holds the limit.
+    # exact count.  One child process per row holds the limit.  Only
+    # the first question, whether every chain below the ambient meets
+    # the family, comes before the count: at domain 40 its walk reads
+    # the first 3 of the 2^38 children of ({0}).
     import subprocess
     import sys
 

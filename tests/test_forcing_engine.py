@@ -68,10 +68,16 @@ DATA = pathlib.Path(__file__).parent / "data" / "forcing_results.json"
 # ----- the oracle: the engine over approximation values -----
 
 
+def _canonical(a):
+    """The canonical order, written here rather than read from the
+    package: shorter first, then by payload."""
+    return (a.length, a.payload)
+
+
 def _longest_first(space, tops):
-    """`tops` longest first, ties in serialization order: the scan order
-    of every candidate search, as a whole sweep sorted once."""
-    return sorted(tops, key=lambda t: (-t.length, space.serialize(t)))
+    """`tops` longest first, ties in canonical order: the scan order of
+    every candidate search, as a whole sweep sorted once."""
+    return sorted(tops, key=lambda t: (-t.length, t.payload))
 
 
 class _PrimitiveEngine:
@@ -337,16 +343,17 @@ def test_walks_run_on_engine_owned_ids():
 # ----- the ellentuck child order -----
 
 
-def _text_sorted_children(a, top):
+def _numeric_children(a, top):
     last = a.payload[-1] if a.payload else -1
-    kids = sorted((x for x in top.payload if x > last), key=lambda x: f"{x}}}")
+    kids = sorted(x for x in top.payload if x > last)
     return [Approximation(TAG, a.payload + (x,), a.length + 1) for x in kids]
 
 
-def test_ellentuck_children_follow_the_text_order():
+def test_ellentuck_children_follow_the_numeric_order():
     # Payloads over [-12, 24], sorted or not: children come in the
-    # order of the text "x}" that ends each one, as `sort_key` orders
-    # siblings, also for values a well-formed space never holds.
+    # numeric order of the element each one adds, as the canonical
+    # order ranks siblings, also for values a well-formed space never
+    # holds; two-digit and negative elements sort as numbers, not text.
     e = ell_space(8)
     rng = random.Random(20261018)
     values = range(-12, 25)
@@ -362,7 +369,7 @@ def test_ellentuck_children_follow_the_text_order():
     for base, top in cases:
         a = Approximation(TAG, base, len(base))
         t = Approximation(TAG, top, len(top))
-        assert e.extensions_below(a, t) == _text_sorted_children(a, t), (base, top)
+        assert e.extensions_below(a, t) == _numeric_children(a, t), (base, top)
     with pytest.raises(EmptyNeighborhoodError):
         e.extensions_below(e.make((1,)), e.make((2, 3)))
     with pytest.raises(MixedSpaceError):
@@ -382,13 +389,14 @@ class _AskedChildren(EllentuckSpace):
 
 
 def test_ellentuck_children_of_every_ground_12_pair():
-    # Ground 12 holds 10 and 11, whose text order is not their numeric
-    # order.  Its stems include every ground-11 stem, and the children
-    # do not read `ground`, so this covers ground 11 as well.  The walk
-    # of [{}, top] asks the children of every base below top once: each
-    # list must be the `sort_key`-sorted filter, and the walk must be
-    # the depth-first order those lists gave before the child list
-    # became a slice.  [base, top] is the subtree of base in that walk.
+    # Ground 12 holds the two-digit elements 10 and 11.  Its stems
+    # include every ground-11 stem, and the children do not read
+    # `ground`, so this covers ground 11 as well.  The walk of
+    # [{}, top] asks the children of every base below top once: each
+    # list must be the filter sorted in canonical order, and the walk
+    # must be the depth-first order those lists gave before the child
+    # list became a slice.  [base, top] is the subtree of base in that
+    # walk.
     e = _AskedChildren(12)
     tops = e.stems()
     assert set(ell_space(11).stems()) <= set(tops)
@@ -407,7 +415,7 @@ def test_ellentuck_children_of_every_ground_12_pair():
                     for x in top.payload
                     if x > last
                 ),
-                key=e.sort_key,
+                key=_canonical,
             )
             assert e.asked[base] == want, (base, top)
             stack.extend(reversed(want))
@@ -432,7 +440,7 @@ def _reordered_closure(space, t, level, settled):
 
 @pytest.mark.parametrize(
     "space, reordered",
-    [(ell_space(6), False), (ell_space(12), True), (matrix_space(2, 3), True),
+    [(ell_space(6), False), (ell_space(12), False), (matrix_space(2, 3), True),
      (matrix_space(3, 2), False), (partition_space(5), True)],
     ids=lambda v: v.params_str() if hasattr(v, "params_str") else "",
 )
@@ -440,6 +448,8 @@ def test_stage_2_asks_match_the_reordered_closure(space, reordered):
     # `reordered`: whether some (top, level) has parents whose child
     # lists, laid end to end, are out of canonical order, so that
     # reading them in turn would not give the canonical length group.
+    # An ellentuck child extends its parent's payload, so its lists
+    # never are, two-digit elements at ground 12 included.
     rng = random.Random(20261018)
     stems = space.stems()
     tops = [space.full_stem().top, space.empty()] + rng.sample(stems, min(12, len(stems)))
@@ -473,7 +483,7 @@ def _canonical_galvin_search(A, family, max_reducts=MAX_REDUCTS):
         return DichotomyResult(ALT1, B, cert, stats=stats)
 
     def finish_alt2(B):
-        frontier = sorted(frontier_walk(engine, B.top), key=lambda p: space.sort_key(p[0]))
+        frontier = sorted(frontier_walk(engine, B.top), key=lambda p: _canonical(p[0]))
         body = [f"chains={len(frontier)}"]
         body += [f"chain={space.serialize(c)};hit={i}" for c, i in frontier]
         cert = _certificate(family, A, "ALT2", B, body)
@@ -789,7 +799,7 @@ def test_frontier_matches_the_chain_walk(space, pool):
         for t in stems:
             if engine.chain_status(t, space.empty()) is not ChainStatus.ALL_HIT:
                 continue
-            want = sorted(frontier_walk(engine, t), key=lambda p: space.sort_key(p[0]))
+            want = sorted(frontier_walk(engine, t), key=lambda p: _canonical(p[0]))
             got = _frontier(engine, t)
             assert got == want, (family.serialize_members(), space.serialize(t))
             compared += 1
@@ -859,6 +869,44 @@ def test_forcing_grid_matches_the_pinned_results(tmp_path, monkeypatch):
         }
     assert len(jobs) == 100
     assert sum(job["command"] == "reduce" for job in jobs) == 61
+
+
+# Two certificates as they were issued while the canonical order was
+# the text order: the family and the chain lines are in text order.
+TEXT_ORDER_CERTIFICATES = [
+    "galvin-certificate v1\nspace=ellentuck;ground=12\n"
+    "family={0}|{10}|{2}|{4}|{6}|{8}\nlength_bound=1\n"
+    "ambient={0,1,2,3,4,5,6,7,8,9,10,11}\noutcome=ALT1\n"
+    "stem={1,3,5,7,9,11}\nchecked=6\n",
+    "galvin-certificate v1\nspace=partition;max_domain=3\n"
+    "family=({0,1,2})|({0,1})|({0})|({0,1},{2})|({0},{1,2})|({0},{1})\n"
+    "length_bound=2\nambient=({0},{1},{2})\noutcome=ALT2\n"
+    "stem=({0},{1},{2})\nchains=3\nchain=({0,1,2});hit=1\n"
+    "chain=({0,1});hit=1\nchain=({0});hit=1\n",
+]
+
+
+def test_verify_dichotomy_accepts_any_family_order():
+    # The verifier reads the family as a set: a certificate issued in
+    # the text order, and every pinned certificate with its family
+    # members permuted, verifies.
+    rng = random.Random(31)
+    certificates = list(TEXT_ORDER_CERTIFICATES)
+    for job in json.loads(DATA.read_text())["jobs"]:
+        certificates += job["output"]["certificates"].values()
+    permuted = 0
+    for cert in certificates:
+        if "outcome=INCONCLUSIVE" in cert:
+            continue
+        assert verify_dichotomy(cert), cert
+        lines = cert.splitlines(keepends=True)
+        i = next(i for i, ln in enumerate(lines) if ln.startswith("family="))
+        members = lines[i][len("family="):-1].split("|")
+        for order in (members[::-1], rng.sample(members, len(members))):
+            lines[i] = "family=" + "|".join(order) + "\n"
+            assert verify_dichotomy("".join(lines)), (cert, order)
+            permuted += order != members
+    assert permuted > 50
 
 
 def test_stage_2_order_keeps_the_forcing_grid(tmp_path, monkeypatch):

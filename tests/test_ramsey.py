@@ -335,10 +335,10 @@ def _configurations(inst, drop_pin):
 
 def test_classical_items_follow_the_shifted_search():
     # The classical level M is the ellentuck level M + 1 one dimension
-    # up, with the pinned point M dropped.  From 11 points on, a numeric
-    # order of the k-subsets is not the serialization order of their
-    # pinned (k+1)-subsets; node counts and the first bad coloring
-    # depend on the order, so the classical level takes the shifted one.
+    # up, with the pinned point M dropped.  Node counts and the first
+    # bad coloring depend on the item order, so the k-subsets must come
+    # in the canonical order of their pinned (k+1)-subsets; at M = 12,
+    # with the two-digit elements 10 and 11, too.
     for k in range(4):
         for M, n in [(k, k), (6, k + 1), (12, k + 1), (7, k + 2)]:
             inner = build_level("ellentuck", M + 1, k + 1, n + 1)

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -17,6 +18,7 @@ from ramspace.gflinalg import enumerate_rre, spans
 from ramspace.spaces.matrix import _pivoting_before
 from ramspace.spaces import parse_params_str, space_from_params
 from ramspace.errors import (
+    EmptyNeighborhoodError,
     InvalidApproximationError,
     MixedSpaceError,
     OutOfRangeError,
@@ -436,24 +438,65 @@ def test_extensions_characterization_all_spaces():
                 )
 
 
+def _canonical(a):
+    """The canonical order, written here rather than read from the
+    package: shorter first, then by payload, compared as tuples."""
+    return (a.length, a.payload)
+
+
 @pytest.mark.parametrize(
     "space",
-    [ell_space(12), matrix_space(2, 3), matrix_space(3, 2), partition_space(5)],
+    [
+        ell_space(12),
+        matrix_space(2, 3),
+        matrix_space(3, 2),
+        matrix_space(2, 4),
+        matrix_space(3, 3),
+        partition_space(5),
+        partition_space(6),
+    ],
     ids=repr,
 )
 def test_extensions_come_in_sort_key_order(space):
-    # At ground 12 numeric order ({0,2} before {0,10}) and serialization
-    # order ({0,10} before {0,2}) differ; the contract is the latter.
+    # The canonical order compares payloads as tuples: at ground 12,
+    # {0,2} comes before {0,10}, numerically and not as text.  The
+    # stems, every length group of `fin_below` and the child list of
+    # every pair (a below top) must come in it, each against a sort by
+    # the literal (length, payload) key.
+    stems = space.stems()
+    assert stems == sorted(stems, key=_canonical)
+    for top in stems:
+        below = space.fin_below(top)
+        assert below == sorted(below, key=_canonical), space.serialize(top)
+        for k in range(top.length + 1):
+            group = space.fin_below(top, k)
+            assert group == [b for b in below if b.length == k], (space.serialize(top), k)
+        for a in below:
+            exts = space.extensions_below(a, top)
+            assert exts == sorted(exts, key=space.sort_key), space.serialize(a)
+            assert exts == sorted(exts, key=_canonical), space.serialize(a)
+            assert list(space.iter_extensions_below(a, top)) == exts
+
+
+def test_partition_children_are_read_lazily():
+    # Below the discrete top of domain 40, ({0}) has 2^38 children: the
+    # first come in canonical order without the rest being built, and
+    # a base outside the top raises at the call, not at the first read.
+    space = partition_space(40)
     top = space.full_stem().top
-    for a in space.fin_below(top):
-        exts = space.extensions_below(a, top)
-        assert exts == sorted(exts, key=space.sort_key), space.serialize(a)
+    kids = space.iter_extensions_below(space.make([[0]]), top)
+    assert [space.serialize(c) for c in itertools.islice(kids, 4)] == [
+        "({0},{1})", "({0,2},{1})", "({0,2,3},{1})", "({0,2,3,4},{1})"
+    ]
+    with pytest.raises(EmptyNeighborhoodError):
+        space.iter_extensions_below(space.make([[0], [1]]), space.make([[0, 1]]))
 
 
 @pytest.mark.parametrize("ground", [6, 11, 13])
 def test_ellentuck_children_match_a_sort_by_sort_key(ground):
-    # Differential test of the per-element child key against a full
-    # `sort_key` sort, on random (a, top) pairs with a inside top.
+    # Differential test of the numeric child order against a full
+    # `sort_key` sort and a literal (length, payload) sort, on random
+    # (a, top) pairs with a inside top.
     rng = random.Random(ground)
     space = ell_space(ground)
     for _ in range(200):
@@ -463,6 +506,37 @@ def test_ellentuck_children_match_a_sort_by_sort_key(ground):
         last = a.payload[-1] if a.payload else -1
         want = [space.make(a.payload + (x,)) for x in top.payload if x > last]
         assert children == sorted(want, key=space.sort_key)
+        assert children == sorted(want, key=_canonical)
+
+
+@pytest.mark.parametrize(
+    "space", [ell_space(7), matrix_space(2, 3), partition_space(5)], ids=repr
+)
+def test_canonical_order_reads_no_text(space, monkeypatch):
+    # Building length groups and child lists, sorting them, and one
+    # verdict that sweeps a whole neighborhood serialize nothing.
+    from ramspace.forcing import REJECTS, ForcingEngine, front_family
+
+    calls = []
+    serialize = type(space).serialize
+
+    def counting(self, a):
+        calls.append(a)
+        return serialize(self, a)
+
+    monkeypatch.setattr(type(space), "serialize", counting)
+    top = space.full_stem().top
+    below = space.fin_below(top)
+    groups = [space.fin_below(top, k) for k in range(top.length + 1)]
+    children = [space.extensions_below(a, top) for a in below]
+    engine = ForcingEngine(front_family(space, [], length_bound=2))
+    verdict = engine.verdict(space.full_stem(), space.empty())
+    assert verdict.kind == REJECTS and engine.nodes > 1
+    assert sum(map(len, groups)) == len(below) > 1 and any(children)
+    assert calls == []
+    # The counter counts.
+    space.serialize(top)
+    assert calls == [top]
 
 
 def _reference_fin_leq(space, a, b):
