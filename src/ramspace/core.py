@@ -116,21 +116,17 @@ class Space(ABC):
         """
 
     @abstractmethod
-    def extensions_below(
-        self, a: Approximation, top: Approximation
-    ) -> list[Approximation]:
+    def extensions_below(self, a: Approximation, top: Approximation) -> Iterable[Approximation]:
         """All length-(|a|+1) approximations extending `a` below `top`,
         in canonical (`sort_key`) order: the child order of every sweep.
 
-        Raises EmptyNeighborhoodError when `a` is not below `top` at all;
-        returns [] when the neighborhood is nonempty but the truncation
-        admits no extension.
+        The one child primitive.  A space whose child lists can be too
+        large to build returns a generator; a caller that needs `len`,
+        positions or a truth test lists it.  Raises EmptyNeighborhoodError
+        at the call, not at the first read, when `a` is not below `top`
+        at all; yields nothing when the neighborhood is nonempty but the
+        truncation admits no extension.
         """
-
-    def iter_extensions_below(self, a, top) -> Iterator[Approximation]:
-        """`extensions_below(a, top)`, same order and error, read lazily:
-        a space whose child lists can be too large to build generates it."""
-        return iter(self.extensions_below(a, top))
 
     @abstractmethod
     def stems(self) -> list[Approximation]:

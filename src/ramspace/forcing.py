@@ -109,7 +109,7 @@ class ForcingEngine:
     (node, top) pair and the members held as a set of ids.  The index
     gives ids only to values the engine meets, so it sweeps nothing up
     front, and it holds no child lists: a walk reads each node's
-    children lazily (`iter_extensions_below`), up to the first it needs.
+    children lazily from `extensions_below`, up to the first it needs.
 
     Beside the walk memo the engine owns one table, `_accepting`: for
     each (a, prefix) pair, keyed by one int, the (top, f) facts where a
@@ -168,7 +168,7 @@ class ForcingEngine:
             status = ChainStatus.AVOID
         else:
             items = self.index.items
-            children = self.space.iter_extensions_below(items[c], items[top])
+            children = iter(self.space.extensions_below(items[c], items[top]))
             first = next(children, None)
             if first is None:
                 still = self._can_still_hit(items[c], items[top])
@@ -587,10 +587,11 @@ def verify_dichotomy(certificate: str) -> bool:
                 return True
             if c.length >= bound:
                 return False  # a clean chain slipped past every member
-            children = space.extensions_below(c, top)
-            if not children:
+            children = iter(space.extensions_below(c, top))
+            first = next(children, None)
+            if first is None:
                 return False  # a maximal chain that never hits
-            return all(walk(d) for d in children)
+            return all(walk(d) for d in itertools.chain((first,), children))
 
         return walk(space.empty()) and seen == set(frontier)
 

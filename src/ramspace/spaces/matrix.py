@@ -12,7 +12,8 @@ space's, and a row's pivot is `row.index(1)`, since every row leads
 with a 1.  `make` takes the rows and is the one constructor that checks
 them; the primitives build rows that are RREF by construction.
 `fin_below` and `extensions_below` build every row as X·B over an RREF
-basis B, the upper matrix's rows cut to a column count; no span is listed.
+basis B, the upper matrix's rows cut to a column count; no span is
+listed, and `extensions_below` generates its children lazily, in order.
 
 The finitization: a is below b when a has at most as many columns and
 every row of a lies in the span of b's rows truncated to a's columns.
@@ -120,14 +121,12 @@ class MatrixSpace(Space):
                     out.append(_approx(x))
         return sorted(out, key=self.sort_key)
 
-    def extensions_below(self, a, top) -> list[Approximation]:
-        """Each child's rows as X·B, B the rows of `top` pivoting before
-        the child's width w, cut to w; in canonical order.  Below the
-        empty approximation X runs over `enumerate_rre(1, len(B), q)`.
-        Else the new row is `top`'s row pivoting at `a`'s column count p
-        (no such row: no children) and each row of `a` is its lift through
-        the rows pivoting before p, each plus any combination of the rows
-        after p.  A row's candidates are built once per width and shared."""
+    def extensions_below(self, a, top):
+        """The children in canonical order, from `_children`: below the
+        empty approximation, those of one top row at a time, latest pivot
+        first.  Else the new row is `top`'s row pivoting at `a`'s column
+        count p (none: no children), each row of `a` lifted through the
+        rows pivoting before p."""
         self.check_tag(a)
         self.check_tag(top)
         ra, rt, q = a.payload, top.payload, self.q
@@ -137,25 +136,16 @@ class MatrixSpace(Space):
             raise EmptyNeighborhoodError(
                 f"[{self.serialize(a)}, {self.serialize(top)}] is empty"
             )
-        out = []
         if not ra:
-            for w in range(1, _cols(rt) + 1):
-                basis = [r[:w] for r, _ in _pivoting_before(rt, w)]
-                if basis:
-                    x = [row for (row,) in enumerate_rre(1, len(basis), q)]
-                    out.extend(_approx((v,)) for v in times_basis(x, basis, q))
-            return sorted(out, key=self.sort_key)
+            return itertools.chain.from_iterable(
+                _children((rt[i],), rt[i + 1:], _cols(rt), q) for i in reversed(range(len(rt)))
+            )
         rest = rt[len(before):]
         if not rest or rest[0].index(1) != p:
-            return []
+            return iter(())
         coords = [[r[j] for _, j in before] for r in ra]
         heads = (*times_basis(coords, [b for b, _ in before], q), rest[0])
-        for w in range(p + 1, _cols(rt) + 1):
-            tail = [r[:w] for r in rest[1:] if r.index(1) < w]
-            x = [(1, *c) for c in itertools.product(range(q), repeat=len(tail))]
-            rows = [times_basis(x, [h[:w], *tail], q) for h in heads]
-            out.extend(map(_approx, itertools.product(*rows)))
-        return sorted(out, key=self.sort_key)
+        return _children(heads, rest[1:], _cols(rt), q)
 
     def stems(self) -> list[Approximation]:
         out = [self.empty()]
@@ -222,6 +212,32 @@ def _pivoting_before(rows: tuple, cols: int) -> list[tuple[tuple[int, ...], int]
     the RREF basis of the cut row space without any elimination.
     """
     return [(r, p) for r in rows if (p := r.index(1)) < cols]
+
+
+def _children(heads: tuple, tail: tuple, cols: int, q: int):
+    """Rows `heads` cut to each width w from past the last head's pivot
+    to `cols`, each plus any combination of the `tail` rows pivoting
+    before w (X·B), in canonical order: a preorder over row 0's digit
+    trie, whose digit at a tail row's pivot is that row's coefficient,
+    and at each node the later rows' combinations in coefficient order,
+    which is lexicographic; those are built once per width and shared."""
+    pivots = {t.index(1): t for t in tail}
+    later = {}
+    stack = [(heads[-1].index(1) + 1, heads[0])]  # (width, row 0 uncut)
+    while stack:
+        w, v = stack.pop()
+        rows = later.get(w) if heads[1:] else ()
+        if rows is None:
+            basis = [t[:w] for t in tail if t.index(1) < w]
+            x = [(1, *c) for c in itertools.product(range(q), repeat=len(basis))]
+            rows = later[w] = [times_basis(x, [h[:w], *basis], q) for h in heads[1:]]
+        row = v[:w]
+        for rest in itertools.product(*rows):
+            yield _approx((row, *rest))
+        if w < cols:
+            t = pivots.get(w)
+            for c in reversed(range(q) if t else range(1)):
+                stack.append((w + 1, tuple((x + c * y) % q for x, y in zip(v, t)) if c else v))
 
 
 def matrix_space(q: int, max_cols: int) -> MatrixSpace:

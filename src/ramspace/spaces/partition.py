@@ -115,12 +115,7 @@ class PartitionSpace(Space):
                 out.append(_approx(tuple(g[x] for x in cut)))
         return sorted(out, key=self.sort_key)
 
-    def extensions_below(self, a, top) -> list[Approximation]:
-        return list(self.iter_extensions_below(a, top))
-
-    def iter_extensions_below(self, a, top):
-        self.check_tag(a)
-        self.check_tag(top)
+    def extensions_below(self, a, top):
         if not self.fin_leq(a, top):
             raise EmptyNeighborhoodError(
                 f"[{self.serialize(a)}, {self.serialize(top)}] is empty"

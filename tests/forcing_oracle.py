@@ -95,7 +95,7 @@ def frontier_walk(
         if idx is not None:
             out.append((c, idx))
             return
-        children = space.extensions_below(c, top)
+        children = list(space.extensions_below(c, top))
         assert children, "acceptance certificate with an exhausted chain"
         for d in children:
             rec(d)

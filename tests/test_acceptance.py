@@ -328,7 +328,7 @@ def _claims_for(space, family, stem_top):
             return True
         if c.length >= family.length_bound:
             return False
-        children = space.extensions_below(c, stem_top)
+        children = list(space.extensions_below(c, stem_top))
         if not children:
             return False
         return all(chains_all_hit(d) for d in children)

@@ -79,14 +79,20 @@ def test_audit_refusal(capsys):
     assert code == 4
 
 
-def test_audit_refuses_a_200_column_matrix_space(capsys):
-    # The 200-column identity top has 1 + sum over c of (G_c - 1)
-    # reducts, G_c the number of subspaces of GF(2)^c.  The expected
-    # count sums q-Pascal rows, not the package's Galois recurrence.
+def _identity_reducts(q, cols):
+    """The reducts of the `cols`-column identity top over GF(q):
+    1 + sum over c of (G_c - 1), G_c the number of subspaces of
+    GF(q)^c.  The count sums q-Pascal rows, not the package's Galois
+    recurrence."""
     row, count = [1], 1
-    for c in range(1, 201):
-        row = [1, *(row[k - 1] + 2**k * row[k] for k in range(1, c)), 1]
+    for c in range(1, cols + 1):
+        row = [1, *(row[k - 1] + q**k * row[k] for k in range(1, c)), 1]
         count += sum(row) - 1
+    return count
+
+
+def test_audit_refuses_a_200_column_matrix_space(capsys):
+    count = _identity_reducts(2, 200)
     code = cli.main(["audit", "--space", "matrix", "--q", "2", "--max-cols", "200"])
     assert (code, *capsys.readouterr()) == (4, "", (
         "refused: audit universe for space=matrix;q=2;max_cols=200 too large "
@@ -232,13 +238,28 @@ def _one_gigabyte_address_space():
         (["--space", "ellentuck", "--ground", "3000", "--member", "{0}"], None),
         (["--space", "matrix", "--q", "2", "--max-cols", "8", "--member", "q=2;1"],
          "refused: reduct sweep too large (estimated 449693 > ceiling 65536)\n"),
+        (["--space", "matrix", "--q", "2", "--max-cols", "20", "--member", "q=2;1"],
+         "refused: reduct sweep too large (estimated "
+         "9334239813471146416714589768591 > ceiling 65536)\n"),
+        (["--space", "matrix", "--q", "2", "--max-cols", "200", "--member", "q=2;1"],
+         "refused: reduct sweep too large (estimated "
+         f"{_identity_reducts(2, 200)} > ceiling 65536)\n"),
+        (["--space", "matrix", "--q", "7", "--max-cols", "9", "--member", "q=7;1"],
+         "refused: reduct sweep too large (estimated "
+         "194636871263068140 > ceiling 65536)\n"),
+        # Past the interpreter's 4,300-digit limit the count is bracketed
+        # by its leading power of two.
+        (["--space", "matrix", "--q", "7", "--max-cols", "200", "--member", "q=7;1"],
+         "refused: reduct sweep too large (estimated over "
+         f"2^{_identity_reducts(7, 200).bit_length() - 1} > ceiling 65536)\n"),
         (["--space", "partition", "--domain", "10", "--member", "({0},{1})"],
          "refused: reduct sweep too large (estimated 142418 > ceiling 65536)\n"),
         (["--space", "partition", "--domain", "40", "--member", "({0},{1})"],
          "refused: reduct sweep too large (estimated "
          "168992694259134874599518802213062420 > ceiling 65536)\n"),
     ],
-    ids=["ellentuck-400", "ellentuck-3000", "matrix-2-8", "partition-10", "partition-40"],
+    ids=["ellentuck-400", "ellentuck-3000", "matrix-2-8", "matrix-2-20", "matrix-2-200",
+         "matrix-7-9", "matrix-7-200", "partition-10", "partition-40"],
 )
 def test_wide_galvin_searches_answer_before_sweeping(args, refusal):
     # The reducts of each ambient stem number far past the ceiling
@@ -248,7 +269,8 @@ def test_wide_galvin_searches_answer_before_sweeping(args, refusal):
     # exact count.  One child process per row holds the limit.  Only
     # the first question, whether every chain below the ambient meets
     # the family, comes before the count: at domain 40 its walk reads
-    # the first 3 of the 2^38 children of ({0}).
+    # the first 3 of the 2^38 children of ({0}), and on a wide matrix
+    # top only the first child of the empty matrix.
     import subprocess
     import sys
 

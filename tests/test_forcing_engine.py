@@ -124,7 +124,7 @@ class _PrimitiveEngine:
         if c.length >= self.bound:
             status = ChainStatus.AVOID
         else:
-            children = self.space.extensions_below(c, top)
+            children = list(self.space.extensions_below(c, top))
             if not children:
                 status = (
                     ChainStatus.EXHAUSTED

@@ -6,6 +6,8 @@ representation it replaced.  Each primitive must give the same answer
 in both, compared through serialization, or raise the same error type.
 """
 
+from collections.abc import Iterator
+
 import pytest
 
 from partition_oracle import BlocksPartitionSpace, blocks
@@ -20,7 +22,9 @@ OLD_OF = {a: OLD.make(blocks(a)) for a in STEMS}
 
 
 def _outcome(space, fn, *args):
-    """What `fn(*args)` gives, serialized, or the type of its error."""
+    """What `fn(*args)` gives, serialized, or the type of its error.  A
+    lazy child list is read out after the call, so an error it raises
+    only when read is not taken for the answer."""
     try:
         r = fn(*args)
     except Exception as e:  # the error type is part of the answer
@@ -29,7 +33,7 @@ def _outcome(space, fn, *args):
         r = r.top
     if isinstance(r, Approximation):
         return space.serialize(r)
-    if isinstance(r, list):
+    if isinstance(r, (list, Iterator)):
         return [space.serialize(x) for x in r]
     return r
 

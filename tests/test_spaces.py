@@ -472,24 +472,45 @@ def test_extensions_come_in_sort_key_order(space):
             group = space.fin_below(top, k)
             assert group == [b for b in below if b.length == k], (space.serialize(top), k)
         for a in below:
-            exts = space.extensions_below(a, top)
+            exts = list(space.extensions_below(a, top))
             assert exts == sorted(exts, key=space.sort_key), space.serialize(a)
             assert exts == sorted(exts, key=_canonical), space.serialize(a)
-            assert list(space.iter_extensions_below(a, top)) == exts
 
 
-def test_partition_children_are_read_lazily():
-    # Below the discrete top of domain 40, ({0}) has 2^38 children: the
-    # first come in canonical order without the rest being built, and
-    # a base outside the top raises at the call, not at the first read.
-    space = partition_space(40)
+@pytest.mark.parametrize(
+    "space, base, first, outside",
+    [
+        # Below the discrete top of domain 40, ({0}) has 2^38 children.
+        (partition_space(40), "({0})",
+         ["({0},{1})", "({0,2},{1})", "({0,2,3},{1})", "({0,2,3,4},{1})"],
+         ("({0},{1})", "({0,1})")),
+        # Below the identity top, the children of the empty matrix come
+        # one top row at a time, latest pivot first, each row's in
+        # preorder: a row comes before its one-column-wider extensions.
+        (matrix_space(2, 4), "q=2",
+         ["q=2;0001", "q=2;001", "q=2;0010", "q=2;0011",
+          "q=2;01", "q=2;010", "q=2;0100", "q=2;0101"],
+         ("q=2;1", "q=2;01")),
+        # At 200 columns the empty matrix has about 2^200 children; the
+        # first are those of the 4-column top with 196 leading zeros.
+        (matrix_space(2, 200), "q=2",
+         [f"q=2;{'0' * 196}{row}" for row in
+          ["0001", "001", "0010", "0011", "01", "010", "0100", "0101"]],
+         ("q=2;1", "q=2;01")),
+    ],
+    ids=["partition-40", "matrix-2-4", "matrix-2-200"],
+)
+def test_children_are_read_lazily(space, base, first, outside):
+    # The first children come in canonical order without the rest being
+    # built, and a base outside the top raises at the call, not at the
+    # first read.
     top = space.full_stem().top
-    kids = space.iter_extensions_below(space.make([[0]]), top)
-    assert [space.serialize(c) for c in itertools.islice(kids, 4)] == [
-        "({0},{1})", "({0,2},{1})", "({0,2,3},{1})", "({0,2,3,4},{1})"
-    ]
+    kids = space.extensions_below(space.parse(base), top)
+    got = [space.serialize(c) for c in itertools.islice(kids, len(first))]
+    assert got == first
+    a, b = map(space.parse, outside)
     with pytest.raises(EmptyNeighborhoodError):
-        space.iter_extensions_below(space.make([[0], [1]]), space.make([[0, 1]]))
+        space.extensions_below(a, b)
 
 
 @pytest.mark.parametrize("ground", [6, 11, 13])
@@ -528,7 +549,7 @@ def test_canonical_order_reads_no_text(space, monkeypatch):
     top = space.full_stem().top
     below = space.fin_below(top)
     groups = [space.fin_below(top, k) for k in range(top.length + 1)]
-    children = [space.extensions_below(a, top) for a in below]
+    children = [list(space.extensions_below(a, top)) for a in below]
     engine = ForcingEngine(front_family(space, [], length_bound=2))
     verdict = engine.verdict(space.full_stem(), space.empty())
     assert verdict.kind == REJECTS and engine.nodes > 1
