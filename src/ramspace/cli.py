@@ -18,9 +18,11 @@ help and error text.
 
 Exit codes: 0 success (bounded-pass / dichotomy certified / witness
 found / monochromatic reduct), 1 counterexample or lower-bound-only,
-2 usage or input errors, 3 inconclusive or exhausted bound, 4 refusal
-because a size estimate exceeds a ceiling, 5 internal error (a bug:
-reported as one `internal error: <type>: <message>` line, no traceback).
+2 usage or input errors, 3 a `ramsey` search that is inconclusive or
+exhausts its bound (`galvin` and `reduce` always answer or refuse),
+4 refusal because a size estimate exceeds a ceiling, 5 internal error
+(a bug: reported as one `internal error: <type>: <message>` line, no
+traceback).
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from . import __version__
 from .audit import AuditBounds, audit_axioms
 from .core import Stem
 from .errors import CeilingExceededError, ParseError, RamspaceError
-from .forcing import ALT1, ALT2, MAX_REDUCTS, FrontFamily, front_family, galvin_search
+from .forcing import MAX_REDUCTS, FrontFamily, front_family, galvin_search
 from .ramsey import (
     FOUND,
     LOWER_BOUND,
@@ -92,12 +94,11 @@ def parse_coloring_file(lines: list[str]) -> Coloring:
         if not sep:
             raise ParseError(f"bad coloring line: {ln!r}")
         a = space.parse(body)
-        key = space.serialize(a)
         if a.length != k:
             raise ParseError(f"coloring line {ln!r} has length {a.length}, not k={k}")
-        if key in mapping:
-            raise ParseError(f"coloring lists {key} twice")
-        mapping[key] = int_param({"color": color}, "color", f"coloring line {ln!r}")
+        if a in mapping:
+            raise ParseError(f"coloring lists {space.serialize(a)} twice")
+        mapping[a] = int_param({"color": color}, "color", f"coloring line {ln!r}")
     return Coloring(space, k, s, mapping)
 
 
@@ -227,7 +228,6 @@ def cmd_galvin(args) -> int:
     space = family.space
     ambient = _ambient(space, args.stem)
     result = galvin_search(ambient, family, args.max_reducts)
-    code = EXIT_OK if result.outcome in (ALT1, ALT2) else EXIT_INCONCLUSIVE
     payload = {
         "command": "galvin",
         "parameters": {
@@ -237,21 +237,18 @@ def cmd_galvin(args) -> int:
             "ambient": ambient.serialize(),
         },
         "outcome": result.outcome,
-        "exit_code": code,
-        "stem": result.stem.serialize() if result.stem else None,
-        "certificates": {"dichotomy": result.certificate} if result.certificate else {},
-        "diagnostics": result.diagnostics or None,
+        "exit_code": EXIT_OK,
+        "stem": result.stem.serialize(),
+        "certificates": {"dichotomy": result.certificate},
         "stats": result.stats,
     }
-    text = [f"outcome: {result.outcome}"]
-    if result.stem:
-        text.append(f"stem: {result.stem.serialize()}")
-    if result.diagnostics:
-        text.append(f"diagnostics: {result.diagnostics}")
-    if result.certificate:
-        text.append(result.certificate.rstrip("\n"))
+    text = [
+        f"outcome: {result.outcome}",
+        f"stem: {result.stem.serialize()}",
+        result.certificate.rstrip("\n"),
+    ]
     out.emit(payload, text)
-    return code
+    return EXIT_OK
 
 
 def _run_ramsey(args):
@@ -307,26 +304,23 @@ def cmd_reduce(args) -> int:
     coloring = parse_coloring_file(_read_lines(args.coloring))
     space = coloring.space
     result = abs_ramsey_reduce(coloring, _ambient(space, args.stem))
-    code = EXIT_OK if result.outcome == "mono" else EXIT_INCONCLUSIVE
     payload = {
         "command": "reduce",
         "parameters": {"space": space.params_str(), "k": coloring.k, "s": coloring.s},
         "outcome": result.outcome,
-        "exit_code": code,
-        "stem": result.stem.serialize() if result.stem else None,
+        "exit_code": EXIT_OK,
+        "stem": result.stem.serialize(),
         "color": result.color,
-        "certificates": {
-            f"stage{i}": c for i, c in enumerate(result.certificates) if c
-        },
-        "diagnostics": result.diagnostics or None,
+        "certificates": {f"stage{i}": c for i, c in enumerate(result.certificates)},
         "stats": result.stats,
     }
-    text = [f"outcome: {result.outcome}"]
-    if result.stem:
-        text.append(f"stem: {result.stem.serialize()}")
-        text.append(f"color: {result.color}")
+    text = [
+        f"outcome: {result.outcome}",
+        f"stem: {result.stem.serialize()}",
+        f"color: {result.color}",
+    ]
     out.emit(payload, text)
-    return code
+    return EXIT_OK
 
 
 _COMMON = (

@@ -24,7 +24,8 @@ The dichotomy search mirrors the classical proof shape: settle the
 empty approximation on a deciding stem, then either certify acceptance
 of the empty approximation (every maximal chain hits: alternative 2)
 or grow a rejecting sequence level by level until the whole down-set
-of the final stem misses the family (alternative 1).  Certificates
+of the final stem misses the family (alternative 1).  It always
+answers one of the two, or refuses at `max_reducts`.  Certificates
 replay through `verify_dichotomy`, which never consults engine state.
 """
 
@@ -287,15 +288,13 @@ class ForcingEngine:
 
 ALT1 = "alt1"
 ALT2 = "alt2"
-INCONCLUSIVE = "inconclusive"
 
 
 @dataclass
 class DichotomyResult:
-    outcome: str  # alt1 | alt2 | inconclusive
-    stem: Stem | None
+    outcome: str  # alt1 | alt2
+    stem: Stem  # the reduct the certificate names
     certificate: str
-    diagnostics: str = ""
     stats: dict = field(default_factory=dict)
 
 
@@ -336,9 +335,13 @@ def galvin_search(
     Either some reduct's whole down-set misses the family (alternative
     1, reached through a stem rejecting every short approximation), or
     some reduct accepts the empty approximation (alternative 2: every
-    maximal chain below it meets the family).  Inconclusive outcomes
-    name the blocking approximation.  Searches are deterministic:
-    candidates are scanned longest-first in canonical order.
+    maximal chain below it meets the family).  There is no third
+    outcome: when no rejecting sequence can be grown, a direct scan
+    takes the longest reduct of A no member sits below, and the empty
+    reduct is one.  Were the empty approximation a member, stage 1
+    would have answered alternative 2, and nothing else lies below it
+    (the audit's A4(ii)).  Searches are deterministic: candidates are
+    scanned longest-first in canonical order.
 
     At level n a candidate is asked about its approximations of the new
     length n+1 first, then about the shorter ones: the length groups of
@@ -375,23 +378,23 @@ def galvin_search(
                 if space.restrict(t, base.length) == base:
                     yield t
 
-    def finish_alt1(B: Stem) -> DichotomyResult:
-        bad = [f for f in family.members if space.fin_leq(f, B.top)]
-        assert not bad, "alternative-1 stem still meets the family"
+    def meets(t: Approximation) -> bool:
+        return any(space.fin_leq(f, t) for f in family.members)
+
+    def finish_alt1(B: Stem | None = None) -> DichotomyResult:
+        if B is None:
+            # No rejecting sequence grew.  The alternative-1 claim is a
+            # directly checkable statement about the truncated
+            # down-set, so scan for the longest reduct no family member
+            # sits below; the empty reduct is one (see the docstring).
+            t = next((t for t in longest_first(empty, A.top) if not meets(t)), None)
+            assert t is not None, "no reduct is family-free: the space breaks A4(ii)"
+            stats["direct_scan"] = 1
+            B = Stem(space, t)
+        assert not meets(B.top), "alternative-1 stem still meets the family"
         cert = _certificate(family, A, "ALT1", B, [f"checked={len(family.members)}"])
         stats["walk_nodes"] = engine.nodes
         return DichotomyResult(ALT1, B, cert, stats=stats)
-
-    def direct_alt1_scan() -> Stem | None:
-        # Fallback when the rejecting sequence strands on boundary
-        # noise: the alternative-1 claim is a directly checkable
-        # statement about the truncated down-set, so scan for the
-        # longest reduct no family member sits below.
-        for t in longest_first(empty, A.top):
-            if not any(space.fin_leq(f, t) for f in family.members):
-                stats["direct_scan"] = 1
-                return Stem(space, t)
-        return None
 
     def finish_alt2(B: Stem) -> DichotomyResult:
         # The stem accepted, so this is a walk memo lookup.
@@ -434,17 +437,7 @@ def galvin_search(
     if seed is None:
         if first_accepting is not None:
             return finish_alt2(first_accepting)
-        direct = direct_alt1_scan()
-        if direct is not None:
-            return finish_alt1(direct)
-        return DichotomyResult(
-            INCONCLUSIVE,
-            None,
-            "",
-            diagnostics="no reduct decides the empty approximation "
-            "within the truncation",
-            stats=stats,
-        )
+        return finish_alt1()
 
     # Stage 2: grow the rejecting sequence level by level.  After level
     # L every member of the family would be trivially accepted, so a
@@ -453,8 +446,6 @@ def galvin_search(
     # it is asked first (see the docstring for why the order is free).
     current = seed
     for level in range(L):
-        chosen = None
-        blocker = None
         # Preserve the chain up to the level, or all of it when the
         # truncated stem is shorter than the level index.
         prefix = current.approx(min(level, current.length))
@@ -463,33 +454,12 @@ def galvin_search(
         for t in itertools.chain([current.top], rest):
             stats["reducts_scanned"] += 1
             cand = Stem(space, t)
-            ok = True
-            for b in _stage2_asks(space, t, level, settled=t == current.top):
-                v = engine.verdict(cand, b)
-                if v.kind != REJECTS:
-                    ok = False
-                    blocker = (t, b, v)
-                    break
-            if ok:
-                chosen = cand
+            asks = _stage2_asks(space, t, level, settled=t == current.top)
+            if all(engine.verdict(cand, b).kind == REJECTS for b in asks):
+                current = cand
                 break
-        if chosen is None:
-            direct = direct_alt1_scan()
-            if direct is not None:
-                return finish_alt1(direct)
-            t, b, v = blocker
-            return DichotomyResult(
-                INCONCLUSIVE,
-                None,
-                "",
-                diagnostics=(
-                    f"rejecting sequence stuck at level {level}: "
-                    f"{space.serialize(b)} is {v.kind} below "
-                    f"{space.serialize(t)} ({v.diagnostics})"
-                ),
-                stats=stats,
-            )
-        current = chosen
+        else:
+            return finish_alt1()
     return finish_alt1(current)
 
 

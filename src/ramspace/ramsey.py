@@ -47,13 +47,14 @@ from dataclasses import dataclass, field
 
 from .core import Approximation, Space, Stem
 from .errors import CeilingExceededError
-from .forcing import ALT1, ALT2, INCONCLUSIVE, MAX_REDUCTS, FrontFamily, galvin_search
+from .forcing import ALT2, MAX_REDUCTS, FrontFamily, galvin_search
 from .gflinalg import enumerate_rre, gaussian_binomial, times_basis
 from .spaces import ell_space, matrix_space, parse_params_str, space_from_params
 
 FOUND = "found"
 LOWER_BOUND = "lower_bound"
 EXHAUSTED = "exhausted"
+INCONCLUSIVE = "inconclusive"
 
 # The most colorings an exhaustive level may have (s^N for N items), and
 # the most nodes a witness replay may take: the one witness ceiling.
@@ -69,7 +70,7 @@ _WORK_COUNTER = {"backtracking": "nodes", "exhaustive": "colorings_checked"}
 
 @dataclass(frozen=True)
 class Coloring:
-    """A coloring of length-k approximations, by serialization, with
+    """A coloring of length-k approximations, keyed by value, with
     colors 0..s-1; `of` refuses an approximation it does not color."""
 
     space: Space
@@ -85,10 +86,10 @@ class Coloring:
                 raise ValueError(f"color {c} out of range for s={self.s}")
 
     def of(self, a: Approximation) -> int:
-        key = self.space.serialize(a)
-        if key not in self.mapping:
-            raise ValueError(f"coloring is not total: missing {key}")
-        return self.mapping[key]
+        color = self.mapping.get(a)
+        if color is None:
+            raise ValueError(f"coloring is not total: missing {self.space.serialize(a)}")
+        return color
 
 
 @dataclass
@@ -397,11 +398,10 @@ def finite_ramsey_witness(
 
 @dataclass
 class ReduceResult:
-    outcome: str  # "mono" | "inconclusive"
-    stem: Stem | None
-    color: int | None
-    certificates: list[str]
-    diagnostics: str = ""
+    outcome: str  # "mono"
+    stem: Stem  # every length-k approximation below it has `color`
+    color: int
+    certificates: list[str]  # one galvin certificate per peeling stage
     stats: dict = field(default_factory=dict)
 
 
@@ -430,13 +430,7 @@ def abs_ramsey_reduce(
         if res.outcome == ALT2:
             _assert_monochromatic(space, res.stem, k, coloring, color)
             return ReduceResult("mono", res.stem, color, certificates, stats=stats)
-        if res.outcome == ALT1:
-            current = res.stem
-            continue
-        return ReduceResult(
-            "inconclusive", None, None, certificates,
-            diagnostics=res.diagnostics, stats=stats,
-        )
+        current = res.stem
     _assert_monochromatic(space, current, k, coloring, s - 1)
     return ReduceResult("mono", current, s - 1, certificates, stats=stats)
 

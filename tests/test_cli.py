@@ -163,7 +163,6 @@ def test_galvin_wide_matrix_search_is_pinned(capsys, schema):
             f"stem={stem}\nchecked=1\n"
         },
         "command": "galvin",
-        "diagnostics": None,
         "exit_code": 0,
         "outcome": "alt1",
         "parameters": {
@@ -194,23 +193,6 @@ def test_galvin_removed_options_are_unknown_arguments(capsys):
         out, err = capsys.readouterr()
         assert code == 2 and out == ""
         assert f"unrecognized arguments: {' '.join(extra)}" in err
-
-
-def _inconclusive_search(*args, **kwargs):
-    return forcing.DichotomyResult(
-        forcing.INCONCLUSIVE, None, "", diagnostics="stuck", stats={}
-    )
-
-
-def test_galvin_inconclusive_exit(capsys, schema, monkeypatch):
-    monkeypatch.setattr(cli, "galvin_search", _inconclusive_search)
-    code, payload = run_json(
-        capsys, schema, "galvin", "--space", "ellentuck", "--ground", "5",
-        "--member", "{0,1}",
-    )
-    assert code == 3
-    assert payload["outcome"] == "inconclusive"
-    assert payload["diagnostics"] == "stuck"
 
 
 def test_galvin_refusal_without_greedy(capsys):
@@ -624,15 +606,6 @@ def test_reduce_parity(tmp_path, capsys, schema):
     assert payload["outcome"] == "mono"
     assert payload["stem"] == "{1,3,5,7,9}"
     assert payload["color"] == 1
-
-
-def test_reduce_inconclusive_exit(tmp_path, capsys, schema, monkeypatch):
-    monkeypatch.setattr(ramsey, "galvin_search", _inconclusive_search)
-    path = _write_parity_coloring(tmp_path)
-    code, payload = run_json(capsys, schema, "reduce", "--coloring", str(path))
-    assert code == 3
-    assert payload["outcome"] == "inconclusive"
-    assert payload["diagnostics"] == "stuck"
 
 
 def test_reduce_bad_file(tmp_path, capsys):

@@ -325,6 +325,40 @@ def test_galvin_boundary_lurking_family_falls_back_to_direct_scan():
     assert verify_dichotomy(res.certificate)
 
 
+SMALL_SPACES = [ell_space(4), matrix_space(2, 2), matrix_space(3, 2), partition_space(3)]
+
+
+@pytest.mark.parametrize("space", SMALL_SPACES, ids=lambda sp: sp.params_str())
+def test_nothing_but_the_empty_value_lies_below_it(space):
+    # A4(ii) at the empty approximation, which the search's totality
+    # rests on: its direct alternative-1 scan ends at the empty reduct.
+    empty = space.empty()
+    for a in space.fin_below(space.full_stem().top):
+        assert space.fin_leq(a, empty) == (a == empty), a
+
+
+@pytest.mark.parametrize("space", SMALL_SPACES, ids=lambda sp: sp.params_str())
+def test_galvin_search_always_decides(space):
+    # Below every stem, every family of one or two values, the empty
+    # value included, gets one of the two alternatives with a
+    # certificate that verifies.  Some searches reach the direct scan.
+    values = space.fin_below(space.full_stem().top)
+    families = [
+        front_family(space, fam)
+        for r in (1, 2)
+        for fam in itertools.combinations(values, r)
+    ]
+    outcomes = {ALT1: 0, ALT2: 0}
+    scanned = 0
+    for t in space.stems():
+        for family in families:
+            res = galvin_search(Stem(space, t), family)
+            outcomes[res.outcome] += 1
+            scanned += res.stats.get("direct_scan", 0)
+            assert verify_dichotomy(res.certificate), (t, family.members)
+    assert outcomes[ALT1] and outcomes[ALT2] and scanned, outcomes
+
+
 def test_galvin_refuses_when_greedy_disabled():
     # Matrix and partition have no greedy exclusion: the search refuses
     # before it sweeps, with the exact count of the ambient stem's

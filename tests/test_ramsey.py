@@ -4,11 +4,12 @@ import random
 import pytest
 
 from partition_oracle import blocks, dual_to_classical_encoding
-from ramspace import ell_space, forcing, partition_space, ramsey
+from ramspace import ell_space, partition_space
 from ramspace.errors import CeilingExceededError
 from ramspace.ramsey import (
     EXHAUSTED,
     FOUND,
+    INCONCLUSIVE,
     LOWER_BOUND,
     Coloring,
     abs_ramsey_reduce,
@@ -180,7 +181,7 @@ def test_budget_before_any_refuted_level_is_inconclusive():
     res = finite_ramsey_witness(
         "matrix", 1, 2, 3, bound=5, mode="backtracking", q=2, node_budget=3
     )
-    assert res.outcome == forcing.INCONCLUSIVE
+    assert res.outcome == INCONCLUSIVE
     assert res.value is None
     assert res.found_certificate is None and res.lower_bound_certificate is None
     assert res.stats == {"levels_examined": 1, "nodes": 4, "undecided_level": 2}
@@ -397,7 +398,7 @@ def test_reduce_parity_coloring():
     e = ell_space(12)
     A = e.full_stem()
     dom = [a for a in e.fin_below(A.top) if a.length == 1]
-    col = Coloring(e, 1, 2, {e.serialize(a): a.payload[0] % 2 for a in dom})
+    col = Coloring(e, 1, 2, {a: a.payload[0] % 2 for a in dom})
     res = abs_ramsey_reduce(col, A)
     assert res.outcome == "mono"
     assert res.stem.top.payload == tuple(range(1, 12, 2))
@@ -408,7 +409,7 @@ def test_reduce_three_colors():
     e = ell_space(9)
     A = e.full_stem()
     dom = [a for a in e.fin_below(A.top) if a.length == 1]
-    col = Coloring(e, 1, 3, {e.serialize(a): a.payload[0] % 3 for a in dom})
+    col = Coloring(e, 1, 3, {a: a.payload[0] % 3 for a in dom})
     res = abs_ramsey_reduce(col, A)
     assert res.outcome == "mono"
     assert res.color == 2
@@ -420,7 +421,7 @@ def test_reduce_constant_coloring_keeps_ambient():
     e = ell_space(6)
     A = e.full_stem()
     dom = [a for a in e.fin_below(A.top) if a.length == 1]
-    col = Coloring(e, 1, 2, {e.serialize(a): 1 for a in dom})
+    col = Coloring(e, 1, 2, {a: 1 for a in dom})
     res = abs_ramsey_reduce(col, A)
     assert res.outcome == "mono"
     assert res.stem.top == A.top
@@ -431,7 +432,7 @@ def test_reduce_single_color():
     e = ell_space(5)
     A = e.full_stem()
     dom = [a for a in e.fin_below(A.top) if a.length == 1]
-    col = Coloring(e, 1, 1, {e.serialize(a): 0 for a in dom})
+    col = Coloring(e, 1, 1, {a: 0 for a in dom})
     res = abs_ramsey_reduce(col, A)
     assert res.stem.top == A.top and res.color == 0
 
@@ -439,7 +440,7 @@ def test_reduce_single_color():
 def test_reduce_requires_total_coloring():
     e = ell_space(6)
     A = e.full_stem()
-    col = Coloring(e, 1, 2, {"{0}": 0})
+    col = Coloring(e, 1, 2, {e.make((0,)): 0})
     with pytest.raises(ValueError):
         abs_ramsey_reduce(col, A)
 
@@ -448,31 +449,11 @@ def test_reduce_refuses_over_the_ceiling():
     p = partition_space(4)
     A = p.full_stem()
     dom = [a for a in p.fin_below(A.top) if a.length == 1]
-    col = Coloring(p, 1, 2, {p.serialize(a): len(blocks(a)[0]) % 2 for a in dom})
+    col = Coloring(p, 1, 2, {a: len(blocks(a)[0]) % 2 for a in dom})
     with pytest.raises(CeilingExceededError) as exc:
         abs_ramsey_reduce(col, A, max_reducts=2)
     # The estimate is the exact count of A's reducts: 1 + B(1) + ... + B(4).
     assert (exc.value.estimate, exc.value.ceiling) == (24, 2)
-
-
-def test_reduce_propagates_inconclusive(monkeypatch):
-    # No small family is known to leave galvin_search inconclusive, so
-    # a substitute search stands in for one.
-    def inconclusive(A, family, max_reducts):
-        return forcing.DichotomyResult(
-            forcing.INCONCLUSIVE, None, "", diagnostics="stuck",
-            stats={"walk_nodes": 3, "reducts_scanned": 1},
-        )
-
-    monkeypatch.setattr(ramsey, "galvin_search", inconclusive)
-    e = ell_space(6)
-    dom = [e.make((x,)) for x in range(6)]
-    col = Coloring(e, 1, 2, {e.serialize(a): a.payload[0] % 2 for a in dom})
-    res = abs_ramsey_reduce(col, e.full_stem())
-    assert res.outcome == "inconclusive"
-    assert (res.stem, res.color, res.certificates) == (None, None, [""])
-    assert res.diagnostics == "stuck"
-    assert res.stats == {"walk_nodes": 3, "reducts_scanned": 1}
 
 
 def test_reduce_pair_coloring_monochromatic():
@@ -480,7 +461,7 @@ def test_reduce_pair_coloring_monochromatic():
     A = e.full_stem()
     dom = [a for a in e.fin_below(A.top) if a.length == 2]
     col = Coloring(
-        e, 2, 2, {e.serialize(a): (a.payload[0] + a.payload[1]) % 2 for a in dom}
+        e, 2, 2, {a: (a.payload[0] + a.payload[1]) % 2 for a in dom}
     )
     res = abs_ramsey_reduce(col, A)
     assert res.outcome == "mono"
