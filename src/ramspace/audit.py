@@ -100,7 +100,6 @@ class AxiomCheck:
 @dataclass
 class AxiomReport:
     space_params: str
-    bounds: AuditBounds
     checks: list[AxiomCheck] = field(default_factory=list)
     depth_pairs_checked: int = 0
     depth_violations: int = 0
@@ -148,7 +147,7 @@ def audit_axioms(space: Space, bounds: AuditBounds | None = None) -> AxiomReport
         raise CeilingExceededError(
             f"audit universe for {space.params_str()} too large", count, STEM_CEILING
         )
-    report = AxiomReport(space.params_str(), bounds)
+    report = AxiomReport(space.params_str())
     uni = Universe(space)
 
     _audit_a1(uni, report)

@@ -37,7 +37,7 @@ from . import __version__
 from .audit import AuditBounds, audit_axioms
 from .core import Stem
 from .errors import CeilingExceededError, ParseError, RamspaceError
-from .forcing import MAX_REDUCTS, FrontFamily, front_family, galvin_search
+from .forcing import MAX_REDUCTS, FrontFamily, galvin_search
 from .ramsey import (
     FOUND,
     LOWER_BOUND,
@@ -77,7 +77,7 @@ def parse_family_file(lines: list[str]) -> FrontFamily:
         key, _, value = body[0].partition("=")
         bound = int_param({key: value}, key, "the family file")
         body = body[1:]
-    return front_family(space, (space.parse(ln) for ln in body), bound)
+    return FrontFamily(space, (space.parse(ln) for ln in body), bound)
 
 
 def parse_coloring_file(lines: list[str]) -> Coloring:
@@ -224,7 +224,7 @@ def cmd_galvin(args) -> int:
     else:
         space = _space(args)
         members = (space.parse(m) for m in args.member)
-        family = front_family(space, members, args.length_bound)
+        family = FrontFamily(space, members, args.length_bound)
     space = family.space
     ambient = _ambient(space, args.stem)
     result = galvin_search(ambient, family, args.max_reducts)

@@ -16,9 +16,8 @@ the classical relations or neither:
                preserved-depth neighborhood accepts;
   undecided -- neither can be certified within the truncation.
 
-Verdicts are honest: `undecided` carries diagnostics naming either the
-truncation boundary or the reduct that destroys a definitive answer.
-Verdicts are relative to the truncated universe by construction.
+A verdict is its kind and names no reason.  Verdicts are relative to
+the truncated universe by construction.
 
 The dichotomy search mirrors the classical proof shape: settle the
 empty approximation on a deciding stem, then either certify acceptance
@@ -47,48 +46,39 @@ UNDECIDED = "undecided"
 
 @dataclass(frozen=True)
 class FrontFamily:
-    """A finite set of approximations with a declared length bound."""
+    """A finite set of approximations with a declared length bound.
+
+    `members` may be any iterable, kept as a canonical-order tuple without
+    repeats; a None `length_bound` is the longest member's (0 if none)."""
 
     space: Space
-    members: tuple[Approximation, ...]
-    length_bound: int
+    members: Iterable[Approximation]
+    length_bound: int | None = None
 
     def __post_init__(self):
+        members = tuple(self.members)
+        if self.length_bound is None:
+            bound = max((m.length for m in members), default=0)
+            object.__setattr__(self, "length_bound", bound)
         if self.length_bound < 0:
             raise ValueError(f"need length_bound >= 0, got {self.length_bound}")
-        for m in self.members:
+        for m in members:
             self.space.check_tag(m)
             if m.length > self.length_bound:
                 raise ValueError(
                     f"member {self.space.serialize(m)} exceeds length bound "
                     f"{self.length_bound}"
                 )
-        ordered = tuple(sorted(set(self.members), key=self.space.sort_key))
+        ordered = tuple(sorted(set(members), key=self.space.sort_key))
         object.__setattr__(self, "members", ordered)
 
     def serialize_members(self) -> str:
         return "|".join(self.space.serialize(m) for m in self.members)
 
 
-def front_family(
-    space: Space, members: Iterable[Approximation], length_bound: int | None = None
-) -> FrontFamily:
-    members = tuple(members)
-    if length_bound is None:
-        length_bound = max((m.length for m in members), default=0)
-    return FrontFamily(space, members, length_bound)
-
-
 # The one setting of the forcing layer: the most reducts a sweep reads
 # before it refuses with an estimate.
 MAX_REDUCTS = 1 << 16
-
-
-@dataclass(frozen=True)
-class ForcingVerdict:
-    kind: str  # accepts | rejects | undecided
-    nodes: int
-    diagnostics: str = ""
 
 
 class ChainStatus(enum.IntEnum):
@@ -102,6 +92,7 @@ class ChainStatus(enum.IntEnum):
 
 class ForcingEngine:
     """Memoized chain walks and forcing verdicts for one family, on ids.
+    A verdict is its kind: ACCEPTS, REJECTS or UNDECIDED.
 
     The engine owns one lazy `core.Index` of the approximations it
     meets: the family's members, the stems and bases it is asked about,
@@ -115,10 +106,9 @@ class ForcingEngine:
     Beside the walk memo the engine owns one table, `_accepting`: for
     each (a, prefix) pair, keyed by one int, the (top, f) facts where a
     sweep of [prefix, top] stopped at f, its first reduct below which
-    `a` is accepted, each with the diagnostics naming f.  An undecided
-    verdict that such a fact covers is read from the table instead of a
-    new sweep (see `verdict`); every other verdict sweeps through the
-    space's `iter_neighborhood`.
+    `a` is accepted.  An undecided verdict that such a fact covers is
+    read from the table instead of a new sweep (see `verdict`); every
+    other verdict sweeps through the space's `iter_neighborhood`.
 
     A fresh engine is a pure function of (family, max_reducts),
     single-threaded.  Engines share no state, and both tables are
@@ -138,7 +128,7 @@ class ForcingEngine:
             self.space.restrict(f, i) for f in family.members for i in range(f.length)
         )
         self._walk_memo: dict[int, ChainStatus] = {}
-        self._accepting: dict[int, list[tuple[Approximation, Approximation, str]]] = {}
+        self._accepting: dict[int, list[tuple[Approximation, Approximation]]] = {}
         self.nodes = 0
 
     # ----- chain walk -----
@@ -202,16 +192,16 @@ class ForcingEngine:
                 )
             yield t
 
-    def verdict(self, stem: Stem, a: Approximation) -> ForcingVerdict:
-        """The accepts/rejects/undecided verdict for (stem, a).
+    def verdict(self, stem: Stem, a: Approximation) -> str:
+        """The verdict for (stem, a): ACCEPTS, REJECTS or UNDECIDED.
 
         accepts: the stem's own chains all hit.  rejects: the stem's own
         chains certifiably avoid and no stem in the preserved-depth
-        neighborhood certifiably accepts.  Everything else is undecided,
-        with diagnostics naming the reason: the verdicts are relative to
-        the truncated universe, and reduct proxies whose own chains end
-        at the truncation carry no evidence either way (they are noted
-        but do not block a rejection).
+        neighborhood certifiably accepts.  Everything else is undecided.
+        A verdict is its kind and names no reason.  Verdicts are
+        relative to the truncated universe, and a reduct whose own
+        chains end at the truncation carries no evidence either way, so
+        it does not block a rejection.
 
         The hit test of `a` runs once, for the stem's own status; the
         sweep then walks `a` below the id of each reduct it yields.  The
@@ -222,8 +212,8 @@ class ForcingEngine:
 
         Before it sweeps, the verdict looks for a fact (top', f) of the
         same (a, prefix) with top <= top' and f <= top, and if it finds
-        one answers undecided naming f.  That is the answer the sweep
-        would give, exactly:
+        one answers undecided.  That is the answer the sweep would give,
+        exactly:
           - [prefix, top] lies inside [prefix, top'], and its sweep
             order is the order of [prefix, top'] cut down to it (each
             child list is the parent's children below the top, in
@@ -234,7 +224,7 @@ class ForcingEngine:
             so each walk would be a memo hit and `nodes` is unchanged;
           - it would yield no more reducts before f than that sweep did,
             so it would not have passed `max_reducts` either.
-        Rejections always sweep: their open-proxy count is per top.
+        Rejections always sweep: the table holds accepting reducts only.
         """
         if stem.space is not self.space and stem.space != self.space:
             raise MixedSpaceError("stem does not belong to the family's space")
@@ -245,43 +235,27 @@ class ForcingEngine:
             )
         own = self.chain_status(top, a)
         if own is ChainStatus.ALL_HIT:
-            return ForcingVerdict(ACCEPTS, self.nodes)
+            return ACCEPTS
         if own is ChainStatus.EXHAUSTED:
-            return ForcingVerdict(
-                UNDECIDED,
-                self.nodes,
-                diagnostics=(
-                    "truncation boundary: a chain below "
-                    f"{stem.serialize()} ends with the question open"
-                ),
-            )
+            return UNDECIDED
         n = stem.depth(a)
         prefix = self.space.restrict(top, n)
         # `a` is clean, so below each reduct its status is its walk.
         base = self.index.id(a)
         key = base << 32 | self.index.id(prefix)
         leq = self.space.fin_leq
-        for u, f, why in self._accepting.get(key, ()):
+        for u, f in self._accepting.get(key, ()):
             if leq(top, u) and leq(f, top):
-                return ForcingVerdict(UNDECIDED, self.nodes, diagnostics=why)
-        open_proxies = 0
+                return UNDECIDED
         for t in self._neighborhood(prefix, top):
-            st = self.walk(base, self.index.id(t))
-            if st is ChainStatus.ALL_HIT:
-                why = (
-                    "not decided at this stem: "
-                    f"{self.space.serialize(t)} accepts {self.space.serialize(a)}"
-                )
+            if self.walk(base, self.index.id(t)) is ChainStatus.ALL_HIT:
                 # A fact with the same reduct below a smaller top covers
                 # nothing this one does not.
                 facts = self._accepting.setdefault(key, [])
-                facts[:] = [(u, f, w) for u, f, w in facts if f != t or not leq(u, top)]
-                facts.append((top, t, why))
-                return ForcingVerdict(UNDECIDED, self.nodes, diagnostics=why)
-            if st is ChainStatus.EXHAUSTED:
-                open_proxies += 1
-        notes = f"open-proxies={open_proxies}" if open_proxies else ""
-        return ForcingVerdict(REJECTS, self.nodes, diagnostics=notes)
+                facts[:] = [(u, f) for u, f in facts if f != t or not leq(u, top)]
+                facts.append((top, t))
+                return UNDECIDED
+        return REJECTS
 
 
 # ----- the dichotomy search -----
@@ -347,8 +321,8 @@ def galvin_search(
     length n+1 first, then about the shorter ones: the length groups of
     `fin_below(t)`, each in canonical order (`_stage2_asks`).  The
     current stem is not asked the shorter ones again: stage 1 or the
-    previous level saw each of them rejected.  A verdict's kind does
-    not depend on the engine's walk memo or its table of accepting
+    previous level saw each of them rejected.  A verdict does not
+    depend on the engine's walk memo or its table of accepting
     reducts, and no stage-2 sweep can pass the ceiling, so the stem
     chosen, the certificate and `reducts_scanned` do not depend on that
     order; only `walk_nodes` does.
@@ -429,10 +403,10 @@ def galvin_search(
     for t in longest_first(empty, A.top):
         stats["reducts_scanned"] += 1
         v = engine.verdict(Stem(space, t), empty)
-        if v.kind == REJECTS:
+        if v == REJECTS:
             seed = Stem(space, t)
             break
-        if v.kind == ACCEPTS and first_accepting is None:
+        if v == ACCEPTS and first_accepting is None:
             first_accepting = Stem(space, t)
     if seed is None:
         if first_accepting is not None:
@@ -455,7 +429,7 @@ def galvin_search(
             stats["reducts_scanned"] += 1
             cand = Stem(space, t)
             asks = _stage2_asks(space, t, level, settled=t == current.top)
-            if all(engine.verdict(cand, b).kind == REJECTS for b in asks):
+            if all(engine.verdict(cand, b) == REJECTS for b in asks):
                 current = cand
                 break
         else:

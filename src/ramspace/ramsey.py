@@ -422,7 +422,7 @@ def abs_ramsey_reduce(
         members = [
             a for a in space.fin_below(current.top, k) if coloring.of(a) == color
         ]
-        family = FrontFamily(space, tuple(members), k)
+        family = FrontFamily(space, members, k)
         res = galvin_search(current, family, max_reducts)
         certificates.append(res.certificate)
         for key in stats:

@@ -19,7 +19,7 @@ from ramspace.forcing import (
     ALT2,
     REJECTS,
     ForcingEngine,
-    front_family,
+    FrontFamily,
     galvin_search,
     verify_dichotomy,
 )
@@ -215,9 +215,9 @@ def test_criterion_6_forcing_properties():
     violations = {"down": 0, "down-reject": 0, "extend": 0, "witness": 0}
     checked = 0
     for fam in families:
-        family = front_family(e, fam, length_bound=2)
+        family = FrontFamily(e, fam, length_bound=2)
         engine = ForcingEngine(family)
-        verdicts = {(B.top, a): engine.verdict(B, a).kind for B, a, _, _ in pairs}
+        verdicts = {(B.top, a): engine.verdict(B, a) for B, a, _, _ in pairs}
         checked += len(verdicts)
         for B, a, seers, exts in pairs:
             kind = verdicts[(B.top, a)]
@@ -343,7 +343,7 @@ _C7_RUNS: list = []
 def _run_criterion_7():
     out = []
     for e, members, bound in _fixture_families():
-        family = front_family(e, members, length_bound=bound)
+        family = FrontFamily(e, members, length_bound=bound)
         res = galvin_search(e.full_stem(), family)
         out.append((e, family, res))
     _C7_RUNS.append([res.certificate for _, _, res in out])

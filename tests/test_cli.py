@@ -5,7 +5,7 @@ import jsonschema
 import pytest
 
 from ramspace import cli, forcing, matrix_space, partition_space, ramsey
-from ramspace.audit import AxiomCheck, AxiomReport, AuditBounds
+from ramspace.audit import AxiomCheck, AxiomReport
 from ramspace.ramsey import verify_witness
 
 
@@ -102,7 +102,7 @@ def test_audit_refuses_a_200_column_matrix_space(capsys):
 
 def test_audit_counterexample_exit(capsys, monkeypatch):
     # exit-code mapping for a failing report (real spaces all pass)
-    report = AxiomReport("space=test", AuditBounds())
+    report = AxiomReport("space=test")
     report.checks.append(
         AxiomCheck("A1", "empty-base", "counterexample", 1, witness="w")
     )

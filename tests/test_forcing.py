@@ -13,9 +13,9 @@ from ramspace.forcing import (
     ALT2,
     REJECTS,
     UNDECIDED,
+    ChainStatus,
     ForcingEngine,
     FrontFamily,
-    front_family,
     galvin_search,
     verify_dichotomy,
 )
@@ -26,13 +26,17 @@ def even_pairs_family():
     e = ell_space(12)
     evens = [x for x in range(12) if x % 2 == 0]
     members = [e.make(p) for p in itertools.combinations(evens, 2)]
-    return e, front_family(e, members)
+    return e, FrontFamily(e, members)
 
 
 def test_family_sorts_and_validates(e8):
-    fam = front_family(e8, [e8.make((3,)), e8.make((1,))])
+    fam = FrontFamily(e8, [e8.make((3,)), e8.make((1,))])
     assert [m.payload for m in fam.members] == [(1,), (3,)]
     assert fam.length_bound == 1
+    # Members may come from any iterable; the default bound is the
+    # longest member's length, 0 for no members.
+    assert FrontFamily(e8, iter([e8.make((1, 2))])).length_bound == 2
+    assert FrontFamily(e8, ()).length_bound == 0
     with pytest.raises(ValueError):
         FrontFamily(e8, (e8.make((1, 2)),), 1)
     with pytest.raises(ValueError):
@@ -41,50 +45,50 @@ def test_family_sorts_and_validates(e8):
 
 def test_accepts_when_base_is_a_member(e12):
     A = e12.full_stem()
-    fam = front_family(e12, [e12.make((x,)) for x in range(12)])
+    fam = FrontFamily(e12, [e12.make((x,)) for x in range(12)])
     v = ForcingEngine(fam).verdict(A, e12.make((3,)))
-    assert v.kind == ACCEPTS
+    assert v == ACCEPTS
 
 
 def test_empty_family_is_rejected_everywhere(e12):
     A = e12.full_stem()
-    fam = front_family(e12, [], length_bound=0)
-    assert ForcingEngine(fam).verdict(A, e12.make((1,))).kind == REJECTS
-    assert ForcingEngine(fam).verdict(A, e12.empty()).kind == REJECTS
+    fam = FrontFamily(e12, [], length_bound=0)
+    assert ForcingEngine(fam).verdict(A, e12.make((1,))) == REJECTS
+    assert ForcingEngine(fam).verdict(A, e12.empty()) == REJECTS
 
 
 def test_rejects_odd_base_against_even_pairs(even_pairs_family):
     e, fam = even_pairs_family
     A = e.full_stem()
     v = ForcingEngine(fam).verdict(A, e.make((1,)))
-    assert v.kind == REJECTS
+    assert v == REJECTS
     # a second engine gives the same verdict: not accepts
-    assert ForcingEngine(fam).verdict(A, e.make((1,))).kind == REJECTS
+    assert ForcingEngine(fam).verdict(A, e.make((1,))) == REJECTS
 
 
 def test_odds_stem_does_not_accept_odd_base(even_pairs_family):
     e, fam = even_pairs_family
     odds = Stem(e, e.make(tuple(range(1, 12, 2))))
-    assert ForcingEngine(fam).verdict(odds, e.make((1,))).kind != ACCEPTS
+    assert ForcingEngine(fam).verdict(odds, e.make((1,))) != ACCEPTS
 
 
 def test_member_is_never_rejected(e12):
     A = e12.full_stem()
-    fam = front_family(e12, [e12.make((2, 5))])
-    assert ForcingEngine(fam).verdict(A, e12.make((2, 5))).kind == ACCEPTS
+    fam = FrontFamily(e12, [e12.make((2, 5))])
+    assert ForcingEngine(fam).verdict(A, e12.make((2, 5))) == ACCEPTS
 
 
 def test_decide_empty_base(e12):
     A = e12.full_stem()
-    all_singletons = front_family(e12, [e12.make((x,)) for x in range(12)])
-    assert ForcingEngine(all_singletons).verdict(A, e12.empty()).kind == ACCEPTS
-    empty_family = front_family(e12, [], length_bound=0)
-    assert ForcingEngine(empty_family).verdict(A, e12.empty()).kind == REJECTS
+    all_singletons = FrontFamily(e12, [e12.make((x,)) for x in range(12)])
+    assert ForcingEngine(all_singletons).verdict(A, e12.empty()) == ACCEPTS
+    empty_family = FrontFamily(e12, [], length_bound=0)
+    assert ForcingEngine(empty_family).verdict(A, e12.empty()) == REJECTS
 
 
 def test_verdict_requires_nonempty_neighborhood(e8):
     stem = Stem(e8, e8.make((0, 2)))
-    fam = front_family(e8, [e8.make((0,))])
+    fam = FrontFamily(e8, [e8.make((0,))])
     with pytest.raises(EmptyNeighborhoodError):
         ForcingEngine(fam).verdict(stem, e8.make((1,)))
 
@@ -92,7 +96,7 @@ def test_verdict_requires_nonempty_neighborhood(e8):
 def test_accepts_and_rejects_mutually_exclusive(e8):
     full = e8.full_stem()
     pool = [e8.empty()] + [e8.make((x,)) for x in range(4)]
-    fams = [front_family(e8, c, length_bound=2) for c in itertools.combinations(pool, 2)]
+    fams = [FrontFamily(e8, c, length_bound=2) for c in itertools.combinations(pool, 2)]
     for fam in fams:
         eng = ForcingEngine(fam)
         for top in e8.fin_below(full.top)[:40]:
@@ -101,22 +105,23 @@ def test_accepts_and_rejects_mutually_exclusive(e8):
                 if a.length > 2:
                     continue
                 v = eng.verdict(stem, a)
-                assert v.kind in (ACCEPTS, REJECTS, UNDECIDED)
+                assert v in (ACCEPTS, REJECTS, UNDECIDED)
 
 
-def test_undecided_carries_boundary_diagnostics():
+def test_undecided_at_the_truncation_boundary():
     e = ell_space(4)
     # The chain stuck at {3} can still meet {3, x}-shaped members only
     # beyond the truncated stem, so small stems stay undecided.
-    fam = front_family(e, [e.make((1, 2))])
-    v = ForcingEngine(fam).verdict(Stem(e, e.make((1,))), e.make((1,)))
-    assert v.kind == UNDECIDED
-    assert "boundary" in v.diagnostics or "question open" in v.diagnostics
+    fam = FrontFamily(e, [e.make((1, 2))])
+    stem, a = Stem(e, e.make((1,))), e.make((1,))
+    engine = ForcingEngine(fam)
+    assert engine.chain_status(stem.top, a) is ChainStatus.EXHAUSTED
+    assert engine.verdict(stem, a) == UNDECIDED
 
 
 def test_rejecting_verdict_past_the_ceiling_refuses(e12):
     # A rejection needs the whole neighborhood: 4,096 reducts here.
-    engine = ForcingEngine(front_family(e12, [], length_bound=0), max_reducts=64)
+    engine = ForcingEngine(FrontFamily(e12, [], length_bound=0), max_reducts=64)
     with pytest.raises(CeilingExceededError) as exc:
         engine.verdict(e12.full_stem(), e12.empty())
     assert (exc.value.estimate, exc.value.ceiling) == (65, 64)
@@ -125,16 +130,22 @@ def test_rejecting_verdict_past_the_ceiling_refuses(e12):
 def test_accepting_reduct_before_the_ceiling_is_undecided(e12):
     # {0} accepts the empty approximation and is the second reduct swept,
     # so the verdict is settled long before the ceiling is reached.
-    fam = front_family(e12, [e12.make((x,)) for x in range(0, 12, 2)])
+    fam = FrontFamily(e12, [e12.make((x,)) for x in range(0, 12, 2)])
     v = ForcingEngine(fam, max_reducts=64).verdict(e12.full_stem(), e12.empty())
-    assert v.kind == UNDECIDED
-    assert v.diagnostics == "not decided at this stem: {0} accepts {}"
+    assert v == UNDECIDED
+    # {0} is what stops the sweep: a ceiling of two reducts reaches it,
+    # a ceiling of one refuses at the second.
+    v = ForcingEngine(fam, max_reducts=2).verdict(e12.full_stem(), e12.empty())
+    assert v == UNDECIDED
+    with pytest.raises(CeilingExceededError) as exc:
+        ForcingEngine(fam, max_reducts=1).verdict(e12.full_stem(), e12.empty())
+    assert (exc.value.estimate, exc.value.ceiling) == (2, 1)
 
 
 def test_walk_to_the_family_bound_rejects_a_clean_base(e8):
     # Every chain through {3} passes length 2 clean, so it avoids {1,2}.
-    fam = front_family(e8, [e8.make((1, 2))])
-    assert ForcingEngine(fam).verdict(e8.full_stem(), e8.make((3,))).kind == REJECTS
+    fam = FrontFamily(e8, [e8.make((1, 2))])
+    assert ForcingEngine(fam).verdict(e8.full_stem(), e8.make((3,))) == REJECTS
 
 
 def test_rejection_witness_exists_when_rejecting(even_pairs_family):
@@ -142,7 +153,7 @@ def test_rejection_witness_exists_when_rejecting(even_pairs_family):
     A = e.full_stem()
     eng = ForcingEngine(fam)
     a = e.make((1,))
-    assert eng.verdict(A, a).kind == REJECTS
+    assert eng.verdict(A, a) == REJECTS
     w = rejection_witness(eng, A, a)
     assert w is not None
     for b in w.space.extensions_below(a, w.top):
@@ -212,7 +223,7 @@ def test_fusion_rejects_prefix_breakers(e12):
 
 def test_galvin_empty_family_gives_alt1_ambient(e12):
     A = e12.full_stem()
-    res = galvin_search(A, front_family(e12, [], length_bound=0))
+    res = galvin_search(A, FrontFamily(e12, [], length_bound=0))
     assert res.outcome == ALT1
     assert res.stem.top == A.top
     assert verify_dichotomy(res.certificate)
@@ -220,7 +231,7 @@ def test_galvin_empty_family_gives_alt1_ambient(e12):
 
 def test_galvin_all_singletons_gives_alt2_ambient(e12):
     A = e12.full_stem()
-    fam = front_family(e12, [e12.make((x,)) for x in range(12)])
+    fam = FrontFamily(e12, [e12.make((x,)) for x in range(12)])
     res = galvin_search(A, fam)
     assert res.outcome == ALT2
     assert res.stem.top == A.top
@@ -229,7 +240,7 @@ def test_galvin_all_singletons_gives_alt2_ambient(e12):
 
 def test_galvin_even_singletons_small_ground():
     e = ell_space(8)
-    fam = front_family(e, [e.make((x,)) for x in range(0, 8, 2)])
+    fam = FrontFamily(e, [e.make((x,)) for x in range(0, 8, 2)])
     res = galvin_search(e.full_stem(), fam)
     assert res.outcome == ALT1
     assert res.stem.top.payload == (1, 3, 5, 7)
@@ -238,7 +249,7 @@ def test_galvin_even_singletons_small_ground():
 
 def test_galvin_even_singletons_large_ground_greedy_path():
     e = ell_space(20)
-    fam = front_family(e, [e.make((x,)) for x in range(0, 20, 2)])
+    fam = FrontFamily(e, [e.make((x,)) for x in range(0, 20, 2)])
     res = galvin_search(e.full_stem(), fam)
     assert res.outcome == ALT1
     assert res.stem.top.payload == tuple(range(1, 20, 2))
@@ -247,7 +258,7 @@ def test_galvin_even_singletons_large_ground_greedy_path():
 
 def test_galvin_search_keeps_nothing_after_returning():
     e = ell_space(10)
-    fam = front_family(e, [e.make((x,)) for x in range(0, 10, 2)])
+    fam = FrontFamily(e, [e.make((x,)) for x in range(0, 10, 2)])
     gc.collect()
     tracemalloc.start()
     try:
@@ -262,7 +273,7 @@ def test_galvin_search_keeps_nothing_after_returning():
 
 
 def test_galvin_certificates_are_deterministic(e12):
-    fam = front_family(e12, [e12.make((x,)) for x in range(0, 12, 3)])
+    fam = FrontFamily(e12, [e12.make((x,)) for x in range(0, 12, 3)])
     A = e12.full_stem()
     first = galvin_search(A, fam).certificate
     second = galvin_search(A, fam).certificate
@@ -284,7 +295,7 @@ def test_galvin_alternatives_never_both_verify(even_pairs_family):
 
 def test_galvin_matrix_space():
     m = matrix_space(2, 3)
-    fam = front_family(m, [m.make([(1,)])])
+    fam = FrontFamily(m, [m.make([(1,)])])
     res = galvin_search(m.full_stem(), fam)
     assert res.outcome == ALT1
     assert verify_dichotomy(res.certificate)
@@ -293,7 +304,7 @@ def test_galvin_matrix_space():
 
 def test_galvin_partition_space():
     p = partition_space(4)
-    fam = front_family(p, [p.make([(0,), (1,)])])
+    fam = FrontFamily(p, [p.make([(0,), (1,)])])
     res = galvin_search(p.full_stem(), fam)
     assert res.outcome == ALT1
     assert verify_dichotomy(res.certificate)
@@ -303,7 +314,7 @@ def test_galvin_short_seed_family():
     # The only rejecting seed is a one-element stem shorter than the
     # family bound; the level loop must clamp its preserved prefix.
     e = ell_space(4)
-    fam = front_family(
+    fam = FrontFamily(
         e, [e.make((0,)), e.make((1,)), e.make((2,))], length_bound=3
     )
     res = galvin_search(e.full_stem(), fam)
@@ -318,7 +329,7 @@ def test_galvin_boundary_lurking_family_falls_back_to_direct_scan():
     # down-set claim for {0,1,2} is still directly certifiable.
     e = ell_space(4)
     members = [e.make(x) for x in [(3,), (0, 3), (0, 2, 3), (0, 1, 3)]]
-    res = galvin_search(e.full_stem(), front_family(e, members, length_bound=3))
+    res = galvin_search(e.full_stem(), FrontFamily(e, members, length_bound=3))
     assert res.outcome == ALT1
     assert res.stem.top.payload == (0, 1, 2)
     assert res.stats.get("direct_scan") == 1
@@ -344,7 +355,7 @@ def test_galvin_search_always_decides(space):
     # certificate that verifies.  Some searches reach the direct scan.
     values = space.fin_below(space.full_stem().top)
     families = [
-        front_family(space, fam)
+        FrontFamily(space, fam)
         for r in (1, 2)
         for fam in itertools.combinations(values, r)
     ]
@@ -364,13 +375,13 @@ def test_galvin_refuses_when_greedy_disabled():
     # before it sweeps, with the exact count of the ambient stem's
     # reducts, |fin_below(A.top)|, as its estimate.
     p = partition_space(5)
-    fam = front_family(p, [p.make([(0,), (1,)])])
+    fam = FrontFamily(p, [p.make([(0,), (1,)])])
     with pytest.raises(CeilingExceededError) as exc:
         galvin_search(p.full_stem(), fam, max_reducts=3)
     assert (exc.value.estimate, exc.value.ceiling) == (76, 3)
     assert len(p.fin_below(p.full_stem().top)) == 76
     m = matrix_space(2, 3)
-    fam = front_family(m, [m.make([(1, 0)])])
+    fam = FrontFamily(m, [m.make([(1, 0)])])
     with pytest.raises(CeilingExceededError) as exc:
         galvin_search(m.full_stem(), fam, max_reducts=2)
     assert (exc.value.estimate, exc.value.ceiling) == (21, 2)
@@ -379,7 +390,7 @@ def test_galvin_refuses_when_greedy_disabled():
 
 def test_galvin_ellentuck_excludes_greedily_over_the_ceiling():
     e = ell_space(20)
-    fam = front_family(e, [e.make((0,))])
+    fam = FrontFamily(e, [e.make((0,))])
     res = galvin_search(e.full_stem(), fam, max_reducts=64)
     assert res.outcome == ALT1
     assert res.stem.top.payload == tuple(range(1, 20))
@@ -392,7 +403,7 @@ def test_max_reducts_below_one_is_an_input_error(max_reducts):
     # neither the ellentuck greedy fallback nor the matrix refusal with
     # an estimate is reached.
     for space in (ell_space(20), matrix_space(2, 3)):
-        fam = front_family(space, [space.full_stem().approx(1)])
+        fam = FrontFamily(space, [space.full_stem().approx(1)])
         with pytest.raises(ValueError, match="max_reducts >= 1"):
             galvin_search(space.full_stem(), fam, max_reducts)
         with pytest.raises(ValueError, match="max_reducts >= 1"):
@@ -405,7 +416,7 @@ def test_verify_dichotomy_rejects_malformed():
 
 
 def test_verify_dichotomy_rejects_tampered_stem(e12):
-    fam = front_family(e12, [e12.make((x,)) for x in range(0, 12, 2)])
+    fam = FrontFamily(e12, [e12.make((x,)) for x in range(0, 12, 2)])
     res = galvin_search(e12.full_stem(), fam)
     assert res.outcome == ALT1
     tampered = res.certificate.replace(
@@ -415,14 +426,14 @@ def test_verify_dichotomy_rejects_tampered_stem(e12):
 
 
 def test_verify_dichotomy_rejects_non_reduct_stem(e12):
-    fam = front_family(e12, [], length_bound=0)
+    fam = FrontFamily(e12, [], length_bound=0)
     res = galvin_search(Stem(e12, e12.make((0, 1, 2))), fam)
     tampered = res.certificate.replace("stem={0,1,2}", "stem={0,1,2,3}")
     assert not verify_dichotomy(tampered)
 
 
 def test_alt2_certificate_lists_chain_hits(e12):
-    fam = front_family(e12, [e12.make((x,)) for x in range(12)])
+    fam = FrontFamily(e12, [e12.make((x,)) for x in range(12)])
     res = galvin_search(e12.full_stem(), fam)
     lines = res.certificate.splitlines()
     chain_lines = [ln for ln in lines if ln.startswith("chain=")]

@@ -49,13 +49,11 @@ from ramspace.forcing import (
     ChainStatus,
     DichotomyResult,
     ForcingEngine,
-    ForcingVerdict,
     FrontFamily,
     _certificate,
     _frontier,
     _greedy_avoiding_stem,
     _stage2_asks,
-    front_family,
     galvin_search,
     verify_dichotomy,
 )
@@ -158,16 +156,15 @@ class _PrimitiveEngine:
                 )
             yield t
 
-    def verdict(self, stem: Stem, a: Approximation) -> ForcingVerdict:
-        """The accepts/rejects/undecided verdict for (stem, a).
+    def verdict(self, stem: Stem, a: Approximation) -> str:
+        """The verdict for (stem, a): ACCEPTS, REJECTS or UNDECIDED.
 
         accepts: the stem's own chains all hit.  rejects: the stem's own
         chains certifiably avoid and no stem in the preserved-depth
-        neighborhood certifiably accepts.  Everything else is undecided,
-        with diagnostics naming the reason: the verdicts are relative to
-        the truncated universe, and reduct proxies whose own chains end
-        at the truncation carry no evidence either way (they are noted
-        but do not block a rejection).
+        neighborhood certifiably accepts.  Everything else is undecided:
+        the verdicts are relative to the truncated universe, and a
+        reduct whose own chains end at the truncation carries no
+        evidence either way, so it does not block a rejection.
 
         The preserved-depth neighborhood is read lazily and the sweep
         stops at the first accepting reduct.  Raises CeilingExceededError
@@ -183,35 +180,15 @@ class _PrimitiveEngine:
             )
         own = self.chain_status(top, a)
         if own is ChainStatus.ALL_HIT:
-            return ForcingVerdict(ACCEPTS, self.nodes)
+            return ACCEPTS
         if own is ChainStatus.EXHAUSTED:
-            return ForcingVerdict(
-                UNDECIDED,
-                self.nodes,
-                diagnostics=(
-                    "truncation boundary: a chain below "
-                    f"{stem.serialize()} ends with the question open"
-                ),
-            )
+            return UNDECIDED
         n = stem.depth(a)
         prefix = self.space.restrict(top, n)
-        open_proxies = 0
         for t in self._neighborhood(prefix, top):
-            st = self.chain_status(t, a)
-            if st is ChainStatus.ALL_HIT:
-                return ForcingVerdict(
-                    UNDECIDED,
-                    self.nodes,
-                    diagnostics=(
-                        "not decided at this stem: "
-                        f"{self.space.serialize(t)} accepts "
-                        f"{self.space.serialize(a)}"
-                    ),
-                )
-            if st is ChainStatus.EXHAUSTED:
-                open_proxies += 1
-        notes = f"open-proxies={open_proxies}" if open_proxies else ""
-        return ForcingVerdict(REJECTS, self.nodes, diagnostics=notes)
+            if self.chain_status(t, a) is ChainStatus.ALL_HIT:
+                return UNDECIDED
+        return REJECTS
 
     def rejection_witness(self, stem: Stem, a: Approximation) -> Stem | None:
         """A preserved-depth reduct below which no one-step extension of
@@ -270,7 +247,7 @@ def test_every_verdict_matches_the_primitive_engine(space, pool):
     families = [fam for r in range(3) for fam in itertools.combinations(pool, r)]
     compared = 0
     for fam in families:
-        family = front_family(space, fam, length_bound=2)
+        family = FrontFamily(space, fam, length_bound=2)
         new = ForcingEngine(family)
         old = _PrimitiveEngine(family)
         for B in stems:
@@ -280,7 +257,7 @@ def test_every_verdict_matches_the_primitive_engine(space, pool):
                 got = _ask(new.verdict, B, a)
                 assert got == _ask(old.verdict, B, a), (fam, B, a)
                 compared += 1
-                if got.kind == REJECTS:
+                if got == REJECTS:
                     w_new = rejection_witness(new, B, a)
                     w_old = old.rejection_witness(B, a)
                     assert w_new == w_old, (fam, B, a)
@@ -299,11 +276,14 @@ def test_the_ceiling_estimate_matches_the_primitive_engine(space, pool, max_redu
     refused = 0
     families = [()] + [fam for r in (1, 2) for fam in itertools.combinations(pool, r)]
     for fam in families:
-        family = front_family(space, fam, length_bound=2)
+        family = FrontFamily(space, fam, length_bound=2)
         base = space.empty()
-        got = _ask(ForcingEngine(family, max_reducts).verdict, A, base)
-        want = _ask(_PrimitiveEngine(family, max_reducts).verdict, A, base)
+        new = ForcingEngine(family, max_reducts)
+        old = _PrimitiveEngine(family, max_reducts)
+        got = _ask(new.verdict, A, base)
+        want = _ask(old.verdict, A, base)
         assert got == want, fam
+        assert new.nodes == old.nodes, fam
         if isinstance(got, tuple):
             refused += 1
     # The empty family rejects, so it sweeps every reduct of A.
@@ -312,7 +292,7 @@ def test_the_ceiling_estimate_matches_the_primitive_engine(space, pool, max_redu
 
 def test_the_ceiling_error_carries_the_primitive_engine_estimate():
     e = ell_space(9)
-    family = front_family(e, [], length_bound=0)
+    family = FrontFamily(e, [], length_bound=0)
     for ceiling in (1, 2, 7, 40):
         errors = []
         for engine in (ForcingEngine(family, max_reducts=ceiling),
@@ -325,12 +305,14 @@ def test_the_ceiling_error_carries_the_primitive_engine_estimate():
 
 def test_walks_run_on_engine_owned_ids():
     e = ell_space(6)
-    family = front_family(e, [e.make((0, 1)), e.make((2,))])
+    family = FrontFamily(e, [e.make((0, 1)), e.make((2,))])
     engine = ForcingEngine(family)
     members = [engine.index.items[i] for i in sorted(engine._members)]
     assert members == list(family.members)
     v = engine.verdict(e.full_stem(), e.make((1,)))
-    assert v == _PrimitiveEngine(family).verdict(e.full_stem(), e.make((1,)))
+    old = _PrimitiveEngine(family)
+    assert v == old.verdict(e.full_stem(), e.make((1,)))
+    assert engine.nodes == old.nodes
     # Every walked pair is keyed by one int, and each id names one value.
     assert all(isinstance(key, int) for key in engine._walk_memo)
     assert len(set(engine.index.items)) == len(engine.index.items)
@@ -511,10 +493,10 @@ def _canonical_galvin_search(A, family, max_reducts=MAX_REDUCTS):
         for t in reducts:
             stats["reducts_scanned"] += 1
             v = engine.verdict(Stem(space, t), empty)
-            if v.kind == REJECTS:
+            if v == REJECTS:
                 seed = Stem(space, t)
                 break
-            if v.kind == ACCEPTS and first_accepting is None:
+            if v == ACCEPTS and first_accepting is None:
                 first_accepting = Stem(space, t)
         if seed is None:
             if first_accepting is not None:
@@ -543,7 +525,7 @@ def _canonical_galvin_search(A, family, max_reducts=MAX_REDUCTS):
             stats["reducts_scanned"] += 1
             cand = Stem(space, t)
             if all(
-                engine.verdict(cand, b).kind == REJECTS
+                engine.verdict(cand, b) == REJECTS
                 for b in closure_below(space, t, max_length=target_len)
             ):
                 chosen = cand
@@ -583,7 +565,7 @@ def test_stage_2_order_keeps_the_dichotomy_fixtures():
 
     outcomes = []
     for space, members, bound in _fixture_families():
-        family = front_family(space, members, length_bound=bound)
+        family = FrontFamily(space, members, length_bound=bound)
         outcomes.append(_same_search(space.full_stem(), family).outcome)
     assert len(outcomes) == 100 and set(outcomes) == {ALT1, ALT2}
 
@@ -632,7 +614,7 @@ def test_stage_2_order_keeps_seeded_random_searches(space, monkeypatch):
         # read past the current stem at level 1 and on.
         k = rng.choice((1, 2)) if i < 40 else 3
         members = [a for a in below if a.length == k and rng.random() < 0.5]
-        family = front_family(space, members, length_bound=k)
+        family = FrontFamily(space, members, length_bound=k)
         A = rng.choice(ambients)
         start = asked[0]
         want = _canonical_galvin_search(A, family)
@@ -655,8 +637,8 @@ def test_stage_2_order_keeps_seeded_random_searches(space, monkeypatch):
 @pytest.mark.parametrize("space, pool", CASES)
 def test_verdicts_do_not_depend_on_the_memo(space, pool):
     # Stage 2 may ask a candidate's approximations in any order because
-    # a verdict's kind and diagnostics are the same on a fresh engine
-    # and on one warmed by any other verdicts.
+    # a verdict is the same on a fresh engine and on one warmed by any
+    # other verdicts.
     rng = random.Random(318)
     questions = [
         (Stem(space, t), a)
@@ -667,14 +649,14 @@ def test_verdicts_do_not_depend_on_the_memo(space, pool):
     families = [fam for r in (1, 2) for fam in itertools.combinations(pool, r)]
     kinds = set()
     for fam in rng.sample(families, 6):
-        family = front_family(space, fam, length_bound=2)
+        family = FrontFamily(space, fam, length_bound=2)
         warm = ForcingEngine(family)
         for B, a in rng.sample(questions, len(questions)):
             got = warm.verdict(B, a)
             if rng.random() < 0.2:
                 fresh = ForcingEngine(family).verdict(B, a)
-                assert (got.kind, got.diagnostics) == (fresh.kind, fresh.diagnostics)
-                kinds.add(got.kind)
+                assert got == fresh
+                kinds.add(got)
     assert {ACCEPTS, REJECTS} <= kinds
 
 
@@ -716,19 +698,20 @@ def _count_sweeps(monkeypatch):
 @pytest.mark.parametrize("space, pool", REUSE_CASES)
 def test_warm_verdicts_reuse_accepting_reducts_exactly(space, pool, monkeypatch):
     # One warm engine per family answers a shuffled question list in
-    # the primitive engine's order: every kind, diagnostic and node
-    # count must be the primitive engine's, with fewer sweeps, because
-    # an undecided verdict covered by an earlier accepting reduct is
+    # the primitive engine's order: every verdict and node count must
+    # be the primitive engine's, with fewer sweeps, because an
+    # undecided verdict covered by an earlier accepting reduct is
     # answered from the engine's table.
     sweeps = _count_sweeps(monkeypatch)
     kinds = set()
     for fam, questions in _warm_questions(space, pool, seed=2028):
-        family = front_family(space, fam, length_bound=2)
+        family = FrontFamily(space, fam, length_bound=2)
         new, old = ForcingEngine(family), _PrimitiveEngine(family)
         for B, a in questions:
             got, want = new.verdict(B, a), old.verdict(B, a)
             assert got == want, (fam, B, a)
-            kinds.add(got.kind)
+            assert new.nodes == old.nodes
+            kinds.add(got)
     assert kinds == {ACCEPTS, REJECTS, UNDECIDED}
     assert sweeps[ForcingEngine] < sweeps[_PrimitiveEngine], sweeps
 
@@ -744,7 +727,7 @@ def test_warm_ceilings_match_the_primitive_engine(space, pool, monkeypatch):
     refused = 0
     for max_reducts in (1, 2, 3, 5, 8, 13):
         for fam, questions in asked:
-            family = front_family(space, fam, length_bound=2)
+            family = FrontFamily(space, fam, length_bound=2)
             new = ForcingEngine(family, max_reducts)
             old = _PrimitiveEngine(family, max_reducts)
             for B, a in questions:
@@ -770,7 +753,7 @@ def test_can_still_hit_matches_the_member_loop(space, pool):
     seen = set()
     for _ in range(8):
         members = rng.sample(below, 3)
-        family = front_family(space, members)
+        family = FrontFamily(space, members)
         new, old = ForcingEngine(family), _PrimitiveEngine(family)
         for t in space.stems():
             for c in space.fin_below(t):
@@ -797,7 +780,7 @@ def test_frontier_matches_the_chain_walk(space, pool):
     families = [fam for r in (1, 2, 3) for fam in itertools.combinations(pool, r)]
     compared = with_empty = shadowed = searched_alt2 = 0
     for fam in families:
-        family = front_family(space, fam)
+        family = FrontFamily(space, fam)
         engine = ForcingEngine(family)
         for t in stems:
             if engine.chain_status(t, space.empty()) is not ChainStatus.ALL_HIT:

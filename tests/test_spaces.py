@@ -536,7 +536,7 @@ def test_ellentuck_children_match_a_sort_by_sort_key(ground):
 def test_canonical_order_reads_no_text(space, monkeypatch):
     # Building length groups and child lists, sorting them, and one
     # verdict that sweeps a whole neighborhood serialize nothing.
-    from ramspace.forcing import REJECTS, ForcingEngine, front_family
+    from ramspace.forcing import REJECTS, ForcingEngine, FrontFamily
 
     calls = []
     serialize = type(space).serialize
@@ -550,9 +550,9 @@ def test_canonical_order_reads_no_text(space, monkeypatch):
     below = space.fin_below(top)
     groups = [space.fin_below(top, k) for k in range(top.length + 1)]
     children = [list(space.extensions_below(a, top)) for a in below]
-    engine = ForcingEngine(front_family(space, [], length_bound=2))
+    engine = ForcingEngine(FrontFamily(space, [], length_bound=2))
     verdict = engine.verdict(space.full_stem(), space.empty())
-    assert verdict.kind == REJECTS and engine.nodes > 1
+    assert verdict == REJECTS and engine.nodes > 1
     assert sum(map(len, groups)) == len(below) > 1 and any(children)
     assert calls == []
     # The counter counts.

@@ -3,7 +3,9 @@ relative, of `ramspace` itself, or of a standard-library module, and
 `pyproject.toml` declares no runtime dependency.  It reads no
 environment variable: every setting is an argument or a constant.  And
 it holds no code only for its tests: each public function, method and
-class is named in `src/` or `perfbench/` outside its own definition."""
+class is named in `src/` or `perfbench/` outside its own definition,
+and each public annotated class field is read there as `.name` outside
+its own definition."""
 
 import ast
 import pathlib
@@ -65,6 +67,27 @@ def _definitions(tree):
                     yield qualified, item.name, item.lineno, item.end_lineno
 
 
+def _trees():
+    """The parsed modules of `src/` and `perfbench/`, by path."""
+    sources = [*PACKAGE.rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
+    return {path: ast.parse(path.read_text(), str(path)) for path in sources}
+
+
+def _fields(tree):
+    """(qualified name, name, first line, last line) of every public
+    annotated field of a public module-level class."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+            for item in node.body:
+                if (
+                    isinstance(item, ast.AnnAssign)
+                    and isinstance(item.target, ast.Name)
+                    and not item.target.id.startswith("_")
+                ):
+                    name = item.target.id
+                    yield f"{node.name}.{name}", name, item.lineno, item.end_lineno
+
+
 def _mentions(tree):
     """(line, name) of every name and attribute the module reads."""
     for node in ast.walk(tree):
@@ -92,8 +115,7 @@ def test_package_reads_no_environment_variable():
 
 def test_every_public_name_in_the_package_is_used_outside_its_definition():
     # A library function that only tests call belongs in a test oracle.
-    sources = [*PACKAGE.rglob("*.py"), *(ROOT / "perfbench").rglob("*.py")]
-    trees = {path: ast.parse(path.read_text(), str(path)) for path in sources}
+    trees = _trees()
     mentions = [
         (path, line, name)
         for path, tree in trees.items()
@@ -110,3 +132,26 @@ def test_every_public_name_in_the_package_is_used_outside_its_definition():
         )
     }
     assert unused == UNCALLED
+
+
+def test_every_public_field_in_the_package_is_read_outside_its_definition():
+    # A field that only its constructor writes and only tests read is
+    # state kept for the tests.
+    trees = _trees()
+    reads = [
+        (path, node.lineno, node.attr)
+        for path, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    ]
+    unread = [
+        qualified
+        for path, tree in trees.items()
+        if path.is_relative_to(PACKAGE)
+        for qualified, name, first, last in _fields(tree)
+        if not any(
+            name == used and not (where == path and first <= line <= last)
+            for where, line, used in reads
+        )
+    ]
+    assert unread == []

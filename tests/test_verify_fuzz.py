@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from ramspace import ell_space, matrix_space, partition_space, ramsey
 from ramspace.errors import CeilingExceededError
-from ramspace.forcing import front_family, galvin_search, verify_dichotomy
+from ramspace.forcing import FrontFamily, galvin_search, verify_dichotomy
 from ramspace.ramsey import (
     _level_backtracking,
     _rebuild_level_from_fields,
@@ -115,7 +115,7 @@ def _agrees_with_the_oracle(certificate: str) -> bool:
 
 
 def _galvin(space, members):
-    return galvin_search(space.full_stem(), front_family(space, members)).certificate
+    return galvin_search(space.full_stem(), FrontFamily(space, members)).certificate
 
 
 def _singletons(space):
