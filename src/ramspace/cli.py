@@ -16,6 +16,10 @@ read declines: help, version, abbreviations, `--flag=value` and usage
 errors.  So a job never imports argparse, and argparse writes every
 help and error text.
 
+Each `cmd_*` returns (exit code, JSON payload, text lines); `main` adds
+`command` and `exit_code` and writes one of them to stdout or
+`--output`.  A `--q` outside (2, 3, 5, 7) is a usage error everywhere.
+
 Exit codes: 0 success (bounded-pass / dichotomy certified / witness
 found / monochromatic reduct), 1 counterexample or lower-bound-only,
 2 usage or input errors, 3 a `ramsey` search that is inconclusive or
@@ -34,7 +38,7 @@ from dataclasses import fields
 from types import SimpleNamespace
 
 from . import __version__
-from .audit import AuditBounds, audit_axioms
+from .audit import BOUNDED_PASS, COUNTEREXAMPLE, AuditBounds, audit_axioms
 from .core import Stem
 from .errors import CeilingExceededError, ParseError, RamspaceError
 from .forcing import MAX_REDUCTS, FrontFamily, galvin_search
@@ -102,32 +106,6 @@ def parse_coloring_file(lines: list[str]) -> Coloring:
     return Coloring(space, k, s, mapping)
 
 
-class Output:
-    def __init__(self, args):
-        self.format = args.format
-        self.path = args.output
-        self.timing = args.timing
-        self.started = time.perf_counter()
-
-    def seconds(self):
-        return round(time.perf_counter() - self.started, 3) if self.timing else None
-
-    def emit(self, payload: dict, text_lines: list[str]):
-        if self.format == "json":
-            payload = dict(payload, seconds=self.seconds())
-            content = json.dumps(payload, indent=2, sort_keys=True) + "\n"
-        else:
-            lines = list(text_lines)
-            if self.timing:
-                lines.append(f"seconds: {self.seconds()}")
-            content = "\n".join(lines) + "\n"
-        if self.path:
-            with open(self.path, "w", encoding="utf-8") as fh:
-                fh.write(content)
-        else:
-            sys.stdout.write(content)
-
-
 # The space options as (flag, add_argument keywords).  Their
 # destinations are the space classes' field names, so the parsed
 # arguments are a space_from_params mapping.
@@ -164,8 +142,7 @@ def _space(args):
     return space_from_params(dict(vars(args), q=2 if args.q is None else args.q))
 
 
-def cmd_audit(args) -> int:
-    out = Output(args)
+def cmd_audit(args):
     space = _space(args)
     bounds = AuditBounds(
         max_len=args.max_len,
@@ -173,31 +150,17 @@ def cmd_audit(args) -> int:
         include_a6=args.a6,
     )
     report = audit_axioms(space, bounds)
-    code = EXIT_OK if report.passed else EXIT_NEGATIVE
-    rows = [
-        {
-            "axiom": c.axiom,
-            "name": c.name,
-            "status": c.status,
-            "instances": c.instances,
-            "notes": c.notes,
-            "witness": c.witness,
-        }
-        for c in report.checks
-    ]
     payload = {
-        "command": "audit",
-        "parameters": {"space": space.params_str(), "bounds": vars(bounds) | {}},
-        "outcome": "bounded-pass" if report.passed else "counterexample",
-        "exit_code": code,
-        "report": rows,
+        "parameters": {"space": space.params_str(), "bounds": vars(bounds)},
+        "outcome": BOUNDED_PASS if report.passed else COUNTEREXAMPLE,
+        "report": [vars(c) for c in report.checks],
         "stats": {
             "depth_pairs_checked": report.depth_pairs_checked,
             "depth_violations": report.depth_violations,
         },
     }
-    out.emit(payload, report.summary_lines())
-    return code
+    code = EXIT_OK if report.passed else EXIT_NEGATIVE
+    return code, payload, report.summary_lines()
 
 
 # The galvin options that name a family inline, by dest.
@@ -209,8 +172,7 @@ _INLINE_FAMILY = {
 }
 
 
-def cmd_galvin(args) -> int:
-    out = Output(args)
+def cmd_galvin(args):
     if args.family:
         # The file holds the space, the length bound and the members.
         given = [
@@ -229,7 +191,6 @@ def cmd_galvin(args) -> int:
     ambient = _ambient(space, args.stem)
     result = galvin_search(ambient, family, args.max_reducts)
     payload = {
-        "command": "galvin",
         "parameters": {
             "space": space.params_str(),
             "family": family.serialize_members(),
@@ -237,7 +198,6 @@ def cmd_galvin(args) -> int:
             "ambient": ambient.serialize(),
         },
         "outcome": result.outcome,
-        "exit_code": EXIT_OK,
         "stem": result.stem.serialize(),
         "certificates": {"dichotomy": result.certificate},
         "stats": result.stats,
@@ -247,8 +207,7 @@ def cmd_galvin(args) -> int:
         f"stem: {result.stem.serialize()}",
         result.certificate.rstrip("\n"),
     ]
-    out.emit(payload, text)
-    return EXIT_OK
+    return EXIT_OK, payload, text
 
 
 def _run_ramsey(args):
@@ -271,8 +230,7 @@ def _run_ramsey(args):
     )
 
 
-def cmd_ramsey(args) -> int:
-    out = Output(args)
+def cmd_ramsey(args):
     instance, result = _run_ramsey(args)
     # exhausted (every level refuted) and inconclusive (none decided)
     code = {FOUND: EXIT_OK, LOWER_BOUND: EXIT_NEGATIVE}.get(
@@ -284,31 +242,25 @@ def cmd_ramsey(args) -> int:
     if result.lower_bound_certificate:
         certs["lower_bound"] = result.lower_bound_certificate
     payload = {
-        "command": "ramsey",
         "parameters": {"instance": instance, "bound": args.bound, "mode": args.mode},
         "outcome": result.outcome,
         "value": result.value,
-        "exit_code": code,
         "certificates": certs,
         "stats": result.stats,
     }
     text = [f"outcome: {result.outcome}", f"value: {result.value}"]
     for name in sorted(certs):
         text.append(certs[name].rstrip("\n"))
-    out.emit(payload, text)
-    return code
+    return code, payload, text
 
 
-def cmd_reduce(args) -> int:
-    out = Output(args)
+def cmd_reduce(args):
     coloring = parse_coloring_file(_read_lines(args.coloring))
     space = coloring.space
     result = abs_ramsey_reduce(coloring, _ambient(space, args.stem))
     payload = {
-        "command": "reduce",
         "parameters": {"space": space.params_str(), "k": coloring.k, "s": coloring.s},
         "outcome": result.outcome,
-        "exit_code": EXIT_OK,
         "stem": result.stem.serialize(),
         "color": result.color,
         "certificates": {f"stage{i}": c for i, c in enumerate(result.certificates)},
@@ -319,8 +271,23 @@ def cmd_reduce(args) -> int:
         f"stem: {result.stem.serialize()}",
         f"color: {result.color}",
     ]
-    out.emit(payload, text)
-    return EXIT_OK
+    return EXIT_OK, payload, text
+
+
+def _emit(args, payload: dict, text_lines: list[str], started: float) -> None:
+    """Write a command's result as JSON or text, to stdout or --output;
+    under --timing the wall time since `started` is its last field."""
+    seconds = round(time.perf_counter() - started, 3) if args.timing else None
+    if args.format == "json":
+        content = json.dumps(dict(payload, seconds=seconds), indent=2, sort_keys=True)
+    else:
+        timing = [f"seconds: {seconds}"] if args.timing else []
+        content = "\n".join([*text_lines, *timing])
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as fh:
+            fh.write(content + "\n")
+    else:
+        sys.stdout.write(content + "\n")
 
 
 _COMMON = (
@@ -476,8 +443,11 @@ def main(argv=None) -> int:
         except SystemExit as e:
             # argparse exits with 2 on usage errors already
             return int(e.code or 0)
+    started = time.perf_counter()
     try:
-        return args.fn(args)
+        code, payload, text_lines = args.fn(args)
+        _emit(args, dict(payload, command=args.command, exit_code=code), text_lines, started)
+        return code
     except CeilingExceededError as e:
         print(f"refused: {e}", file=sys.stderr)
         return EXIT_REFUSED

@@ -18,6 +18,10 @@ assumes, see audit.py):
 All values are immutable; every operation is a pure function, so
 instances can be shared freely across threads.
 
+`Space` derives from a space's tag and dataclass fields its empty
+approximation and `params_str`, and its greedy hook `exclude_member`
+declines by default, so an over-ceiling search refuses.
+
 Two integer-id views sit on top of the contract.  `Index` gives ids
 lazily, on first sight, and holds the values, their ids and lengths: a
 forcing engine owns one and walks on its ids.  `Universe` is an `Index`
@@ -30,7 +34,7 @@ the engine or sweep that builds it.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -86,10 +90,6 @@ class Space(ABC):
     tag: str = "abstract"
 
     # ----- primitives every space provides -----
-
-    @abstractmethod
-    def empty(self) -> Approximation:
-        """The unique length-0 approximation."""
 
     @abstractmethod
     def make(self, payload) -> Approximation:
@@ -155,10 +155,6 @@ class Space(ABC):
         """The approximation a stripped literal names; ParseError if none."""
 
     @abstractmethod
-    def params_str(self) -> str:
-        """Key=value description of the space and its truncation."""
-
-    @abstractmethod
     def full_stem(self) -> Stem:
         """The canonical ambient stem: every stem top lies below its top."""
 
@@ -174,6 +170,22 @@ class Space(ABC):
         """
 
     # ----- derived operations -----
+
+    def empty(self) -> Approximation:
+        """The unique length-0 approximation."""
+        return Approximation(self.tag, (), 0)
+
+    def params_str(self) -> str:
+        """`space=<tag>` and each truncation field as `name=value`, in
+        field order: the mapping `spaces.space_from_params` reads."""
+        pairs = (f"{f.name}={getattr(self, f.name)}" for f in fields(self))
+        return ";".join([f"space={self.tag}", *pairs])
+
+    def exclude_member(self, top: Approximation, member: Approximation):
+        """A top below `top` whose down-set misses `member`, for a search
+        too large to sweep its reducts; None when the space has no such
+        greedy edit, and then the search refuses with its estimate."""
+        return None
 
     def check_tag(self, a: Approximation) -> None:
         if a.space_tag != self.tag:

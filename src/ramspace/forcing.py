@@ -335,8 +335,10 @@ def galvin_search(
     below its stem first hit, read from the family (`_frontier`).
 
     Stage 1 counts the reducts of A (`count_below`) before it builds
-    them.  Past `max_reducts`, a space with `exclude_member`
-    (ellentuck) shrinks A greedily instead; any other space refuses
+    them.  Past `max_reducts`, A is shrunk greedily through
+    `Space.exclude_member` instead.  An A above no member needs no edit
+    and is the alternative-1 stem on every space; otherwise, when that
+    hook gives None (every space but ellentuck), the search refuses
     with a CeilingExceededError whose estimate is that count.
     """
     space = family.space
@@ -451,13 +453,13 @@ def _stage2_asks(space: Space, t: Approximation, level: int, settled: bool):
 def _greedy_avoiding_stem(space: Space, A: Stem, family: FrontFamily) -> Stem | None:
     """Shrink A until no family member sits below it (large-universe path).
 
-    Only spaces that support one-element exclusion provide this; the
-    resulting alternative-1 claim is verified directly, so the shortcut
-    never weakens the certificate.
+    Each step asks `space.exclude_member` to take the first member below
+    the top out of its down-set; None when that hook gives None (a space
+    with no greedy edit), and then the search refuses.  A top with no
+    member below it is returned as it is, on every space.  The resulting
+    alternative-1 claim is verified directly, so the shortcut never
+    weakens the certificate.
     """
-    exclude = getattr(space, "exclude_member", None)
-    if exclude is None:
-        return None
     top = A.top
     while True:
         offender = next(
@@ -465,7 +467,7 @@ def _greedy_avoiding_stem(space: Space, A: Stem, family: FrontFamily) -> Stem | 
         )
         if offender is None:
             return Stem(space, top)
-        top = exclude(top, offender)
+        top = space.exclude_member(top, offender)
         if top is None:
             return None
 

@@ -49,7 +49,7 @@ from .core import Approximation, Space, Stem
 from .errors import CeilingExceededError
 from .forcing import ALT2, MAX_REDUCTS, FrontFamily, galvin_search
 from .gflinalg import enumerate_rre, gaussian_binomial, times_basis
-from .spaces import ell_space, matrix_space, parse_params_str, space_from_params
+from .spaces import SPACES, EllentuckSpace, MatrixSpace, parse_params_str
 
 FOUND = "found"
 LOWER_BOUND = "lower_bound"
@@ -110,11 +110,9 @@ class LevelInstance:
 
 
 def _level_space(kind: str, m: int) -> tuple[Space, Stem]:
-    """The ellentuck or partition space truncated at m (whatever its
-    size field is called) and its full stem; the length-0 stem at level
-    0."""
-    size = max(m, 1)
-    sp = space_from_params(dict(space=kind, ground=size, max_domain=size))
+    """The ellentuck or partition space truncated at m and its full
+    stem; the length-0 stem at level 0."""
+    sp = SPACES[kind](max(m, 1))
     return sp, sp.full_stem() if m else Stem(sp, sp.empty())
 
 
@@ -129,7 +127,7 @@ def _classical_level(M: int, k: int, n: int) -> LevelInstance:
     pinned (k+1)-subsets (the subset plus M) of the depth-(M+1) ellentuck
     level: a search visits as many nodes here as one dimension up."""
     _refuse_above_ceiling("classical", M, math.comb(M, k) + math.comb(M, n))
-    space = ell_space(max(M, 1))
+    space = EllentuckSpace(max(M, 1))
     items = [space.make(c) for c in itertools.combinations(range(M), k)]
     witnesses = [space.make(c) for c in itertools.combinations(range(M), n)]
     index = {a.payload: i for i, a in enumerate(items)}
@@ -143,10 +141,11 @@ def _matrix_level(m: int, k: int, n: int, q: int) -> LevelInstance:
     """The GLR instance: the k- and n-dimensional subspaces of F_q^m as
     items and witnesses, in canonical order (RREF matrices with m
     columns, the full stem's depth-m approximations).  Witness B's
-    configuration is X·B for X over `enumerate_rre(k, n, q)`."""
+    configuration is X·B for X over `enumerate_rre(k, n, q)`.  The
+    space is built first, so it checks `q` before anything counts."""
+    space = MatrixSpace(q, max(m, 1))
     size = sum(gaussian_binomial(m, d, q) for d in (k, n) if 1 <= d <= m)
     _refuse_above_ceiling("matrix", m, size)
-    space = matrix_space(q, max(m, 1))
 
     def subspaces(d: int) -> list[Approximation]:
         found = enumerate_rre(d, m, q) if 1 <= d <= m else []
@@ -173,7 +172,7 @@ def build_level(kind: str, m: int, k: int, n: int, q: int | None = None) -> Leve
     if kind == "classical":
         return _classical_level(m, k, n)
     if kind == "matrix":
-        return _matrix_level(m, k, n, q or 2)
+        return _matrix_level(m, k, n, 2 if q is None else q)
     space, stem = _level_space(kind, m)
     _refuse_above_ceiling(kind, m, space.count_below(stem.top))
     top = stem.top

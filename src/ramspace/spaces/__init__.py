@@ -4,9 +4,12 @@ from dataclasses import fields
 
 from ..core import Space
 from ..errors import ParseError
-from .ellentuck import EllentuckSpace, ell_space
-from .matrix import MatrixSpace, matrix_space
-from .partition import PartitionSpace, partition_space
+from .ellentuck import EllentuckSpace
+from .matrix import MatrixSpace
+from .partition import PartitionSpace
+
+# Kept only because perfbench/workloads.py imports them.
+ell_space, matrix_space, partition_space = EllentuckSpace, MatrixSpace, PartitionSpace
 
 SPACES = {cls.tag: cls for cls in (EllentuckSpace, MatrixSpace, PartitionSpace)}
 SPACE_TAGS = tuple(SPACES)

@@ -35,9 +35,6 @@ class EllentuckSpace(Space):
         if self.ground < 1:
             raise ValueError("ground bound must be >= 1")
 
-    def empty(self) -> Approximation:
-        return Approximation(TAG, (), 0)
-
     def make(self, payload) -> Approximation:
         elems = int_tuple(payload)
         if any(b <= a for a, b in zip(elems, elems[1:])):
@@ -113,9 +110,6 @@ class EllentuckSpace(Space):
             raise ParseError(f"bad set literal: {text!r}") from e
         return self.make(elems)
 
-    def params_str(self) -> str:
-        return f"space={TAG};ground={self.ground}"
-
     def full_stem(self) -> Stem:
         """The stem on the whole ground set."""
         return Stem(self, self.make(range(self.ground)))
@@ -137,8 +131,3 @@ class EllentuckSpace(Space):
         remove = member.payload[-1]
         rest = tuple(x for x in top.payload if x != remove)
         return Approximation(TAG, rest, len(rest))
-
-
-def ell_space(ground_bound: int) -> EllentuckSpace:
-    """Construct the truncated Ellentuck-style space on {0..ground_bound-1}."""
-    return EllentuckSpace(ground_bound)

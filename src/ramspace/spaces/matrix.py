@@ -62,9 +62,6 @@ class MatrixSpace(Space):
         if self.max_cols < 1:
             raise ValueError("max_cols must be >= 1")
 
-    def empty(self) -> Approximation:
-        return Approximation(TAG, (), 0)
-
     def make(self, payload) -> Approximation:
         """The approximation whose rows are `payload`: the rows of a
         reduced row-echelon matrix over GF(q) with no zero rows and at
@@ -185,9 +182,6 @@ class MatrixSpace(Space):
         except ValueError as e:
             raise ParseError(f"not a valid echelon approximation: {text!r}") from e
 
-    def params_str(self) -> str:
-        return f"space={TAG};q={self.q};max_cols={self.max_cols}"
-
     def full_stem(self) -> Stem:
         """The stem whose rows are the max_cols standard basis vectors."""
         n = self.max_cols
@@ -238,7 +232,3 @@ def _children(heads: tuple, tail: tuple, cols: int, q: int):
             t = pivots.get(w)
             for c in reversed(range(q) if t else range(1)):
                 stack.append((w + 1, tuple((x + c * y) % q for x, y in zip(v, t)) if c else v))
-
-
-def matrix_space(q: int, max_cols: int) -> MatrixSpace:
-    return MatrixSpace(q, max_cols)

@@ -54,9 +54,6 @@ class PartitionSpace(Space):
         if self.max_domain < 1:
             raise ValueError("max_domain must be >= 1")
 
-    def empty(self) -> Approximation:
-        return Approximation(TAG, (), 0)
-
     def make(self, payload) -> Approximation:
         """The approximation whose blocks are `payload`: blocks of ints
         listed by increasing minimum that partition {0..t-1}."""
@@ -162,9 +159,6 @@ class PartitionSpace(Space):
         except ValueError as e:
             raise ParseError(f"not a valid partition approximation: {text!r}") from e
 
-    def params_str(self) -> str:
-        return f"space={TAG};max_domain={self.max_domain}"
-
     def full_stem(self) -> Stem:
         """The stem of singleton blocks {0},...,{max_domain-1}."""
         return Stem(self, _approx(tuple(range(self.max_domain))))
@@ -174,10 +168,6 @@ class PartitionSpace(Space):
 
     def open_beyond(self, e: Approximation, top: Approximation) -> bool:
         return len(e.payload) == len(top.payload)
-
-
-def partition_space(max_domain: int) -> PartitionSpace:
-    return PartitionSpace(max_domain)
 
 
 def _children(labels_a: tuple[int, ...], stem: tuple[int, ...], n: int):

@@ -207,6 +207,25 @@ def test_galvin_refusal_without_greedy(capsys):
     assert err == "refused: reduct sweep too large (estimated 279 > ceiling 3)\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--space", "matrix", "--q", "2", "--max-cols", "8"],
+        ["--space", "partition", "--domain", "6", "--max-reducts", "3"],
+        ["--space", "matrix", "--q", "2", "--max-cols", "8", "--member", "q=2;1",
+         "--stem", "q=2;01", "--max-reducts", "1"],
+    ],
+    ids=["matrix-no-members", "partition-no-members", "matrix-member-off-stem"],
+)
+def test_galvin_over_the_ceiling_with_no_member_below_answers(capsys, schema, argv):
+    # No member lies below the ambient stem, so no greedy edit is needed:
+    # the ambient is the alternative-1 stem on every space.
+    code, payload = run_json(capsys, schema, "galvin", *argv)
+    assert code == 0 and payload["outcome"] == "alt1"
+    assert payload["stem"] == payload["parameters"]["ambient"]
+    assert forcing.verify_dichotomy(payload["certificates"]["dichotomy"])
+
+
 def _one_gigabyte_address_space():
     import resource
 
@@ -476,6 +495,21 @@ def test_ramsey_witness_q_needs_the_matrix_space(capsys, space, q):
     assert err == f"error: only matrix levels take a field order q, not {space}\n"
 
 
+@pytest.mark.parametrize("q", ["0", "1", "4", "9"])
+@pytest.mark.parametrize(
+    "variant", [["glr"], ["witness", "--space", "matrix"]], ids=["glr", "witness"]
+)
+def test_ramsey_q_outside_the_supported_fields_exits_2(capsys, variant, q):
+    # The refusal `galvin` and `audit` give: GF(0) is not read as GF(2),
+    # and a composite or unit q is refused by the space, not by gflinalg.
+    code = cli.main([
+        "ramsey", *variant, "--q", q, "--k", "1", "--n", "2", "--s", "2", "--bound", "3",
+    ])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err == f"error: q must be one of (2, 3, 5, 7), got {q}\n"
+
+
 def test_ramsey_one_instance_one_certificate(capsys, schema):
     # The witness variant and the named variant of one instance print
     # the same certificates; a matrix level without --q is over GF(2).
@@ -627,6 +661,52 @@ def test_output_file(tmp_path, capsys):
     payload = json.loads(out_path.read_text())
     assert payload["value"] == 3
     assert capsys.readouterr().out == ""
+
+
+def _envelope_argv(tmp_path, command):
+    """One small job per command; the `ramsey` one exits 1."""
+    if command == "audit":
+        return ["audit", "--space", "ellentuck", "--ground", "4", "--depth", "3"]
+    if command == "galvin":
+        return ["galvin", "--space", "ellentuck", "--ground", "6", "--member", "{0,1}"]
+    if command == "reduce":
+        return ["reduce", "--coloring", str(_write_parity_coloring(tmp_path))]
+    return [
+        "ramsey", "classical", "--k", "2", "--n", "3", "--s", "2", "--bound", "8",
+        "--mode", "backtracking", "--node-budget", "5",
+    ]
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+@pytest.mark.parametrize(
+    "command, exit_code", [("audit", 0), ("galvin", 0), ("reduce", 0), ("ramsey", 1)]
+)
+def test_every_command_writes_one_envelope(tmp_path, capsys, schema, command, exit_code, fmt):
+    argv = [*_envelope_argv(tmp_path, command), "--format", fmt]
+    assert cli.main(argv) == exit_code
+    stdout = capsys.readouterr().out
+    # --output gets the bytes stdout would get, and stdout stays empty.
+    out_path = tmp_path / "result.out"
+    assert cli.main([*argv, "--output", str(out_path)]) == exit_code
+    assert capsys.readouterr().out == ""
+    assert out_path.read_bytes() == stdout.encode()
+    # --timing adds the wall time and changes nothing else.
+    assert cli.main([*argv, "--timing"]) == exit_code
+    timed = capsys.readouterr().out
+    if fmt == "text":
+        *rest, last = timed.splitlines()
+        assert rest == stdout.splitlines()
+        assert last.startswith("seconds: ")
+        float(last.removeprefix("seconds: "))
+        return
+    payload, timed = json.loads(stdout), json.loads(timed)
+    for got in (payload, timed):
+        jsonschema.validate(got, schema)
+    assert (payload["command"], payload["exit_code"]) == (command, exit_code)
+    assert payload["seconds"] is None
+    seconds = timed.pop("seconds")
+    assert type(seconds) in (int, float) and seconds >= 0
+    assert dict(timed, seconds=None) == payload
 
 
 def test_byte_identical_output_without_timing(capsys):

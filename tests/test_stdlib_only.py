@@ -4,8 +4,8 @@ relative, of `ramspace` itself, or of a standard-library module, and
 environment variable: every setting is an argument or a constant.  And
 it holds no code only for its tests: each public function, method and
 class is named in `src/` or `perfbench/` outside its own definition,
-and each public annotated class field is read there as `.name` outside
-its own definition."""
+with no exception list, and each public annotated class field is read
+there as `.name` outside its own definition."""
 
 import ast
 import pathlib
@@ -43,11 +43,6 @@ def test_package_imports_only_the_standard_library():
 def test_pyproject_declares_no_runtime_dependency():
     text = (ROOT / "pyproject.toml").read_text()
     assert re.findall(r"^dependencies\b.*$", text, re.M) == ["dependencies = []"]
-
-
-# Public names that nothing in src/ or perfbench/ names: `exclude_member`
-# is reached through `getattr`.
-UNCALLED = {"EllentuckSpace.exclude_member"}
 
 
 def _definitions(tree):
@@ -131,7 +126,7 @@ def test_every_public_name_in_the_package_is_used_outside_its_definition():
             for where, line, used in mentions
         )
     }
-    assert unused == UNCALLED
+    assert unused == set()
 
 
 def test_every_public_field_in_the_package_is_read_outside_its_definition():
