@@ -30,7 +30,8 @@ The laws read the primitives' answers from an indexed universe
 (core.Universe), built per call and dropped on return.  The A4(ii)
 sweep is the one primitive `fin_leq` sweep: it asks every ordered pair
 of approximations once, and each down-set it yields is checked against
-`fin_below`.  The other laws read the bitsets built from it:
+the length groups of `fin_below` (`closure_below`), which every search
+reads.  The other laws read the bitsets built from it:
 transitivity tests down-set inclusion, depth is the first chain member
 whose down-set holds the approximation, and A5/A6 test neighborhood
 bitmasks against up-sets and down-sets.  Each neighborhood [a, t] is a

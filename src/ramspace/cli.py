@@ -18,7 +18,10 @@ help and error text.
 
 Each `cmd_*` returns (exit code, JSON payload, text lines); `main` adds
 `command` and `exit_code` and writes one of them to stdout or
-`--output`.  A `--q` outside (2, 3, 5, 7) is a usage error everywhere.
+`--output`.  `--output` is opened before the command runs, so an
+unwritable path exits 2 at once; a command that fails leaves an
+existing file as it was and a new one empty.  A `--q` outside
+(2, 3, 5, 7) is a usage error everywhere.
 
 Exit codes: 0 success (bounded-pass / dichotomy certified / witness
 found / monochromatic reduct), 1 counterexample or lower-bound-only,
@@ -445,6 +448,10 @@ def main(argv=None) -> int:
             return int(e.code or 0)
     started = time.perf_counter()
     try:
+        if args.output:
+            # Refuse an unwritable path before the work, not after it;
+            # appending nothing leaves an existing file as it is.
+            open(args.output, "a", encoding="utf-8").close()
         code, payload, text_lines = args.fn(args)
         _emit(args, dict(payload, command=args.command, exit_code=code), text_lines, started)
         return code

@@ -112,7 +112,8 @@ class Space(ABC):
         `length`, only its members of that length ([] outside 0..|a|).
 
         Each space builds only the group asked for; the audit's A4(ii)
-        checks the whole set against the `fin_leq` filter of the universe.
+        checks the groups, read through `closure_below`, against the
+        `fin_leq` filter of the universe.
         """
 
     @abstractmethod
@@ -201,15 +202,12 @@ class Space(ABC):
     def chain(self, top: Approximation) -> list[Approximation]:
         return [self.restrict(top, i) for i in range(top.length + 1)]
 
-    def closure_below(
-        self, a: Approximation, max_length: int | None = None
-    ) -> list[Approximation]:
-        """`fin_below(a)` up to `max_length`, in canonical order: the
-        length groups `fin_below(a, k)` for k from 0 to min(|a|,
-        max_length), shortest first.  Stage 2 of `galvin_search` reads
-        it for the lengths it has settled."""
-        last = a.length if max_length is None else min(a.length, max_length)
-        return [b for k in range(last + 1) for b in self.fin_below(a, k)]
+    def closure_below(self, a: Approximation) -> list[Approximation]:
+        """`fin_below(a)` read as its length groups `fin_below(a, k)` for
+        k from 0 to |a|, shortest first: the groups every search reads.
+        `Universe` reads each down-set through it, so the audit's A4(ii)
+        checks the groups against the `fin_leq` filter."""
+        return [b for k in range(a.length + 1) for b in self.fin_below(a, k)]
 
     def iter_neighborhood(
         self, a: Approximation, top: Approximation
@@ -326,19 +324,20 @@ class Universe(Index):
     """An `Index` of one whole truncated universe, its order held as
     bitsets.
 
-    The universe is the union of `fin_below` over `space.stems()`; id i
-    is its i-th member in `sort_key` order.  Each stem top's `fin_below`
-    answer is asked once and kept as its `below` answer.  Construction
-    asks `fin_leq` of every ordered pair of the universe once: bit i of
-    `down[j]` is set iff fin_leq(items[i], items[j]), and `up` is the
-    transpose.  `tops` holds the ids of `space.stems()` and `chains`
-    maps each of them to the ids of its chain.
+    The universe is the union of the down-sets of `space.stems()`; id i
+    is its i-th member in `sort_key` order.  Each down-set is read as
+    its length groups (`closure_below`), once per stem top, and kept as
+    its `below` answer.  Construction asks `fin_leq` of every ordered
+    pair of the universe once: bit i of `down[j]` is set iff
+    fin_leq(items[i], items[j]), and `up` is the transpose.  `tops`
+    holds the ids of `space.stems()` and `chains` maps each of them to
+    the ids of its chain.
 
     A value outside the universe (only a space that breaks its own
     contract produces one) gets the next free id when first indexed,
     with its order bits asked of `fin_leq` against every indexed value,
     so each bit is always a primitive answer.  `below` keeps each
-    `fin_below` answer and `neighborhood` each [base, top] mask, as
+    `closure_below` answer and `neighborhood` each [base, top] mask, as
     asked, for the life of the index.
 
     Neighborhoods are read from one walk per stem top.  The first time
@@ -360,7 +359,7 @@ class Universe(Index):
         # Held answers share one object per value until they get ids,
         # so keeping every answer costs a reference per entry.
         seen: dict[Approximation, Approximation] = {}
-        answers = [[seen.setdefault(b, b) for b in space.fin_below(t)] for t in stems]
+        answers = [[seen.setdefault(b, b) for b in space.closure_below(t)] for t in stems]
         for a in sorted(seen, key=space.sort_key):
             super()._add(a)
         self.size = len(self.items)
@@ -399,10 +398,11 @@ class Universe(Index):
         return i
 
     def below(self, a: int) -> list[int]:
-        """Ids of `space.fin_below(items[a])`, in the order it gives them."""
+        """Ids of the down-set of `items[a]`, its length groups shortest
+        first (`space.closure_below`), in the order they give them."""
         out = self._below.get(a)
         if out is None:
-            out = self._below[a] = self.ids(self.space.fin_below(self.items[a]))
+            out = self._below[a] = self.ids(self.space.closure_below(self.items[a]))
         return out
 
     def depth(self, a: int, top: int) -> int:

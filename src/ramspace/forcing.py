@@ -22,10 +22,10 @@ the truncated universe by construction.
 The dichotomy search mirrors the classical proof shape: settle the
 empty approximation on a deciding stem, then either certify acceptance
 of the empty approximation (every maximal chain hits: alternative 2)
-or grow a rejecting sequence level by level until the whole down-set
-of the final stem misses the family (alternative 1).  It always
-answers one of the two, or refuses at `max_reducts`.  Certificates
-replay through `verify_dichotomy`, which never consults engine state.
+or name the longest reduct whose whole down-set misses the family
+(alternative 1).  It always answers one of the two, or refuses at
+`max_reducts`.  Certificates replay through `verify_dichotomy`, which
+never consults engine state.
 """
 
 from __future__ import annotations
@@ -307,32 +307,23 @@ def galvin_search(
     """Search for a dichotomy witness below A.
 
     Either some reduct's whole down-set misses the family (alternative
-    1, reached through a stem rejecting every short approximation), or
-    some reduct accepts the empty approximation (alternative 2: every
-    maximal chain below it meets the family).  There is no third
-    outcome: when no rejecting sequence can be grown, a direct scan
-    takes the longest reduct of A no member sits below, and the empty
-    reduct is one.  Were the empty approximation a member, stage 1
-    would have answered alternative 2, and nothing else lies below it
-    (the audit's A4(ii)).  Searches are deterministic: candidates are
-    scanned longest-first in canonical order.
+    1), or some reduct accepts the empty approximation (alternative 2:
+    every maximal chain below it meets the family).  Stage 1 asks the
+    reducts of A, longest first, about the empty approximation, and
+    that decides.  A rejecting reduct, or a sweep with neither a
+    rejecting nor an accepting one, gives alternative 1, whose stem is
+    the first reduct in the same order that no member sits below: the
+    longest family-free reduct.  The scan reads only reducts stage 1
+    has counted, and the empty reduct is family-free: were the empty
+    approximation a member, stage 1 would have answered alternative 2,
+    and nothing else lies below it (the audit's A4(ii)).  Otherwise the
+    first accepting reduct is the alternative-2 stem.
 
-    At level n a candidate is asked about its approximations of the new
-    length n+1 first, then about the shorter ones: the length groups of
-    `fin_below(t)`, each in canonical order (`_stage2_asks`).  The
-    current stem is not asked the shorter ones again: stage 1 or the
-    previous level saw each of them rejected.  A verdict does not
-    depend on the engine's walk memo or its table of accepting
-    reducts, and no stage-2 sweep can pass the ceiling, so the stem
-    chosen, the certificate and `reducts_scanned` do not depend on that
-    order; only `walk_nodes` does.
-
-    Every scan reads [base, top] longest first, one length group of
-    `fin_below(top)` at a time (each in canonical order), keeping
-    the values whose chain passes through base.  In stage 2 the current
-    stem comes first, and the rest is read only once it is refused.  An
-    alternative-2 certificate lists the family members where the chains
-    below its stem first hit, read from the family (`_frontier`).
+    Every scan reads the reducts of A, [empty, A] = fin_below(A.top),
+    one length group `fin_below(A.top, k)` at a time, longest first,
+    each in canonical order.  An alternative-2 certificate lists the
+    family members where the chains below its stem first hit, read
+    from the family (`_frontier`).
 
     Stage 1 counts the reducts of A (`count_below`) before it builds
     them.  Past `max_reducts`, A is shrunk greedily through
@@ -345,27 +336,19 @@ def galvin_search(
     if A.space != space:
         raise MixedSpaceError("stem does not belong to the family's space")
     engine = ForcingEngine(family, max_reducts)
-    L = family.length_bound
     stats = {"reducts_scanned": 0}
 
-    def longest_first(base: Approximation, top: Approximation):
-        for k in range(top.length, base.length - 1, -1):
-            for t in space.fin_below(top, k):
-                if space.restrict(t, base.length) == base:
-                    yield t
+    def longest_first():
+        for k in range(A.length, -1, -1):
+            yield from space.fin_below(A.top, k)
 
     def meets(t: Approximation) -> bool:
         return any(space.fin_leq(f, t) for f in family.members)
 
     def finish_alt1(B: Stem | None = None) -> DichotomyResult:
         if B is None:
-            # No rejecting sequence grew.  The alternative-1 claim is a
-            # directly checkable statement about the truncated
-            # down-set, so scan for the longest reduct no family member
-            # sits below; the empty reduct is one (see the docstring).
-            t = next((t for t in longest_first(empty, A.top) if not meets(t)), None)
+            t = next((t for t in longest_first() if not meets(t)), None)
             assert t is not None, "no reduct is family-free: the space breaks A4(ii)"
-            stats["direct_scan"] = 1
             B = Stem(space, t)
         assert not meets(B.top), "alternative-1 stem still meets the family"
         cert = _certificate(family, A, "ALT1", B, [f"checked={len(family.members)}"])
@@ -385,12 +368,11 @@ def galvin_search(
 
     # Stage 1: settle the empty approximation on a deciding stem.  If
     # the ambient stem accepts it, every maximal chain below A already
-    # meets the family.  Otherwise look for a rejecting stem to seed the
-    # rejecting sequence (the main line of the argument); only when no
-    # reduct rejects fall back to a smaller accepting reduct.  The
-    # reducts of A, [empty, A] = fin_below(A.top), are counted before
-    # any is built: every later read lies inside them, so only they can
-    # pass the ceiling (a greedy alternative 1 is verified directly).
+    # meets the family.  Otherwise a rejecting reduct decides
+    # alternative 1; only when no reduct rejects fall back to a smaller
+    # accepting reduct.  The reducts of A are counted before any is
+    # built: every later read lies inside them, so only they can pass
+    # the ceiling (a greedy alternative 1 is verified directly).
     empty = space.empty()
     if engine.chain_status(A.top, empty) is ChainStatus.ALL_HIT:
         return finish_alt2(A)
@@ -400,54 +382,20 @@ def galvin_search(
         if greedy is None:
             raise CeilingExceededError("reduct sweep too large", count, max_reducts)
         return finish_alt1(greedy)
-    seed: Stem | None = None
     first_accepting: Stem | None = None
-    for t in longest_first(empty, A.top):
+    for t in longest_first():
         stats["reducts_scanned"] += 1
         v = engine.verdict(Stem(space, t), empty)
         if v == REJECTS:
-            seed = Stem(space, t)
+            # Alternative 1.  Leaving the loop frees its length group
+            # before the scan builds the groups again.
             break
         if v == ACCEPTS and first_accepting is None:
             first_accepting = Stem(space, t)
-    if seed is None:
+    else:
         if first_accepting is not None:
             return finish_alt2(first_accepting)
-        return finish_alt1()
-
-    # Stage 2: grow the rejecting sequence level by level.  After level
-    # L every member of the family would be trivially accepted, so a
-    # stem rejecting all lengths <= L has a family-free down-set.  A
-    # new-length approximation is what usually blocks a candidate, so
-    # it is asked first (see the docstring for why the order is free).
-    current = seed
-    for level in range(L):
-        # Preserve the chain up to the level, or all of it when the
-        # truncated stem is shorter than the level index.
-        prefix = current.approx(min(level, current.length))
-        # `current` first; the rest only once it is refused.
-        rest = (t for t in longest_first(prefix, current.top) if t != current.top)
-        for t in itertools.chain([current.top], rest):
-            stats["reducts_scanned"] += 1
-            cand = Stem(space, t)
-            asks = _stage2_asks(space, t, level, settled=t == current.top)
-            if all(engine.verdict(cand, b) == REJECTS for b in asks):
-                current = cand
-                break
-        else:
-            return finish_alt1()
-    return finish_alt1(current)
-
-
-def _stage2_asks(space: Space, t: Approximation, level: int, settled: bool):
-    """The approximations stage 2 asks candidate `t` at `level`: the
-    length group `fin_below(t, level + 1)`, then, unless `settled`, the
-    shorter ones, `closure_below(t, level)`, each in canonical order.
-    The shorter ones are built only after every new-length ask
-    rejected."""
-    yield from space.fin_below(t, level + 1)
-    if not settled:
-        yield from space.closure_below(t, level)
+    return finish_alt1()
 
 
 def _greedy_avoiding_stem(space: Space, A: Stem, family: FrontFamily) -> Stem | None:

@@ -13,7 +13,8 @@ checks that it returns the witness of the full longest-first scan.
 `closure_below` and `frontier_walk` are the package's breadth-first
 extension closure and recursive hit-frontier walk as they were before
 both read their sets from `fin_below` and the family; the tests
-compare the package against them.
+compare the package against them.  `longest_family_free` is the
+alternative-1 stem of the dichotomy search, found by brute force.
 """
 
 from __future__ import annotations
@@ -78,6 +79,15 @@ def closure_below(space, a: Approximation, max_length: int | None = None):
             nxt.extend(space.extensions_below(c, a))
         frontier = sorted(nxt, key=lambda b: b.payload)
     return out
+
+
+def longest_family_free(space, top: Approximation, members) -> Approximation:
+    """The longest value of `fin_below(top)` that no member lies below,
+    ties broken by payload: the first of the `fin_leq` filter sorted by
+    (-length, payload).  The empty value qualifies unless it is a
+    member."""
+    free = [t for t in space.fin_below(top) if not any(space.fin_leq(f, t) for f in members)]
+    return min(free, key=lambda t: (-t.length, t.payload))
 
 
 def frontier_walk(

@@ -95,11 +95,13 @@ def test_broken_empty_base_detected():
 
 @dataclass(frozen=True)
 class BrokenDownSetSpace(EllentuckSpace):
-    """Negative control: the enumerated down-set drops an element."""
+    """Negative control: the enumerated down-set drops an element, its
+    last in canonical order, from the whole set and from its group."""
 
-    def fin_below(self, a):
+    def fin_below(self, a, length=None):
         full = super().fin_below(a)
-        return full[:-1] if len(full) > 1 else full
+        kept = full[:-1] if len(full) > 1 else full
+        return [b for b in kept if length is None or b.length == length]
 
 
 def test_broken_down_set_detected():
@@ -107,6 +109,32 @@ def test_broken_down_set_detected():
     assert not report.passed
     assert any(
         c.axiom == "A4" and c.status == COUNTEREXAMPLE for c in report.checks
+    )
+
+
+@dataclass(frozen=True)
+class BrokenGroupSpace(EllentuckSpace):
+    """Negative control: the length-1 group of {0,1,2} drops {1}, while
+    the whole down-set of {0,1,2} stays right."""
+
+    def fin_below(self, a, length=None):
+        got = super().fin_below(a, length)
+        if length == 1 and a.payload == (0, 1, 2):
+            return [b for b in got if b.payload != (1,)]
+        return got
+
+
+def test_broken_length_group_detected():
+    # Every search reads the length groups, so A4(ii) checks them and
+    # not only the whole set.
+    sp = BrokenGroupSpace(4)
+    top = sp.make((0, 1, 2))
+    assert sp.fin_below(top) == EllentuckSpace(4).fin_below(top)
+    report = audit_axioms(sp, FAST)
+    failing = [c for c in report.checks if c.status == COUNTEREXAMPLE]
+    assert [(c.axiom, c.name) for c in failing] == [("A4", "down-set")]
+    assert failing[0].witness == (
+        "fin_below({0,1,2}) mismatch: extra=[] missing=['{1}']"
     )
 
 
@@ -229,8 +257,8 @@ class BrokenTransitivitySpace(EllentuckSpace):
     def fin_leq(self, a, b):
         return not self._dropped(a, b) and super().fin_leq(a, b)
 
-    def fin_below(self, a):
-        return [b for b in super().fin_below(a) if not self._dropped(b, a)]
+    def fin_below(self, a, length=None):
+        return [b for b in super().fin_below(a, length) if not self._dropped(b, a)]
 
     def count_below(self, a):
         return len(self.fin_below(a))
@@ -304,8 +332,8 @@ class IrreflexiveSpace(EllentuckSpace):
             return False
         return super().fin_leq(a, b)
 
-    def fin_below(self, a):
-        return [b for b in super().fin_below(a) if self.fin_leq(b, a)]
+    def fin_below(self, a, length=None):
+        return [b for b in super().fin_below(a, length) if self.fin_leq(b, a)]
 
     def extensions_below(self, a, top):
         return EllentuckSpace(self.ground).extensions_below(a, top)

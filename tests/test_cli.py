@@ -172,7 +172,7 @@ def test_galvin_wide_matrix_search_is_pinned(capsys, schema):
             "space": "space=matrix;q=2;max_cols=6",
         },
         "seconds": None,
-        "stats": {"reducts_scanned": 3, "walk_nodes": 1652},
+        "stats": {"reducts_scanned": 2, "walk_nodes": 922},
         "stem": stem,
     }
 
@@ -661,6 +661,39 @@ def test_output_file(tmp_path, capsys):
     payload = json.loads(out_path.read_text())
     assert payload["value"] == 3
     assert capsys.readouterr().out == ""
+
+
+def test_unwritable_output_exits_2_before_the_work(tmp_path, capsys, monkeypatch):
+    # --output is opened before the command runs: a path in a missing
+    # directory exits 2 without calling the command at all.
+    key = ("ramsey", "glr")
+    calls = []
+    _, options = cli._COMMANDS[key]
+    monkeypatch.setitem(cli._COMMANDS, key, (lambda args: calls.append(args), options))
+    code = cli.main([
+        "ramsey", "glr", "--q", "3", "--k", "1", "--n", "2", "--s", "2",
+        "--bound", "4", "--mode", "backtracking",
+        "--output", str(tmp_path / "missing" / "x.json"),
+    ])
+    assert code == 2
+    assert calls == []
+    assert capsys.readouterr().err.startswith("error: [Errno 2] No such file")
+
+
+def test_failing_command_leaves_its_output_as_it_was(tmp_path, capsys):
+    # --output is opened for append before the command runs: a command
+    # that fails leaves an existing file as it was and a new one empty.
+    kept, new = tmp_path / "kept.txt", tmp_path / "new.txt"
+    kept.write_text("an earlier result\n")
+    for path in (kept, new):
+        code = cli.main([
+            "galvin", "--space", "ellentuck", "--ground", "4", "--member", "{9}",
+            "--output", str(path),
+        ])
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: ")
+    assert kept.read_text() == "an earlier result\n"
+    assert new.read_text() == ""
 
 
 def _envelope_argv(tmp_path, command):

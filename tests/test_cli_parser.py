@@ -18,6 +18,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tempfile
 from unittest import mock
 
 import pytest
@@ -81,7 +82,8 @@ def _probe(args):
 
 
 # The table with every command replaced by a probe that prints its
-# namespace, so `main` runs no search and writes no --output file.
+# namespace, so `main` runs no search.  `main` still opens --output
+# before the probe runs, so each drawn argv runs in a fresh directory.
 PROBES = {key: (_probe, options) for key, (_, options) in cli._COMMANDS.items()}
 
 INT_VALUES = (st.integers(0, 20).map(str), st.sampled_from(["-1", "-0", "x", "1.5", ""]))
@@ -138,11 +140,23 @@ def argvs(draw):
     return argv, spelled and not perturb
 
 
+@contextlib.contextmanager
+def _in_fresh_directory():
+    # `contextlib.chdir` is 3.11+; the package supports 3.10.
+    before = os.getcwd()
+    with tempfile.TemporaryDirectory() as workdir:
+        os.chdir(workdir)
+        try:
+            yield
+        finally:
+            os.chdir(before)
+
+
 @settings(max_examples=300, deadline=None)
 @given(drawn=argvs())
 def test_the_table_read_declines_or_matches_argparse(drawn):
     argv, spelled = drawn
-    with mock.patch.object(cli, "_COMMANDS", PROBES):
+    with _in_fresh_directory(), mock.patch.object(cli, "_COMMANDS", PROBES):
         read = cli.read_argv(argv)
         if spelled:
             assert read is not None, argv

@@ -184,16 +184,15 @@ def test_closure_matches_fin_below(spaces):
 
 
 def test_closure_below_reads_the_length_groups(spaces):
-    # Up to every length, past |top| too, the closure is the length
-    # groups of `fin_below`, shortest first, and the breadth-first
-    # extension closure.
+    # Up to every length, past |top| too, the breadth-first extension
+    # closure is the length groups of `fin_below`, shortest first; the
+    # closure is all of them, which is `fin_below`.
     for sp in spaces:
         for top in sp.stems():
             for n in range(top.length + 3):
                 want = [x for k in range(n + 1) for x in sp.fin_below(top, k)]
-                assert sp.closure_below(top, n) == want, (top, n)
                 assert closure_below(sp, top, n) == want, (top, n)
-            assert sp.closure_below(top) == sp.fin_below(top)
+            assert sp.closure_below(top) == want == sp.fin_below(top)
 
 
 @given(st.sets(st.integers(min_value=0, max_value=7), max_size=8))
@@ -284,19 +283,28 @@ def test_universe_indexes_values_outside_it():
     [(EllentuckSpace, (5,)), (MatrixSpace, (2, 3)), (PartitionSpace, (4,))],
 )
 def test_an_audit_asks_fin_below_once_per_stem_top(cls, args):
-    # The universe keeps the stems' fin_below answers it is built from,
-    # and A4(ii) reads them back instead of asking again.
+    # The universe keeps the down-sets it is built from, each read as
+    # its length groups through `closure_below`, and A4(ii) reads them
+    # back instead of asking again.
     calls = []
+    groups = []
 
     class Counting(cls):
-        def fin_below(self, a):
+        def fin_below(self, a, length=None):
+            groups.append((a, length))
+            return super().fin_below(a, length)
+
+        def closure_below(self, a):
             calls.append(a)
-            return super().fin_below(a)
+            return super().closure_below(a)
 
     sp = Counting(*args)
     report = audit_axioms(sp, AuditBounds(max_len=2, max_depth=3, include_a6=True))
     assert report.passed
     assert sorted(calls, key=sp.sort_key) == sp.stems()
+    # Every group of every stem top, and nothing else, is asked once.
+    want = {(t, k) for t in sp.stems() for k in range(t.length + 1)}
+    assert len(groups) == len(want) and set(groups) == want
 
 
 @pytest.mark.parametrize(

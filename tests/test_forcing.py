@@ -5,7 +5,12 @@ import tracemalloc
 import pytest
 
 from ramspace import Stem, ell_space, matrix_space, partition_space
-from forcing_oracle import FusionExhaustedError, fusion, rejection_witness
+from forcing_oracle import (
+    FusionExhaustedError,
+    fusion,
+    longest_family_free,
+    rejection_witness,
+)
 from ramspace.errors import CeilingExceededError, EmptyNeighborhoodError
 from ramspace.forcing import (
     ACCEPTS,
@@ -311,8 +316,8 @@ def test_galvin_partition_space():
 
 
 def test_galvin_short_seed_family():
-    # The only rejecting seed is a one-element stem shorter than the
-    # family bound; the level loop must clamp its preserved prefix.
+    # Every member is a singleton below 3, so {3}, shorter than the
+    # family bound, is the longest reduct no member lies below.
     e = ell_space(4)
     fam = FrontFamily(
         e, [e.make((0,)), e.make((1,)), e.make((2,))], length_bound=3
@@ -324,15 +329,15 @@ def test_galvin_short_seed_family():
 
 
 def test_galvin_boundary_lurking_family_falls_back_to_direct_scan():
-    # Every candidate preserving a 0-prefix has members lurking just
-    # beyond its frontier, so the rejecting sequence strands; the
-    # down-set claim for {0,1,2} is still directly certifiable.
+    # Members lurk just beyond the frontier of every reduct through
+    # {0}; the longest reduct none of them lies below is {0,1,2}, found
+    # by the direct scan, and its down-set claim is directly certifiable.
     e = ell_space(4)
     members = [e.make(x) for x in [(3,), (0, 3), (0, 2, 3), (0, 1, 3)]]
     res = galvin_search(e.full_stem(), FrontFamily(e, members, length_bound=3))
     assert res.outcome == ALT1
     assert res.stem.top.payload == (0, 1, 2)
-    assert res.stats.get("direct_scan") == 1
+    assert res.stem.top == longest_family_free(e, e.full_stem().top, members)
     assert verify_dichotomy(res.certificate)
 
 
@@ -352,7 +357,8 @@ def test_nothing_but_the_empty_value_lies_below_it(space):
 def test_galvin_search_always_decides(space):
     # Below every stem, every family of one or two values, the empty
     # value included, gets one of the two alternatives with a
-    # certificate that verifies.  Some searches reach the direct scan.
+    # certificate that verifies.  Each alternative-1 stem is the longest
+    # family-free reduct.
     values = space.fin_below(space.full_stem().top)
     families = [
         FrontFamily(space, fam)
@@ -360,14 +366,15 @@ def test_galvin_search_always_decides(space):
         for fam in itertools.combinations(values, r)
     ]
     outcomes = {ALT1: 0, ALT2: 0}
-    scanned = 0
     for t in space.stems():
         for family in families:
             res = galvin_search(Stem(space, t), family)
             outcomes[res.outcome] += 1
-            scanned += res.stats.get("direct_scan", 0)
             assert verify_dichotomy(res.certificate), (t, family.members)
-    assert outcomes[ALT1] and outcomes[ALT2] and scanned, outcomes
+            if res.outcome == ALT1:
+                want = longest_family_free(space, t, family.members)
+                assert res.stem.top == want, (t, family.members)
+    assert outcomes[ALT1] and outcomes[ALT2], outcomes
 
 
 def test_galvin_refuses_when_greedy_disabled():

@@ -1,23 +1,18 @@
 """The id-indexed forcing engine against the primitive-driven engine,
-the dichotomy search against its canonical-order stage 2, and the
-forcing workload's pinned outputs.
+the dichotomy search against a brute-force oracle, and the forcing
+workload's pinned outputs.
 
 `_PrimitiveEngine` is `ForcingEngine` as it was written over
 approximation values, before it moved onto an engine-owned index of
 ids; it is kept here as the oracle every verdict is compared with.
-`_canonical_galvin_search` is `galvin_search` as it was before stage 2
-asked each candidate its new-length approximations first; it is kept
-as the oracle for every search's stem and certificate.  Both read each
-neighborhood as a whole `iter_neighborhood` sweep sorted longest first
-(`_longest_first`), where `galvin_search` reads the length groups of
-`fin_below(top, k)`.
-`_reordered_closure` is stage 2's ask sequence as it was first built:
-the breadth-first extension closure (`forcing_oracle.closure_below`)
-one level further, new length first; it is kept as the oracle of
-`_stage2_asks`, which reads the length groups of `fin_below`.  The
-canonical search reads the same closure, and its alternative-2
+`_oracle_galvin_search` runs stage 1 of the search on it, over a whole
+`iter_neighborhood` sweep sorted longest first (`_longest_first`),
+where `galvin_search` reads the length groups of `fin_below(top, k)`.
+Its alternative-1 stem is found by brute force
+(`forcing_oracle.longest_family_free`), and its alternative-2
 certificates list the frontier a walk of every chain finds
-(`forcing_oracle.frontier_walk`).
+(`forcing_oracle.frontier_walk`).  It is the oracle for every search's
+outcome, stem, certificate and stats.
 """
 
 from __future__ import annotations
@@ -31,8 +26,8 @@ import random
 
 import pytest
 
-from forcing_oracle import closure_below, frontier_walk, rejection_witness
-from ramspace import Stem, cli, ell_space, forcing, matrix_space, partition_space, ramsey
+from forcing_oracle import frontier_walk, longest_family_free, rejection_witness
+from ramspace import Stem, cli, ell_space, matrix_space, partition_space, ramsey
 from ramspace.core import Approximation
 from ramspace.errors import (
     CeilingExceededError,
@@ -53,7 +48,6 @@ from ramspace.forcing import (
     _certificate,
     _frontier,
     _greedy_avoiding_stem,
-    _stage2_asks,
     galvin_search,
     verify_dichotomy,
 )
@@ -407,63 +401,22 @@ def test_ellentuck_children_of_every_ground_12_pair():
                     e.extensions_below(base, top)
 
 
-# ----- stage 2's asks against the reordered closure -----
+# ----- the dichotomy search against a brute-force oracle -----
 
 
-def _reordered_closure(space, t, level, settled):
-    """Stage 2's asks as they were built before the new length was
-    merged lazily: the extension closure up to level+1, new length
-    first, and the shorter ones after unless settled."""
-    below = closure_below(space, t, max_length=level + 1)
-    shorter = sum(b.length <= level for b in below)
-    return below[shorter:] + ([] if settled else below[:shorter])
-
-
-@pytest.mark.parametrize(
-    "space, reordered",
-    [(ell_space(6), False), (ell_space(12), False), (matrix_space(2, 3), True),
-     (matrix_space(3, 2), False), (partition_space(5), True)],
-    ids=lambda v: v.params_str() if hasattr(v, "params_str") else "",
-)
-def test_stage_2_asks_match_the_reordered_closure(space, reordered):
-    # `reordered`: whether some (top, level) has parents whose child
-    # lists, laid end to end, are out of canonical order, so that
-    # reading them in turn would not give the canonical length group.
-    # An ellentuck child extends its parent's payload, so its lists
-    # never are, two-digit elements at ground 12 included.
-    rng = random.Random(20261018)
-    stems = space.stems()
-    tops = [space.full_stem().top, space.empty()] + rng.sample(stems, min(12, len(stems)))
-    merged = 0
-    for t in tops:
-        for level in (0, 1, 2):
-            for settled in (True, False):
-                want = _reordered_closure(space, t, level, settled)
-                assert list(_stage2_asks(space, t, level, settled)) == want, (t, level)
-            parents = [b for b in closure_below(space, t, level) if b.length == level]
-            joined = [c for b in parents for c in space.extensions_below(b, t)]
-            merged += joined != _reordered_closure(space, t, level, True)
-    assert bool(merged) == reordered
-
-
-# ----- stage 2's check order against the canonical order -----
-
-
-# The reference keeps the outcome `galvin_search` cannot reach, so a
-# search that reached it would differ from the package's.
-INCONCLUSIVE = "inconclusive"
-
-
-def _canonical_galvin_search(A, family, max_reducts=MAX_REDUCTS):
-    """`galvin_search` with stage 2 asking each candidate at level n
-    every approximation of length <= n+1 below it, in canonical order,
-    the current stem included."""
+def _oracle_galvin_search(A, family, max_reducts=MAX_REDUCTS):
+    """`galvin_search` from its definition: stage 1 on the primitive
+    engine, over a whole sweep of the reducts of A sorted longest first,
+    and, for alternative 1, the brute-force longest family-free reduct.
+    An alternative-2 certificate lists the frontier a walk of every
+    chain finds."""
     space = family.space
-    engine = ForcingEngine(family, max_reducts)
-    L = family.length_bound
+    engine = _PrimitiveEngine(family, max_reducts)
     stats = {"reducts_scanned": 0}
 
-    def finish_alt1(B):
+    def finish_alt1(B=None):
+        if B is None:
+            B = Stem(space, longest_family_free(space, A.top, family.members))
         cert = _certificate(family, A, "ALT1", B, [f"checked={len(family.members)}"])
         stats["walk_nodes"] = engine.nodes
         return DichotomyResult(ALT1, B, cert, stats=stats)
@@ -476,87 +429,43 @@ def _canonical_galvin_search(A, family, max_reducts=MAX_REDUCTS):
         stats["walk_nodes"] = engine.nodes
         return DichotomyResult(ALT2, B, cert, stats=stats)
 
-    def direct_alt1_scan(reducts):
-        for t in reducts:
-            if not any(space.fin_leq(f, t) for f in family.members):
-                stats["direct_scan"] = 1
-                return Stem(space, t)
-        return None
-
     empty = space.empty()
-    seed = None
+    if engine.chain_status(A.top, empty) is ChainStatus.ALL_HIT:
+        return finish_alt2(A)
     try:
-        if engine.chain_status(A.top, empty) is ChainStatus.ALL_HIT:
-            return finish_alt2(A)
         reducts = _longest_first(space, engine._neighborhood(empty, A.top))
-        first_accepting = None
-        for t in reducts:
-            stats["reducts_scanned"] += 1
-            v = engine.verdict(Stem(space, t), empty)
-            if v == REJECTS:
-                seed = Stem(space, t)
-                break
-            if v == ACCEPTS and first_accepting is None:
-                first_accepting = Stem(space, t)
-        if seed is None:
-            if first_accepting is not None:
-                return finish_alt2(first_accepting)
-            direct = direct_alt1_scan(reducts)
-            if direct is not None:
-                return finish_alt1(direct)
-            return DichotomyResult(INCONCLUSIVE, None, "", stats=stats)
     except CeilingExceededError:
         greedy = _greedy_avoiding_stem(space, A, family)
         if greedy is None:
             raise
         return finish_alt1(greedy)
-
-    current = seed
-    for level in range(L):
-        target_len = level + 1
-        chosen = None
-        prefix = current.approx(min(level, current.length))
-        cands = [current.top] + [
-            t
-            for t in _longest_first(space, engine._neighborhood(prefix, current.top))
-            if t != current.top
-        ]
-        for t in cands:
-            stats["reducts_scanned"] += 1
-            cand = Stem(space, t)
-            if all(
-                engine.verdict(cand, b) == REJECTS
-                for b in closure_below(space, t, max_length=target_len)
-            ):
-                chosen = cand
-                break
-        if chosen is None:
-            direct = direct_alt1_scan(reducts)
-            if direct is not None:
-                return finish_alt1(direct)
-            return DichotomyResult(INCONCLUSIVE, None, "", stats=stats)
-        current = chosen
-    return finish_alt1(current)
-
-
-def _comparable(res):
-    """Everything a search reports but its walk_nodes count."""
-    stats = {key: v for key, v in res.stats.items() if key != "walk_nodes"}
-    return res.outcome, res.stem, res.certificate, stats
+    first_accepting = None
+    for t in reducts:
+        stats["reducts_scanned"] += 1
+        v = engine.verdict(Stem(space, t), empty)
+        if v == REJECTS:
+            return finish_alt1()
+        if v == ACCEPTS and first_accepting is None:
+            first_accepting = Stem(space, t)
+    if first_accepting is not None:
+        return finish_alt2(first_accepting)
+    return finish_alt1()
 
 
 def _same_search(A, family, max_reducts=MAX_REDUCTS):
-    """The search's result, asserted equal to the oracle's but for
-    walk_nodes; a refusal must be the oracle's too."""
+    """The search's result, asserted equal to the oracle's, stats
+    included; a refusal must be the oracle's too."""
     try:
-        want = _canonical_galvin_search(A, family, max_reducts)
+        want = _oracle_galvin_search(A, family, max_reducts)
     except CeilingExceededError as e:
         with pytest.raises(CeilingExceededError) as exc:
             galvin_search(A, family, max_reducts)
         assert str(exc.value) == str(e)
         raise
     got = galvin_search(A, family, max_reducts)
-    assert _comparable(got) == _comparable(want), (family, A)
+    assert (got.outcome, got.stem, got.certificate, got.stats) == (
+        want.outcome, want.stem, want.certificate, want.stats
+    ), (family, A)
     return got
 
 
@@ -575,70 +484,30 @@ def test_stage_2_order_keeps_the_dichotomy_fixtures():
     [ell_space(7), matrix_space(2, 3), matrix_space(3, 2), partition_space(5)],
     ids=lambda sp: sp.params_str(),
 )
-def test_stage_2_order_keeps_seeded_random_searches(space, monkeypatch):
+def test_stage_2_order_keeps_seeded_random_searches(space):
     # Seeded color classes, as `reduce` searches them: a random half of
     # the length-k approximations, below the full stem or a random stem
-    # of length >= 3.  Both orders choose the same stems; the new one
-    # asks fewer verdicts.  Some levels must read candidates past the
-    # current stem under a non-empty prefix, where the search keeps
-    # only part of each length group of fin_below(current).
-    asked = [0]
-    verdict = ForcingEngine.verdict
-    asks = forcing._stage2_asks
-    search = [0]
-    past_current: set[tuple[int, int]] = set()
-
-    def counting(self, stem, a):
-        asked[0] += 1
-        return verdict(self, stem, a)
-
-    def recording(space, t, level, settled):
-        # A candidate other than the current stem lies in [prefix,
-        # current] with a prefix shorter than the current stem, so the
-        # prefix has length `level`: non-empty from level 1 on.
-        if not settled and level >= 1:
-            past_current.add((search[0], level))
-        return asks(space, t, level, settled)
-
-    monkeypatch.setattr(ForcingEngine, "verdict", counting)
-    monkeypatch.setattr(forcing, "_stage2_asks", recording)
+    # of length >= 3.
     rng = random.Random(20261018)
     below = space.fin_below(space.full_stem().top)
     ambients = [space.full_stem()] + [
         Stem(space, t) for t in space.stems() if t.length >= 3
     ]
     outcomes = {ALT1: 0, ALT2: 0}
-    verdicts = {"canonical": 0, "new-length first": 0}
     for i in range(50):
-        # Ten more classes of length 3, whose searches on ellentuck
-        # read past the current stem at level 1 and on.
         k = rng.choice((1, 2)) if i < 40 else 3
         members = [a for a in below if a.length == k and rng.random() < 0.5]
         family = FrontFamily(space, members, length_bound=k)
         A = rng.choice(ambients)
-        start = asked[0]
-        want = _canonical_galvin_search(A, family)
-        verdicts["canonical"] += asked[0] - start
-        start = asked[0]
-        search[0] += 1
-        got = galvin_search(A, family)
-        verdicts["new-length first"] += asked[0] - start
-        assert _comparable(got) == _comparable(want), (members, A)
-        outcomes[got.outcome] += 1
+        outcomes[_same_search(A, family).outcome] += 1
     assert outcomes[ALT1] and outcomes[ALT2], outcomes
-    assert verdicts["new-length first"] < verdicts["canonical"], verdicts
-    # Matrix (3, 2) has one such neighborhood, [1, the identity], and
-    # no family reaches it: an identity refused at level 1 (it meets
-    # the family) is refused at level 0 already.
-    if space != matrix_space(3, 2):
-        assert past_current, outcomes
 
 
 @pytest.mark.parametrize("space, pool", CASES)
 def test_verdicts_do_not_depend_on_the_memo(space, pool):
-    # Stage 2 may ask a candidate's approximations in any order because
-    # a verdict is the same on a fresh engine and on one warmed by any
-    # other verdicts.
+    # A verdict is the same on a fresh engine and on one warmed by any
+    # other verdicts, so a search's answers do not depend on what its
+    # engine was asked before.
     rng = random.Random(318)
     questions = [
         (Stem(space, t), a)
@@ -823,9 +692,7 @@ def test_forcing_grid_matches_the_pinned_results(tmp_path, monkeypatch):
     # One pass of the benchmark's forcing workload, taken with the
     # primitive-driven engine: galvin output is byte-identical, reduce
     # output is identical apart from the stats it now reports, and
-    # those are the sums of its galvin_search stages' stats.  The
-    # walk_nodes counts were re-pinned when stage 2 began asking
-    # new-length approximations first.
+    # those are the sums of its galvin_search stages' stats.
     stages = []
     search = ramsey.galvin_search
 
