@@ -28,10 +28,11 @@ is minimal.
 
 The laws read the primitives' answers from an indexed universe
 (core.Universe), built per call and dropped on return.  The A4(ii)
-sweep is the one primitive `fin_leq` sweep: it asks every ordered pair
-of approximations once, and each down-set it yields is checked against
-the length groups of `fin_below` (`closure_below`), which every search
-reads.  The other laws read the bitsets built from it:
+sweep is the one primitive sweep of the order: it reads each value's
+row `below_test(b)`, the code that `fin_leq` and every search read, at
+every approximation once, and each down-set it yields is checked
+against the length groups of `fin_below` (`closure_below`), which every
+search reads.  The other laws read the bitsets built from it:
 transitivity tests down-set inclusion, depth is the first chain member
 whose down-set holds the approximation, and A5/A6 test neighborhood
 bitmasks against up-sets and down-sets.  Each neighborhood [a, t] is a
@@ -329,7 +330,7 @@ def _audit_a4(uni, report, bounds) -> bool:
     _ok(report, "A4", "down-set", instances)
 
     # Quasi-order laws on the universe.  Reflexivity is checked above:
-    # each a lies in fin_below(a), which equals its fin_leq filter.
+    # each a lies in fin_below(a), which equals its row's filter.
     checked, witness = _transitivity(uni, bounds.transitivity_cap)
     if witness:
         _fail(report, "A4", "quasi-order", checked, witness)

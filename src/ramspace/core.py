@@ -22,20 +22,26 @@ instances can be shared freely across threads.
 approximation and `params_str`, and its greedy hook `exclude_member`
 declines by default, so an over-ceiling search refuses.
 
+Each space implements its order once, as the row `below_test(b)`: a
+predicate on payloads that says which values lie below b.  `Space`
+derives `fin_leq(a, b)` from it, so every reader of the order, pairwise
+or by rows, reads the same code, and the audit checks the order that
+every search reads.
+
 Two integer-id views sit on top of the contract.  `Index` gives ids
 lazily, on first sight, and holds the values, their ids and lengths: a
 forcing engine owns one and walks on its ids.  `Universe` is an `Index`
 of a whole truncated universe with its order held as bitsets, built by
-one eager `fin_leq` sweep: the audit's.  It reads every neighborhood
-[a, t] as a run of one walk of [empty, t] per stem top.  Each belongs to
-the engine or sweep that builds it.
+one eager sweep of the order's rows: the audit's.  It reads every
+neighborhood [a, t] as a run of one walk of [empty, t] per stem top.
+Each belongs to the engine or sweep that builds it.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
-from typing import Any, Iterable, Iterator, NamedTuple
+from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
     InvalidApproximationError,
@@ -84,7 +90,9 @@ class Space(ABC):
 
     Subclasses are frozen dataclasses carrying the truncation
     parameters (ground bound, field and column bound, domain bound);
-    two instances with equal parameters are interchangeable.
+    two instances with equal parameters are interchangeable.  A space
+    implements its order once, as the row `below_test(b)`; `fin_leq` is
+    derived from it and no space overrides it.
     """
 
     tag: str = "abstract"
@@ -103,8 +111,18 @@ class Space(ABC):
         """
 
     @abstractmethod
-    def fin_leq(self, a: Approximation, b: Approximation) -> bool:
-        """The finitization quasi-order on approximations."""
+    def below_test(self, b: Approximation) -> Callable[[Any], bool]:
+        """The row of the finitization order at `b`: a predicate p on
+        payloads of this space with p(a.payload) == fin_leq(a, b).
+
+        The one implementation of the order: `fin_leq` reads it one pair
+        at a time, and a caller that asks many values against one `b`
+        (the audit's `Universe`, the family tests of the forcing layer,
+        `build_level`) reads one row.  A row builds what it needs of `b`
+        once, or on the first payload that needs it, so one read costs
+        about what a pair costs.  Tags are not checked: `b` and every
+        payload asked belong to this space.
+        """
 
     @abstractmethod
     def fin_below(self, a: Approximation, length: int | None = None) -> list[Approximation]:
@@ -187,6 +205,14 @@ class Space(ABC):
         too large to sweep its reducts; None when the space has no such
         greedy edit, and then the search refuses with its estimate."""
         return None
+
+    def fin_leq(self, a: Approximation, b: Approximation) -> bool:
+        """The finitization quasi-order on approximations: the row
+        `below_test(b)` read at `a`, after both tags are checked."""
+        if a.space_tag != self.tag or b.space_tag != self.tag:
+            self.check_tag(a)
+            self.check_tag(b)
+        return self.below_test(b)(a.payload)
 
     def check_tag(self, a: Approximation) -> None:
         if a.space_tag != self.tag:
@@ -327,18 +353,18 @@ class Universe(Index):
     The universe is the union of the down-sets of `space.stems()`; id i
     is its i-th member in `sort_key` order.  Each down-set is read as
     its length groups (`closure_below`), once per stem top, and kept as
-    its `below` answer.  Construction asks `fin_leq` of every ordered
-    pair of the universe once: bit i of `down[j]` is set iff
-    fin_leq(items[i], items[j]), and `up` is the transpose.  `tops`
-    holds the ids of `space.stems()` and `chains` maps each of them to
-    the ids of its chain.
+    its `below` answer.  Construction reads the order's row
+    `below_test(items[j])` once per value, at every payload of the
+    universe: bit i of `down[j]` is set iff fin_leq(items[i], items[j]),
+    and `up` is the transpose.  `tops` holds the ids of `space.stems()`
+    and `chains` maps each of them to the ids of its chain.
 
     A value outside the universe (only a space that breaks its own
     contract produces one) gets the next free id when first indexed,
-    with its order bits asked of `fin_leq` against every indexed value,
-    so each bit is always a primitive answer.  `below` keeps each
-    `closure_below` answer and `neighborhood` each [base, top] mask, as
-    asked, for the life of the index.
+    with its order bits asked of its row and of `fin_leq` against every
+    indexed value, so each bit is always a primitive answer.  `below`
+    keeps each `closure_below` answer and `neighborhood` each
+    [base, top] mask, as asked, for the life of the index.
 
     Neighborhoods are read from one walk per stem top.  The first time
     a top is asked for, [empty, top] is walked through `iter_neighborhood`
@@ -363,16 +389,16 @@ class Universe(Index):
         for a in sorted(seen, key=space.sort_key):
             super()._add(a)
         self.size = len(self.items)
-        leq = space.fin_leq
+        payloads = [a.payload for a in self.items]
         self.down: list[int] = []
-        self.up = [0] * self.size
+        self.up = up = [0] * self.size
         for j, b in enumerate(self.items):
             bit = 1 << j
             mask = 0
-            for i, a in enumerate(self.items):
-                if leq(a, b):
+            for i, below in enumerate(map(space.below_test(b), payloads)):
+                if below:
                     mask |= 1 << i
-                    self.up[i] |= bit
+                    up[i] |= bit
             self.down.append(mask)
         self.tops = self.ids(stems)
         self.chains = {t: self.ids(space.chain(self.items[t])) for t in self.tops}
@@ -383,13 +409,13 @@ class Universe(Index):
         self._walks: dict[int, tuple[list[int], list[int], dict[int, int]]] = {}
 
     def _add(self, a: Approximation) -> int:
-        leq = self.space.fin_leq
+        leq, below = self.space.fin_leq, self.space.below_test(a)
         i = super()._add(a)
         bit = 1 << i
         self.down.append(0)
         self.up.append(0)
         for j, b in enumerate(self.items):
-            if leq(b, a):
+            if below(b.payload):
                 self.down[i] |= 1 << j
                 self.up[j] |= bit
             if j != i and leq(a, b):
@@ -446,14 +472,18 @@ class Universe(Index):
     def _extend(self, walked, a: Approximation, top: int) -> None:
         """Append the walk of [a, top] to `walked`, with its run ends."""
         order, ends, first = walked
+        index = self.index
         path: list[int] = []  # positions on the walk's current branch
         for value, depth in self.space.iter_neighborhood(a, self.items[top]):
             p = len(order)
-            for q in path[depth:]:
-                ends[q] = p
-            del path[depth:]
+            if depth < len(path):
+                for q in path[depth:]:
+                    ends[q] = p
+                del path[depth:]
             path.append(p)
-            i = self.id(value)
+            i = index.get(value)
+            if i is None:
+                i = self._add(value)
             order.append(i)
             ends.append(p)
             first.setdefault(i, p)

@@ -279,10 +279,11 @@ def _frontier(engine: ForcingEngine, top: Approximation) -> list[tuple[Approxima
     its chain meets the family (its length), in the family's canonical
     order.  A walk of every chain from the empty approximation stops at
     exactly these nodes, one per pruned chain."""
+    below = engine.space.below_test(top)
     return [
         (m, m.length)
         for m in engine.family.members
-        if engine.space.fin_leq(m, top) and engine.hit_index(m) == m.length
+        if below(m.payload) and engine.hit_index(m) == m.length
     ]
 
 
@@ -337,13 +338,14 @@ def galvin_search(
         raise MixedSpaceError("stem does not belong to the family's space")
     engine = ForcingEngine(family, max_reducts)
     stats = {"reducts_scanned": 0}
+    members = [f.payload for f in family.members]
 
     def longest_first():
         for k in range(A.length, -1, -1):
             yield from space.fin_below(A.top, k)
 
     def meets(t: Approximation) -> bool:
-        return any(space.fin_leq(f, t) for f in family.members)
+        return any(map(space.below_test(t), members))
 
     def finish_alt1(B: Stem | None = None) -> DichotomyResult:
         if B is None:
@@ -410,9 +412,8 @@ def _greedy_avoiding_stem(space: Space, A: Stem, family: FrontFamily) -> Stem | 
     """
     top = A.top
     while True:
-        offender = next(
-            (f for f in family.members if space.fin_leq(f, top)), None
-        )
+        below = space.below_test(top)
+        offender = next((f for f in family.members if below(f.payload)), None)
         if offender is None:
             return Stem(space, top)
         top = space.exclude_member(top, offender)
@@ -457,7 +458,8 @@ def verify_dichotomy(certificate: str) -> bool:
         return False
 
     if outcome == "ALT1":
-        return not any(space.fin_leq(f, top) for f in family.members)
+        below = space.below_test(top)
+        return not any(below(f.payload) for f in family.members)
 
     if outcome == "ALT2":
         try:

@@ -166,7 +166,8 @@ def build_level(kind: str, m: int, k: int, n: int, q: int | None = None) -> Leve
     `kind` is `classical` or `matrix`, built by `_classical_level` and
     `_matrix_level` (the only kind that reads `q`, default 2), or
     `ellentuck` or `partition`: the full stem's length-k and -n `fin_below`
-    members at depth m, each witness's configuration the items `fin_leq` below it.
+    members at depth m, each witness's configuration the items its row
+    `below_test` holds below it.
     Each refuses a level whose size estimate exceeds LEVEL_CEILING
     before it builds anything."""
     if kind == "classical":
@@ -176,17 +177,18 @@ def build_level(kind: str, m: int, k: int, n: int, q: int | None = None) -> Leve
     space, stem = _level_space(kind, m)
     _refuse_above_ceiling(kind, m, space.count_below(stem.top))
     top = stem.top
-    prev = space.restrict(top, m - 1) if m >= 1 else None
+    in_top = space.below_test(top)
+    in_prev = space.below_test(space.restrict(top, m - 1)) if m >= 1 else None
 
     def at_depth(a: Approximation) -> bool:
-        if not space.fin_leq(a, top):
-            return False
-        return m == 0 or not space.fin_leq(a, prev)
+        return in_top(a.payload) and (m == 0 or not in_prev(a.payload))
 
     items = [a for a in space.fin_below(top, k) if at_depth(a)]
     witnesses = [b for b in space.fin_below(top, n) if at_depth(b)]
+    payloads = [a.payload for a in items]
     configs = [
-        [i for i, a in enumerate(items) if space.fin_leq(a, b)] for b in witnesses
+        [i for i, below in enumerate(map(space.below_test(b), payloads)) if below]
+        for b in witnesses
     ]
     return LevelInstance(kind, m, k, n, None, space, items, witnesses, configs)
 

@@ -51,11 +51,8 @@ class EllentuckSpace(Space):
             raise InvalidApproximationError(f"restrict index {n} out of range")
         return _new(Approximation, (TAG, a.payload[:n], n))
 
-    def fin_leq(self, a: Approximation, b: Approximation) -> bool:
-        if a.space_tag != TAG or b.space_tag != TAG:
-            self.check_tag(a)
-            self.check_tag(b)
-        return set(b.payload).issuperset(a.payload)
+    def below_test(self, b: Approximation):
+        return set(b.payload).issuperset
 
     def fin_below(self, a, length=None) -> list[Approximation]:
         # Combinations of an ascending payload come in canonical order.

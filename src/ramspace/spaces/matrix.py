@@ -89,14 +89,23 @@ class MatrixSpace(Space):
         cut = rows[n].index(1)
         return _approx(tuple(r[:cut] for r in rows[:n]))
 
-    def fin_leq(self, a: Approximation, b: Approximation) -> bool:
-        self.check_tag(a)
-        self.check_tag(b)
-        ra, rb = a.payload, b.payload
-        cols = _cols(ra)
-        if cols > _cols(rb):
-            return False
-        return spans(_pivoting_before(rb, cols), ra, self.q)
+    def below_test(self, b: Approximation):
+        # b's basis cut to a column count is built on the first payload
+        # of that width, so one call on a wide top stays cheap.
+        rb, q = b.payload, self.q
+        width = _cols(rb)
+        bases: dict[int, list] = {}
+
+        def below(ra) -> bool:
+            cols = _cols(ra)
+            if cols > width:
+                return False
+            basis = bases.get(cols)
+            if basis is None:
+                basis = bases[cols] = _pivoting_before(rb, cols)
+            return spans(basis, ra, q)
+
+        return below
 
     def fin_below(self, a, length=None) -> list[Approximation]:
         """For each column count c, X·B for X over `enumerate_rre(k, d, q)`,

@@ -92,25 +92,30 @@ class PartitionSpace(Space):
             return a
         return Approximation(TAG, a.payload[: a.payload.index(n)], n)
 
-    def fin_leq(self, a: Approximation, b: Approximation) -> bool:
-        self.check_tag(a)
-        self.check_tag(b)
-        la, lb = a.payload, b.payload
-        if len(la) > len(lb):
-            return False
-        return len(set(zip(lb, la))) == len(set(lb[: len(la)]))
+    def below_test(self, b: Approximation):
+        # A domain-u payload is below b when b's labels on 0..u-1 pair
+        # with its own as a function: as many pairs as b has blocks
+        # there.  b's block count on a prefix is counted on the first
+        # payload of that domain, so one call costs one pair's work.
+        lb = b.payload
+        blocks: dict[int, int] = {}
+
+        def below(la) -> bool:
+            u = len(la)
+            if u > len(lb):
+                return False
+            count = blocks.get(u)
+            if count is None:
+                count = blocks[u] = len(set(lb[:u]))
+            return len(set(zip(lb, la))) == count
+
+        return below
 
     def fin_below(self, a, length=None) -> list[Approximation]:
-        # Each cut coarsened by a restricted-growth string g of its
-        # blocks: the coarsening has one block per label of g, so a
-        # length group takes the strings with `length` labels only.
         self.check_tag(a)
-        out = []
-        for u in range(len(a.payload) + 1):
-            cut = a.payload[:u]
-            for g in _rgs_iter(max(cut, default=-1) + 1, length):
-                out.append(_approx(tuple(g[x] for x in cut)))
-        return sorted(out, key=self.sort_key)
+        if length is not None:
+            return _coarsenings(a.payload, length)
+        return [b for k in range(a.length + 1) for b in _coarsenings(a.payload, k)]
 
     def extensions_below(self, a, top):
         if not self.fin_leq(a, top):
@@ -201,21 +206,48 @@ def _children(labels_a: tuple[int, ...], stem: tuple[int, ...], n: int):
         labels[-1] += 1
 
 
-def _rgs_iter(n: int, labels: int | None = None):
-    """Restricted-growth strings of length n; with `labels`, only those
-    that use exactly that many labels."""
+def _coarsenings(stem: tuple[int, ...], k: int) -> list[Approximation]:
+    """The k-block coarsenings of the cuts of `stem`, in canonical order:
+    `fin_below` of its partition, length group k.
+
+    One depth-first pass over the stem's labels builds each coarsening's
+    labels entry by entry.  An entry whose stem block was met before
+    takes that block's label; one that opens a stem block takes any
+    label in use, or a new one while fewer than k are.  A prefix with k
+    labels is emitted before its extensions, and labels are tried in
+    increasing order, so the group comes out sorted.  A branch stops
+    once the stem blocks it has not met are too few to open k labels."""
+    t, blocks = len(stem), max(stem, default=-1) + 1
+    out = []
+
+    def grow(labels: tuple[int, ...], image: tuple[int, ...], used: int) -> None:
+        # image[j] is the label of stem block j; `used` labels are open.
+        if used + blocks - len(image) < k:
+            return
+        while True:
+            if used == k:
+                out.append(Approximation(TAG, labels, k))
+            if len(labels) == t:
+                return
+            j = stem[len(labels)]
+            if j == len(image):
+                break
+            labels += (image[j],)
+        for label in range(used + (used < k)):
+            grow(labels + (label,), image + (label,), used + (label == used))
+
+    grow((), (), 0)
+    return out
+
+
+def _rgs_iter(n: int):
+    """Restricted-growth strings of length n, in lexicographic order."""
 
     def rec(prefix: list[int], used: int):
-        left = n - len(prefix)
-        if not left:
-            if labels in (None, used):
-                yield tuple(prefix)
+        if len(prefix) == n:
+            yield tuple(prefix)
             return
-        # Once every entry left must open a label, entry `used` is the
-        # only choice; once all `labels` are open, no entry opens one.
-        must_open = labels is not None and labels - used >= left
-        may_open = labels is None or used < labels
-        for label in range(used if must_open else 0, used + may_open):
+        for label in range(used + 1):
             prefix.append(label)
             yield from rec(prefix, used + (label == used))
             prefix.pop()

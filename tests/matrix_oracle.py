@@ -177,14 +177,15 @@ class EchelonMatrixSpace(Space):
         rows = tuple(r[:cols] for r, _ in _pivoting_before(m, cols))
         return EchelonMatrix(self.q, cols, rows)
 
-    def fin_leq(self, a: Approximation, b: Approximation) -> bool:
-        self.check_tag(a)
-        self.check_tag(b)
-        ma: EchelonMatrix = a.payload
+    def below_test(self, b: Approximation):
         mb: EchelonMatrix = b.payload
-        if ma.cols > mb.cols:
-            return False
-        return spans(_pivoting_before(mb, ma.cols), ma.rows, self.q)
+
+        def below(ma: EchelonMatrix) -> bool:
+            if ma.cols > mb.cols:
+                return False
+            return spans(_pivoting_before(mb, ma.cols), ma.rows, self.q)
+
+        return below
 
     def fin_below(self, a: Approximation) -> list[Approximation]:
         """For each column count c, X·B for X over `enumerate_rre(k, d, q)`,

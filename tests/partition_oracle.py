@@ -7,7 +7,10 @@ the oracle that `test_partition_oracle.py` checks every primitive
 against; it sorts by its own `canonical` key.  `blocks(a)` reads the
 blocks of a package approximation, and `dual_to_classical_encoding(t)`
 reads a partition's positive block minima as an ellentuck approximation
-(criterion 8's pull-back).
+(criterion 8's pull-back).  `fin_below_by_cuts(a, length)` is the label
+route `PartitionSpace.fin_below` took before it built each length group
+in one pass: every cut of a's labels coarsened by every restricted-growth
+string of its blocks, then sorted.
 """
 
 from __future__ import annotations
@@ -126,13 +129,16 @@ class BlocksPartitionSpace(Space):
                 return False
         return True
 
-    def fin_leq(self, a: Approximation, b: Approximation) -> bool:
-        self.check_tag(a)
-        self.check_tag(b)
-        ta, tb = _domain(a.payload), _domain(b.payload)
-        if ta > tb:
-            return False
-        return self._coarser(a.payload, self._restriction(b.payload, ta))
+    def below_test(self, b: Approximation):
+        tb = _domain(b.payload)
+
+        def below(pa: Blocks) -> bool:
+            ta = _domain(pa)
+            if ta > tb:
+                return False
+            return self._coarser(pa, self._restriction(b.payload, ta))
+
+        return below
 
     def fin_below(self, a: Approximation) -> list[Approximation]:
         self.check_tag(a)
@@ -276,3 +282,39 @@ def _merge_blocks(base: Blocks, grouping: Blocks) -> Blocks:
         merged.append(tuple(blk))
     merged.sort(key=lambda b: b[0])
     return tuple(merged)
+
+
+def _rgs_iter(n: int, labels: int | None = None):
+    """Restricted-growth strings of length n; with `labels`, only those
+    that use exactly that many labels."""
+
+    def rec(prefix: list[int], used: int):
+        left = n - len(prefix)
+        if not left:
+            if labels in (None, used):
+                yield tuple(prefix)
+            return
+        # Once every entry left must open a label, entry `used` is the
+        # only choice; once all `labels` are open, no entry opens one.
+        must_open = labels is not None and labels - used >= left
+        may_open = labels is None or used < labels
+        for label in range(used if must_open else 0, used + may_open):
+            prefix.append(label)
+            yield from rec(prefix, used + (label == used))
+            prefix.pop()
+
+    yield from rec([], 0)
+
+
+def fin_below_by_cuts(a: Approximation, length: int | None = None) -> list[Approximation]:
+    """The down-set of a label-tuple partition approximation, or its
+    length group: each cut of a's labels coarsened by a restricted-growth
+    string g of its blocks (with `length` labels only, given one), in the
+    package's canonical order."""
+    out = []
+    for u in range(len(a.payload) + 1):
+        cut = a.payload[:u]
+        for g in _rgs_iter(max(cut, default=-1) + 1, length):
+            labels = tuple(g[x] for x in cut)
+            out.append(Approximation(TAG, labels, max(labels, default=-1) + 1))
+    return sorted(out, key=lambda b: (b.length, b.payload))

@@ -236,10 +236,11 @@ class BrokenLinkSpace(EllentuckSpace):
     """A4(i): {1} is not below {1,2}, though it is below a member of
     the chain of {1,2}."""
 
-    def fin_leq(self, a, b):
-        if a.payload == (1,) and b.payload == (1, 2):
-            return False
-        return super().fin_leq(a, b)
+    def below_test(self, b):
+        row = super().below_test(b)
+        if b.payload == (1, 2):
+            return lambda pa: pa != (1,) and row(pa)
+        return row
 
     def extensions_below(self, a, top):
         return EllentuckSpace(self.ground).extensions_below(a, top)
@@ -254,8 +255,11 @@ class BrokenTransitivitySpace(EllentuckSpace):
     def _dropped(self, a, b):
         return a.payload == (2,) and b.payload == (0, 1, 2)
 
-    def fin_leq(self, a, b):
-        return not self._dropped(a, b) and super().fin_leq(a, b)
+    def below_test(self, b):
+        row = super().below_test(b)
+        if b.payload == (0, 1, 2):
+            return lambda pa: pa != (2,) and row(pa)
+        return row
 
     def fin_below(self, a, length=None):
         return [b for b in super().fin_below(a, length) if not self._dropped(b, a)]
@@ -327,10 +331,11 @@ class IrreflexiveSpace(EllentuckSpace):
     it, which A4(ii) reports with the number of elements checked: 3,
     as {1} comes third in canonical order ({}, {0}, {1})."""
 
-    def fin_leq(self, a, b):
-        if a.payload == b.payload == (1,):
-            return False
-        return super().fin_leq(a, b)
+    def below_test(self, b):
+        row = super().below_test(b)
+        if b.payload == (1,):
+            return lambda pa: pa != (1,) and row(pa)
+        return row
 
     def fin_below(self, a, length=None):
         return [b for b in super().fin_below(a, length) if self.fin_leq(b, a)]
@@ -490,10 +495,11 @@ class LateLinkSpace(EllentuckSpace):
     """A4(i): {1,2,3} (position 22 of 32 on ground 5) is not below
     {1,2,3,4} (position 30), though it is that stem's length-3 member."""
 
-    def fin_leq(self, a, b):
-        if a.payload == (1, 2, 3) and b.payload == (1, 2, 3, 4):
-            return False
-        return super().fin_leq(a, b)
+    def below_test(self, b):
+        row = super().below_test(b)
+        if b.payload == (1, 2, 3, 4):
+            return lambda pa: pa != (1, 2, 3) and row(pa)
+        return row
 
 
 @dataclass(frozen=True)

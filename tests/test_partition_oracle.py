@@ -10,7 +10,7 @@ from collections.abc import Iterator
 
 import pytest
 
-from partition_oracle import BlocksPartitionSpace, blocks
+from partition_oracle import BlocksPartitionSpace, blocks, fin_below_by_cuts
 from ramspace import Approximation, Stem, partition_space
 from ramspace.errors import ParseError
 
@@ -83,6 +83,18 @@ def test_restriction_and_down_sets_match_at_domain_six():
             _check("restrict", a, n)
         _check("fin_below", a)
         _check("count_below", a)
+
+
+def test_length_groups_match_the_cut_route_up_to_domain_seven():
+    # Each group is built in one pass over the top's labels, unsorted;
+    # the route it replaced filters every cut's coarsenings and sorts.
+    space = partition_space(7)
+    tops = space.stems()
+    assert len(tops) == 1 + 1 + 2 + 5 + 15 + 52 + 203 + 877
+    for top in tops:
+        for k in range(-1, top.length + 2):
+            assert space.fin_below(top, k) == fin_below_by_cuts(top, k), (top, k)
+        assert space.fin_below(top) == fin_below_by_cuts(top), top
 
 
 def test_order_matches_at_domain_six():
