@@ -14,8 +14,9 @@ The six laws, stated for the truncated universe:
   A3  approximation values determine their length and their whole
       initial chain (restriction is self-coherent);
   A4  the finitization: (i) the stem order coincides with chainwise
-      domination, (ii) every down-set is finite and matches a direct
-      filter, a stem top's also count_below and [empty, top]; quasi-order laws;
+      domination, (ii) every down-set is finite, holds no longer value
+      and matches a direct filter, a stem top's also count_below and
+      [empty, top]; quasi-order laws;
   A5  amalgamation: (i) below a stem that preserves the depth-many
       prefix, the base approximation stays reachable; (ii) stronger
       stems can be found inside the preserved-prefix neighborhood;
@@ -291,9 +292,18 @@ def _audit_a4(uni, report, bounds) -> bool:
     _ok(report, "A4", "finitization-link", len(tops) ** 2)
 
     # (ii) down-sets are finite and match a direct filter of the universe;
-    # a stem top's also its `count_below` and [empty, top], which galvin counts.
+    # a stem top's also its `count_below` and [empty, top], which galvin
+    # counts.  Each down-set holds no longer value (the length law that
+    # `closure_below` and the forcing verdict read): `longer[n]` holds
+    # the ids of the values longer than n.
     universe = (1 << uni.size) - 1
     empty = uni.index.get(space.empty())
+    longer: dict[int, int] = {}
+    for i, n in enumerate(uni.lengths[: uni.size]):
+        longer[n] = longer.get(n, 0) | 1 << i
+    above = 0
+    for n in sorted(longer, reverse=True):
+        longer[n], above = above, above | longer[n]
     instances = 0
     for a in range(uni.size):
         instances += 1
@@ -327,6 +337,14 @@ def _audit_a4(uni, report, bounds) -> bool:
                     f"count_below={counted}, [{ser(empty)}, {ser(a)}] equal={walked}",
                 )
                 return False
+        too_long = filtered & longer[uni.lengths[a]]
+        if too_long:
+            b = (too_long & -too_long).bit_length() - 1
+            _fail(
+                report, "A4", "down-set", instances,
+                f"fin_below({ser(a)}) holds the longer {ser(b)}",
+            )
+            return False
     _ok(report, "A4", "down-set", instances)
 
     # Quasi-order laws on the universe.  Reflexivity is checked above:

@@ -11,6 +11,8 @@ assumes, see audit.py):
 
   * the chain of a stem is recovered from its top by `restrict`;
   * the neighborhood [a, B] is nonempty exactly when fin_leq(a, top(B));
+  * the order never puts a value below a shorter one: fin_leq(x, y)
+    implies |x| <= |y|;
   * the stems of [a, B] are the extension-closure of `a` below top(B);
   * [empty, B] is fin_below(top(B)); count_below counts it, and of the
     full stem's top counts the whole truncated universe.
@@ -122,6 +124,12 @@ class Space(ABC):
         once, or on the first payload that needs it, so one read costs
         about what a pair costs.  Tags are not checked: `b` and every
         payload asked belong to this space.
+
+        The length law: a row holds no value longer than `b`, so
+        fin_leq(x, y) implies |x| <= |y|.  `closure_below` reads the
+        length groups up to |b| only, the forcing verdict compares
+        lengths before it reads the order, and the audit's A4(ii)
+        checks the law on every down-set.
         """
 
     @abstractmethod
@@ -135,16 +143,17 @@ class Space(ABC):
         """
 
     @abstractmethod
-    def extensions_below(self, a: Approximation, top: Approximation) -> Iterable[Approximation]:
+    def extensions_below(self, a: Approximation, top: Approximation) -> Iterator[Approximation]:
         """All length-(|a|+1) approximations extending `a` below `top`,
         in canonical (`sort_key`) order: the child order of every sweep.
 
-        The one child primitive.  A space whose child lists can be too
-        large to build returns a generator; a caller that needs `len`,
-        positions or a truth test lists it.  Raises EmptyNeighborhoodError
-        at the call, not at the first read, when `a` is not below `top`
-        at all; yields nothing when the neighborhood is nonempty but the
-        truncation admits no extension.
+        The one child primitive.  Every space gives its children lazily,
+        as an iterator that builds each child when it is read, so a walk
+        that stops early builds only the children it read; a caller that
+        needs `len`, positions or a truth test lists it.  Raises
+        EmptyNeighborhoodError at the call, not at the first read, when
+        `a` is not below `top` at all; yields nothing when the
+        neighborhood is nonempty but the truncation admits no extension.
         """
 
     @abstractmethod

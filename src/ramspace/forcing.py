@@ -90,6 +90,11 @@ class ChainStatus(enum.IntEnum):
     ALL_HIT = 2     # every maximal chain hits the family
 
 
+# The walk's statuses as module names: reading a member off the enum
+# class costs about 0.1 us a time, once per walked node.
+_AVOID, _EXHAUSTED, _ALL_HIT = ChainStatus
+
+
 class ForcingEngine:
     """Memoized chain walks and forcing verdicts for one family, on ids.
     A verdict is its kind: ACCEPTS, REJECTS or UNDECIDED.
@@ -100,8 +105,10 @@ class ForcingEngine:
     Walks run on these ids, with a memo keyed by one int per
     (node, top) pair and the members held as a set of ids.  The index
     gives ids only to values the engine meets, so it sweeps nothing up
-    front, and it holds no child lists: a walk reads each node's
-    children lazily from `extensions_below`, up to the first it needs.
+    front, and it holds no child lists: on every space a walk reads a
+    node's children lazily from `extensions_below`, one flat loop that
+    builds each child only when it reads it and stops at the first that
+    avoids.
 
     Beside the walk memo the engine owns one table, `_accepting`: for
     each (a, prefix) pair, keyed by one int, the (top, f) facts where a
@@ -149,30 +156,38 @@ class ForcingEngine:
 
     def walk(self, c: int, top: int) -> ChainStatus:
         """Status of the chains through the clean node with id `c` below
-        the stem top with id `top`."""
+        the stem top with id `top`: the worst status of its non-member
+        children, read lazily up to the first that avoids."""
+        memo = self._walk_memo
         key = c << 32 | top  # ids stay far below 2**32
-        cached = self._walk_memo.get(key)
+        cached = memo.get(key)
         if cached is not None:
             return cached
         self.nodes += 1
-        if self.index.lengths[c] >= self.bound:
-            status = ChainStatus.AVOID
-        else:
-            items = self.index.items
-            children = iter(self.space.extensions_below(items[c], items[top]))
-            first = next(children, None)
-            if first is None:
-                still = self._can_still_hit(items[c], items[top])
-                status = ChainStatus.EXHAUSTED if still else ChainStatus.AVOID
-            else:
-                status = ChainStatus.ALL_HIT
-                for d in map(self.index.id, itertools.chain((first,), children)):
-                    if d in self._members:
-                        continue
-                    status = min(status, self.walk(d, top))
-                    if status is ChainStatus.AVOID:
-                        break
-        self._walk_memo[key] = status
+        index = self.index
+        if index.lengths[c] >= self.bound:
+            memo[key] = _AVOID
+            return _AVOID
+        items, ids, members = index.items, index.index, self._members
+        status = _ALL_HIT
+        d = None
+        for d in self.space.extensions_below(items[c], items[top]):
+            i = ids.get(d)
+            if i is None:
+                # Members are indexed up front, so a new value is none.
+                i = index._add(d)
+            elif i in members:
+                continue
+            s = self.walk(i, top)
+            if s is _AVOID:
+                status = _AVOID
+                break
+            if s is _EXHAUSTED:
+                status = _EXHAUSTED
+        if d is None:
+            still = self._can_still_hit(items[c], items[top])
+            status = _EXHAUSTED if still else _AVOID
+        memo[key] = status
         return status
 
     def chain_status(self, top: Approximation, a: Approximation) -> ChainStatus:
@@ -243,9 +258,12 @@ class ForcingEngine:
         # `a` is clean, so below each reduct its status is its walk.
         base = self.index.id(a)
         key = base << 32 | self.index.id(prefix)
-        leq = self.space.fin_leq
+        leq, length = self.space.fin_leq, top.length
         for u, f in self._accepting.get(key, ()):
-            if leq(top, u) and leq(f, top):
+            # The order never puts a value below a shorter one (the
+            # `Space` length law), so a fact whose lengths do not fit is
+            # passed over without reading the order.
+            if f.length <= length <= u.length and leq(top, u) and leq(f, top):
                 return UNDECIDED
         for t in self._neighborhood(prefix, top):
             if self.walk(base, self.index.id(t)) is ChainStatus.ALL_HIT:

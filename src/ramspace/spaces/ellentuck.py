@@ -2,7 +2,9 @@
 
 Stems are finite strictly increasing subsets of {0, ..., ground-1};
 the length-n approximation of a stem is its first n elements, and the
-finitization is plain set inclusion.
+finitization is plain set inclusion.  Children are given lazily, as on
+every space, so a walk that stops early below a large top builds only
+the children it reads.
 """
 
 from __future__ import annotations
@@ -64,7 +66,7 @@ class EllentuckSpace(Space):
             for sub in itertools.combinations(a.payload, k)
         ]
 
-    def extensions_below(self, a, top) -> list[Approximation]:
+    def extensions_below(self, a, top):
         if a.space_tag != TAG or top.space_tag != TAG:
             self.check_tag(a)
             self.check_tag(top)
@@ -78,7 +80,7 @@ class EllentuckSpace(Space):
         kids = sorted(top.payload)
         kids = kids[bisect_right(kids, payload[-1] if payload else -1):]
         n = a.length + 1
-        return [_new(Approximation, (TAG, payload + (x,), n)) for x in kids]
+        return map(lambda x: _new(Approximation, (TAG, payload + (x,), n)), kids)
 
     def stems(self) -> list[Approximation]:
         return [

@@ -139,6 +139,55 @@ def test_broken_length_group_detected():
 
 
 @dataclass(frozen=True)
+class LongerBelowSpace(EllentuckSpace):
+    """Negative control for the length law alone, on ground 2: {1} lies
+    above every value, {0,1} among them, so {1} and {0,1} are equivalent.
+    The order is still a quasi-order that matches chainwise domination,
+    and the down-set of {1}, its length groups (which read 0..1 only, so
+    group 1 holds {0,1} as well), its count and its walk (the children
+    below {0,1}) all agree with its row."""
+
+    def below_test(self, b):
+        if b.payload == (1,):
+            return lambda pa: True
+        return super().below_test(b)
+
+    def fin_below(self, a, length=None):
+        if a.payload != (1,):
+            return super().fin_below(a, length)
+        groups = {0: [self.empty()], 1: [self.make((0,)), a, self.make((0, 1))]}
+        if length is None:
+            return groups[0] + groups[1]
+        return groups.get(length, [])
+
+    def count_below(self, a):
+        return 4 if a.payload == (1,) else super().count_below(a)
+
+    def extensions_below(self, a, top):
+        if top.payload == (1,):
+            top = self.make((0, 1))
+        return super().extensions_below(a, top)
+
+
+def test_longer_value_below_a_shorter_one_detected():
+    # The length law, fin_leq(x, y) implies |x| <= |y|, is checked with
+    # the down-sets: it fails at {1}, the third value, and nothing after
+    # A4 is asked (the depth law, which it implies, would fail next).
+    sp = LongerBelowSpace(2)
+    assert sp.fin_leq(sp.make((0, 1)), sp.make((1,)))
+    report = audit_axioms(sp, FAST)
+    failing = [c for c in report.checks if c.status == COUNTEREXAMPLE]
+    assert [(c.axiom, c.name) for c in failing] == [("A4", "down-set")]
+    assert failing[0].instances == 3
+    assert failing[0].witness == "fin_below({1}) holds the longer {0,1}"
+    assert [c.name for c in report.checks[:4]] == [
+        "empty-base", "separation", "length-coherence", "finitization-link",
+    ]
+    assert all(c.passed for c in report.checks[:4])
+    assert report.depth_pairs_checked == 0
+
+
+@dataclass(frozen=True)
 class BrokenRestrictionSpace(EllentuckSpace):
     """Negative control: restriction keeps the tail instead of the head."""
 
@@ -166,7 +215,7 @@ def test_pigeonhole_audit_against_independent_sweep():
     for a in e.fin_below(full):
         if a.length > 2:
             continue
-        ext = e.extensions_below(a, full)
+        ext = list(e.extensions_below(a, full))
         n = stem.depth(a)
         prefix = e.restrict(full, n)
         reducts = [
@@ -279,7 +328,7 @@ class BrokenReachSpace(EllentuckSpace):
     [{}, t] still reaches exactly the down-set of t, as A4(ii) checks."""
 
     def extensions_below(self, a, top):
-        kids = super().extensions_below(a, top)
+        kids = list(super().extensions_below(a, top))
         if a.payload == (0,):
             return kids + [self.make(k.payload[1:]) for k in kids]
         return kids
@@ -294,7 +343,7 @@ class LeakyExtensionSpace(EllentuckSpace):
     def extensions_below(self, a, top):
         if self.ground in a.payload:
             return []
-        kids = super().extensions_below(a, top)
+        kids = list(super().extensions_below(a, top))
         if a.payload:
             kids.append(Approximation(TAG, a.payload + (self.ground,), a.length + 1))
         return kids

@@ -51,6 +51,7 @@ from ramspace.forcing import (
     galvin_search,
     verify_dichotomy,
 )
+from ramspace.spaces import ellentuck
 from ramspace.spaces.ellentuck import TAG, EllentuckSpace
 
 DATA = pathlib.Path(__file__).parent / "data" / "forcing_results.json"
@@ -260,6 +261,34 @@ def test_every_verdict_matches_the_primitive_engine(space, pool):
     assert compared > 500
 
 
+@pytest.mark.parametrize("space, pool", [c for c in CASES if c.id != "matrix-3-2"])
+def test_verdicts_past_the_longest_member_match_the_primitive_engine(space, pool):
+    # Families of one or two pool members whose declared length bound
+    # lies one or two above their longest member: walks run past every
+    # member, so chains end at the truncation below some member's
+    # prefix (EXHAUSTED, through `_can_still_hit`) as well as avoiding
+    # and hitting.  Kind and node count must match after every verdict.
+    stems = [Stem(space, t) for t in space.stems()]
+    families = [fam for r in (1, 2) for fam in itertools.combinations(pool, r)]
+    seen = set()
+    for fam in families:
+        longest = max(m.length for m in fam)
+        for bound in (longest + 1, longest + 2):
+            family = FrontFamily(space, fam, length_bound=bound)
+            new = ForcingEngine(family)
+            old = _PrimitiveEngine(family)
+            for B in stems:
+                for a in space.fin_below(B.top):
+                    if a.length > 2:
+                        continue
+                    assert _ask(new.verdict, B, a) == _ask(old.verdict, B, a), (
+                        fam, bound, B, a,
+                    )
+                    assert new.nodes == old.nodes, (fam, bound, B, a)
+            seen.update(new._walk_memo.values())
+    assert seen == set(ChainStatus)
+
+
 @pytest.mark.parametrize("space, pool", CASES)
 @pytest.mark.parametrize("max_reducts", [1, 2, 3, 5, 8, 13])
 def test_the_ceiling_estimate_matches_the_primitive_engine(space, pool, max_reducts):
@@ -344,7 +373,7 @@ def test_ellentuck_children_follow_the_numeric_order():
     for base, top in cases:
         a = Approximation(TAG, base, len(base))
         t = Approximation(TAG, top, len(top))
-        assert e.extensions_below(a, t) == _numeric_children(a, t), (base, top)
+        assert list(e.extensions_below(a, t)) == _numeric_children(a, t), (base, top)
     with pytest.raises(EmptyNeighborhoodError):
         e.extensions_below(e.make((1,)), e.make((2, 3)))
     with pytest.raises(MixedSpaceError):
@@ -359,7 +388,7 @@ class _AskedChildren(EllentuckSpace):
         object.__setattr__(self, "asked", {})
 
     def extensions_below(self, a, top):
-        kids = self.asked[a] = super().extensions_below(a, top)
+        kids = self.asked[a] = list(super().extensions_below(a, top))
         return kids
 
 
@@ -399,6 +428,36 @@ def test_ellentuck_children_of_every_ground_12_pair():
             for base in (e.make((x,)), e.make(sorted(top.payload + (x,)))):
                 with pytest.raises(EmptyNeighborhoodError):
                     e.extensions_below(base, top)
+
+
+def test_the_walk_builds_only_the_ellentuck_children_it_reads(monkeypatch):
+    # Family {0,1} on ground 3000: the walk of {} below the full top
+    # reads {0}, then {0,1} (a member) and {0,2} (at the length bound,
+    # so it avoids), and stops.  It builds those three children and the
+    # length-0 restriction of {} that the hit test makes, and none of
+    # the other 5,996 children of the two lists it opens.  Counting
+    # the values built, not those read, tells a lazy child list from
+    # a built one.
+    e = EllentuckSpace(3000)
+    engine = ForcingEngine(FrontFamily(e, [e.make((0, 1))]))
+    top = e.full_stem().top
+    built = []
+    new = ellentuck._new
+
+    def counting(cls, fields):
+        built.append(fields)
+        return new(cls, fields)
+
+    monkeypatch.setattr(ellentuck, "_new", counting)
+    assert engine.chain_status(top, e.empty()) is ChainStatus.AVOID
+    assert engine.nodes == 3
+    assert built == [(TAG, (), 0), (TAG, (0,), 1), (TAG, (0, 1), 2), (TAG, (0, 2), 2)]
+    # A base outside the top still raises at the call, before anything
+    # is read or built.
+    built.clear()
+    with pytest.raises(EmptyNeighborhoodError):
+        e.extensions_below(e.make((5,)), e.make((1, 2)))
+    assert built == []
 
 
 # ----- the dichotomy search against a brute-force oracle -----

@@ -523,7 +523,7 @@ def test_ellentuck_children_match_a_sort_by_sort_key(ground):
     for _ in range(200):
         top = space.make(sorted(rng.sample(range(ground), rng.randint(0, ground))))
         a = space.make(sorted(rng.sample(top.payload, rng.randint(0, top.length))))
-        children = space.extensions_below(a, top)
+        children = list(space.extensions_below(a, top))
         last = a.payload[-1] if a.payload else -1
         want = [space.make(a.payload + (x,)) for x in top.payload if x > last]
         assert children == sorted(want, key=space.sort_key)
