@@ -17,10 +17,13 @@ the classical relations or neither:
   undecided -- neither can be certified within the truncation.
 
 A verdict is its kind and names no reason.  Verdicts are relative to
-the truncated universe by construction.
+the truncated universe by construction, and each is a pure function of
+(family, stem, a): the engine's walk memo changes what a verdict costs,
+never what it answers.
 
 The dichotomy search mirrors the classical proof shape: settle the
-empty approximation on a deciding stem, then either certify acceptance
+empty approximation on a deciding stem, asking the reducts of the
+ambient stem shortest first, then either certify acceptance
 of the empty approximation (every maximal chain hits: alternative 2)
 or name the longest reduct whose whole down-set misses the family
 (alternative 1).  It always answers one of the two, or refuses at
@@ -108,18 +111,12 @@ class ForcingEngine:
     front, and it holds no child lists: on every space a walk reads a
     node's children lazily from `extensions_below`, one flat loop that
     builds each child only when it reads it and stops at the first that
-    avoids.
-
-    Beside the walk memo the engine owns one table, `_accepting`: for
-    each (a, prefix) pair, keyed by one int, the (top, f) facts where a
-    sweep of [prefix, top] stopped at f, its first reduct below which
-    `a` is accepted.  An undecided verdict that such a fact covers is
-    read from the table instead of a new sweep (see `verdict`); every
-    other verdict sweeps through the space's `iter_neighborhood`.
+    avoids.  Every verdict that gets past the stem's own walk sweeps
+    its neighborhood through the space's `iter_neighborhood`.
 
     A fresh engine is a pure function of (family, max_reducts),
-    single-threaded.  Engines share no state, and both tables are
-    released with the engine.
+    single-threaded.  Engines share no state, and the index and the
+    walk memo are released with the engine.
     """
 
     def __init__(self, family: FrontFamily, max_reducts: int = MAX_REDUCTS):
@@ -135,7 +132,6 @@ class ForcingEngine:
             self.space.restrict(f, i) for f in family.members for i in range(f.length)
         )
         self._walk_memo: dict[int, ChainStatus] = {}
-        self._accepting: dict[int, list[tuple[Approximation, Approximation]]] = {}
         self.nodes = 0
 
     # ----- chain walk -----
@@ -216,7 +212,9 @@ class ForcingEngine:
         A verdict is its kind and names no reason.  Verdicts are
         relative to the truncated universe, and a reduct whose own
         chains end at the truncation carries no evidence either way, so
-        it does not block a rejection.
+        it does not block a rejection.  Nothing but the walk memo
+        carries over from earlier verdicts, so the answer does not
+        depend on what the engine was asked before.
 
         The hit test of `a` runs once, for the stem's own status; the
         sweep then walks `a` below the id of each reduct it yields.  The
@@ -224,22 +222,6 @@ class ForcingEngine:
         stops at the first accepting reduct.  Raises CeilingExceededError
         when it passes `max_reducts` reducts before that reduct, so a
         rejection is only ever certified over a fully swept neighborhood.
-
-        Before it sweeps, the verdict looks for a fact (top', f) of the
-        same (a, prefix) with top <= top' and f <= top, and if it finds
-        one answers undecided.  That is the answer the sweep would give,
-        exactly:
-          - [prefix, top] lies inside [prefix, top'], and its sweep
-            order is the order of [prefix, top'] cut down to it (each
-            child list is the parent's children below the top, in
-            canonical order), so f, first to accept in [prefix, top'],
-            is first in [prefix, top] too;
-          - every reduct that sweep would walk comes before f in
-            [prefix, top'], and the sweep that found f walked them all,
-            so each walk would be a memo hit and `nodes` is unchanged;
-          - it would yield no more reducts before f than that sweep did,
-            so it would not have passed `max_reducts` either.
-        Rejections always sweep: the table holds accepting reducts only.
         """
         if stem.space is not self.space and stem.space != self.space:
             raise MixedSpaceError("stem does not belong to the family's space")
@@ -257,21 +239,8 @@ class ForcingEngine:
         prefix = self.space.restrict(top, n)
         # `a` is clean, so below each reduct its status is its walk.
         base = self.index.id(a)
-        key = base << 32 | self.index.id(prefix)
-        leq, length = self.space.fin_leq, top.length
-        for u, f in self._accepting.get(key, ()):
-            # The order never puts a value below a shorter one (the
-            # `Space` length law), so a fact whose lengths do not fit is
-            # passed over without reading the order.
-            if f.length <= length <= u.length and leq(top, u) and leq(f, top):
-                return UNDECIDED
         for t in self._neighborhood(prefix, top):
             if self.walk(base, self.index.id(t)) is ChainStatus.ALL_HIT:
-                # A fact with the same reduct below a smaller top covers
-                # nothing this one does not.
-                facts = self._accepting.setdefault(key, [])
-                facts[:] = [(u, f) for u, f in facts if f != t or not leq(u, top)]
-                facts.append((top, t))
                 return UNDECIDED
         return REJECTS
 
@@ -328,21 +297,27 @@ def galvin_search(
     Either some reduct's whole down-set misses the family (alternative
     1), or some reduct accepts the empty approximation (alternative 2:
     every maximal chain below it meets the family).  Stage 1 asks the
-    reducts of A, longest first, about the empty approximation, and
+    reducts of A, shortest first, about the empty approximation, and
     that decides.  A rejecting reduct, or a sweep with neither a
     rejecting nor an accepting one, gives alternative 1, whose stem is
-    the first reduct in the same order that no member sits below: the
-    longest family-free reduct.  The scan reads only reducts stage 1
+    the longest family-free reduct: the first reduct, longest first,
+    that no member sits below.  That scan reads only reducts stage 1
     has counted, and the empty reduct is family-free: were the empty
     approximation a member, stage 1 would have answered alternative 2,
     and nothing else lies below it (the audit's A4(ii)).  Otherwise the
-    first accepting reduct is the alternative-2 stem.
+    alternative-2 stem is the first accepting reduct of the longest
+    length group that has one.
 
     Every scan reads the reducts of A, [empty, A] = fin_below(A.top),
-    one length group `fin_below(A.top, k)` at a time, longest first,
-    each in canonical order.  An alternative-2 certificate lists the
-    family members where the chains below its stem first hit, read
-    from the family (`_frontier`).
+    one length group `fin_below(A.top, k)` at a time, each in canonical
+    order: stage 1 with k rising from 0, the alternative-1 scan with k
+    falling from |A|.  Each verdict is a pure function of (family,
+    reduct, empty) and neither stem depends on the order stage 1 asks
+    in, so the outcome, stem and certificate do not either; shortest
+    first reaches a rejecting reduct, which is short, before it walks
+    below the long ones.  An alternative-2 certificate lists the family
+    members where the chains below its stem first hit, read from the
+    family (`_frontier`).
 
     Stage 1 counts the reducts of A (`count_below`) before it builds
     them.  Past `max_reducts`, A is shrunk greedily through
@@ -358,8 +333,8 @@ def galvin_search(
     stats = {"reducts_scanned": 0}
     members = [f.payload for f in family.members]
 
-    def longest_first():
-        for k in range(A.length, -1, -1):
+    def reducts(lengths: Iterable[int]):
+        for k in lengths:
             yield from space.fin_below(A.top, k)
 
     def meets(t: Approximation) -> bool:
@@ -367,7 +342,8 @@ def galvin_search(
 
     def finish_alt1(B: Stem | None = None) -> DichotomyResult:
         if B is None:
-            t = next((t for t in longest_first() if not meets(t)), None)
+            longest_first = reducts(range(A.length, -1, -1))
+            t = next((t for t in longest_first if not meets(t)), None)
             assert t is not None, "no reduct is family-free: the space breaks A4(ii)"
             B = Stem(space, t)
         assert not meets(B.top), "alternative-1 stem still meets the family"
@@ -388,9 +364,10 @@ def galvin_search(
 
     # Stage 1: settle the empty approximation on a deciding stem.  If
     # the ambient stem accepts it, every maximal chain below A already
-    # meets the family.  Otherwise a rejecting reduct decides
-    # alternative 1; only when no reduct rejects fall back to a smaller
-    # accepting reduct.  The reducts of A are counted before any is
+    # meets the family.  Otherwise the reducts are asked shortest
+    # first: a rejecting reduct decides alternative 1, and only when no
+    # reduct rejects does the longest group with an accepting reduct
+    # give alternative 2.  The reducts of A are counted before any is
     # built: every later read lies inside them, so only they can pass
     # the ceiling (a greedy alternative 1 is verified directly).
     empty = space.empty()
@@ -402,19 +379,19 @@ def galvin_search(
         if greedy is None:
             raise CeilingExceededError("reduct sweep too large", count, max_reducts)
         return finish_alt1(greedy)
-    first_accepting: Stem | None = None
-    for t in longest_first():
+    accepting: Approximation | None = None
+    for t in reducts(range(A.length + 1)):
         stats["reducts_scanned"] += 1
         v = engine.verdict(Stem(space, t), empty)
         if v == REJECTS:
             # Alternative 1.  Leaving the loop frees its length group
             # before the scan builds the groups again.
             break
-        if v == ACCEPTS and first_accepting is None:
-            first_accepting = Stem(space, t)
+        if v == ACCEPTS and (accepting is None or accepting.length < t.length):
+            accepting = t
     else:
-        if first_accepting is not None:
-            return finish_alt2(first_accepting)
+        if accepting is not None:
+            return finish_alt2(Stem(space, accepting))
     return finish_alt1()
 
 

@@ -1,3 +1,4 @@
+import itertools
 import json
 import time
 
@@ -172,7 +173,7 @@ def test_galvin_wide_matrix_search_is_pinned(capsys, schema):
             "space": "space=matrix;q=2;max_cols=6",
         },
         "seconds": None,
-        "stats": {"reducts_scanned": 2, "walk_nodes": 922},
+        "stats": {"reducts_scanned": 2, "walk_nodes": 5},
         "stem": stem,
     }
 
@@ -305,10 +306,10 @@ sys.exit(os.waitstatus_to_exitcode(status))
 
 
 def test_wide_matrix_search_reads_its_reducts_by_length():
-    # The q=3 six-column stem has 59,539 reducts and stage 1 seeds on
-    # the third it reads.  It reads them one length group at a time,
-    # longest first, so the search stays under 36 MB; building and
-    # sorting the whole list took it to about 51 MB.
+    # The q=3 six-column stem has 59,539 reducts and stage 1 stops at
+    # the second it reads.  Stage 1 and the alternative-1 scan read
+    # them one length group at a time, so the search stays under 36 MB;
+    # building and sorting the whole list took it to about 51 MB.
     import subprocess
     import sys
 
@@ -323,6 +324,63 @@ def test_wide_matrix_search_reads_its_reducts_by_length():
     assert forcing.verify_dichotomy(payload["certificates"]["dichotomy"])
     peak_kb = int(proc.stderr.split()[-1])
     assert peak_kb <= 36 * 1024, peak_kb
+
+
+@pytest.mark.parametrize(
+    "space_args, space, members, ambient, stem, stats",
+    [
+        (
+            ["--space", "ellentuck", "--ground", "16"],
+            "space=ellentuck;ground=16",
+            ["{1,2}", "{3,4}"],
+            "{0,1,2,3,4,5,6,7,8,9,10,11,12,13,14,15}",
+            "{0,1,3,5,6,7,8,9,10,11,12,13,14,15}",
+            {"reducts_scanned": 2, "walk_nodes": 6},
+        ),
+        (
+            ["--space", "partition", "--domain", "9"],
+            "space=partition;max_domain=9",
+            ["({0},{1})"],
+            "({0},{1},{2},{3},{4},{5},{6},{7},{8})",
+            "({0,1},{2},{3},{4},{5},{6},{7},{8})",
+            {"reducts_scanned": 3, "walk_nodes": 8},
+        ),
+    ],
+    ids=["ellentuck-16", "partition-9"],
+)
+def test_galvin_stops_at_a_short_rejecting_reduct(
+    capsys, schema, space_args, space, members, ambient, stem, stats
+):
+    # Stage 1 asks the reducts shortest first, so it meets a short
+    # rejecting reduct before it walks below any long one: a handful of
+    # walk nodes, where asking longest first walked 196,590 (ellentuck
+    # 16) and 74,031 (partition 9).
+    code, payload = run_json(
+        capsys, schema, "galvin", *space_args,
+        *itertools.chain.from_iterable(("--member", m) for m in members),
+    )
+    certificate = (
+        f"galvin-certificate v1\n{space}\nfamily={'|'.join(members)}\n"
+        f"length_bound=2\nambient={ambient}\noutcome=ALT1\nstem={stem}\n"
+        f"checked={len(members)}\n"
+    )
+    assert code == 0
+    assert payload == {
+        "certificates": {"dichotomy": certificate},
+        "command": "galvin",
+        "exit_code": 0,
+        "outcome": "alt1",
+        "parameters": {
+            "ambient": ambient,
+            "family": "|".join(members),
+            "length_bound": 2,
+            "space": space,
+        },
+        "seconds": None,
+        "stats": stats,
+        "stem": stem,
+    }
+    assert forcing.verify_dichotomy(certificate)
 
 
 def test_galvin_family_file_takes_no_inline_family(tmp_path, capsys):
