@@ -33,12 +33,15 @@ sweep is the one primitive sweep of the order: it reads each value's
 row `below_test(b)`, the code that `fin_leq` and every search read, at
 every approximation once, and each down-set it yields is checked
 against the length groups of `fin_below` (`closure_below`), which every
-search reads.  The other laws read the bitsets built from it:
-transitivity tests down-set inclusion, depth is the first chain member
-whose down-set holds the approximation, and A5/A6 test neighborhood
-bitmasks against up-sets and down-sets.  Each neighborhood [a, t] is a
-run of the walk of [empty, t], which `iter_neighborhood` gives once per
-stem top.  A2 and A4(i), laws on pairs of stems, are row sweeps: A2
+search reads.  The other laws read the bitsets built from it, a row at
+a time: transitivity tests down-set inclusion, and counts a row that
+holds at once; the depth law, A5 and A6 read each stem top's depth
+list (`Universe.depths`: for each value below the top, the first chain
+member whose down-set holds it) beside its down-set; and A5/A6 test
+neighborhood bitmasks against up-sets and down-sets, A5(ii) reading
+each candidate's mask once per (top, value).  Each neighborhood [a, t]
+is a run of the walk of [empty, t], which `iter_neighborhood` gives
+once per stem top.  A2 and A4(i), laws on pairs of stems, are row sweeps: A2
 groups the stems by chain, and A4(i) transposes the down-sets once into
 masks over stem positions, so each stem's row of pairs is one AND of its
 chain's masks and one comparison.  Instances are counted, and failures
@@ -271,9 +274,15 @@ def _audit_a4(uni, report, bounds) -> bool:
         dominated = 0
         for c in uni.chains[t]:
             dominated |= down[c]
-        for c in iter_bits(dominated):
+        # The two masks are equal when the order holds, so their common
+        # bits are set in one pass.
+        both = dominated & down[t]
+        for c in iter_bits(both):
             dom_of[c] |= bit
-        for c in iter_bits(down[t]):
+            below_of[c] |= bit
+        for c in iter_bits(dominated ^ both):
+            dom_of[c] |= bit
+        for c in iter_bits(down[t] ^ both):
             below_of[c] |= bit
     everywhere = (1 << len(tops)) - 1
     for ia, a in enumerate(tops):
@@ -367,11 +376,21 @@ def _transitivity(uni, cap):
     checked = 0
     for b in range(uni.size):
         lefts = uni.below(b)
-        for c in iter_bits(uni.up[b] & universe):
+        ups = uni.up[b] & universe
+        # A row that holds, and whose triples all fit under the cap, is
+        # counted at once; any other row runs the pair loop.
+        row = len(lefts) * ups.bit_count()
+        below_b = down[b] & universe
+        if checked + row < cap and not any(
+            below_b & ~down[c] for c in iter_bits(ups)
+        ):
+            checked += row
+            continue
+        for c in iter_bits(ups):
             # Each triple is checked before it is counted against the
             # cap, so even a cap of 0 checks one.
             take = min(len(lefts), max(cap - checked, 1))
-            if down[b] & universe & ~down[c]:
+            if below_b & ~down[c]:
                 for k, a in enumerate(lefts[:take]):
                     if not down[c] >> a & 1:
                         ser = uni.space.serialize
@@ -393,15 +412,16 @@ def _audit_depth(uni, report):
     approximation, so it exists and is minimal by construction; what is
     left to check is that it dominates the length.
     """
-    space, items = uni.space, uni.items
+    space, items, lengths = uni.space, uni.items, uni.lengths
     checked = 0
     violations = 0
     witness = None
     for t in uni.tops:
-        for a in uni.below(t):
+        for a, d in zip(uni.below(t), uni.depths(t)):
             checked += 1
-            d = uni.depth(a, t)
-            if items[a].length > d:
+            if d is None:
+                d = uni.depth(a, t)
+            if lengths[a] > d:
                 violations += 1
                 witness = witness or (
                     f"stem {space.serialize(items[t])}, "
@@ -416,7 +436,7 @@ def _audit_depth(uni, report):
 
 
 def _audit_a5(uni, report, bounds):
-    space, items, down, up = uni.space, uni.items, uni.down, uni.up
+    space, items, lengths, down, up = uni.space, uni.items, uni.lengths, uni.down, uni.up
 
     def witness(t, a, b_top):
         return (
@@ -427,10 +447,11 @@ def _audit_a5(uni, report, bounds):
     # (i) preserved-prefix stems keep the base reachable.
     instances = 0
     for t in uni.tops:
-        for a in uni.below(t):
-            if items[a].length > bounds.max_len:
+        for a, n in zip(uni.below(t), uni.depths(t)):
+            if lengths[a] > bounds.max_len:
                 continue
-            n = uni.depth(a, t)
+            if n is None:
+                n = uni.depth(a, t)
             if n > bounds.max_depth:
                 continue
             prefix = uni.chains[t][n]
@@ -450,27 +471,35 @@ def _audit_a5(uni, report, bounds):
     # has [a, B'] inside the down-set of each B in [a, t], for a of
     # length <= max_len and depth <= max_depth below each stem top t,
     # until `amalgamation_cap` instances are checked.  Candidates are
-    # tried longest first.
+    # tried longest first, and each one's [a, B'] mask is read once per
+    # (t, a), when the first B needs it, so no walk starts earlier.
     cap = bounds.amalgamation_cap
     instances = 0
     for t in uni.tops:
-        for a in uni.below(t):
-            if items[a].length > bounds.max_len or instances >= cap:
+        for a, n in zip(uni.below(t), uni.depths(t)):
+            if lengths[a] > bounds.max_len or instances >= cap:
                 break
-            n = uni.depth(a, t)
+            if n is None:
+                n = uni.depth(a, t)
             if n > bounds.max_depth:
                 continue
             reach, _ = uni.neighborhood(uni.chains[t][n], t)
-            candidates = sorted(
-                iter_bits(reach & up[a]), key=lambda c: -items[c].length
+            candidates = iter(
+                sorted(iter_bits(reach & up[a]), key=lengths.__getitem__, reverse=True)
             )
+            masks: list[int] = []  # [a, B'] of the candidates read so far
             for b_top in uni.walk(a, t):
                 if instances >= cap:
                     break
                 instances += 1
-                if not any(
-                    not uni.neighborhood(a, c)[0] & ~down[b_top] for c in candidates
-                ):
+                outside = ~down[b_top]
+                if any(not m & outside for m in masks):
+                    continue
+                for c in candidates:
+                    masks.append(uni.neighborhood(a, c)[0])
+                    if not masks[-1] & outside:
+                        break
+                else:
                     _fail(
                         report, "A5", "amalgamation-ii", instances,
                         witness(t, a, b_top),
@@ -486,11 +515,11 @@ def _audit_a6(uni, report, bounds):
 
     # Refuse before sweeping if the split count is out of reach.
     work = [
-        (a, list(space.extensions_below(items[a], items[t])))
-        for a in uni.below(t)
+        (a, n, list(space.extensions_below(items[a], items[t])))
+        for a, n in zip(uni.below(t), uni.depths(t))
         if items[a].length <= bounds.max_len
     ]
-    estimate = sum(1 << len(ext) for _, ext in work)
+    estimate = sum(1 << len(ext) for _, _, ext in work)
     if estimate > A6_INSTANCE_CEILING:
         raise CeilingExceededError(
             f"pigeonhole audit for {space.params_str()} too large",
@@ -500,8 +529,10 @@ def _audit_a6(uni, report, bounds):
 
     instances = 0
     vacuous = 0
-    for a, ext in work:
-        reach, _ = uni.neighborhood(uni.chains[t][uni.depth(a, t)], t)
+    for a, n, ext in work:
+        if n is None:
+            n = uni.depth(a, t)
+        reach, _ = uni.neighborhood(uni.chains[t][n], t)
         # A split of ext is a bitmask over its positions, and a set of
         # splits is a bitmask over split numbers.  A reduct decides the
         # splits its extension set lies inside or misses; an empty

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, fields
+from itertools import compress
 from typing import Any, Callable, Iterable, Iterator, NamedTuple
 
 from .errors import (
@@ -364,16 +365,20 @@ class Universe(Index):
     its length groups (`closure_below`), once per stem top, and kept as
     its `below` answer.  Construction reads the order's row
     `below_test(items[j])` once per value, at every payload of the
-    universe: bit i of `down[j]` is set iff fin_leq(items[i], items[j]),
+    universe, through `compress`, so Python touches only the pairs the
+    row holds: bit i of `down[j]` is set iff fin_leq(items[i], items[j]),
     and `up` is the transpose.  `tops` holds the ids of `space.stems()`
-    and `chains` maps each of them to the ids of its chain.
+    and `chains` maps each of them to the ids of its chain.  `depths(t)`
+    lists the depth below `t` of each value of `below(t)`, in that
+    order, so the laws that read depths read one list per top.
 
     A value outside the universe (only a space that breaks its own
     contract produces one) gets the next free id when first indexed,
     with its order bits asked of its row and of `fin_leq` against every
-    indexed value, so each bit is always a primitive answer.  `below`
-    keeps each `closure_below` answer and `neighborhood` each
-    [base, top] mask, as asked, for the life of the index.
+    indexed value, so each bit is always a primitive answer; the depth
+    lists are dropped then and rebuilt when asked.  `below` keeps each
+    `closure_below` answer and `neighborhood` each [base, top] mask, as
+    asked, for the life of the index.
 
     Neighborhoods are read from one walk per stem top.  The first time
     a top is asked for, [empty, top] is walked through `iter_neighborhood`
@@ -401,17 +406,23 @@ class Universe(Index):
         payloads = [a.payload for a in self.items]
         self.down: list[int] = []
         self.up = up = [0] * self.size
+        ids = range(self.size)
         for j, b in enumerate(self.items):
             bit = 1 << j
             mask = 0
-            for i, below in enumerate(map(space.below_test(b), payloads)):
-                if below:
-                    mask |= 1 << i
-                    up[i] |= bit
+            for i in compress(ids, map(space.below_test(b), payloads)):
+                mask |= 1 << i
+                up[i] |= bit
             self.down.append(mask)
+        # top -> depth of each value of below(top), in that order
+        self._depths: dict[int, list[int | None]] = {}
         self.tops = self.ids(stems)
         self.chains = {t: self.ids(space.chain(self.items[t])) for t in self.tops}
-        self._below = {t: self.ids(below) for t, below in zip(self.tops, answers)}
+        # Every answer was indexed above, so its ids are looked up.
+        self._below = {
+            t: list(map(self.index.__getitem__, below))
+            for t, below in zip(self.tops, answers)
+        }
         self._nbhd: dict[tuple[int, int], tuple[int, int]] = {}
         # top -> (ids in walk order, run end of each position,
         # first position of each id)
@@ -420,6 +431,7 @@ class Universe(Index):
     def _add(self, a: Approximation) -> int:
         leq, below = self.space.fin_leq, self.space.below_test(a)
         i = super()._add(a)
+        self._depths.clear()
         bit = 1 << i
         self.down.append(0)
         self.up.append(0)
@@ -438,6 +450,22 @@ class Universe(Index):
         out = self._below.get(a)
         if out is None:
             out = self._below[a] = self.ids(self.space.closure_below(self.items[a]))
+        return out
+
+    def depths(self, top: int) -> list[int | None]:
+        """`depth(a, top)` for each a of `below(top)`, in that order, and
+        None where `a` lies below no member of the chain."""
+        out = self._depths.get(top)
+        if out is None:
+            # Each value gets the first chain member whose down-set
+            # holds it: the bits member n adds to those before it.
+            first: dict[int, int] = {}
+            seen = 0
+            for n, c in enumerate(self.chains[top]):
+                for a in iter_bits(self.down[c] & ~seen):
+                    first[a] = n
+                seen |= self.down[c]
+            out = self._depths[top] = list(map(first.get, self.below(top)))
         return out
 
     def depth(self, a: int, top: int) -> int:
@@ -483,12 +511,10 @@ class Universe(Index):
         order, ends, first = walked
         index = self.index
         path: list[int] = []  # positions on the walk's current branch
+        p = len(order)
         for value, depth in self.space.iter_neighborhood(a, self.items[top]):
-            p = len(order)
-            if depth < len(path):
-                for q in path[depth:]:
-                    ends[q] = p
-                del path[depth:]
+            while len(path) > depth:
+                ends[path.pop()] = p
             path.append(p)
             i = index.get(value)
             if i is None:
@@ -496,5 +522,6 @@ class Universe(Index):
             order.append(i)
             ends.append(p)
             first.setdefault(i, p)
+            p += 1
         for q in path:
-            ends[q] = len(order)
+            ends[q] = p

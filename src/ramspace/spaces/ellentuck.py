@@ -58,11 +58,16 @@ class EllentuckSpace(Space):
 
     def fin_below(self, a, length=None) -> list[Approximation]:
         # Combinations of an ascending payload come in canonical order.
+        # Only the group asked for is built, each value as `restrict`
+        # builds it; a length outside 0..|a| has none.
         self.check_tag(a)
+        if length is None:
+            lengths = range(a.length + 1)
+        else:
+            lengths = (length,) if 0 <= length <= a.length else ()
         return [
-            Approximation(TAG, sub, k)
-            for k in range(a.length + 1)
-            if length in (None, k)
+            _new(Approximation, (TAG, sub, k))
+            for k in lengths
             for sub in itertools.combinations(a.payload, k)
         ]
 

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import audit_oracle
 from ramspace import Approximation, cli, ell_space, matrix_space, partition_space
 from ramspace.audit import (
     BOUNDED_PASS,
@@ -13,11 +14,19 @@ from ramspace.audit import (
     AuditBounds,
     AxiomCheck,
     AxiomReport,
+    _audit_a5,
+    _audit_depth,
+    _transitivity,
     audit_axioms,
 )
 from ramspace.core import Universe
 from ramspace.errors import CeilingExceededError, NotInSpaceError
-from ramspace.spaces import parse_params_str, space_from_params
+from ramspace.spaces import (
+    MatrixSpace,
+    PartitionSpace,
+    parse_params_str,
+    space_from_params,
+)
 from ramspace.spaces.ellentuck import TAG, EllentuckSpace
 
 FAST = AuditBounds(max_len=2, max_depth=3, transitivity_cap=20_000, amalgamation_cap=200)
@@ -703,3 +712,108 @@ def test_universe_runs_match_direct_walks(space):
             for i in direct:
                 mask |= 1 << i
             assert uni.neighborhood(base, top) == (mask, len(direct)), (base, top)
+
+
+ORACLE_SPACES = (
+    [EllentuckSpace(g) for g in range(1, 7)]
+    + [MatrixSpace(2, 3), MatrixSpace(3, 2)]
+    + [PartitionSpace(d) for d in range(1, 6)]
+    + [space for _, space, _ in CONTROLS]
+    + [StrayChainSpace(5)]
+)
+
+
+def _raising(law, *args):
+    """`law(*args)`, or the text of the NotInSpaceError it raises."""
+    try:
+        return law(*args)
+    except NotInSpaceError as e:
+        return ("raises", str(e))
+
+
+def _package_law(law, space, *args):
+    """Run one of the audit's law functions on a universe of its own and
+    return what it reported, as the oracles return it."""
+    report = AxiomReport(space.params_str())
+    got = _raising(law, Universe(space), report, *args)
+    if got is not None:
+        return got
+    rows = [(c.instances, c.witness) for c in report.checks]
+    return rows, report.depth_pairs_checked, report.depth_violations
+
+
+@pytest.mark.parametrize(
+    "space", ORACLE_SPACES, ids=lambda s: f"{type(s).__name__}-{s.params_str()}"
+)
+def test_row_laws_match_the_pair_loops(space):
+    # Transitivity, the depth law and A5 read rows and per-top depth
+    # lists; each gives the count, first counterexample and error of the
+    # pair loop it replaces (`audit_oracle`), at the sweep caps' edges.
+    # Row 0, the empty value's, holds one triple per value, so a cap of
+    # the universe's size ends exactly at the end of a row.
+    size = Universe(space).size
+    for cap in (0, 1, 37, size, size + 1, AuditBounds().transitivity_cap):
+        assert _transitivity(Universe(space), cap) == audit_oracle.transitivity(
+            Universe(space), cap
+        ), cap
+
+    want = _raising(audit_oracle.depth_law, Universe(space))
+    got = _package_law(_audit_depth, space)
+    if want[0] == "raises":
+        assert got == want
+    else:
+        checked, violations, witness = want
+        assert got == ([(checked, witness)], checked, violations)
+
+    for max_len, max_depth in ((1, 4), (2, 3), (3, 2)):
+        for a5_cap in (0, 1, 800):
+            bounds = AuditBounds(
+                max_len=max_len, max_depth=max_depth, amalgamation_cap=a5_cap
+            )
+            uni = Universe(space)
+            first = _raising(audit_oracle.amalgamation_i, uni, bounds)
+            if first[0] == "raises":
+                want = first
+            elif first[1] is not None:
+                want = ([first], 0, 0)
+            else:
+                second = _raising(audit_oracle.amalgamation_ii, uni, bounds)
+                want = second if second[0] == "raises" else ([first, second], 0, 0)
+            assert _package_law(_audit_a5, space, bounds) == want, bounds
+
+
+def _oracle_depths(uni, t):
+    """The chain scan's depth of each value below `t`, None where it
+    raises."""
+    out = []
+    for a in uni.below(t):
+        d = _raising(audit_oracle.depth, uni, a, t)
+        out.append(None if isinstance(d, tuple) else d)
+    return out
+
+
+@pytest.mark.parametrize(
+    "space", [LeakyExtensionSpace(4), StrayChainSpace(5)], ids=lambda s: type(s).__name__
+)
+def test_depth_lists_follow_a_growing_universe(space):
+    # Each top's depth list is the chain scan of every value below it,
+    # None where the scan finds no member, before and after the universe
+    # indexes values outside it: the leaky walks reach values past the
+    # ground set, and a stray value is indexed by hand.
+    uni = Universe(space)
+    for t in uni.tops:
+        assert uni.depths(t) == _oracle_depths(uni, t)
+    size = len(uni.items)
+    empty = uni.index[space.empty()]
+    for t in uni.tops:
+        uni.walk(empty, t)
+    uni.id(Approximation(TAG, (0, space.ground + 1), 2))
+    assert len(uni.items) > size
+    for t in uni.tops:
+        assert uni.depths(t) == _oracle_depths(uni, t)
+        for a, d in zip(uni.below(t), uni.depths(t)):
+            if d is None:
+                with pytest.raises(NotInSpaceError):
+                    uni.depth(a, t)
+            else:
+                assert uni.depth(a, t) == d

@@ -186,13 +186,16 @@ def test_closure_matches_fin_below(spaces):
 def test_closure_below_reads_the_length_groups(spaces):
     # Up to every length, past |top| too, the breadth-first extension
     # closure is the length groups of `fin_below`, shortest first; the
-    # closure is all of them, which is `fin_below`.
+    # closure is all of them, which is `fin_below`.  The groups start at
+    # k = -1, so every group outside 0..|top| must be empty.
     for sp in spaces:
         for top in sp.stems():
             for n in range(top.length + 3):
-                want = [x for k in range(n + 1) for x in sp.fin_below(top, k)]
+                want = [x for k in range(-1, n + 1) for x in sp.fin_below(top, k)]
                 assert closure_below(sp, top, n) == want, (top, n)
             assert sp.closure_below(top) == want == sp.fin_below(top)
+            for k in (-2, -1, top.length + 1, top.length + 2):
+                assert sp.fin_below(top, k) == [], (top, k)
 
 
 @given(st.sets(st.integers(min_value=0, max_value=7), max_size=8))
@@ -231,7 +234,8 @@ def test_reducts_are_exactly_fin_below(e8):
 
 def test_universe_matches_the_primitives(spaces):
     # Differential test of the audit's index against the primitives it
-    # is built from: order bits, fin_below lists, depth and neighborhoods.
+    # is built from: order bits, fin_below lists, depth, each top's depth
+    # list and neighborhoods.
     for sp in spaces:
         uni = Universe(sp)
         items = uni.items
@@ -249,6 +253,7 @@ def test_universe_matches_the_primitives(spaces):
             stem = Stem(sp, items[t])
             assert [items[c] for c in uni.chains[t]] == sp.chain(items[t])
             assert [items[a] for a in uni.below(t)] == sp.fin_below(items[t])
+            assert uni.depths(t) == [stem.depth(items[a]) for a in uni.below(t)]
             for a in uni.below(t):
                 assert uni.depth(a, t) == stem.depth(items[a])
                 order = [v for v, _ in sp.iter_neighborhood(items[a], items[t])]
