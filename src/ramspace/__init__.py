@@ -10,6 +10,8 @@ The package provides:
     dichotomy for length-bounded front families (forcing);
   * searchers that compute and certify small Ramsey-type witnesses:
     classical, vector-space, and partition versions (ramsey);
+  * one plain-text grammar that every certificate is written and read
+    in (certificate);
   * a batch CLI with reproducible, machine-readable output (cli).
 """
 

@@ -27,8 +27,9 @@ ambient stem shortest first, then either certify acceptance
 of the empty approximation (every maximal chain hits: alternative 2)
 or name the longest reduct whose whole down-set misses the family
 (alternative 1).  It always answers one of the two, or refuses at
-`max_reducts`.  Certificates replay through `verify_dichotomy`, which
-never consults engine state.
+`max_reducts`.  Certificates are written and read in the one grammar of
+`certificate`, and replay through `verify_dichotomy`, which never
+consults engine state.
 """
 
 from __future__ import annotations
@@ -38,9 +39,10 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Iterable
 
+from . import certificate
 from .core import Approximation, Index, Space, Stem
 from .errors import CeilingExceededError, EmptyNeighborhoodError, MixedSpaceError
-from .spaces import parse_params_str, space_from_params
+from .spaces import space_from_params
 
 ACCEPTS = "accepts"
 REJECTS = "rejects"
@@ -274,21 +276,6 @@ def _frontier(engine: ForcingEngine, top: Approximation) -> list[tuple[Approxima
     ]
 
 
-def _certificate(
-    family: FrontFamily, A: Stem, outcome: str, B: Stem, body: list[str]
-) -> str:
-    head = [
-        "galvin-certificate v1",
-        family.space.params_str(),
-        f"family={family.serialize_members()}",
-        f"length_bound={family.length_bound}",
-        f"ambient={A.serialize()}",
-        f"outcome={outcome}",
-        f"stem={B.serialize()}",
-    ]
-    return "\n".join(head + body) + "\n"
-
-
 def galvin_search(
     A: Stem, family: FrontFamily, max_reducts: int = MAX_REDUCTS
 ) -> DichotomyResult:
@@ -340,27 +327,30 @@ def galvin_search(
     def meets(t: Approximation) -> bool:
         return any(map(space.below_test(t), members))
 
-    def finish_alt1(B: Stem | None = None) -> DichotomyResult:
-        if B is None:
-            longest_first = reducts(range(A.length, -1, -1))
-            t = next((t for t in longest_first if not meets(t)), None)
-            assert t is not None, "no reduct is family-free: the space breaks A4(ii)"
-            B = Stem(space, t)
-        assert not meets(B.top), "alternative-1 stem still meets the family"
-        cert = _certificate(family, A, "ALT1", B, [f"checked={len(family.members)}"])
+    def finish(outcome: str, B: Stem | None = None) -> DichotomyResult:
+        frontier = []
+        if outcome == ALT2:
+            # The stem accepted, so this is a walk memo lookup.
+            accepts = engine.chain_status(B.top, space.empty()) is ChainStatus.ALL_HIT
+            assert accepts, "alternative-2 stem with a chain that avoids the family"
+            frontier = _frontier(engine, B.top)
+            last = {"chains": len(frontier)}
+        else:
+            if B is None:
+                longest_first = reducts(range(A.length, -1, -1))
+                t = next((t for t in longest_first if not meets(t)), None)
+                assert t is not None, "no reduct is family-free: the space breaks A4(ii)"
+                B = Stem(space, t)
+            assert not meets(B.top), "alternative-1 stem still meets the family"
+            last = {"checked": len(family.members)}
+        fields = {"family": family.serialize_members(), "length_bound": family.length_bound,
+                  "ambient": A.serialize(), "outcome": outcome.upper(), "stem": B.serialize()}
+        chains = [(space.serialize(m), i) for m, i in frontier]
+        cert = certificate.write(
+            "galvin-certificate", space.params_str(), fields | last, "chain", "hit", chains
+        )
         stats["walk_nodes"] = engine.nodes
-        return DichotomyResult(ALT1, B, cert, stats=stats)
-
-    def finish_alt2(B: Stem) -> DichotomyResult:
-        # The stem accepted, so this is a walk memo lookup.
-        accepts = engine.chain_status(B.top, space.empty()) is ChainStatus.ALL_HIT
-        assert accepts, "alternative-2 stem with a chain that avoids the family"
-        frontier = _frontier(engine, B.top)
-        body = [f"chains={len(frontier)}"]
-        body += [f"chain={space.serialize(m)};hit={i}" for m, i in frontier]
-        cert = _certificate(family, A, "ALT2", B, body)
-        stats["walk_nodes"] = engine.nodes
-        return DichotomyResult(ALT2, B, cert, stats=stats)
+        return DichotomyResult(outcome, B, cert, stats=stats)
 
     # Stage 1: settle the empty approximation on a deciding stem.  If
     # the ambient stem accepts it, every maximal chain below A already
@@ -372,13 +362,13 @@ def galvin_search(
     # the ceiling (a greedy alternative 1 is verified directly).
     empty = space.empty()
     if engine.chain_status(A.top, empty) is ChainStatus.ALL_HIT:
-        return finish_alt2(A)
+        return finish(ALT2, A)
     count = space.count_below(A.top)
     if count > max_reducts:
         greedy = _greedy_avoiding_stem(space, A, family)
         if greedy is None:
             raise CeilingExceededError("reduct sweep too large", count, max_reducts)
-        return finish_alt1(greedy)
+        return finish(ALT1, greedy)
     accepting: Approximation | None = None
     for t in reducts(range(A.length + 1)):
         stats["reducts_scanned"] += 1
@@ -391,8 +381,8 @@ def galvin_search(
             accepting = t
     else:
         if accepting is not None:
-            return finish_alt2(Stem(space, accepting))
-    return finish_alt1()
+            return finish(ALT2, Stem(space, accepting))
+    return finish(ALT1)
 
 
 def _greedy_avoiding_stem(space: Space, A: Stem, family: FrontFamily) -> Stem | None:
@@ -416,31 +406,20 @@ def _greedy_avoiding_stem(space: Space, A: Stem, family: FrontFamily) -> Stem | 
             return None
 
 
-def verify_dichotomy(certificate: str) -> bool:
+def verify_dichotomy(text: str) -> bool:
     """Replay a dichotomy certificate without the search engine.
 
-    Rebuilds the space from the header, re-checks that the named stem is
-    a reduct of the ambient stem, and then verifies the claim directly:
-    for alternative 1 that no family member lies below the stem, for
-    alternative 2 that a fresh walk of every maximal chain meets the
-    family exactly at the recorded frontier.
+    Reads the certificate through `certificate.read`, rebuilds the space
+    from its params, re-checks that the named stem is a reduct of the
+    ambient stem, and then verifies the claim directly: for alternative
+    1 that no family member lies below the stem, for alternative 2 that
+    a fresh walk of every maximal chain meets the family exactly at the
+    recorded frontier.  A certificate `read` refuses gives False.
     """
     try:
-        lines = [ln for ln in certificate.splitlines() if ln.strip()]
-        if lines[0] != "galvin-certificate v1":
-            return False
-        fields = {}
-        chain_lines = []
-        for ln in lines[1:]:
-            key, _, value = ln.partition("=")
-            if key == "chain":
-                chain_lines.append(value)
-            else:
-                fields[key] = value
-        space = space_from_params(parse_params_str(lines[1]))
-        members = tuple(
-            space.parse(m) for m in fields["family"].split("|") if m
-        )
+        params, fields, chains = certificate.read(text, "galvin-certificate", "chain", "hit")
+        space = space_from_params(params)
+        members = [space.parse(m) for m in fields["family"].split("|") if m]
         bound = int(fields["length_bound"])
         family = FrontFamily(space, members, bound)
         ambient = space.parse(fields["ambient"])
@@ -449,6 +428,9 @@ def verify_dichotomy(certificate: str) -> bool:
             return False
         outcome = fields["outcome"]
         member_set = set(family.members)
+        frontier = {space.parse(node): i for node, i in chains}
+        if outcome == "ALT2" and not int(fields["chains"]) == len(frontier) == len(chains):
+            return False
     except Exception:
         return False
 
@@ -457,16 +439,6 @@ def verify_dichotomy(certificate: str) -> bool:
         return not any(below(f.payload) for f in family.members)
 
     if outcome == "ALT2":
-        try:
-            frontier = {}
-            for cl in chain_lines:
-                node_text, _, hit_text = cl.partition(";hit=")
-                frontier[space.parse(node_text)] = int(hit_text)
-            if int(fields["chains"]) != len(frontier):
-                return False
-        except Exception:
-            return False
-
         seen = set()
 
         def walk(c) -> bool:

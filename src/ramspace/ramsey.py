@@ -32,7 +32,8 @@ all s^N colorings would: the search's first bad coloring is the least
 one in the scan's order.  Backtracking mode reports the search's nodes
 and may stop at a node budget.
 
-Lower bounds are explicit bad colorings.  Every certificate replays
+Lower bounds are explicit bad colorings.  Certificates are written and
+read in the one grammar of `certificate`.  Every certificate replays
 through verify_witness, an independent checker that re-derives the
 instance and never reuses the searcher's tables; a witness claim
 replays in a node-bounded depth-first search whose cost is the
@@ -45,11 +46,12 @@ import itertools
 import math
 from dataclasses import dataclass, field
 
+from . import certificate
 from .core import Approximation, Space, Stem
 from .errors import CeilingExceededError
 from .forcing import ALT2, MAX_REDUCTS, FrontFamily, galvin_search
 from .gflinalg import enumerate_rre, gaussian_binomial, times_basis
-from .spaces import SPACES, EllentuckSpace, MatrixSpace, parse_params_str
+from .spaces import SPACES, EllentuckSpace, MatrixSpace
 
 FOUND = "found"
 LOWER_BOUND = "lower_bound"
@@ -294,23 +296,13 @@ def _level_backtracking(inst: LevelInstance, s: int, node_budget: int | None = N
             return True, None, nodes
 
 
-def _certificate(inst: LevelInstance, s: int, claim: str, body: list[str]) -> str:
-    head = [
-        "ramsey-certificate v1",
-        inst.instance_str(),
-        f"s={s}",
-        f"claim={claim}",
-        f"level={inst.level}",
-        f"domain={len(inst.items)}",
-        f"witnesses={len(inst.witnesses)}",
-    ]
-    return "\n".join(head + body) + "\n"
-
-
-def _bad_certificate(inst: LevelInstance, s: int, coloring: list[int]) -> str:
-    keys = (inst.space.serialize(a) for a in inst.items)
-    body = [f"item={key};color={c}" for key, c in zip(keys, coloring)]
-    return _certificate(inst, s, "bad-coloring", body)
+def _certificate(inst: LevelInstance, s: int, claim: str, body: dict, coloring=()) -> str:
+    fields = dict(s=s, claim=claim, level=inst.level, domain=len(inst.items),
+                  witnesses=len(inst.witnesses), **body)
+    items = zip(map(inst.space.serialize, inst.items), coloring)
+    return certificate.write(
+        "ramsey-certificate", inst.instance_str(), fields, "item", "color", items
+    )
 
 
 def finite_ramsey_witness(
@@ -379,7 +371,7 @@ def finite_ramsey_witness(
                 stats=dict(stats, undecided_level=m),
             )
         if is_witness:
-            body = [f"mode={mode}", f"{_WORK_COUNTER[mode]}={work}"]
+            body = {"mode": mode, _WORK_COUNTER[mode]: work}
             return WitnessResult(
                 FOUND,
                 m,
@@ -387,7 +379,7 @@ def finite_ramsey_witness(
                 lower_bound_certificate=last_bad,
                 stats=stats,
             )
-        last_bad = _bad_certificate(inst, s, bad)
+        last_bad = _certificate(inst, s, "bad-coloring", {}, bad)
         last_bad_level = m
     return WitnessResult(
         EXHAUSTED, None, lower_bound_certificate=last_bad, stats=stats
@@ -448,14 +440,6 @@ def _assert_monochromatic(space, stem, k, coloring, color):
 # ----- independent certificate verification -----
 
 
-def _rebuild_level_from_fields(fields: dict) -> LevelInstance:
-    inst = parse_params_str(fields["instance_line"])
-    kind = inst["instance"]
-    k, n = int(inst["k"]), int(inst["n"])
-    q = int(inst["q"]) if "q" in inst else None
-    return build_level(kind, int(fields["level"]), k, n, q)
-
-
 def _replay_witness_claim(keys: list[str], witness_sets: list[set], s: int):
     """The node count of the replay verify_witness describes; None when
     it reaches a coloring with no monochromatic witness set, or passes
@@ -498,14 +482,15 @@ def _replay_witness_claim(keys: list[str], witness_sets: list[set], s: int):
         color += 1
 
 
-def verify_witness(certificate: str) -> bool:
+def verify_witness(text: str) -> bool:
     """Replay a search certificate without the search engine.
 
-    The instance is rebuilt from the certificate header alone by
-    `build_level`, whose classical and matrix levels come from
-    `_classical_level` and `_matrix_level` as the searcher's do, and
-    every check works on serialized item keys in dictionaries and sets,
-    sharing no index table, mask or search helper with the searcher.
+    The certificate is read through `certificate.read`, and the
+    instance is rebuilt from its header alone by `build_level`, whose
+    classical and matrix levels come from `_classical_level` and
+    `_matrix_level` as the searcher's do.  Every check works on
+    serialized item keys in dictionaries and sets, sharing no index
+    table, mask or search helper with the searcher.
 
     A witness claim is re-established by a restricted-growth depth-first
     replay over the rebuilt items in order: an item may take a color
@@ -528,23 +513,18 @@ def verify_witness(certificate: str) -> bool:
 
     A bad-coloring claim is checked by confirming totality and that
     every witness configuration is non-monochromatic.  Malformed,
-    tampered or refused certificates give False.
+    tampered or refused certificates give False, and so does one that
+    `certificate.read` refuses.
     """
     try:
-        lines = [ln for ln in certificate.splitlines() if ln.strip()]
-        if lines[0] != "ramsey-certificate v1":
-            return False
-        fields = {"instance_line": lines[1]}
-        items_colors: list[tuple[str, int]] = []
-        for ln in lines[2:]:
-            if ln.startswith("item="):
-                body, _, color = ln[5:].partition(";color=")
-                items_colors.append((body, int(color)))
-            else:
-                key, _, value = ln.partition("=")
-                fields[key] = value
+        params, fields, items_colors = certificate.read(
+            text, "ramsey-certificate", "item", "color"
+        )
         s = int(fields["s"])
-        inst = _rebuild_level_from_fields(fields)
+        q = int(params["q"]) if "q" in params else None
+        inst = build_level(
+            params["instance"], int(fields["level"]), int(params["k"]), int(params["n"]), q
+        )
         if int(fields["domain"]) != len(inst.items):
             return False
         if int(fields["witnesses"]) != len(inst.witnesses):

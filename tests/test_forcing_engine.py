@@ -30,7 +30,7 @@ import random
 import pytest
 
 from forcing_oracle import frontier_walk, longest_family_free, rejection_witness
-from ramspace import Stem, cli, ell_space, matrix_space, partition_space, ramsey
+from ramspace import Stem, certificate, cli, ell_space, matrix_space, partition_space, ramsey
 from ramspace.core import Approximation
 from ramspace.errors import (
     CeilingExceededError,
@@ -48,7 +48,6 @@ from ramspace.forcing import (
     DichotomyResult,
     ForcingEngine,
     FrontFamily,
-    _certificate,
     _frontier,
     _greedy_avoiding_stem,
     galvin_search,
@@ -480,18 +479,30 @@ def _oracle_galvin_search(
     engine = _PrimitiveEngine(family, max_reducts)
     stats = {"reducts_scanned": 0}
 
+    def write(outcome, B, last, frontier=()):
+        fields = {
+            "family": family.serialize_members(),
+            "length_bound": family.length_bound,
+            "ambient": A.serialize(),
+            "outcome": outcome,
+            "stem": B.serialize(),
+            **last,
+        }
+        chains = [(space.serialize(c), i) for c, i in frontier]
+        return certificate.write(
+            "galvin-certificate", space.params_str(), fields, "chain", "hit", chains
+        )
+
     def finish_alt1(B=None):
         if B is None:
             B = Stem(space, longest_family_free(space, A.top, family.members))
-        cert = _certificate(family, A, "ALT1", B, [f"checked={len(family.members)}"])
+        cert = write("ALT1", B, {"checked": len(family.members)})
         stats["walk_nodes"] = engine.nodes
         return DichotomyResult(ALT1, B, cert, stats=stats)
 
     def finish_alt2(B):
         frontier = sorted(frontier_walk(engine, B.top), key=lambda p: _canonical(p[0]))
-        body = [f"chains={len(frontier)}"]
-        body += [f"chain={space.serialize(c)};hit={i}" for c, i in frontier]
-        cert = _certificate(family, A, "ALT2", B, body)
+        cert = write("ALT2", B, {"chains": len(frontier)}, frontier)
         stats["walk_nodes"] = engine.nodes
         return DichotomyResult(ALT2, B, cert, stats=stats)
 

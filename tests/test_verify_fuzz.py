@@ -5,7 +5,9 @@ tamperings is rejected.
 `_product_oracle` is verify_witness as it was written before the
 restricted-growth replay: a witness claim is replayed over all s^N
 colorings.  It is kept here as the reference every certificate under
-its ceiling is compared against.
+its ceiling is compared against.  Its parse loop is its own, and it
+follows the grammar's strictness rule: a line it cannot read, or a
+repeated field key or item, rejects.
 """
 
 import itertools
@@ -17,40 +19,52 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ramspace import ell_space, matrix_space, partition_space, ramsey
+from ramspace import certificate, ell_space, matrix_space, partition_space, ramsey
 from ramspace.errors import CeilingExceededError
 from ramspace.forcing import FrontFamily, galvin_search, verify_dichotomy
 from ramspace.ramsey import (
     _level_backtracking,
-    _rebuild_level_from_fields,
+    build_level,
     finite_ramsey_witness,
     verify_witness,
 )
+from ramspace.spaces import parse_params_str
 
 DATA = pathlib.Path(__file__).parent / "data" / "witness_results.json"
 ORACLE_CEILING = 1 << 16
 
 
-def _product_oracle(certificate: str):
+def _level(params: dict, fields: dict):
+    """The level a witness certificate's params and fields name."""
+    q = int(params["q"]) if "q" in params else None
+    k, n = int(params["k"]), int(params["n"])
+    return build_level(params["instance"], int(fields["level"]), k, n, q)
+
+
+def _product_oracle(text: str):
     """The s^N replay: True or False, or None when s^N is above
     ORACLE_CEILING.  A witness claim must also state its work: s^N
     colorings in exhaustive mode, and in backtracking mode the nodes the
     backtracking searcher takes on the rebuilt level."""
     try:
-        lines = [ln for ln in certificate.splitlines() if ln.strip()]
+        lines = text.splitlines()
         if lines[0] != "ramsey-certificate v1":
             return False
-        fields = {"instance_line": lines[1]}
-        items_colors = []
+        fields = {}
+        colors = {}
         for ln in lines[2:]:
-            if ln.startswith("item="):
-                body, _, color = ln[5:].partition(";color=")
-                items_colors.append((body, int(color)))
+            key, eq, value = ln.partition("=")
+            if key == "item":
+                body, _, color = value.partition(";color=")
+                if body in colors:
+                    return False
+                colors[body] = int(color)
+            elif not eq or key in fields:
+                return False
             else:
-                key, _, value = ln.partition("=")
                 fields[key] = value
         s = int(fields["s"])
-        inst = _rebuild_level_from_fields(fields)
+        inst = _level(parse_params_str(lines[1]), fields)
         if int(fields["domain"]) != len(inst.items):
             return False
         if int(fields["witnesses"]) != len(inst.witnesses):
@@ -74,7 +88,6 @@ def _product_oracle(certificate: str):
         return False
 
     if claim == "bad-coloring":
-        colors = dict(items_colors)
         if len(colors) != len(inst.items):
             return False
         if {space.serialize(a) for a in inst.items} != set(colors):
@@ -109,9 +122,9 @@ def _stated(fields: dict, key: str):
         return None
 
 
-def _agrees_with_the_oracle(certificate: str) -> bool:
-    expected = _product_oracle(certificate)
-    return expected is None or verify_witness(certificate) is expected
+def _agrees_with_the_oracle(text: str) -> bool:
+    expected = _product_oracle(text)
+    return expected is None or verify_witness(text) is expected
 
 
 def _galvin(space, members):
@@ -122,10 +135,11 @@ def _singletons(space):
     return [a for a in space.fin_below(space.full_stem().top) if a.length == 1]
 
 
-E8, E5 = ell_space(8), ell_space(5)
+E8, E5, E4 = ell_space(8), ell_space(5), ell_space(4)
 M23, M22, P4 = matrix_space(2, 3), matrix_space(2, 2), partition_space(4)
 ALT1 = _galvin(E8, [E8.make((x,)) for x in range(0, 8, 2)])
 ALT2 = _galvin(E5, _singletons(E5))
+ALT2_E4 = _galvin(E4, _singletons(E4))
 DICHOTOMY = [
     ALT1,
     ALT2,
@@ -249,6 +263,19 @@ DICHOTOMY_TAMPERINGS = {
     "empty-family-length_bound=-2": _edit(
         _galvin(E8, []), "length_bound=0", "length_bound=-2"
     ),
+    # A certificate that says two things: five chain lines, one of them
+    # twice, under chains=4.
+    "alt2-chain-repeated": _edit(
+        ALT2_E4, "chain={0};hit=1\n", "chain={0};hit=1\nchain={0};hit=1\n"
+    ),
+    "alt2-chain-repeated-with-a-space": _edit(
+        ALT2_E4, "chain={0};hit=1\n", "chain={0};hit=1\nchain= {0};hit=1\n"
+    ),
+    "alt2-chains-repeated": _edit(ALT2_E4, "chains=4\n", "chains=4\nchains=4\n"),
+    # Lines the grammar cannot read.
+    "alt1-chain-garbage": ALT1 + "chain=garbage\n",
+    "alt1-bare-line": ALT1 + "checked\n",
+    "alt1-blank-line": ALT1 + "\n",
 }
 
 FOUND, BAD = R33.found_certificate, R33.lower_bound_certificate
@@ -303,6 +330,15 @@ WITNESS_TAMPERINGS = {
     "backtracking-s=3": _edit(FOUND_BT, "s=2", "s=3"),
     "backtracking-s=1": _edit(FOUND_BT, "s=2", "s=1"),
     "ellentuck-level=25": _edit(ELLENTUCK, "level=2", "level=25"),
+    # A certificate that says two things: the first item a second time,
+    # in the other color, before its genuine line.
+    "bad-coloring-item-repeated": _edit(
+        BAD, "item={0,1};color=0\n", "item={0,1};color=1\nitem={0,1};color=0\n"
+    ),
+    "witness-s-repeated": _edit(FOUND, "s=2\n", "s=2\ns=2\n"),
+    # Lines the grammar cannot read.
+    "witness-bare-item": FOUND + "item\n",
+    "bad-coloring-item-without-color": BAD + "item={0,1}\n",
 }
 
 
@@ -320,8 +356,10 @@ def test_verify_witness_rejects_tampering(name):
 def test_a_level_too_large_to_build_is_refused_unbuilt():
     # verify_witness and the oracle both rebuild a level through
     # build_level, which refuses this one from its size estimate alone.
-    lines = WITNESS_TAMPERINGS["ellentuck-level=25"].splitlines()
-    fields = {"instance_line": lines[1], "level": "25"}
+    params, fields, _ = certificate.read(
+        WITNESS_TAMPERINGS["ellentuck-level=25"], "ramsey-certificate", "item", "color"
+    )
+    assert fields["level"] == "25"
     with pytest.raises(CeilingExceededError) as exc:
-        _rebuild_level_from_fields(fields)
+        _level(params, fields)
     assert exc.value.estimate == 2**25

@@ -22,7 +22,7 @@ import pytest
 from ramspace import cli
 from ramspace.ramsey import (
     LevelInstance,
-    _bad_certificate,
+    _certificate,
     _level_backtracking,
     _level_exhaustive,
     build_level,
@@ -265,7 +265,7 @@ def test_empty_configuration_is_never_monochromatic():
     bt = _level_backtracking(inst, 2, None)
     assert ex == (False, [0, 1], 2)
     assert bt[:2] == (False, [0, 1])
-    assert verify_witness(_bad_certificate(inst, 2, bt[1]))
+    assert verify_witness(_certificate(inst, 2, "bad-coloring", {}, bt[1]))
 
 
 @pytest.mark.parametrize(
