@@ -412,9 +412,10 @@ def verify_dichotomy(text: str) -> bool:
     Reads the certificate through `certificate.read`, rebuilds the space
     from its params, re-checks that the named stem is a reduct of the
     ambient stem, and then verifies the claim directly: for alternative
-    1 that no family member lies below the stem, for alternative 2 that
-    a fresh walk of every maximal chain meets the family exactly at the
-    recorded frontier.  A certificate `read` refuses gives False.
+    1 that no family member lies below the stem, that `checked=` counts
+    the members listed and that no chain line is given; for alternative
+    2 that a fresh walk of every maximal chain meets the family exactly
+    at the recorded frontier.  A certificate `read` refuses gives False.
     """
     try:
         params, fields, chains = certificate.read(text, "galvin-certificate", "chain", "hit")
@@ -430,6 +431,8 @@ def verify_dichotomy(text: str) -> bool:
         member_set = set(family.members)
         frontier = {space.parse(node): i for node, i in chains}
         if outcome == "ALT2" and not int(fields["chains"]) == len(frontier) == len(chains):
+            return False
+        if outcome == "ALT1" and (chains or int(fields["checked"]) != len(members)):
             return False
     except Exception:
         return False

@@ -22,15 +22,18 @@ Concrete instances:
     coarsenings of an m-block witness.
 
 One searcher decides a level: a backtracking search over one coloring
-per color permutation class, on int masks over the level's items (each
-configuration is one mask, each color keeps the mask of the items it
-has colored, and a configuration is monochromatic iff it lies inside
-one color's mask; an empty configuration is never monochromatic, in the
-searcher as in verify_witness).  Exhaustive mode refuses a level whose
-s^N colorings exceed its ceiling and otherwise reports what a scan of
-all s^N colorings would: the search's first bad coloring is the least
-one in the scan's order.  Backtracking mode reports the search's nodes
-and may stop at a node budget.
+per color permutation class, on int masks over the level's
+configurations (each item keeps the mask of the configurations holding
+it, each color the mask of the configurations an item of another color
+has blocked, and an item prunes a color iff a configuration it closes
+is not blocked for that color; an empty configuration is never
+monochromatic, in the searcher as in verify_witness).  So the prune
+test costs one mask operation however many configurations an item
+closes.  Exhaustive mode refuses a level whose s^N colorings exceed its
+ceiling and otherwise reports what a scan of all s^N colorings would:
+the search's first bad coloring is the least one in the scan's order.
+Backtracking mode reports the search's nodes and may stop at a node
+budget.
 
 Lower bounds are explicit bad colorings.  Certificates are written and
 read in the one grammar of `certificate`.  Every certificate replays
@@ -130,8 +133,11 @@ def _classical_level(M: int, k: int, n: int) -> LevelInstance:
     level: a search visits as many nodes here as one dimension up."""
     _refuse_above_ceiling("classical", M, math.comb(M, k) + math.comb(M, n))
     space = EllentuckSpace(max(M, 1))
-    items = [space.make(c) for c in itertools.combinations(range(M), k)]
-    witnesses = [space.make(c) for c in itertools.combinations(range(M), n)]
+
+    def subsets(d: int) -> list[Approximation]:
+        return [Approximation(space.tag, c, d) for c in itertools.combinations(range(M), d)]
+
+    items, witnesses = subsets(k), subsets(n)
     index = {a.payload: i for i, a in enumerate(items)}
     configs = [
         [index[c] for c in itertools.combinations(b.payload, k)] for b in witnesses
@@ -239,26 +245,39 @@ def _level_backtracking(inst: LevelInstance, s: int, node_budget: int | None = N
     One depth-first loop, without recursion, colors the items in
     canonical order under the restricted-growth rule (a new color may
     only follow all smaller ones): one coloring per color permutation
-    class.  Each color keeps the mask of its items, item i at bit i.
-    Item i keeps the masks of the configurations it closes (it is their
-    last item), less its own bit, so giving i color c prunes iff one of
-    them lies inside c's mask.  An empty configuration is never
-    monochromatic, as in verify_witness, so exhausting the tree proves
-    the level is a witness.  The path is the color given at each item
-    and the colors in use on entering it; one node is counted per color
-    tried.  Returns (is_witness | None, bad_coloring | None, nodes);
-    None means the node budget ran out, at node budget + 1.
+    class.  Masks are over the configurations, configuration j at bit
+    j: `contains[i]` holds the configurations holding item i and
+    `closing[i]` those whose last item is i.  `blocked[c]` holds the
+    configurations with an item of a color other than c, which can
+    never be monochromatic in c.  So giving item i color c prunes iff
+    some configuration of `closing[i]` is outside `blocked[c]`, one
+    test whatever the number of configurations i closes.  Coloring i
+    with c saves `blocked` for i and ORs `contains[i]` into every other
+    color's mask; backtracking to i restores the saved list.  An empty
+    configuration is never monochromatic, as in verify_witness, so
+    exhausting the tree proves the level is a witness.  The path is the
+    color given at each item and the colors in use on entering it; one
+    node is counted per color tried.  Only prunes and backtracks lie
+    between two colorings, so the budget is checked when an item is
+    colored and when the tree is exhausted.  Returns (is_witness | None,
+    bad_coloring | None, nodes); None means the node budget ran out, at
+    node budget + 1.
     """
     size = len(inst.items)
-    closes: list[list[int]] = [[] for _ in range(size)]
-    for cfg in inst.configs:
-        if cfg:
-            last = max(cfg)
-            closes[last].append(sum(1 << j for j in cfg if j != last))
     if not size:
         return False, [], 0
+    contains = [0] * size
+    closing = [0] * size
+    for j, cfg in enumerate(inst.configs):
+        if cfg:
+            bit = 1 << j
+            for i in cfg:
+                contains[i] |= bit
+            closing[max(cfg)] |= bit
     budget = float("inf") if node_budget is None else node_budget
-    colmask = [0] * s
+    others = [[d for d in range(s) if d != c] for c in range(s)]
+    blocked = [0] * s
+    saved = [blocked] * size  # blocked on entering item i
     given = [0] * size
     used_on = [0] * size
     limits = [min(used + 1, s) for used in range(s + 1)]  # colors open to item i
@@ -267,31 +286,34 @@ def _level_backtracking(inst: LevelInstance, s: int, node_budget: int | None = N
     while True:
         if c < limit:
             nodes += 1
+            need = closing[i]
+            if need & blocked[c] != need:
+                c += 1
+                continue
             if nodes > budget:
-                return None, None, nodes
-            mask = colmask[c]
-            for rest in closes[i]:
-                if rest & mask == rest:
-                    c += 1
-                    break
-            else:
-                colmask[c] = mask | 1 << i
-                given[i] = c
-                used_on[i] = used
-                if c == used:
-                    used += 1
-                i += 1
-                if i == size:
-                    return False, given, nodes
-                c = 0
-                limit = limits[used]
+                return None, None, budget + 1
+            saved[i] = blocked
+            blocked = blocked.copy()
+            held = contains[i]
+            for d in others[c]:
+                blocked[d] |= held
+            given[i] = c
+            used_on[i] = used
+            if c == used:
+                used += 1
+            i += 1
+            if i == size:
+                return False, given, nodes
+            c = 0
+            limit = limits[used]
         elif i:  # every color tried at item i: back to item i - 1
             i -= 1
-            c = given[i]
-            colmask[c] ^= 1 << i
+            blocked = saved[i]
             used = used_on[i]
-            c += 1
+            c = given[i] + 1
             limit = limits[used]
+        elif nodes > budget:
+            return None, None, budget + 1
         else:
             return True, None, nodes
 

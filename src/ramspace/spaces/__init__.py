@@ -36,13 +36,17 @@ def space_from_params(params: dict) -> Space:
 
 
 def parse_params_str(text: str) -> dict:
+    """The `key=value;...` entries of a params line; an entry without
+    `=`, or a key given twice, raises ParseError."""
     out = {}
     for part in text.strip().split(";"):
         if not part:
             continue
-        if "=" not in part:
+        k, eq, v = part.partition("=")
+        if not eq:
             raise ParseError(f"bad params entry {part!r}")
-        k, v = part.split("=", 1)
+        if k in out:
+            raise ParseError(f"params key {k!r} given twice")
         out[k] = v
     return out
 

@@ -185,6 +185,27 @@ def test_galvin_malformed_family(tmp_path, capsys):
     assert code == 2
 
 
+def test_input_files_with_a_repeated_params_key_exit_2(tmp_path, capsys):
+    # A params line that says two things is an input error: the space
+    # line of a family or coloring file, and a coloring's k/s line.
+    family = tmp_path / "family.txt"
+    family.write_text("space=ellentuck;ground=5;ground=4\n{0}\n")
+    heads = {
+        "ground": "space=ellentuck;ground=3;ground=3\nk=1;s=2",
+        "k": "space=ellentuck;ground=3\nk=1;k=1;s=2",
+    }
+    cases = [(["galvin", "--family", str(family)], "ground")]
+    for key, head in heads.items():
+        coloring = tmp_path / f"coloring-{key}.txt"
+        coloring.write_text(head + "\n{0}:0\n{1}:1\n{2}:0\n")
+        cases.append((["reduce", "--coloring", str(coloring)], key))
+    for argv, key in cases:
+        code = cli.main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "", argv
+        assert f"params key {key!r} given twice" in err, argv
+
+
 def test_galvin_removed_options_are_unknown_arguments(capsys):
     for extra in (["--horizon", "1"], ["--no-greedy"]):
         code = cli.main([

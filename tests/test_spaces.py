@@ -668,7 +668,13 @@ def test_params_round_trip_and_full_stem_is_ambient(space):
 
 @pytest.mark.parametrize(
     "text, key",
-    [("space=matrix;q=2", "max_cols"), ("space=ellentuck;ground=x", "ground")],
+    [
+        ("space=matrix;q=2", "max_cols"),
+        ("space=ellentuck;ground=x", "ground"),
+        # a params line that says two things
+        ("space=ellentuck;ground=9;ground=8", "ground"),
+        ("space=matrix;q=2;max_cols=3;q=3", "q"),
+    ],
 )
 def test_space_from_params_names_the_bad_key(text, key):
     with pytest.raises(ParseError, match=repr(key)):

@@ -272,6 +272,15 @@ DICHOTOMY_TAMPERINGS = {
         ALT2_E4, "chain={0};hit=1\n", "chain={0};hit=1\nchain= {0};hit=1\n"
     ),
     "alt2-chains-repeated": _edit(ALT2_E4, "chains=4\n", "chains=4\nchains=4\n"),
+    # An ALT1 count that no member list gives, and an ALT1 certificate
+    # that also states a hit frontier.
+    "alt1-checked=99": _edit(ALT1, "checked=4", "checked=99"),
+    "alt1-checked=3": _edit(ALT1, "checked=4", "checked=3"),
+    "alt1-checked-missing": _edit(ALT1, "checked=4\n", ""),
+    "alt1-with-a-chain-line": ALT1 + "chain={0};hit=1\n",
+    # A params line that says two things.
+    "alt1-ground-repeated": _edit(ALT1, "ground=8", "ground=9;ground=8"),
+    "alt2-ground-repeated": _edit(ALT2, "ground=5", "ground=5;ground=5"),
     # Lines the grammar cannot read.
     "alt1-chain-garbage": ALT1 + "chain=garbage\n",
     "alt1-bare-line": ALT1 + "checked\n",
@@ -336,6 +345,8 @@ WITNESS_TAMPERINGS = {
         BAD, "item={0,1};color=0\n", "item={0,1};color=1\nitem={0,1};color=0\n"
     ),
     "witness-s-repeated": _edit(FOUND, "s=2\n", "s=2\ns=2\n"),
+    "witness-k-repeated": _edit(FOUND, "instance=classical;k=2", "instance=classical;k=1;k=2"),
+    "bad-coloring-n-repeated": _edit(BAD, "n=3", "n=3;n=3"),
     # Lines the grammar cannot read.
     "witness-bare-item": FOUND + "item\n",
     "bad-coloring-item-without-color": BAD + "item={0,1}\n",

@@ -6,8 +6,10 @@ The backtracking oracle skips an empty configuration, as the s^N
 oracle and verify_witness do.  Exhaustive mode takes its answer from
 the backtracking search, so the s^N oracle checks that answer too.
 `_recursive_backtracking` is the mask searcher as a recursive closure,
-before it became one loop; it is fast enough to compare with the loop
-at the benchmark's node budgets.
+before it became one loop and before its prune test read per-color
+configuration masks: it tests each configuration an item closes, one
+by one, against the item mask of the color.  It is fast enough to
+compare with the loop at the benchmark's node budgets.
 """
 
 import contextlib
@@ -30,6 +32,7 @@ from ramspace.ramsey import (
 )
 
 DATA = pathlib.Path(__file__).parent / "data" / "witness_results.json"
+K1_N9 = pathlib.Path(__file__).parent / "data" / "classical_k1_n9_s2.json"
 
 
 # ----- reference searchers over lists of item indices -----
@@ -245,6 +248,46 @@ def test_loop_matches_the_recursive_search_at_the_exact_budget(level, s, is_witn
     short = _level_backtracking(inst, s, nodes - 1)
     assert short == _recursive_backtracking(inst, s, nodes - 1)
     assert short == (None, None, nodes)
+
+
+# Levels whose items close many configurations, up to each row's first
+# witness level: at classical k=1 the last item of level m closes
+# C(m-1, n-1) of them, 252 at n=6 and level 11.  (n, s, witness level)
+CLOSING_ROWS = [(5, 2, 9), (6, 2, 11), (4, 3, 10)]
+CLOSING_LEVELS = [
+    (("classical", m, 1, n, None), s, m == found)
+    for n, s, found in CLOSING_ROWS
+    for m in range(n, found + 1)
+]
+
+
+@pytest.mark.parametrize("level, s, is_witness", CLOSING_LEVELS)
+def test_levels_closing_many_configurations_match_the_references(level, s, is_witness):
+    inst = build_level(*level)
+    full = _level_backtracking(inst, s, None)
+    assert full[0] is is_witness
+    assert full == _recursive_backtracking(inst, s, None)
+    assert full == _reference_backtracking(inst, s, None)
+    nodes = full[2]
+    for budget in (0, nodes // 2, nodes - 1, nodes):
+        assert _level_backtracking(inst, s, budget) == _recursive_backtracking(inst, s, budget)
+    if s ** len(inst.items) <= 1 << 12:
+        assert _level_exhaustive(inst, s) == _reference_exhaustive(inst, s)
+
+
+def test_classical_k1_n9_output_is_pinned():
+    # Level 17 holds 24,310 configurations over 17 items; its last item
+    # closes 12,870 of them.  The stdout was captured from the searcher
+    # that scanned each item's closed configurations one by one.
+    out = io.StringIO()
+    argv = ["ramsey", "classical", "--k", "1", "--n", "9", "--s", "2", "--bound", "18"]
+    with contextlib.redirect_stdout(out):
+        code = cli.main(argv + ["--format", "json"])
+    assert code == 0
+    assert out.getvalue() == K1_N9.read_text()
+    got = json.loads(out.getvalue())
+    assert (got["outcome"], got["value"]) == ("found", 17)
+    assert got["stats"]["colorings_checked"] == 1 << 17
 
 
 def test_a_deep_level_needs_no_recursion():
